@@ -16,6 +16,7 @@ iterations, so converged solutions stay strictly inside their ranges.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import enum
 import functools
 import math
@@ -43,12 +44,15 @@ class BarrierKind(enum.Enum):
     EXP_LANE_CENTERING = "exp_lane_centering"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AffineDynamics:
     """Discrete-time affine map x' = A x + B u + C w.
 
     C and w are optional and must be supplied together; they model a
-    known constant disturbance over the horizon.
+    known constant disturbance over the horizon.  Dynamics are immutable
+    (frozen fields holding read-only copies, so the caller's arrays stay
+    writable), so a problem derives its lifted backward-pass operator
+    from them once and reuses it for every pass.
     """
 
     A: np.ndarray
@@ -57,25 +61,31 @@ class AffineDynamics:
     w: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+        A = np.array(self.A, dtype=float)
+        B = np.array(self.B, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be a square matrix")
-        if self.B.ndim != 2 or self.B.shape[0] != self.A.shape[0]:
+        if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError("B must have the same row count as A")
         if (self.C is None) != (self.w is None):
             raise ValueError("C and w must be supplied together")
+        C = w = None
         if self.C is not None:
-            self.C = np.asarray(self.C, dtype=float)
-            self.w = np.asarray(self.w, dtype=float).ravel()
-            if self.C.shape != (self.A.shape[0], self.w.size):
+            C = np.array(self.C, dtype=float)
+            w = np.array(self.w, dtype=float).ravel()
+            if C.shape != (A.shape[0], w.size):
                 raise ValueError("C must be n x len(w)")
-            self._drift = self.C @ self.w
+            drift = C @ w
         else:
-            self._drift = np.zeros(self.A.shape[0])
-        for name in ("A", "B", "_drift"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name.strip('_')} contains non-finite entries")
+            drift = np.zeros(A.shape[0])
+        for name, value in (("A", A), ("B", B), ("drift", drift)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} contains non-finite entries")
+        for name, value in (("A", A), ("B", B), ("C", C), ("w", w),
+                            ("_drift", drift)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -89,12 +99,14 @@ class AffineDynamics:
         return self.A @ x + self.B @ u + self._drift
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticCost:
     """Quadratic penalty (x - x_ref)' Q (x - x_ref) + u' R u.
 
     Q must be symmetric PSD and R symmetric PD.  For a terminal cost R is
-    simply unused.
+    simply unused.  Costs are immutable (frozen fields, read-only copies
+    of Q and R), so a problem folds the weights into its backward-pass
+    stage weights once.
     """
 
     Q: np.ndarray
@@ -102,28 +114,33 @@ class QuadraticCost:
     x_ref: np.ndarray
 
     def __post_init__(self) -> None:
-        self.Q = np.asarray(self.Q, dtype=float)
-        self.R = np.asarray(self.R, dtype=float)
-        self.x_ref = np.asarray(self.x_ref, dtype=float).ravel()
-        if self.Q.shape != (self.x_ref.size, self.x_ref.size):
+        Q = np.array(self.Q, dtype=float)
+        R = np.array(self.R, dtype=float)
+        x_ref = np.array(self.x_ref, dtype=float).ravel()
+        if Q.shape != (x_ref.size, x_ref.size):
             raise ValueError("Q must be n x n with n = len(x_ref)")
-        if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
+        if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("R must be square")
-        if not np.allclose(self.Q, self.Q.T, atol=1e-10):
+        if not np.allclose(Q, Q.T, atol=1e-10):
             raise ValueError("Q must be symmetric")
-        if not np.allclose(self.R, self.R.T, atol=1e-10):
+        if not np.allclose(R, R.T, atol=1e-10):
             raise ValueError("R must be symmetric")
-        if np.linalg.eigvalsh(self.Q).min() < -1e-9:
+        if np.linalg.eigvalsh(Q).min() < -1e-9:
             raise ValueError("Q must be positive semidefinite")
-        if np.linalg.eigvalsh(self.R).min() <= 0.0:
+        if np.linalg.eigvalsh(R).min() <= 0.0:
             raise ValueError("R must be positive definite")
+        for name, value in (("Q", Q), ("R", R), ("x_ref", x_ref)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def with_reference(self, x_ref: np.ndarray) -> "QuadraticCost":
         """The same (already validated) weights around another reference."""
-        out = copy.copy(self)
-        out.x_ref = np.asarray(x_ref, dtype=float).ravel()
-        if out.x_ref.size != self.x_ref.size:
+        x_ref = np.array(x_ref, dtype=float).ravel()
+        if x_ref.size != self.x_ref.size:
             raise ValueError("x_ref must keep its size")
+        x_ref.flags.writeable = False
+        out = copy.copy(self)
+        object.__setattr__(out, "x_ref", x_ref)
         return out
 
 
@@ -267,11 +284,14 @@ class ProblemSpec:
         and costs replaced.
 
         The barrier lists, validated when this problem was built, are
-        shared with the copy together with their stacked form; only the
+        shared with the copy, and so is what is derived from the problem
+        once (stacked barriers, backward-pass stage weights, lifted
+        dynamics) until the copy replaces a part it rests on; only the
         replaced parts are checked.  A planner builds its problem once and
         re-aims it every cycle this way.
         """
-        self._stacks()     # stacked once here, then shared by every copy
+        self._stage()      # built once here, then shared by every copy
+        self._lifted()
         out = copy.copy(self)
         out.x0 = x0
         if dynamics is not None:
@@ -298,6 +318,26 @@ class ProblemSpec:
                     (tuple(self.barriers), tuple(self.terminal_barriers)))
             self._stacked = memo
         return memo[1], memo[2]
+
+    def _stage(self) -> "_Stage":
+        """Stage weights of the backward pass; rebuilt if a part changed."""
+        run, term = self._stacks()
+        parts = (run, term, self.cost.Q, self.cost.R, self.terminal_cost.Q)
+        key = tuple(map(id, parts))
+        memo = self.__dict__.get("_staged")
+        if memo is None or memo.key != key:
+            memo = self._staged = _Stage(parts, key, self.n, self.m)
+        return memo
+
+    def _lifted(self) -> "_Lifted":
+        """The dynamics in the forms the passes use; rebuilt if replaced."""
+        dyn = self.dynamics
+        steps = (dyn,) if isinstance(dyn, AffineDynamics) else tuple(dyn)
+        key = tuple(map(id, steps))
+        memo = self.__dict__.get("_lift")
+        if memo is None or memo.key != key:
+            memo = self._lift = _Lifted(steps, key)
+        return memo
 
     def dynamics_at(self, i: int) -> AffineDynamics:
         if isinstance(self.dynamics, AffineDynamics):
@@ -379,6 +419,19 @@ class SolverConfig:
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 
+    def for_warm_start(self, iteration_cap: int) -> "SolverConfig":
+        """This config for a solve warm-started from the previous plan.
+
+        The carried-over plan is already near stationary at the final
+        barrier sharpness, so the solve starts there instead of walking
+        the schedule again, with at most iteration_cap outer iterations
+        and a gradient tolerance no tighter than 1e-3.
+        """
+        return dataclasses.replace(
+            self, barrier_t_init=self.barrier_t_max,
+            max_outer_iterations=min(self.max_outer_iterations, iteration_cap),
+            gradient_tolerance=max(self.gradient_tolerance, 1e-3))
+
 
 @dataclass
 class SolveInfo:
@@ -418,6 +471,20 @@ _KIND_RANK = {BarrierKind.LOG_RANGE: 0, BarrierKind.EXP_ONE_SIDED: 1,
               BarrierKind.EXP_LANE_CENTERING: 2}
 
 
+def _read_rows(O: np.ndarray, n: int) -> np.ndarray:
+    """The entries of symmetric (..., nz, nz) blocks that the backward pass
+    reads, flattened to (..., R) rows.
+
+    With z = [x; 1; u] these are the (n+1)^2 value block O[:n+1, :n+1],
+    then the m control rows O[n+1:, :] = [O_ux, O_u, O_uu]; the block
+    O[:n+1, n+1:] only transposes the control rows and is left out.
+    """
+    lead, nz = O.shape[:-2], O.shape[-1]
+    return np.concatenate(
+        [O[..., :n + 1, :n + 1].reshape(lead + ((n + 1) ** 2,)),
+         O[..., n + 1:, :].reshape(lead + ((nz - n - 1) * nz,))], axis=-1)
+
+
 class _Stack:
     """Barrier terms side by side, one column of a (..., T) block each.
 
@@ -441,8 +508,6 @@ class _Stack:
             row[n + 1:] = term.sel_u
         self.sel_x_t = self.sel[:, :n].T.copy()
         self.sel_u_t = self.sel[:, n + 1:].T.copy()
-        self.outer = (self.sel[:, :, None] * self.sel[:, None, :]).reshape(
-            T, (n + 1 + m) ** 2)
         self.offset = np.array([t.offset for t in terms])
         log, exp = terms[:self.n_log], terms[self.n_log:]
         self.lower = np.array([t.lower for t in log])
@@ -452,6 +517,92 @@ class _Stack:
         self.q2 = np.array([t.q2 for t in exp])
         self.q2_sq = self.q2 * self.q2
         self.sign = np.array([t.sign for t in terms[self.lane]])
+        # control-only log ranges on one control: (index, coefficient,
+        # offset, lower, upper) of the warm-start clip, in term order
+        self.clips = []
+        for t in log:
+            nonzero = np.flatnonzero(t.sel_u)
+            if nonzero.size != 1 or t.sel_x.any():
+                continue
+            j = int(nonzero[0])
+            margin = 1e-3 * (t.upper - t.lower)
+            self.clips.append((j, t.sel_u[j], t.offset, t.lower + margin,
+                               t.upper - margin))
+
+
+class _Stage:
+    """Weights that give a step's read rows (see `_read_rows`) in one product.
+
+    Running step i:  [g2_i, g1_i, x_i - x_ref, u_i] @ run + run_const,
+    with g1, g2 the slopes of the barrier columns at step i.  Terminal
+    value block:  [t2, t1, x_N - x_ref] @ final + final_const.  The
+    successor part of the terminal lane-centering terms, added to step
+    N-1:  [t2, t1] (lane columns only) @ succ.
+    """
+
+    def __init__(self, parts: tuple, key: tuple, n: int, m: int) -> None:
+        self.key = key
+        self.parts = parts      # held, so the ids in key stay theirs
+        run, term, Q, R, Qf = parts
+        self.stacks = run, term
+        nz, q = n + 1 + m, (n + 1) ** 2
+        # row k spreads entry k of a gradient over z into the value row
+        # and column (slot n); the Hessian of column t is sel_t sel_t'
+        spread = np.zeros((nz, nz, nz))
+        spread[:, n, :] += np.eye(nz)
+        spread[:, :, n] += np.eye(nz)
+        spread = _read_rows(spread, n)
+
+        def hessians(sel):
+            return _read_rows(sel[:, :, None] * sel[:, None, :], n)
+
+        self.run = np.vstack([hessians(run.sel), run.sel @ spread,
+                              2.0 * Q @ spread[:n], 2.0 * R @ spread[n + 1:]])
+        hess = np.zeros((nz, nz))
+        hess[:n, :n] = 2.0 * Q
+        hess[n + 1:, n + 1:] = 2.0 * R
+        self.run_const = _read_rows(hess, n)
+        lane = term.lane
+        signed = term.sel.copy()
+        signed[lane] *= term.sign[:, None]
+        self.final = np.vstack([hessians(term.sel), signed @ spread,
+                                2.0 * Qf @ spread[:n]])[:, :q].copy()
+        self.final_const = np.zeros(q)
+        self.final_const.reshape(n + 1, n + 1)[:n, :n] = 2.0 * Qf
+        self.succ = np.vstack([hessians(term.sel[lane]),
+                               -signed[lane] @ spread])
+
+
+class _Lifted:
+    """A problem's dynamics in the forms the passes use, built once.
+
+    A, B and the drift are one array each, or stacked per step.  L is
+    the lifted propagator of the backward pass: with F = [[A, 0, B],
+    [0, 1, 0]] mapping z = [x; 1; u] to [x'; 1], L @ vec(V) is the
+    `_read_rows` of F' ((V + V') / 2) F for any (n+1, n+1) value block V,
+    so one product per step gives every Q-function derivative and
+    symmetrizes V on the way.
+    """
+
+    def __init__(self, steps: tuple[AffineDynamics, ...], key: tuple) -> None:
+        self.key = key
+        self.steps = steps      # held, so the ids in key stay theirs
+        self.A, self.B, self.drift = _dynamics_arrays(
+            steps[0] if len(steps) == 1 else steps, len(steps))
+        n, m = steps[0].n, steps[0].m
+        F = np.zeros(self.A.shape[:-2] + (n + 1, n + 1 + m))
+        F[..., :n, :n] = self.A
+        F[..., :n, n + 1:] = self.B
+        F[..., n, n] = 1.0
+        # outer[..., c, d, a, b] = F[c, a] F[d, b], the coefficient of
+        # V[c, d] in (F' V F)[a, b]
+        outer = F[..., :, None, :, None] * F[..., None, :, None, :]
+        half = 0.5 * (outer + np.swapaxes(outer, -3, -4))
+        rows = _read_rows(half.reshape(half.shape[:-4] + ((n + 1) ** 2,)
+                                       + half.shape[-2:]), n)
+        self.L = np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+        # one operator per step, as the recursion indexes them
+        self.per_step = list(self.L) if self.L.ndim == 3 else None
 
 
 def _running_z(stack: _Stack, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -602,8 +753,8 @@ def _propagate(x0: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
     out = np.empty((N + 1, n + 1))
     out[0, :n] = x0
     out[0, n] = 1.0
-    for i in range(N):
-        np.dot(T[i], out[i], out=out[i + 1])
+    for Ti, xi, xo in zip(T, out[:-1], out[1:]):
+        Ti.dot(xi, out=xo)
     return out[:, :n]
 
 
@@ -674,22 +825,30 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
 
     The recursion runs in homogeneous coordinates z = [dx; 1; du].  Each
     step's stage derivatives form one symmetric block
-    [[l_xx, l_x, l_ux'], [l_x', 0, l_u'], [l_ux, l_u, l_uu]], the value
-    function is [[V_xx, V_x], [V_x', .]], and one product F' V F with
-    F = [[A, 0, B], [0, 1, 0]] gives every Q-function derivative at once.
-    The gains use O_uu plus regularization; the value update uses the
-    unregularized O_uu.
+    [[l_xx, l_x, l_ux'], [l_x', 0, l_u'], [l_ux, l_u, l_uu]] and the value
+    function is V = [[V_xx, V_x], [V_x', .]]; the Q-function block is
+    O = F' V F + stage with F = [[A, 0, B], [0, 1, 0]].  Only its read
+    rows are kept (the value block [O_xx, O_x; O_x', .], then the control
+    rows [O_ux, O_u, O_uu]), and they are linear in vec(V): one product
+    with the problem's lifted propagator L (built once per dynamics)
+    gives them, added onto the stored stage rows.  The next value block
+    is then the rank-m update V = O_zz - [O_ux, O_u]' G in place, with G
+    the gains of the unregularized O_uu in the value update.  k, K, the
+    expected decrease and the largest control-gradient entry are read
+    from the stored rows after the loop; the gains use O_uu plus
+    regularization.
 
     Raises BackwardPassError when O_uu (plus regularization) is not
     positive definite; the caller should raise regularization and retry.
     """
     X, U = traj.states, traj.controls
-    N = spec.horizon
-    n, m = spec.n, spec.m
-    nz = n + 1 + m            # z = [x; 1; u]: slot n holds the constant
-    run, term = spec._stacks()
+    N, n, m = U.shape[0], X.shape[1], U.shape[1]
+    q = (n + 1) ** 2          # value-block entries; the m control rows follow
+    stage, lift = spec._stage(), spec._lifted()
+    run, term = stage.stacks
 
-    # Stage derivatives, vectorized over the horizon and the barriers.
+    # Stage derivatives as read rows, vectorized over the horizon and the
+    # barriers.
     g1, g2 = _barrier_slopes(run, _running_z(run, X, U), t_scale)
     if run.sign.size:
         # Own-step part: +sign * g1 at step i.  Successor part: the term
@@ -699,97 +858,68 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
         gl[:-1] -= run.sign * g1[1:, lane]
         g1[:, lane] = gl
         g2[:-1, lane] += g2[1:, lane]
-    P = (g2 @ run.outer).reshape(N, nz, nz)
-    P[:, :n, :n] += 2.0 * spec.cost.Q
-    P[:, n + 1:, n + 1:] += 2.0 * spec.cost.R
-    grad = g1 @ run.sel
-    grad[:, :n] += 2.0 * (X[:N] - spec.cost.x_ref) @ spec.cost.Q
-    grad[:, n + 1:] += 2.0 * U @ spec.cost.R
-    P[:, n, :] += grad
-    P[:, :, n] += grad
+    O = np.concatenate([g2, g1, X[:N] - spec.cost.x_ref, U], axis=1) @ stage.run
+    O += stage.run_const
 
-    # Terminal value function.
+    # Terminal value block, as vec(V).
     t1, t2 = _barrier_slopes(term, _terminal_z(term, X), t_scale)
-    chained = t1.copy()
-    chained[term.lane] *= term.sign
-    M = (t2 @ term.outer).reshape(nz, nz)[:n + 1, :n + 1]
-    M[:n, :n] += 2.0 * spec.terminal_cost.Q
-    eN = X[N] - spec.terminal_cost.x_ref
-    Vx = 2.0 * spec.terminal_cost.Q @ eN + chained @ term.sel[:, :n]
-    M[:n, n] = Vx
-    M[n, :n] = Vx
+    v = (np.concatenate([t2, t1, X[N] - spec.terminal_cost.x_ref])
+         @ stage.final + stage.final_const)
     if term.sign.size:
         # Successor-side contribution of the terminal lane-centering terms
-        # lands on the gradient of the last running step.
+        # lands on the last running step.
         lane = term.lane
-        succ = (term.sign * t1[lane]) @ term.sel[lane]
-        P[N - 1, n, :] -= succ
-        P[N - 1, :, n] -= succ
-        P[N - 1] += (t2[lane] @ term.outer[lane]).reshape(nz, nz)
+        O[N - 1] += np.concatenate([t2[lane], t1[lane]]) @ stage.succ
 
-    A, B, _ = _dynamics_arrays(spec.dynamics, N)
-    F = np.zeros(A.shape[:-2] + (n + 1, nz))
-    F[..., :n, :n] = A
-    F[..., :n, n + 1:] = B
-    F[..., n, n] = 1.0
-    # The value block is symmetrized every step as S = V + V', twice its
-    # symmetric part; the 0.5 rides on F' (an exact scaling), so
-    # F'(S / 2)F costs no extra operation.
-    FT = 0.5 * np.swapaxes(F, -1, -2)
-    Fi, FTi = F, FT
-    M = M + M.T
-    single = F.ndim == 2
-
-    G = np.empty((N, m, n + 1))    # [K_i, k_i] per step, once divided by den
-    den = np.ones(N)
-    expected_decrease = 0.0
-    grad_norm = 0.0
-    for i in range(N - 1, -1, -1):
-        if not single:
-            Fi, FTi = F[i], FT[i]
-        O = FTi.dot(M.dot(Fi))      # F' V F with V = M / 2
-        O += P[i]
-        Ouz = O[n + 1:, :n + 1]     # [O_ux, O_u]
-        if m == 1:
-            # scalar control: O_uu is a float, and the gains are the row
-            # [O_ux, O_u] over -(O_uu + regularization), divided for all
-            # steps at once after the loop
-            ouu = O.item(n + 1, n + 1)
-            ou = O.item(n + 1, n)
+    Ls = lift.per_step or [lift.L] * N
+    rows = list(O)
+    values = list(O[:, :q])
+    blocks = list(O[:, :q].reshape(N, n + 1, n + 1))
+    ctrl = O[:, q:].reshape(N, m, n + 1 + m)      # [O_ux, O_u, O_uu] rows
+    Ouz, Ouu = ctrl[:, :, :n + 1], ctrl[:, :, n + 1:]
+    if m == 1:
+        # scalar control: V = O_zz - g' g * O_uu / (O_uu + reg)^2 with g
+        # the row [O_ux, O_u]; g' g is the product of its column and row
+        g_rows = list(Ouz)
+        g_cols = list(np.swapaxes(Ouz, -1, -2))
+        for i in range(N - 1, -1, -1):
+            o = rows[i]
+            o += Ls[i].dot(v)
+            ouu = o.item(-1)
             ouu_reg = ouu + regularization
             if ouu_reg <= 0.0:
                 raise BackwardPassError(
                     f"O_uu not positive definite at step {i}")
-            ki = ou / -ouu_reg
-            # V = O_zz - O_uu K' K with K = [O_ux, O_u] / -ouu_reg
-            M = O[:n + 1, :n + 1] - Ouz.T.dot(Ouz) * (ouu / ouu_reg ** 2)
-            G[i] = Ouz
-            den[i] = -ouu_reg
-            expected_decrease -= ki * ou + 0.5 * ouu * ki * ki
-            g = abs(ou)
-        else:
-            Ouu = O[n + 1:, n + 1:]
-            Ouu_reg = Ouu + regularization * np.eye(m)
+            Vi = blocks[i]
+            Vi -= g_cols[i].dot(g_rows[i]) * (ouu / ouu_reg ** 2)
+            v = values[i]
+        G = Ouz / -(Ouu + regularization)
+    else:
+        Ouzs, Ouus = list(Ouz), list(Ouu)
+        eye = regularization * np.eye(m)
+        for i in range(N - 1, -1, -1):
+            o = rows[i]
+            o += Ls[i].dot(v)
+            Ouu_i = Ouus[i]
+            Ouu_reg = Ouu_i + eye
             try:
                 np.linalg.cholesky(Ouu_reg)
             except np.linalg.LinAlgError as exc:
                 raise BackwardPassError(
                     f"O_uu not positive definite at step {i}") from exc
-            Gi = -np.linalg.solve(Ouu_reg, Ouz)
-            ki, Ou = Gi[:, n], Ouz[:, n]
-            M = O[:n + 1, :n + 1] - Gi.T @ Ouu @ Gi
-            G[i] = Gi
-            expected_decrease -= float(ki @ Ou + 0.5 * ki @ (Ouu @ ki))
-            g = float(np.max(np.abs(Ou)))
-        M = M + M.T
-        if g > grad_norm:
-            grad_norm = g
+            W = np.linalg.solve(Ouu_reg, Ouzs[i])     # the gains are -W
+            Vi = blocks[i]
+            Vi -= W.T @ Ouu_i @ W
+            v = values[i]
+        G = -np.linalg.solve(Ouu + eye, Ouz)
 
-    G /= den[:, None, None]
     if not np.all(np.isfinite(G)):
         raise BackwardPassError("non-finite gains")
-    return (GainSchedule(G[:, :, n], G[:, :, :n], grad_norm),
-            float(expected_decrease))
+    k, Ou = G[:, :, n], Ouz[:, :, n]
+    kOk = (k[:, None, :] @ Ouu @ k[:, :, None]).sum()
+    expected_decrease = -(float((k * Ou).sum()) + 0.5 * float(kOk))
+    return (GainSchedule(k, G[:, :, :n], float(np.abs(Ou).max())),
+            expected_decrease)
 
 
 def forward_pass(traj: Trajectory, gains: GainSchedule, lam: float,
@@ -811,7 +941,8 @@ def _forward_arrays(X: np.ndarray, U: np.ndarray, gains: GainSchedule,
     """
     N = spec.horizon
     k, K = gains.k, gains.K
-    A, B, drift = _dynamics_arrays(spec.dynamics, N)
+    lift = spec._lifted()
+    A, B, drift = lift.A, lift.B, lift.drift
     uff = U + lam * k - (K @ X[:N, :, None])[:, :, 0]
     states = _propagate(X[0], A + B @ K, _matvec(B, uff) + drift)
     return states, uff + (K @ states[:N, :, None])[:, :, 0]
@@ -828,28 +959,24 @@ def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
     curvature sane; entries deeper inside are left untouched.
     """
     controls = np.array(controls, dtype=float)
-    for term in spec.barriers:
-        if term.kind is not BarrierKind.LOG_RANGE:
-            continue
-        if np.any(term.sel_x != 0.0):
-            continue
-        nz = np.nonzero(term.sel_u)[0]
-        if nz.size != 1:
-            continue
-        j = nz[0]
-        c = term.sel_u[j]
-        z = c * controls[:, j] + term.offset
-        margin = 1e-3 * (term.upper - term.lower)
-        np.clip(z, term.lower + margin, term.upper - margin, out=z)
-        controls[:, j] = (z - term.offset) / c
+    for j, c, offset, lower, upper in spec._stacks()[0].clips:
+        z = c * controls[:, j] + offset
+        np.clip(z, lower, upper, out=z)
+        controls[:, j] = (z - offset) / c
     return controls
 
 
 def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
     run, _ = spec._stacks()
-    Z = _running_z(run, traj.states, traj.controls)[:, :run.n_log]
-    return list(zip((Z - run.lower).min(axis=0).tolist(),
-                    (run.upper - Z).min(axis=0).tolist()))
+    if not run.n_log:
+        return []
+    N, log = spec.horizon, slice(0, run.n_log)
+    Z = (traj.states[:N] @ run.sel_x_t[:, log]
+         + traj.controls @ run.sel_u_t[:, log] + run.offset[log])
+    # subtracting a constant is monotone in floating point, so the
+    # smallest margins come from the extreme arguments
+    return list(zip((Z.min(axis=0) - run.lower).tolist(),
+                    (run.upper - Z.max(axis=0)).tolist()))
 
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
@@ -890,8 +1017,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
 
     t_scale = min(cfg.barrier_t_init, cfg.barrier_t_max)
     reg = cfg.regularization_init
-    traj = rollout(spec.dynamics, spec.x0, controls)
-    J = total_cost(traj, spec, t_scale)
+    lift = spec._lifted()
+    traj = Trajectory(_propagate(spec.x0, lift.A,
+                                 _matvec(lift.B, controls) + lift.drift),
+                      controls)
+    J = float(_costs(traj.states, controls, spec, t_scale, strict=True))
     history = [J]
     gains: GainSchedule | None = None
     converged = False
@@ -956,7 +1086,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 break
             if t_scale < cfg.barrier_t_max:
                 t_scale = min(t_scale * cfg.barrier_t_growth, cfg.barrier_t_max)
-                J = total_cost(traj, spec, t_scale)
+                J = float(_costs(traj.states, traj.controls, spec, t_scale,
+                                 strict=True))
         else:
             reg *= cfg.regularization_growth
             if reg > cfg.regularization_max:

@@ -196,9 +196,7 @@ class LateralPlanner:
         self.params = params or VehicleParams()
         self.tuning = tuning or LateralTuning()
         self.cold_config = config or SolverConfig()
-        self.warm_config = config or SolverConfig(barrier_t_init=1.0e4,
-                                                  max_outer_iterations=12,
-                                                  gradient_tolerance=1e-3)
+        self.warm_config = self.cold_config.for_warm_start(12)
         self._warm: np.ndarray | None = None
         dynamics = build_lateral_dynamics(self.params, self.tuning.v_min,
                                           self.tuning.dt)

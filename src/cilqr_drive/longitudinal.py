@@ -263,9 +263,7 @@ class LongitudinalPlanner:
         # short iteration budget: each cycle refines the previous plan, so
         # a few steps recover the applied jerk; long budgets only polish
         # tail-stage barrier margins that the next replan discards anyway
-        self.warm_config = config or SolverConfig(barrier_t_init=1.0e4,
-                                                  max_outer_iterations=4,
-                                                  gradient_tolerance=1e-3)
+        self.warm_config = self.cold_config.for_warm_start(4)
         self.period = period
         self.engage_distance = engage_distance
         self.release_distance = release_distance

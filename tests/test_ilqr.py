@@ -417,6 +417,96 @@ class TestPassesAgainstReference:
                                            atol=1e-12 * scale)
 
 
+class TestLiftedStep:
+    @staticmethod
+    def _read_rows_reference(O, n):
+        # the value block [O_xx, O_x; O_x', .], then the control rows
+        # [O_ux, O_u, O_uu]
+        return np.concatenate([O[:n + 1, :n + 1].ravel(), O[n + 1:].ravel()])
+
+    def test_propagator_maps_value_to_read_rows(self):
+        rng = np.random.default_rng(91)
+        for trial in range(8):
+            m = 1 + trial % 2
+            spec, _ = random_barrier_problem(rng, m, per_step=trial >= 4)
+            n, N = spec.n, spec.horizon
+            L = spec._lifted().L
+            assert L.shape == ((N,) if trial >= 4 else ()) + (
+                (n + 1) ** 2 + m * (n + 1 + m), (n + 1) ** 2)
+            for i in range(N):
+                d = spec.dynamics_at(i)
+                F = np.zeros((n + 1, n + 1 + m))
+                F[:n, :n] = d.A
+                F[:n, n + 1:] = d.B
+                F[n, n] = 1.0
+                V = rng.normal(size=(n + 1, n + 1))
+                want = self._read_rows_reference(
+                    F.T @ (0.5 * (V + V.T)) @ F, n)
+                got = (L[i] if L.ndim == 3 else L) @ V.ravel()
+                assert _rel_err(got, want) < 1e-13
+
+    def test_replaced_dynamics_or_costs_rebuild_the_memo(self):
+        # the lifted propagator and the stage weights are memoized on the
+        # problem; a problem re-aimed at other dynamics or costs must give
+        # what a problem built fresh with them gives
+        rng = np.random.default_rng(92)
+        for trial in range(4):
+            m = 1 + trial % 2
+            per_step = trial >= 2
+            spec, nominal = random_barrier_problem(rng, m, per_step)
+            other, _ = random_barrier_problem(rng, m, per_step)
+            while other.horizon != spec.horizon:
+                other, _ = random_barrier_problem(rng, m, per_step)
+            before, _ = backward_pass(nominal, spec, 1e-3)   # fills the memo
+            for part in ({"dynamics": other.dynamics},
+                         {"cost": other.cost,
+                          "terminal_cost": other.terminal_cost}):
+                moved = spec.with_start(spec.x0, **part)
+                fresh = ProblemSpec(**{
+                    "dynamics": spec.dynamics, "horizon": spec.horizon,
+                    "cost": spec.cost, "terminal_cost": spec.terminal_cost,
+                    "x0": spec.x0, "barriers": spec.barriers,
+                    "terminal_barriers": spec.terminal_barriers, **part})
+                got, dec = backward_pass(nominal, moved, 1e-3)
+                want, dec_want = backward_pass(nominal, fresh, 1e-3)
+                np.testing.assert_array_equal(got.k, want.k)
+                np.testing.assert_array_equal(got.K, want.K)
+                assert dec == dec_want
+                assert got.grad_norm == want.grad_norm
+                assert not np.array_equal(got.k, before.k)
+            # and the original keeps its own
+            again, _ = backward_pass(nominal, spec, 1e-3)
+            np.testing.assert_array_equal(again.K, before.K)
+
+    def test_solve_runs_one_backward_pass_per_iteration(self, monkeypatch):
+        # solve calls ilqr.backward_pass through the module once per outer
+        # iteration when no pass has to be retried
+        import cilqr_drive.ilqr as ilqr_module
+        real = ilqr_module.backward_pass
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            try:
+                return real(*args, **kwargs)
+            except BackwardPassError:
+                calls.append("raised")
+                raise
+
+        monkeypatch.setattr(ilqr_module, "backward_pass", counting)
+        rng = np.random.default_rng(93)
+        problems = [random_barrier_problem(rng, 1 + t % 2, t % 3 == 0)
+                    for t in range(6)]
+        problems += [(random_affine_problem(rng)[0], None) for _ in range(3)]
+        for spec, nominal in problems:
+            warm = None if nominal is None else nominal.controls
+            for config in (SolverConfig(), SolverConfig(max_outer_iterations=3)):
+                calls.clear()
+                res = solve(spec, warm_start=warm, config=config)
+                assert "raised" not in calls
+                assert len(calls) == res.info.iterations
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -559,6 +649,36 @@ class TestValidation:
             term.upper = 2.0
         with pytest.raises(ValueError):
             term.sel_x[1] = 1.0
+
+    def test_dynamics_are_immutable(self):
+        A, B = np.eye(2), np.ones((2, 1))
+        C, w = np.eye(2), np.array([0.5, -0.5])
+        dyn = AffineDynamics(A=A, B=B, C=C, w=w)
+        with pytest.raises(AttributeError):
+            dyn.A = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            dyn.w = np.zeros(2)
+        for arr in (dyn.A, dyn.B, dyn.C, dyn.w, dyn._drift):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the caller's own arrays are copied, not frozen
+        A[0, 0] = 3.0
+        w[0] = 2.0
+        assert dyn.A[0, 0] == 1.0
+        np.testing.assert_array_equal(dyn.step(np.zeros(2), np.zeros(1)),
+                                      [0.5, -0.5])
+
+    def test_costs_are_immutable(self):
+        Q = np.eye(2)
+        cost = QuadraticCost(Q=Q, R=[[1.0]], x_ref=[0.0, 0.0])
+        with pytest.raises(AttributeError):
+            cost.Q = 2.0 * np.eye(2)
+        with pytest.raises(ValueError):
+            cost.Q[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            cost.with_reference([1.0, 1.0]).x_ref[0] = 0.0
+        Q[0, 0] = 5.0
+        assert cost.Q[0, 0] == 1.0
 
     def test_terminal_barrier_may_not_touch_controls(self):
         term = BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0,

@@ -291,6 +291,41 @@ class TestPlannerWrapper:
             np.testing.assert_array_equal(diag.jerk_sequence,
                                           ref_diag.jerk_sequence)
 
+    def test_default_configs_unchanged(self):
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE)
+        assert planner.cold_config == SolverConfig()
+        assert planner.warm_config == SolverConfig(
+            barrier_t_init=1.0e4, max_outer_iterations=4,
+            gradient_tolerance=1e-3)
+
+    def test_caller_config_warm_cycles_start_at_final_sharpness(
+            self, monkeypatch):
+        # a caller's config drives the cold solve; warm cycles continue at
+        # its final sharpness within the warm budget, as without a config
+        import cilqr_drive.longitudinal as longitudinal_module
+        config = SolverConfig(max_outer_iterations=30, barrier_t_max=500.0,
+                              gradient_tolerance=1e-6)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, config=config)
+        assert planner.cold_config is config
+        assert planner.warm_config == dataclasses.replace(
+            config, barrier_t_init=500.0, max_outer_iterations=4,
+            gradient_tolerance=1e-3)
+        seen = []
+        real_solve = longitudinal_module.solve
+
+        def spy(spec, warm_start=None, config=None):
+            seen.append(config)
+            return real_solve(spec, warm_start=warm_start, config=config)
+
+        monkeypatch.setattr(longitudinal_module, "solve", spy)
+        lead = LeadMeasurement(v_l=V_LEAD, D=35.0)
+        planner.plan(V_CRUISE, lead)
+        _, diag = planner.plan(V_CRUISE, lead)
+        assert seen[0] is config
+        assert seen[1].barrier_t_init == 500.0
+        assert diag.solve_info.iterations <= 4
+        assert diag.solve_info.barrier_t_scale == 500.0
+
     def test_rejects_inverted_hysteresis(self):
         with pytest.raises(ValueError):
             LongitudinalPlanner(cruise_speed=20.0, engage_distance=140.0,
