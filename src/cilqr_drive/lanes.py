@@ -129,13 +129,13 @@ def average_lane_maps(window: Sequence[LaneMap]) -> LaneMap:
     pooled = np.vstack([m.points for m in window])
     if pooled.shape[0] == 0:
         return LaneMap(pooled, max(m.timestamp for m in window))
+    # bincount sums each bin in pooled order, as a per-bin mean does, so
+    # the means match to the bit; LaneMap keeps x and so bins nonnegative
     bins = np.floor(pooled[:, 0] / BIN_WIDTH_M).astype(int)
-    order = np.argsort(bins, kind="stable")
-    bins = bins[order]
-    pooled = pooled[order]
-    edges = np.flatnonzero(np.diff(bins)) + 1
-    groups = np.split(pooled, edges)
-    merged = np.array([g.mean(axis=0) for g in groups])
+    count = np.bincount(bins)
+    used = count > 0
+    merged = np.column_stack([np.bincount(bins, col)[used] / count[used]
+                              for col in pooled.T])
     return LaneMap(merged, max(m.timestamp for m in window))
 
 
@@ -222,30 +222,33 @@ class VpcEstimator:
 
     Keeps the most recent frames (deduplicated by timestamp, since the
     corrector can tick faster than perception delivers), averages them,
-    fits the quadratic, and produces the preview correction.
+    fits the quadratic, and produces the preview correction.  The fit is
+    made once per window: ticks that bring no new frame reuse it.
     """
 
     config: VpcConfig = field(default_factory=VpcConfig)
 
     def __post_init__(self) -> None:
         self._frames: deque[LaneMap] = deque(maxlen=self.config.frame_window)
+        self._fit = (None,)   # (fit,) of the window; None when it is stale
 
     def observe(self, lane_map: LaneMap) -> None:
         # same-timestamp frames are repeats of one perception output
         if self._frames and self._frames[-1].timestamp == lane_map.timestamp:
             return
         self._frames.append(lane_map)
+        self._fit = None
 
     @property
     def frame_count(self) -> int:
         return len(self._frames)
 
     def correction(self, delta_now: float = 0.0) -> PreviewCorrection:
-        if not self._frames:
-            return preview_correction(delta_now, None, self.config)
-        merged = average_lane_maps(list(self._frames))
-        poly = fit_lane_polynomial(merged)
-        return preview_correction(delta_now, poly, self.config)
+        if self._fit is None:
+            self._fit = (fit_lane_polynomial(
+                average_lane_maps(list(self._frames))),)
+        return preview_correction(delta_now, self._fit[0], self.config)
 
     def reset(self) -> None:
         self._frames.clear()
+        self._fit = (None,)

@@ -89,23 +89,29 @@ def step_plant(state: PlantState, steer_rad: float, accel_cmd: float,
     accel = (ACCEL_GAIN * min(max(accel_cmd, -1.0), 1.0)
              - BRAKE_GAIN * min(max(brake_cmd, 0.0), 1.0))
 
-    y0 = (state.s, state.delta, state.theta, state.v,
-          state.yaw_rate, state.v_lat)
-
-    def f(y):
-        return _derivatives(*y, steer_rad, accel, track, params)
-
-    k1 = f(y0)
-    k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(y0, k1)))
-    k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(y0, k2)))
-    k4 = f(tuple(a + dt * b for a, b in zip(y0, k3)))
-    s, delta, theta, v, yaw_rate, v_lat = (
-        a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4))
+    # RK4 on six floats; tests pin this order of operations to the bit
+    s, d, th, v, r, vl = (state.s, state.delta, state.theta, state.v,
+                          state.yaw_rate, state.v_lat)
+    rest = (steer_rad, accel, track, params)
+    h = 0.5 * dt
+    k1 = _derivatives(s, d, th, v, r, vl, *rest)
+    k2 = _derivatives(s + h * k1[0], d + h * k1[1], th + h * k1[2],
+                      v + h * k1[3], r + h * k1[4], vl + h * k1[5], *rest)
+    k3 = _derivatives(s + h * k2[0], d + h * k2[1], th + h * k2[2],
+                      v + h * k2[3], r + h * k2[4], vl + h * k2[5], *rest)
+    k4 = _derivatives(s + dt * k3[0], d + dt * k3[1], th + dt * k3[2],
+                      v + dt * k3[3], r + dt * k3[4], vl + dt * k3[5], *rest)
+    h = dt / 6.0
+    s += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    d += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    th += h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    v += h * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+    r += h * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+    vl += h * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
 
     if v < 0.0:
         v = 0.0
-    if abs(delta) >= OFF_TRACK_M:
-        raise OffTrackError(f"lateral offset {delta:.2f} m at s = {s:.1f} m")
-    return PlantState(s=s, delta=delta, theta=theta, v=v,
-                      yaw_rate=yaw_rate, v_lat=v_lat, a=accel)
+    if abs(d) >= OFF_TRACK_M:
+        raise OffTrackError(f"lateral offset {d:.2f} m at s = {s:.1f} m")
+    return PlantState(s=s, delta=d, theta=th, v=v, yaw_rate=r, v_lat=vl,
+                      a=accel)

@@ -124,17 +124,13 @@ class SimLog:
 
     def to_csv(self, path: str) -> None:
         """Write the documented fixed-column CSV (header mandatory)."""
-        cols = [self.columns[c] for c in CSV_COLUMNS if c != "event"]
+        rows = np.column_stack([self.columns[c] for c in CSV_COLUMNS[:-1]])
+        fmt = "%.10g," * (len(CSV_COLUMNS) - 1) + "%s"
         lines = [",".join(CSV_COLUMNS)]
-        n = len(self)
-        ev = self.events
-        for i in range(n):
-            parts = [format(col[i], ".10g") for col in cols]
-            parts.append(ev[i])
-            lines.append(",".join(parts))
+        lines += [fmt % (*row, ev)
+                  for row, ev in zip(rows.tolist(), self.events)]
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+            fh.write("\n".join(lines) + "\n")
 
 
 def _plan_state(frame) -> LateralState:
@@ -176,6 +172,7 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
                                       period=rates.planner_us * 1e-6)
     vpc = (VpcEstimator(vpc_config or VpcConfig())
            if controller == "vpc-cilqr" else None)
+    plant_params = vehicle or VehicleParams()
 
     state = PlantState(
         s=spec.start_s, delta=spec.start_delta, theta=spec.start_theta,
@@ -200,10 +197,7 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
     cycle_iters = 0
     cycle_ms = 0.0
 
-    n_cap = end_us // rates.plant_us + 2
-    cols = {c: np.zeros(n_cap) for c in CSV_COLUMNS if c != "event"}
-    events: list[str] = []
-    n = 0
+    rows = []     # one tuple per plant step, in CSV_COLUMNS order
     terminal = ""
 
     # the periods need not divide the plant step: each subsystem fires
@@ -267,37 +261,30 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
             gap = math.nan
             v_l = math.nan
 
-        row = (now, state.s, state.delta, state.theta, state.v,
-               applied[0], applied[1], applied[2], gap, v_l,
-               float(cycle_iters), cycle_ms)
-        for c, val in zip(CSV_COLUMNS, row):
-            cols[c][n] = val
-        events.append("")
-        n += 1
+        rows.append((now, state.s, state.delta, state.theta, state.v,
+                     applied[0], applied[1], applied[2], gap, v_l,
+                     float(cycle_iters), cycle_ms))
 
         if lead is not None and gap <= 0.0:
             terminal = "collision"
-            events[-1] = terminal
             break
         if state.s >= end_s:
             terminal = "finish"
-            events[-1] = terminal
             break
 
         try:
             state = step_plant(state, applied[0] * STEER_LIMIT_RAD,
                                applied[1], applied[2], dt, track,
-                               params=vehicle)
+                               params=plant_params)
         except OffTrackError:
             terminal = "off_track"
-            events[-1] = terminal
             break
         t_us += rates.plant_us
 
-    if terminal == "" and n > 0:
-        terminal = "time_limit"
-        events[-1] = terminal
-    columns = {c: v[:n] for c, v in cols.items()}
+    # the loop always logs t = 0, and only the last row carries an event
+    terminal = terminal or "time_limit"
+    events = [""] * (len(rows) - 1) + [terminal]
+    columns = dict(zip(CSV_COLUMNS, np.array(rows).T.copy()))
     return SimLog(columns, events, track, spec, controller,
                   terminal_event=terminal)
 
@@ -326,8 +313,8 @@ def compute_metrics(log: SimLog, d_ref: float | None = None) -> dict:
         "delta_max_abs_m": float(np.max(np.abs(c["delta_m"]))),
     }
     if track.max_kappa > 0.0:
-        kappa = np.array([track.curvature(s) for s in c["s_m"]])
-        mask = np.abs(kappa) >= 0.95 * track.max_kappa
+        mask = (np.abs(track.curvature_many(c["s_m"]))
+                >= 0.95 * track.max_kappa)
         out["delta_max_abs_kmax_m"] = (
             float(np.max(np.abs(c["delta_m"][mask]))) if mask.any()
             else math.nan)

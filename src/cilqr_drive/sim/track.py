@@ -92,10 +92,7 @@ class TrackGeometry:
 
     def heading(self, s: float) -> float:
         """Centerline tangent angle at s, accumulated from s = 0."""
-        if self.closed:
-            turns = math.floor(s / self.length)
-        else:
-            turns = 0.0
+        turns = math.floor(s / self.length) if self.closed else 0.0
         i, ds = self._locate(s)
         k0, k1 = self._kappas[i]
         length = self._breaks[i + 1] - self._breaks[i]
@@ -103,21 +100,28 @@ class TrackGeometry:
         return (self._psi[i] + k0 * ds + 0.5 * slope * ds * ds
                 + turns * self._psi[-1])
 
+    def _locate_many(self, s: np.ndarray):
+        """Vectorized _locate: index, offset, length and end curvatures."""
+        sm = s % self.length if self.closed else np.clip(s, 0.0, self.length)
+        b = np.asarray(self._breaks)
+        idx = np.clip(np.searchsorted(b, sm, side="right") - 1,
+                      0, len(self.segments) - 1)
+        k = np.asarray(self._kappas)
+        return idx, sm - b[idx], b[idx + 1] - b[idx], k[idx, 0], k[idx, 1]
+
+    def curvature_many(self, s: np.ndarray) -> np.ndarray:
+        """Vectorized curvature, equal to curvature() at each entry."""
+        _, ds, length, k0, k1 = self._locate_many(np.asarray(s, dtype=float))
+        return k0 + (k1 - k0) * (ds / length)
+
     def heading_many(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized heading for monotone arrays (lane-map sampling)."""
+        """Vectorized heading, equal to heading() at each entry."""
         s = np.asarray(s, dtype=float)
         turns = np.floor(s / self.length) if self.closed else 0.0
-        sm = s % self.length if self.closed else np.clip(s, 0.0, self.length)
-        idx = np.clip(np.searchsorted(self._breaks, sm, side="right") - 1,
-                      0, len(self.segments) - 1)
-        b = np.asarray(self._breaks)
-        k = np.asarray(self._kappas)
-        psi = np.asarray(self._psi)
-        ds = sm - b[idx]
-        length = b[idx + 1] - b[idx]
-        slope = (k[idx, 1] - k[idx, 0]) / length
-        return (psi[idx] + k[idx, 0] * ds + 0.5 * slope * ds * ds
-                + turns * psi[-1])
+        idx, ds, length, k0, k1 = self._locate_many(s)
+        slope = (k1 - k0) / length
+        return (np.asarray(self._psi)[idx] + k0 * ds + 0.5 * slope * ds * ds
+                + turns * self._psi[-1])
 
     # -- global centerline pose -----------------------------------------
 

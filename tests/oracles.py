@@ -4,6 +4,9 @@ Everything here is written straight from first principles (dynamic
 programming on quadratics, central differences, exhaustive search) and
 deliberately shares no code with the package under test.
 """
+import bisect
+import math
+
 import numpy as np
 
 
@@ -261,3 +264,113 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
         decrease -= float(k[i] @ Qu + 0.5 * k[i] @ Quu @ k[i])
         grad_norm = max(grad_norm, float(np.max(np.abs(Qu))))
     return k, K, decrease, grad_norm
+
+
+# ---------------------------------------------------------------------------
+# Plain per-element forms of simulator and lane-map hot paths.  The package
+# runs vectorized or unrolled versions of these; the tests require results
+# equal to the bit, because the closed-loop CSV is pinned byte for byte.
+# ---------------------------------------------------------------------------
+
+def bin_means_per_bin(points, bin_width):
+    """Points pooled into x bins of bin_width, each bin replaced by its mean.
+
+    Stable-sorts by bin, splits into groups and takes each group's mean;
+    returns the (k, 2) array of bin means in increasing bin order.
+    """
+    pooled = np.asarray(points, float).reshape(-1, 2)
+    if pooled.shape[0] == 0:
+        return pooled
+    bins = np.floor(pooled[:, 0] / bin_width).astype(int)
+    order = np.argsort(bins, kind="stable")
+    groups = np.split(pooled[order],
+                      np.flatnonzero(np.diff(bins[order])) + 1)
+    return np.array([g.mean(axis=0) for g in groups])
+
+
+def rk4_bicycle_step(y0, steer, accel_cmd, brake_cmd, dt, kappa_of, p,
+                     accel_gain, brake_gain, v_slip_min):
+    """One RK4 step of the road-frame dynamic bicycle, stage by stage.
+
+    y0 is (s, delta, theta, v, yaw_rate, v_lat); kappa_of(s) gives road
+    curvature and p the vehicle parameters (m, c_alpha_f, c_alpha_r, l_f,
+    l_r, i_z).  Returns the seven floats of the next state, a last, with
+    negative speed clamped to 0 and no off-track check.
+    """
+    accel = (accel_gain * min(max(accel_cmd, -1.0), 1.0)
+             - brake_gain * min(max(brake_cmd, 0.0), 1.0))
+
+    def f(y):
+        s, delta, theta, v, yaw_rate, v_lat = y
+        kappa = kappa_of(s)
+        if v >= v_slip_min:
+            alpha_f = steer - math.atan((v_lat + p.l_f * yaw_rate) / v)
+            alpha_r = -math.atan((v_lat - p.l_r * yaw_rate) / v)
+            fyf = 2.0 * p.c_alpha_f * alpha_f
+            fyr = 2.0 * p.c_alpha_r * alpha_r
+            cos_steer = math.cos(steer)
+            dv_lat = (fyf * cos_steer + fyr) / p.m - v * yaw_rate
+            dyaw = (p.l_f * fyf * cos_steer - p.l_r * fyr) / p.i_z
+        else:
+            dv_lat = -v_lat * 10.0
+            dyaw = -yaw_rate * 10.0
+        denom = 1.0 - kappa * delta
+        if abs(denom) < 1e-6:
+            denom = math.copysign(1e-6, denom)
+        ct, st = math.cos(theta), math.sin(theta)
+        ds = (v * ct - v_lat * st) / denom
+        ddelta = v * st + v_lat * ct
+        dtheta = yaw_rate - kappa * ds
+        dv = accel if v > 0.0 or accel > 0.0 else 0.0
+        return ds, ddelta, dtheta, dv, dyaw, dv_lat
+
+    y0 = tuple(y0)
+    k1 = f(y0)
+    k2 = f(tuple(a + 0.5 * dt * b for a, b in zip(y0, k1)))
+    k3 = f(tuple(a + 0.5 * dt * b for a, b in zip(y0, k2)))
+    k4 = f(tuple(a + dt * b for a, b in zip(y0, k3)))
+    y = [a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)]
+    if y[3] < 0.0:
+        y[3] = 0.0
+    return tuple(y) + (accel,)
+
+
+def csv_per_cell(header, columns, events):
+    """CSV text with every numeric cell formatted on its own as .10g."""
+    lines = [",".join(header)]
+    for i in range(len(events)):
+        parts = [format(col[i], ".10g") for col in columns]
+        parts.append(events[i])
+        lines.append(",".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def _piece(segments, closed, s):
+    # segment index and offset of s along a chain of (length, k0, k1)
+    breaks = [0.0]
+    for length, _, _ in segments:
+        breaks.append(breaks[-1] + length)
+    total = breaks[-1]
+    s = s % total if closed else min(max(s, 0.0), total)
+    i = min(bisect.bisect_right(breaks, s) - 1, len(segments) - 1)
+    return i, s - breaks[i], breaks
+
+
+def curvature_scalar(segments, closed, s):
+    """kappa(s) of a piecewise-linear curvature chain, one s at a time."""
+    i, ds, breaks = _piece(segments, closed, s)
+    _, k0, k1 = segments[i]
+    return k0 + (k1 - k0) * (ds / (breaks[i + 1] - breaks[i]))
+
+
+def heading_scalar(segments, closed, s):
+    """Tangent angle at s, the exact integral of kappa from s = 0."""
+    i, ds, breaks = _piece(segments, closed, s)
+    psi = [0.0]
+    for length, k0, k1 in segments:
+        psi.append(psi[-1] + 0.5 * (k0 + k1) * length)
+    turns = math.floor(s / breaks[-1]) if closed else 0.0
+    _, k0, k1 = segments[i]
+    slope = (k1 - k0) / (breaks[i + 1] - breaks[i])
+    return psi[i] + k0 * ds + 0.5 * slope * ds * ds + turns * psi[-1]

@@ -325,3 +325,74 @@ class TestVpcEstimator:
         est.observe(straight_map(ts=0.0))
         est.reset()
         assert est.frame_count == 0
+
+
+class TestVpcFitCache:
+    """The estimator fits once per window and reuses the fit between."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        import cilqr_drive.lanes as lanes
+        calls = []
+        original = lanes.fit_lane_polynomial
+
+        def counting(lane_map):
+            calls.append(lane_map.timestamp)
+            return original(lane_map)
+
+        monkeypatch.setattr(lanes, "fit_lane_polynomial", counting)
+        return calls
+
+    @staticmethod
+    def frames(n, noise=0.05, seed=4):
+        rng = np.random.default_rng(seed)
+        return [circle_map(100.0, noise=noise, rng=rng, ts=float(i))
+                for i in range(n)]
+
+    def test_ticks_without_a_new_frame_reuse_the_fit(self, fits):
+        est = VpcEstimator()
+        for f in self.frames(3):
+            est.observe(f)
+        first = est.correction(0.1)
+        for _ in range(5):
+            assert est.correction(0.1) == first
+        assert len(fits) == 1
+
+    def test_new_frame_roll_and_reset_refit_and_repeats_do_not(self, fits):
+        frames = self.frames(4)
+        est = VpcEstimator(VpcConfig(frame_window=3))
+        for f in frames[:3]:
+            est.observe(f)
+        est.correction()
+        assert len(fits) == 1
+        est.observe(frames[2])           # same timestamp: a repeat
+        est.correction()
+        assert len(fits) == 1
+        est.observe(frames[3])           # window full: the oldest rolls out
+        rolled = est.correction(0.2)
+        assert len(fits) == 2
+        fresh = VpcEstimator(VpcConfig(frame_window=3))
+        for f in frames[1:]:
+            fresh.observe(f)
+        assert rolled == fresh.correction(0.2)
+        est.reset()
+        assert est.correction(0.2) == preview_correction(0.2, None)
+        est.observe(frames[3])           # the last timestamp again, after reset
+        est.correction()
+        assert len(fits) == 4
+
+    @pytest.mark.parametrize("noise", [0.05, 1.0])
+    def test_corrections_equal_a_fresh_estimator(self, noise):
+        # at 1 m of noise most windows fail the RMS check: their fit is None
+        est = VpcEstimator()
+        window, unfit = [], 0
+        for f in self.frames(11, noise=noise):
+            est.observe(f)
+            window = (window + [f])[-est.config.frame_window:]
+            unfit += fit_lane_polynomial(average_lane_maps(window)) is None
+            for delta_now in (-0.2, 0.0, 0.05, 0.3):
+                fresh = VpcEstimator()
+                for g in window:
+                    fresh.observe(g)
+                assert est.correction(delta_now) == fresh.correction(delta_now)
+        assert (unfit > 0) == (noise > 0.5)
