@@ -10,6 +10,7 @@ mentioned keep the published defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -38,7 +39,10 @@ class ConfigError(ValueError):
 
 
 def _as_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(raw: str) -> int:
@@ -169,6 +173,23 @@ class RunConfig:
         return mine == theirs
 
 
+def _typed(key: str, raw: str, prefix: str, source: str, line: int = 0):
+    """The value of key read from raw: cast and range-checked.
+
+    A rejected key or value raises ConfigError; its message starts with
+    prefix and names the key.
+    """
+    if key not in _REGISTRY:
+        raise ConfigError(f"{prefix}unknown key {key!r}", source, line)
+    cast, check = _REGISTRY[key]
+    try:
+        value = cast(raw)
+        check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{key}: {exc}", source, line) from None
+    return value
+
+
 def _parse_lines(text: str, source: str) -> dict[str, tuple[object, int]]:
     """Tokenize, type, and range-check one config text."""
     values: dict[str, tuple[object, int]] = {}
@@ -181,19 +202,11 @@ def _parse_lines(text: str, source: str) -> dict[str, tuple[object, int]]:
                               source, lineno)
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _REGISTRY:
-            raise ConfigError(f"unknown key {key!r}", source, lineno)
         if key in values:
             first = values[key][1]
             raise ConfigError(f"duplicate key {key!r} (first set on line "
                               f"{first})", source, lineno)
-        cast, check = _REGISTRY[key]
-        try:
-            value = cast(raw)
-            check(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}", source, lineno) from None
-        values[key] = (value, lineno)
+        values[key] = (_typed(key, raw, "", source, lineno), lineno)
     return values
 
 
@@ -201,80 +214,67 @@ def _build(values: dict[str, tuple[object, int]], source: str) -> RunConfig:
     def get(key, default=None):
         return values[key][0] if key in values else default
 
+    def given(**fields) -> dict:
+        """Keyword arguments for the keys that are set; the dataclass
+        defaults stand in for the rest."""
+        return {name: get(key) for name, key in fields.items()
+                if key in values}
+
+    def given_kph(**fields) -> dict:
+        return {name: kph * KPH for name, kph in given(**fields).items()}
+
+    def diag(default: tuple, *keys: str) -> tuple:
+        return tuple(get(key, d) for key, d in zip(keys, default))
+
     def line_of(*keys) -> int:
         for key in keys:
             if key in values:
                 return values[key][1]
         return 0
 
-    vehicle = VehicleParams(
-        m=get("vehicle.mass", 1150.0),
-        c_alpha_f=get("vehicle.c_alpha_f", 80000.0),
-        c_alpha_r=get("vehicle.c_alpha_r", 80000.0),
-        l_f=get("vehicle.l_f", 1.27),
-        l_r=get("vehicle.l_r", 1.37),
-        i_z=get("vehicle.i_z", 2000.0))
+    vehicle = VehicleParams(**given(
+        m="vehicle.mass", c_alpha_f="vehicle.c_alpha_f",
+        c_alpha_r="vehicle.c_alpha_r", l_f="vehicle.l_f", l_r="vehicle.l_r",
+        i_z="vehicle.i_z"))
 
-    lat_default = LateralTuning()
     lateral = LateralTuning(
-        horizon=get("lateral.horizon", lat_default.horizon),
-        dt=get("lateral.dt", lat_default.dt),
-        q_diag=(get("lateral.q_delta", lat_default.q_diag[0]),
-                get("lateral.q_delta_rate", lat_default.q_diag[1]),
-                get("lateral.q_theta", lat_default.q_diag[2]),
-                get("lateral.q_theta_rate", lat_default.q_diag[3])),
-        r=get("lateral.r_steer", lat_default.r),
-        steer_limit=get("lateral.steer_limit_rad", lat_default.steer_limit),
-        centering_weight=get("lateral.centering_weight",
-                             lat_default.centering_weight),
-        centering_rate=get("lateral.centering_rate",
-                           lat_default.centering_rate))
+        q_diag=diag(LateralTuning.q_diag, "lateral.q_delta",
+                    "lateral.q_delta_rate", "lateral.q_theta",
+                    "lateral.q_theta_rate"),
+        **given(horizon="lateral.horizon", dt="lateral.dt",
+                r="lateral.r_steer", steer_limit="lateral.steer_limit_rad",
+                centering_weight="lateral.centering_weight",
+                centering_rate="lateral.centering_rate"))
 
-    lon_default = LongTuning()
     try:
         long_tuning = LongTuning(
-            horizon=get("longitudinal.horizon", lon_default.horizon),
-            dt=get("longitudinal.dt", lon_default.dt),
-            d_ref=get("longitudinal.d_ref", lon_default.d_ref),
-            q_diag=(get("longitudinal.q_d", lon_default.q_diag[0]),
-                    get("longitudinal.q_v", lon_default.q_diag[1]),
-                    get("longitudinal.q_a", lon_default.q_diag[2])),
-            r=get("longitudinal.r_jerk", lon_default.r),
-            jerk_limit=get("longitudinal.jerk_limit",
-                           lon_default.jerk_limit),
-            accel_limit=get("longitudinal.accel_limit",
-                            lon_default.accel_limit),
-            d_critical=get("longitudinal.d_critical",
-                           lon_default.d_critical),
-            d_floor=get("longitudinal.d_floor", lon_default.d_floor))
+            q_diag=diag(LongTuning.q_diag, "longitudinal.q_d",
+                        "longitudinal.q_v", "longitudinal.q_a"),
+            **given(horizon="longitudinal.horizon", dt="longitudinal.dt",
+                    d_ref="longitudinal.d_ref", r="longitudinal.r_jerk",
+                    jerk_limit="longitudinal.jerk_limit",
+                    accel_limit="longitudinal.accel_limit",
+                    d_critical="longitudinal.d_critical",
+                    d_floor="longitudinal.d_floor"))
     except ValueError as exc:
         raise ConfigError(
             f"longitudinal.*: {exc}",
             source, line_of("longitudinal.d_critical", "longitudinal.d_floor",
                             "longitudinal.d_ref")) from None
 
-    vpc = VpcConfig(
-        lookahead_L=get("vpc.lookahead_l", 10.0),
-        k_vpc=get("vpc.k_vpc", 2.64),
-        frame_window=get("vpc.frame_window", 8))
+    vpc = VpcConfig(**given(lookahead_L="vpc.lookahead_l", k_vpc="vpc.k_vpc",
+                            frame_window="vpc.frame_window"))
 
-    noise = NoiseConfig(
-        sigma_theta=get("sim.sigma_theta", 0.0),
-        sigma_delta=get("sim.sigma_delta", 0.0),
-        sigma_lane=get("sim.sigma_lane", 0.0))
+    noise = NoiseConfig(**given(sigma_theta="sim.sigma_theta",
+                                sigma_delta="sim.sigma_delta",
+                                sigma_lane="sim.sigma_lane"))
 
-    rates_default = SimRates()
     try:
-        rates = SimRates(
-            plant_us=get("sim.plant_us", rates_default.plant_us),
-            perception_us=get("sim.perception_us",
-                              rates_default.perception_us),
-            vpc_us=get("sim.vpc_us", rates_default.vpc_us),
-            planner_us=get("sim.planner_us", rates_default.planner_us),
-            perception_latency_us=get("sim.perception_latency_us",
-                                      rates_default.perception_latency_us),
-            actuation_latency_us=get("sim.actuation_latency_us",
-                                     rates_default.actuation_latency_us))
+        rates = SimRates(**given(
+            plant_us="sim.plant_us", perception_us="sim.perception_us",
+            vpc_us="sim.vpc_us", planner_us="sim.planner_us",
+            perception_latency_us="sim.perception_latency_us",
+            actuation_latency_us="sim.actuation_latency_us"))
     except ValueError as exc:
         raise ConfigError(f"sim.*: {exc}", source,
                           line_of("sim.plant_us")) from None
@@ -283,11 +283,16 @@ def _build(values: dict[str, tuple[object, int]], source: str) -> RunConfig:
     lead_keys = [k for k in values
                  if k.startswith("scenario.lead_")]
     if get("scenario.lead", False):
-        lead = LeadSpec(
-            initial_gap=get("scenario.lead_gap_m", 35.0),
-            base_speed=get("scenario.lead_speed_kph", 63.5) * KPH,
-            amplitude=get("scenario.lead_amplitude_kph", 0.0) * KPH,
-            period_s=get("scenario.lead_period_s", 20.0))
+        try:
+            lead = LeadSpec(
+                **given(initial_gap="scenario.lead_gap_m",
+                        period_s="scenario.lead_period_s"),
+                **given_kph(base_speed="scenario.lead_speed_kph",
+                            amplitude="scenario.lead_amplitude_kph"))
+        except ValueError as exc:
+            raise ConfigError(f"scenario.lead_*: {exc}", source,
+                              line_of("scenario.lead_amplitude_kph",
+                                      "scenario.lead_speed_kph")) from None
     elif lead_keys:
         raise ConfigError(f"{lead_keys[0]} requires scenario.lead = true",
                           source, values[lead_keys[0]][1])
@@ -309,37 +314,27 @@ def _build(values: dict[str, tuple[object, int]], source: str) -> RunConfig:
                               line_of("scenario.metrics_t_end"))
         metrics_range = (lo, hi)
 
-    start_kph = get("scenario.start_speed_kph")
     try:
         spec = ScenarioSpec(
-            track=get("scenario.track", "straight"),
-            duration_s=get("scenario.duration_s"),
-            laps=get("scenario.laps"),
-            cruise_speed=get("scenario.cruise_speed_kph", 76.0) * KPH,
-            start_s=get("scenario.start_s", 0.0),
-            start_delta=get("scenario.start_delta", 0.0),
-            start_theta=get("scenario.start_theta", 0.0),
-            start_v=None if start_kph is None else start_kph * KPH,
-            lead=lead,
-            noise=noise,
-            rates=rates,
-            seed=get("scenario.seed", 0),
+            lead=lead, noise=noise, rates=rates,
             metrics_t_range=metrics_range,
-            name=get("scenario.name", ""))
+            **given(track="scenario.track", duration_s="scenario.duration_s",
+                    laps="scenario.laps", start_s="scenario.start_s",
+                    start_delta="scenario.start_delta",
+                    start_theta="scenario.start_theta",
+                    seed="scenario.seed", name="scenario.name"),
+            **given_kph(cruise_speed="scenario.cruise_speed_kph",
+                        start_v="scenario.start_speed_kph"))
     except ValueError as exc:
         raise ConfigError(f"scenario.*: {exc}", source,
                           line_of("scenario.duration_s", "scenario.laps",
                                   "scenario.track")) from None
 
     return RunConfig(
-        spec=spec,
-        controller=get("scenario.controller", "cilqr"),
-        longitudinal=get("scenario.longitudinal", False),
-        vehicle=vehicle,
-        lateral=lateral,
-        long_tuning=long_tuning,
-        vpc=vpc,
-        source=source)
+        spec=spec, vehicle=vehicle, lateral=lateral, long_tuning=long_tuning,
+        vpc=vpc, source=source,
+        **given(controller="scenario.controller",
+                longitudinal="scenario.longitudinal"))
 
 
 def load_run_config(path: str | Path,
@@ -363,16 +358,8 @@ def load_run_config(path: str | Path,
                               str(path))
         key, _, raw = pair.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _REGISTRY:
-            raise ConfigError(f"--set #{i}: unknown key {key!r}", str(path))
-        cast, check = _REGISTRY[key]
-        try:
-            value = cast(raw)
-            check(value)
-        except ValueError as exc:
-            raise ConfigError(f"--set #{i}: {key}: {exc}",
-                              str(path)) from None
-        values[key] = (value, values.get(key, (None, 0))[1])
+        values[key] = (_typed(key, raw, f"--set #{i}: ", str(path)),
+                       values.get(key, (None, 0))[1])
 
     if seed is not None:
         values["scenario.seed"] = (seed, 0)

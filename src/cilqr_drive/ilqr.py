@@ -121,6 +121,9 @@ class QuadraticCost:
             raise ValueError("Q must be n x n with n = len(x_ref)")
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("R must be square")
+        for name, value in (("Q", Q), ("R", R), ("x_ref", x_ref)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} contains non-finite entries")
         if not np.allclose(Q, Q.T, atol=1e-10):
             raise ValueError("Q must be symmetric")
         if not np.allclose(R, R.T, atol=1e-10):
@@ -237,12 +240,12 @@ def _basis_selectors(n: int, m: int, state_index: int | None,
 class ProblemSpec:
     """A complete horizon problem: dynamics, costs, barriers, start state.
 
-    `dynamics` is a single AffineDynamics applied at every step or a
-    sequence of length `horizon`.  Running barriers apply at steps
-    0..N-1; terminal barriers act on x_N only.
+    `dynamics` is one time-invariant AffineDynamics applied at every
+    step.  Running barriers apply at steps 0..N-1; terminal barriers act
+    on x_N only.
     """
 
-    dynamics: AffineDynamics | Sequence[AffineDynamics]
+    dynamics: AffineDynamics
     horizon: int
     cost: QuadraticCost
     terminal_cost: QuadraticCost
@@ -265,9 +268,7 @@ class ProblemSpec:
     def _check_dimensions(self) -> None:
         self.x0 = np.asarray(self.x0, dtype=float).ravel()
         if not isinstance(self.dynamics, AffineDynamics):
-            self.dynamics = list(self.dynamics)
-            if len(self.dynamics) != self.horizon:
-                raise ValueError("per-step dynamics must have length == horizon")
+            raise ValueError("dynamics must be one AffineDynamics")
         n, m = self.n, self.m
         if self.x0.size != n:
             raise ValueError("x0 size must match the state dimension")
@@ -277,7 +278,7 @@ class ProblemSpec:
             raise ValueError("R dimension must match the control dimension")
 
     def with_start(self, x0: np.ndarray,
-                   dynamics: AffineDynamics | Sequence[AffineDynamics] | None = None,
+                   dynamics: AffineDynamics | None = None,
                    cost: QuadraticCost | None = None,
                    terminal_cost: QuadraticCost | None = None) -> "ProblemSpec":
         """This problem from another start state, with any of the dynamics
@@ -330,27 +331,19 @@ class ProblemSpec:
         return memo
 
     def _lifted(self) -> "_Lifted":
-        """The dynamics in the forms the passes use; rebuilt if replaced."""
-        dyn = self.dynamics
-        steps = (dyn,) if isinstance(dyn, AffineDynamics) else tuple(dyn)
-        key = tuple(map(id, steps))
+        """The lifted dynamics of the passes; rebuilt if they are replaced."""
         memo = self.__dict__.get("_lift")
-        if memo is None or memo.key != key:
-            memo = self._lift = _Lifted(steps, key)
+        if memo is None or memo.dynamics is not self.dynamics:
+            memo = self._lift = _Lifted(self.dynamics)
         return memo
-
-    def dynamics_at(self, i: int) -> AffineDynamics:
-        if isinstance(self.dynamics, AffineDynamics):
-            return self.dynamics
-        return self.dynamics[i]
 
     @property
     def n(self) -> int:
-        return self.dynamics_at(0).n
+        return self.dynamics.n
 
     @property
     def m(self) -> int:
-        return self.dynamics_at(0).m
+        return self.dynamics.m
 
 
 @dataclass
@@ -449,7 +442,6 @@ class SolveInfo:
 @dataclass
 class SolveResult:
     trajectory: Trajectory
-    gains: GainSchedule | None
     info: SolveInfo
 
 
@@ -574,35 +566,28 @@ class _Stage:
 
 
 class _Lifted:
-    """A problem's dynamics in the forms the passes use, built once.
+    """The backward-pass operator of one AffineDynamics, built once.
 
-    A, B and the drift are one array each, or stacked per step.  L is
-    the lifted propagator of the backward pass: with F = [[A, 0, B],
+    L is the lifted propagator of the backward pass: with F = [[A, 0, B],
     [0, 1, 0]] mapping z = [x; 1; u] to [x'; 1], L @ vec(V) is the
     `_read_rows` of F' ((V + V') / 2) F for any (n+1, n+1) value block V,
     so one product per step gives every Q-function derivative and
     symmetrizes V on the way.
     """
 
-    def __init__(self, steps: tuple[AffineDynamics, ...], key: tuple) -> None:
-        self.key = key
-        self.steps = steps      # held, so the ids in key stay theirs
-        self.A, self.B, self.drift = _dynamics_arrays(
-            steps[0] if len(steps) == 1 else steps, len(steps))
-        n, m = steps[0].n, steps[0].m
-        F = np.zeros(self.A.shape[:-2] + (n + 1, n + 1 + m))
-        F[..., :n, :n] = self.A
-        F[..., :n, n + 1:] = self.B
-        F[..., n, n] = 1.0
-        # outer[..., c, d, a, b] = F[c, a] F[d, b], the coefficient of
-        # V[c, d] in (F' V F)[a, b]
-        outer = F[..., :, None, :, None] * F[..., None, :, None, :]
-        half = 0.5 * (outer + np.swapaxes(outer, -3, -4))
-        rows = _read_rows(half.reshape(half.shape[:-4] + ((n + 1) ** 2,)
-                                       + half.shape[-2:]), n)
-        self.L = np.ascontiguousarray(np.swapaxes(rows, -1, -2))
-        # one operator per step, as the recursion indexes them
-        self.per_step = list(self.L) if self.L.ndim == 3 else None
+    def __init__(self, dynamics: AffineDynamics) -> None:
+        self.dynamics = dynamics
+        n, m = dynamics.n, dynamics.m
+        F = np.zeros((n + 1, n + 1 + m))
+        F[:n, :n] = dynamics.A
+        F[:n, n + 1:] = dynamics.B
+        F[n, n] = 1.0
+        # outer[c, d, a, b] = F[c, a] F[d, b], the coefficient of V[c, d]
+        # in (F' V F)[a, b]
+        outer = F[:, None, :, None] * F[None, :, None, :]
+        half = 0.5 * (outer + np.swapaxes(outer, 0, 1))
+        rows = _read_rows(half.reshape(((n + 1) ** 2,) + half.shape[-2:]), n)
+        self.L = np.ascontiguousarray(rows.T)
 
 
 def _running_z(stack: _Stack, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -722,23 +707,6 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
 # Trajectory operations.
 # ---------------------------------------------------------------------------
 
-def _dynamics_arrays(dynamics: AffineDynamics | Sequence[AffineDynamics],
-                     N: int):
-    """A, B and drift: one of each, or stacked per step for a sequence."""
-    if isinstance(dynamics, AffineDynamics):
-        return dynamics.A, dynamics.B, dynamics._drift
-    steps = dynamics[:N]
-    return (np.stack([d.A for d in steps]), np.stack([d.B for d in steps]),
-            np.stack([d._drift for d in steps]))
-
-
-def _matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row i of V times M, or times M[i] when M is stacked per step."""
-    if M.ndim == 2:
-        return V @ M.T
-    return (M @ V[:, :, None])[:, :, 0]
-
-
 def _propagate(x0: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
     """States of x_{i+1} = A_i x_i + c_i from x0; A is one matrix or a stack.
 
@@ -758,21 +726,21 @@ def _propagate(x0: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out[:, :n]
 
 
-def rollout(dynamics: AffineDynamics | Sequence[AffineDynamics],
-            x0: np.ndarray, controls: np.ndarray) -> Trajectory:
+def rollout(dynamics: AffineDynamics, x0: np.ndarray,
+            controls: np.ndarray) -> Trajectory:
     """Propagate x0 through the dynamics under the given control sequence."""
+    if not isinstance(dynamics, AffineDynamics):
+        raise ValueError("dynamics must be one AffineDynamics")
     controls = np.asarray(controls, dtype=float)
     if controls.ndim != 2:
         raise ValueError("controls must be an (N, m) array")
-    N = controls.shape[0]
-    dyn0 = dynamics if isinstance(dynamics, AffineDynamics) else dynamics[0]
     x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size != dyn0.n:
+    if x0.size != dynamics.n:
         raise ValueError("x0 size must match the state dimension")
-    if controls.shape[1] != dyn0.m:
+    if controls.shape[1] != dynamics.m:
         raise ValueError("controls width must match the control dimension")
-    A, B, drift = _dynamics_arrays(dynamics, N)
-    return Trajectory(_propagate(x0, A, _matvec(B, controls) + drift),
+    return Trajectory(_propagate(x0, dynamics.A,
+                                 controls @ dynamics.B.T + dynamics._drift),
                       controls)
 
 
@@ -844,7 +812,7 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
     X, U = traj.states, traj.controls
     N, n, m = U.shape[0], X.shape[1], U.shape[1]
     q = (n + 1) ** 2          # value-block entries; the m control rows follow
-    stage, lift = spec._stage(), spec._lifted()
+    stage, L = spec._stage(), spec._lifted().L
     run, term = stage.stacks
 
     # Stage derivatives as read rows, vectorized over the horizon and the
@@ -871,7 +839,6 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
         lane = term.lane
         O[N - 1] += np.concatenate([t2[lane], t1[lane]]) @ stage.succ
 
-    Ls = lift.per_step or [lift.L] * N
     rows = list(O)
     values = list(O[:, :q])
     blocks = list(O[:, :q].reshape(N, n + 1, n + 1))
@@ -884,7 +851,7 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
         g_cols = list(np.swapaxes(Ouz, -1, -2))
         for i in range(N - 1, -1, -1):
             o = rows[i]
-            o += Ls[i].dot(v)
+            o += L.dot(v)
             ouu = o.item(-1)
             ouu_reg = ouu + regularization
             if ouu_reg <= 0.0:
@@ -899,7 +866,7 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
         eye = regularization * np.eye(m)
         for i in range(N - 1, -1, -1):
             o = rows[i]
-            o += Ls[i].dot(v)
+            o += L.dot(v)
             Ouu_i = Ouus[i]
             Ouu_reg = Ouu_i + eye
             try:
@@ -941,10 +908,10 @@ def _forward_arrays(X: np.ndarray, U: np.ndarray, gains: GainSchedule,
     """
     N = spec.horizon
     k, K = gains.k, gains.K
-    lift = spec._lifted()
-    A, B, drift = lift.A, lift.B, lift.drift
+    dyn = spec.dynamics
+    A, B, drift = dyn.A, dyn.B, dyn._drift
     uff = U + lam * k - (K @ X[:N, :, None])[:, :, 0]
-    states = _propagate(X[0], A + B @ K, _matvec(B, uff) + drift)
+    states = _propagate(X[0], A + B @ K, uff @ B.T + drift)
     return states, uff + (K @ states[:N, :, None])[:, :, 0]
 
 
@@ -1017,13 +984,9 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
 
     t_scale = min(cfg.barrier_t_init, cfg.barrier_t_max)
     reg = cfg.regularization_init
-    lift = spec._lifted()
-    traj = Trajectory(_propagate(spec.x0, lift.A,
-                                 _matvec(lift.B, controls) + lift.drift),
-                      controls)
+    traj = rollout(spec.dynamics, spec.x0, controls)
     J = float(_costs(traj.states, controls, spec, t_scale, strict=True))
     history = [J]
-    gains: GainSchedule | None = None
     converged = False
     iterations = 0
     exp_dec = math.inf
@@ -1039,8 +1002,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 reg *= cfg.regularization_growth
                 if reg > cfg.regularization_max:
                     message = "backward pass failed at regularization cap"
-                    return _finish(traj, gains, spec, J, history, exp_dec,
-                                   t_scale, reg, iterations, False, message)
+                    return _finish(traj, spec, J, history, exp_dec, t_scale,
+                                   reg, iterations, False, message)
         # Near-stationary iterates still try a single full step: on a
         # quadratic model that polishes the last digits, and if it fails
         # to strictly decrease the cost we declare convergence.  Both the
@@ -1094,11 +1057,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 message = "line search stalled at regularization cap"
                 break
 
-    return _finish(traj, gains, spec, J, history, exp_dec, t_scale, reg,
+    return _finish(traj, spec, J, history, exp_dec, t_scale, reg,
                    iterations, converged, message)
 
 
-def _finish(traj, gains, spec, J, history, exp_dec, t_scale, reg,
+def _finish(traj, spec, J, history, exp_dec, t_scale, reg,
             iterations, converged, message) -> SolveResult:
     info = SolveInfo(
         converged=converged,
@@ -1111,4 +1074,4 @@ def _finish(traj, gains, spec, J, history, exp_dec, t_scale, reg,
         log_range_margins=_log_range_margins(traj, spec),
         message=message,
     )
-    return SolveResult(traj, gains, info)
+    return SolveResult(traj, info)

@@ -157,29 +157,6 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
     )
 
 
-def plan_steering(state: LateralState, v: float,
-                  params: VehicleParams | None = None,
-                  tuning: LateralTuning | None = None,
-                  warm_start: np.ndarray | None = None,
-                  config: SolverConfig | None = None
-                  ) -> tuple[SteerCommand, LateralPlanDiagnostics]:
-    """Solve one lane-keeping cycle and normalize the first steering angle.
-
-    A non-converged solve still returns the best-so-far command; the
-    diagnostics carry the flag.
-    """
-    params = params or VehicleParams()
-    tuning = tuning or LateralTuning()
-    clamped = v < tuning.v_min
-    v_eff = max(v, tuning.v_min)
-    dynamics = build_lateral_dynamics(params, v_eff, tuning.dt)
-    spec = build_lateral_problem(state, dynamics, tuning)
-    result = solve(spec, warm_start=warm_start, config=config)
-    delta = float(result.trajectory.controls[0, 0])
-    cmd = SteerCommand(steer_cmd=delta / tuning.steer_limit, delta_rad=delta)
-    return cmd, LateralPlanDiagnostics(result.info, clamped)
-
-
 class LateralPlanner:
     """Receding-horizon wrapper owning the warm-start buffer.
 

@@ -68,11 +68,11 @@ class PiState:
     """Mutable PI loop state; the integral carries units of meters."""
 
     v_r: float                    # reference speed, m/s
+    period: float                 # seconds between pi_cruise calls
     k_P: float = 0.5
     k_I: float = 0.05
     integral: float = 0.0
     integral_limit: float = 2.0   # anti-windup clamp, m
-    period: float = 0.00666      # seconds between pi_cruise calls
 
     def __post_init__(self) -> None:
         vals = (self.v_r, self.k_P, self.k_I, self.integral)
@@ -196,38 +196,6 @@ def brake_ramp(D: float, tuning: LongTuning) -> float:
     return min(max(frac, 0.0), 1.0)
 
 
-def plan_longitudinal(state: LongitudinalState,
-                      lead: LeadMeasurement | None,
-                      pi: PiState,
-                      tuning: LongTuning | None = None,
-                      warm_start: np.ndarray | None = None,
-                      config: SolverConfig | None = None
-                      ) -> tuple[LongCommand, LongPlanDiagnostics]:
-    """One longitudinal cycle: PI alone, or PI plus the planned jerk."""
-    tuning = tuning or LongTuning()
-    if lead is None:
-        accel = pi_cruise(pi, state.v)
-        return LongCommand(accel, 0.0), LongPlanDiagnostics(following=False)
-    return _follow(build_following_problem(state, lead, tuning), pi, state.v,
-                   lead, tuning, warm_start, config)
-
-
-def _follow(spec: ProblemSpec, pi: PiState, v: float, lead: LeadMeasurement,
-            tuning: LongTuning, warm_start: np.ndarray | None,
-            config: SolverConfig | None
-            ) -> tuple[LongCommand, LongPlanDiagnostics]:
-    """PI plus the first jerk of the following problem spec."""
-    accel = pi_cruise(pi, v)
-    result = solve(spec, warm_start=warm_start, config=config)
-    controls = result.trajectory.controls
-    j0 = float(controls[0, 0])
-    accel = min(max(accel + j0, -1.0), 1.0)
-    cmd = LongCommand(accel, brake_ramp(lead.D, tuning))
-    return cmd, LongPlanDiagnostics(following=True, jerk=j0,
-                                    solve_info=result.info,
-                                    jerk_sequence=controls.copy())
-
-
 class LongitudinalPlanner:
     """Receding-horizon wrapper: hysteresis, accel estimate, warm starts.
 
@@ -237,23 +205,22 @@ class LongitudinalPlanner:
     is capped at the lead speed: tracking the gap is the solver's job
     and the PI loop must not fight it by pushing toward cruise speed.
     Ego acceleration is not sensed directly; it is estimated from speed
-    differences averaged over the last three cycles.  The following
+    differences averaged over the last three cycles, `period` seconds
+    apart (the same period drives the PI integral).  The following
     problem is built and validated once; every cycle re-aims it at the
     new state and lead.
     """
 
-    def __init__(self, cruise_speed: float,
+    def __init__(self, cruise_speed: float, period: float,
                  tuning: LongTuning | None = None,
-                 pi: PiState | None = None,
                  config: SolverConfig | None = None,
-                 period: float = 0.00666,
                  engage_distance: float = 120.0,
                  release_distance: float = 140.0) -> None:
         if release_distance <= engage_distance:
             raise ValueError("release distance must exceed engage distance")
         self.cruise_speed = cruise_speed
         self.tuning = tuning or LongTuning()
-        self.pi = pi or PiState(v_r=cruise_speed, period=period)
+        self.pi = PiState(v_r=cruise_speed, period=period)
         # cold solves walk the barrier sharpness schedule; warm-started
         # cycles continue at final sharpness, where the carried-over
         # solution is already near stationary (re-walking the schedule
@@ -303,8 +270,9 @@ class LongitudinalPlanner:
         if not self.following:
             self.pi.v_r = self.cruise_speed
             self._warm = None
-            state = LongitudinalState(D=0.0, v=v, a=a_est)
-            return plan_longitudinal(state, None, self.pi, self.tuning)
+            LongitudinalState(D=0.0, v=v, a=a_est)    # rejects a non-finite v
+            return (LongCommand(pi_cruise(self.pi, v), 0.0),
+                    LongPlanDiagnostics(following=False))
         assert lead is not None
         self.pi.v_r = min(self.cruise_speed, lead.v_l)
         state = LongitudinalState(D=lead.D, v=v, a=a_est)
@@ -314,12 +282,17 @@ class LongitudinalPlanner:
             dynamics=build_longitudinal_dynamics(self.tuning.dt, lead.v_l,
                                                  lead.a_l))
         config = self.cold_config if self._warm is None else self.warm_config
-        cmd, diag = _follow(spec, self.pi, v, lead, self.tuning,
-                            self._warm, config)
+        accel = pi_cruise(self.pi, v)
+        result = solve(spec, warm_start=self._warm, config=config)
         # not converged is tolerated: best-so-far jerk, flag in diagnostics.
         # The replan period is far shorter than the prediction step, so the
         # previous plan is reused as-is; shifting it by a whole step would
         # misalign it by an order of magnitude more than the elapsed time.
-        seq = diag.jerk_sequence
-        self._warm = None if seq is None else seq.copy()
-        return cmd, diag
+        controls = result.trajectory.controls
+        self._warm = controls.copy()
+        j0 = float(controls[0, 0])
+        cmd = LongCommand(min(max(accel + j0, -1.0), 1.0),
+                          brake_ramp(lead.D, self.tuning))
+        return cmd, LongPlanDiagnostics(following=True, jerk=j0,
+                                        solve_info=result.info,
+                                        jerk_sequence=controls.copy())

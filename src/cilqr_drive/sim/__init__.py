@@ -5,7 +5,7 @@ aware synthetic sensors, and a multi-rate scenario loop that exercises
 the planners exactly as a vehicle stack would.
 """
 
-from .track import TrackGeometry, build_track, project
+from .track import TrackGeometry, build_track
 from .plant import OffTrackError, PlantState, step_plant
 from .sensors import (
     LatencyQueue,
@@ -43,7 +43,6 @@ __all__ = [
     "preset_straight_smoke",
     "preset_trackA_lane_keeping",
     "preset_trackB_following",
-    "project",
     "radar_measure",
     "run_scenario",
     "step_plant",

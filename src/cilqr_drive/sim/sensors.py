@@ -57,7 +57,7 @@ class SimRates:
 
 @dataclass
 class PerceptionFrame:
-    """One perception output: noisy road-frame pose plus the lane map."""
+    """One perception output: noisy road-frame offset, heading, lane map."""
 
     theta_meas: float
     delta_meas: float

@@ -3,9 +3,10 @@
 A track is a chain of segments, each with linearly varying curvature
 (straights and circular arcs are the constant special case; clothoids
 the varying one), so curvature is continuous and heading is an exact
-piecewise quadratic in arc length.  Global centerline poses come from
-Gauss-Legendre integration of the heading, which is smooth enough that
-a modest node count reaches near machine precision.
+piecewise quadratic in arc length.  The global centerline positions at
+the segment ends (for the closure check) come from Gauss-Legendre
+integration of the heading, which is smooth enough that a modest node
+count reaches near machine precision.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-# Gauss-Legendre nodes mapped to [0, 1]: 20-point for pose integrals,
+# Gauss-Legendre nodes mapped to [0, 1]: 20-point for segment integrals,
 # 3-point for the short per-gap integrals of lane-map sampling
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)
@@ -123,7 +124,7 @@ class TrackGeometry:
         return (np.asarray(self._psi)[idx] + k0 * ds + 0.5 * slope * ds * ds
                 + turns * self._psi[-1])
 
-    # -- global centerline pose -----------------------------------------
+    # -- global centerline closure --------------------------------------
 
     def _boundary_poses(self) -> list[tuple[float, float]]:
         if self._poses is None:
@@ -141,18 +142,6 @@ class TrackGeometry:
             self._poses = poses
         return self._poses
 
-    def pose(self, s: float) -> tuple[float, float, float]:
-        """Global centerline pose (x, y, heading) at arc length s."""
-        poses = self._boundary_poses()
-        i, ds = self._locate(s)
-        s0 = self._breaks[i]
-        x, y = poses[i]
-        if ds > 0.0:
-            angles = self.heading_many(s0 + ds * _GL_NODES)
-            x += float(np.dot(_GL_WEIGHTS, np.cos(angles)) * ds)
-            y += float(np.dot(_GL_WEIGHTS, np.sin(angles)) * ds)
-        return x, y, self.heading(s)
-
     def closure_error(self) -> float:
         """Distance between the end and start of a closed centerline."""
         poses = self._boundary_poses()
@@ -168,7 +157,7 @@ class TrackGeometry:
         The ego sits a lateral offset delta left of the centerline with
         heading error theta.  Points are taken at the given arc
         distances and integrated relative to the ego's foot point, so no
-        global pose is needed.  Returns an (n, 2) array of (x, y).
+        global position is needed.  Returns an (n, 2) array of (x, y).
         """
         distances = np.asarray(distances, dtype=float)
         psi0 = self.heading(s)
@@ -186,44 +175,6 @@ class TrackGeometry:
         dy = ys - delta
         ct, st = math.cos(theta), math.sin(theta)
         return np.column_stack([xs * ct + dy * st, -xs * st + dy * ct])
-
-
-def project(track: TrackGeometry, x: float, y: float,
-            s_hint: float | None = None) -> tuple[float, float]:
-    """Project a global point onto the centerline: returns (s, delta).
-
-    Newton iteration on the tangency condition; a coarse scan seeds it
-    when no hint is given.  delta is positive left of the centerline.
-    """
-    if s_hint is None:
-        # coarse seed: nearest of ~200 samples
-        samples = np.linspace(0.0, track.length, 200, endpoint=False)
-        best, best_d = 0.0, math.inf
-        for s in samples:
-            px, py, _ = track.pose(float(s))
-            d = (px - x) ** 2 + (py - y) ** 2
-            if d < best_d:
-                best, best_d = float(s), d
-        s = best
-    else:
-        s = s_hint
-    for _ in range(60):
-        px, py, psi = track.pose(s)
-        tx, ty = math.cos(psi), math.sin(psi)
-        rx, ry = x - px, y - py
-        g = rx * tx + ry * ty
-        kappa = track.curvature(s)
-        # d/ds of the tangency residual
-        dg = -1.0 + kappa * (-rx * ty + ry * tx)
-        step = -g / dg if dg != 0.0 else -g
-        s += step
-        if abs(step) < 1e-12:
-            break
-    px, py, psi = track.pose(s)
-    delta = -(x - px) * math.sin(psi) + (y - py) * math.cos(psi)
-    if track.closed:
-        s = s % track.length
-    return s, delta
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,30 @@ class TestRunCommand:
         assert rc == 1
         assert "scenario.seed" in capsys.readouterr().err
 
+    def test_non_finite_file_value_exits_one(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SMOKE + "lateral.q_delta = inf\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lateral.q_delta" in err
+        assert "finite" in err
+
+    def test_non_finite_set_override_exits_one(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SMOKE)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                   "--set", "scenario.start_delta=nan"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "scenario.start_delta" in err
+        assert "finite" in err
+
+    def test_lead_slower_than_its_swing_exits_one(self, tmp_path, capsys):
+        text = FOLLOWING + "scenario.lead_amplitude_kph = 80\n"
+        cfg = _write(tmp_path, text)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "scenario.lead_" in capsys.readouterr().err
+
     def test_equal_seeds_give_identical_csv(self, tmp_path):
         cfg = _write(tmp_path, FOLLOWING)
         outs = []

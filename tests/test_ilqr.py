@@ -86,10 +86,19 @@ class TestRollout:
         np.testing.assert_allclose(traj.states.ravel(), [0.0, 1.0, 3.0, 6.0])
 
     def test_per_step_dynamics_sequence(self):
+        # a problem has one time-invariant model; a sequence is rejected
         d1 = AffineDynamics(A=[[2.0]], B=[[0.0001]])
         d2 = AffineDynamics(A=[[3.0]], B=[[0.0001]])
-        traj = rollout([d1, d2], [1.0], np.zeros((2, 1)))
-        np.testing.assert_allclose(traj.states.ravel(), [1.0, 2.0, 6.0])
+        with pytest.raises(ValueError):
+            rollout([d1, d2], [1.0], np.zeros((2, 1)))
+        cost = QuadraticCost(Q=[[1.0]], R=[[1.0]], x_ref=[0.0])
+        with pytest.raises(ValueError):
+            ProblemSpec(dynamics=[d1, d2], horizon=2, cost=cost,
+                        terminal_cost=cost, x0=[1.0])
+        spec = ProblemSpec(dynamics=d1, horizon=2, cost=cost,
+                           terminal_cost=cost, x0=[1.0])
+        with pytest.raises(ValueError):
+            spec.with_start([1.0], dynamics=[d1, d2])
 
     def test_rejects_dimension_mismatch(self):
         dyn = AffineDynamics(A=np.eye(2), B=np.ones((2, 1)))
@@ -302,19 +311,17 @@ class TestPasses:
         assert total_cost(stepped, spec) == pytest.approx(1.5, abs=1e-12)
 
 
-def random_barrier_problem(rng, m, per_step):
+def random_barrier_problem(rng, m):
     """Random problem with every barrier kind, feasible at its rollout.
 
     Returns the problem and a nominal trajectory rolled out from small
     random controls.  Log-range bounds straddle the nominal with a margin.
     """
     n, N = 4, int(rng.integers(5, 31))
-    steps = []
-    for _ in range(N if per_step else 1):
-        A = rng.normal(size=(n, n)) * 0.3 + np.eye(n) * 0.9
-        A *= min(1.0, 1.02 / np.max(np.abs(np.linalg.eigvals(A))))
-        steps.append(AffineDynamics(A=A, B=rng.normal(size=(n, m)),
-                                    C=np.eye(n), w=rng.normal(size=n) * 0.1))
+    A = rng.normal(size=(n, n)) * 0.3 + np.eye(n) * 0.9
+    A *= min(1.0, 1.02 / np.max(np.abs(np.linalg.eigvals(A))))
+    dynamics = AffineDynamics(A=A, B=rng.normal(size=(n, m)), C=np.eye(n),
+                              w=rng.normal(size=n) * 0.1)
     Mq = rng.normal(size=(n, n))
     Mr = rng.normal(size=(m, m))
     cost = QuadraticCost(Q=Mq.T @ Mq / n + 0.1 * np.eye(n),
@@ -322,7 +329,6 @@ def random_barrier_problem(rng, m, per_step):
                          x_ref=rng.normal(size=n) * 0.5)
     final = QuadraticCost(Q=2.0 * cost.Q, R=cost.R,
                           x_ref=rng.normal(size=n) * 0.5)
-    dynamics = steps if per_step else steps[0]
     x0 = rng.normal(size=n)
     nominal = rollout(dynamics, x0, rng.normal(size=(N, m)) * 0.3)
     X, U = nominal.states, nominal.controls
@@ -377,14 +383,14 @@ class TestPassesAgainstReference:
         rng = np.random.default_rng(77)
         for trial in range(16):
             m = 1 if trial % 4 < 2 else 2
-            spec, nominal = random_barrier_problem(rng, m, per_step=trial % 2 == 1)
+            spec, nominal = random_barrier_problem(rng, m)
             reg = float(10.0 ** rng.uniform(-6.0, 0.0))
             t_scale = float(5.0 ** rng.integers(0, 4))
             gains, dec = backward_pass(nominal, spec, reg, t_scale)
-            steps = [spec.dynamics_at(i) for i in range(spec.horizon)]
+            N, dyn = spec.horizon, spec.dynamics
             k, K, dec_ref, gn_ref = riccati_backward_reference(
-                nominal.states, nominal.controls, [d.A for d in steps],
-                [d.B for d in steps], spec.cost.Q, spec.cost.R,
+                nominal.states, nominal.controls, [dyn.A] * N,
+                [dyn.B] * N, spec.cost.Q, spec.cost.R,
                 spec.cost.x_ref, spec.terminal_cost.Q,
                 spec.terminal_cost.x_ref, _plain_terms(spec.barriers),
                 _plain_terms(spec.terminal_barriers), reg, t_scale)
@@ -402,8 +408,7 @@ class TestPassesAgainstReference:
                 if cfg.lambda_shrink ** j >= cfg.lambda_min]
         assert len(lams) == cfg.max_line_search_steps
         for trial in range(8):
-            spec, nominal = random_barrier_problem(rng, 1 + trial % 2,
-                                                   per_step=trial % 4 >= 2)
+            spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
             gains, _ = backward_pass(nominal, spec, 1e-3)
             full = forward_pass(nominal, gains, 1.0, spec)
             X, U = nominal.states, nominal.controls
@@ -428,22 +433,19 @@ class TestLiftedStep:
         rng = np.random.default_rng(91)
         for trial in range(8):
             m = 1 + trial % 2
-            spec, _ = random_barrier_problem(rng, m, per_step=trial >= 4)
-            n, N = spec.n, spec.horizon
+            spec, _ = random_barrier_problem(rng, m)
+            n, d = spec.n, spec.dynamics
             L = spec._lifted().L
-            assert L.shape == ((N,) if trial >= 4 else ()) + (
-                (n + 1) ** 2 + m * (n + 1 + m), (n + 1) ** 2)
-            for i in range(N):
-                d = spec.dynamics_at(i)
-                F = np.zeros((n + 1, n + 1 + m))
-                F[:n, :n] = d.A
-                F[:n, n + 1:] = d.B
-                F[n, n] = 1.0
+            assert L.shape == ((n + 1) ** 2 + m * (n + 1 + m), (n + 1) ** 2)
+            F = np.zeros((n + 1, n + 1 + m))
+            F[:n, :n] = d.A
+            F[:n, n + 1:] = d.B
+            F[n, n] = 1.0
+            for _ in range(8):
                 V = rng.normal(size=(n + 1, n + 1))
                 want = self._read_rows_reference(
                     F.T @ (0.5 * (V + V.T)) @ F, n)
-                got = (L[i] if L.ndim == 3 else L) @ V.ravel()
-                assert _rel_err(got, want) < 1e-13
+                assert _rel_err(L @ V.ravel(), want) < 1e-13
 
     def test_replaced_dynamics_or_costs_rebuild_the_memo(self):
         # the lifted propagator and the stage weights are memoized on the
@@ -452,11 +454,10 @@ class TestLiftedStep:
         rng = np.random.default_rng(92)
         for trial in range(4):
             m = 1 + trial % 2
-            per_step = trial >= 2
-            spec, nominal = random_barrier_problem(rng, m, per_step)
-            other, _ = random_barrier_problem(rng, m, per_step)
+            spec, nominal = random_barrier_problem(rng, m)
+            other, _ = random_barrier_problem(rng, m)
             while other.horizon != spec.horizon:
-                other, _ = random_barrier_problem(rng, m, per_step)
+                other, _ = random_barrier_problem(rng, m)
             before, _ = backward_pass(nominal, spec, 1e-3)   # fills the memo
             for part in ({"dynamics": other.dynamics},
                          {"cost": other.cost,
@@ -495,8 +496,7 @@ class TestLiftedStep:
 
         monkeypatch.setattr(ilqr_module, "backward_pass", counting)
         rng = np.random.default_rng(93)
-        problems = [random_barrier_problem(rng, 1 + t % 2, t % 3 == 0)
-                    for t in range(6)]
+        problems = [random_barrier_problem(rng, 1 + t % 2) for t in range(6)]
         problems += [(random_affine_problem(rng)[0], None) for _ in range(3)]
         for spec, nominal in problems:
             warm = None if nominal is None else nominal.controls
@@ -589,7 +589,7 @@ class TestSolve:
         X, U = res.trajectory.states, res.trajectory.controls
         for i in range(spec.horizon):
             np.testing.assert_allclose(
-                X[i + 1], spec.dynamics_at(i).step(X[i], U[i]), atol=1e-12)
+                X[i + 1], spec.dynamics.step(X[i], U[i]), atol=1e-12)
 
     def test_bad_warm_start_shape_rejected(self):
         spec = scalar_problem()
@@ -614,6 +614,15 @@ class TestValidation:
             QuadraticCost(Q=np.eye(2), R=[[0.0]], x_ref=[0.0, 0.0])
         with pytest.raises(ValueError):
             QuadraticCost(Q=-np.eye(2), R=[[1.0]], x_ref=[0.0, 0.0])
+
+    def test_cost_rejects_non_finite_entries(self):
+        Q_inf = np.eye(2)
+        Q_inf[0, 0] = math.inf
+        for Q, R, x_ref in ((Q_inf, [[1.0]], [0.0, 0.0]),
+                            (np.eye(2), [[math.nan]], [0.0, 0.0]),
+                            (np.eye(2), [[1.0]], [math.nan, 0.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                QuadraticCost(Q=Q, R=R, x_ref=x_ref)
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from cilqr_drive.lateral import (
     VehicleParams,
     build_lateral_dynamics,
     build_lateral_problem,
-    plan_steering,
 )
 
 from oracles import lqr_dp_solve
@@ -124,18 +123,23 @@ class TestRiccatiEquivalence:
                                    atol=1e-6)
 
 
+def cold_plan(state, v):
+    """One cold cycle of a fresh planner."""
+    return LateralPlanner().plan(state, v)
+
+
 class TestPlanSteering:
     def test_normalization_ties_command_to_angle(self):
-        cmd, info = plan_steering(LateralState(1.5, 0.0), V_76_KMH)
+        cmd, info = cold_plan(LateralState(1.5, 0.0), V_76_KMH)
         assert cmd.steer_cmd == cmd.delta_rad / (math.pi / 6.0)
         assert info.converged
 
     def test_centered_state_keeps_wheel_nearly_still(self):
-        cmd, _ = plan_steering(LateralState(0.0, 0.0), V_76_KMH)
+        cmd, _ = cold_plan(LateralState(0.0, 0.0), V_76_KMH)
         assert abs(cmd.steer_cmd) < 0.01
 
     def test_left_offset_steers_right(self):
-        cmd, _ = plan_steering(LateralState(0.5, 0.0), V_76_KMH)
+        cmd, _ = cold_plan(LateralState(0.5, 0.0), V_76_KMH)
         assert cmd.steer_cmd < 0.0
         assert -1.0 < cmd.steer_cmd
 
@@ -143,7 +147,7 @@ class TestPlanSteering:
         # even hopeless initial conditions must respect the steering barrier
         for d in (-3.0, -1.0, 0.2, 2.5):
             for th in (-0.3, 0.0, 0.25):
-                cmd, info = plan_steering(LateralState(d, th), V_76_KMH)
+                cmd, info = cold_plan(LateralState(d, th), V_76_KMH)
                 assert -1.0 < cmd.steer_cmd < 1.0
                 assert abs(cmd.delta_rad) < math.pi / 6.0
                 margins = info.solve_info.log_range_margins
@@ -153,15 +157,15 @@ class TestPlanSteering:
         """Negating the state negates the command to solver precision."""
         state = LateralState(0.5, -0.03, delta_lat_rate=-0.2, theta_rate=0.01)
         mirror = LateralState(-0.5, 0.03, delta_lat_rate=0.2, theta_rate=-0.01)
-        cmd_a, _ = plan_steering(state, V_76_KMH)
-        cmd_b, _ = plan_steering(mirror, V_76_KMH)
+        cmd_a, _ = cold_plan(state, V_76_KMH)
+        cmd_b, _ = cold_plan(mirror, V_76_KMH)
         assert cmd_a.steer_cmd == pytest.approx(-cmd_b.steer_cmd, abs=1e-6)
 
     def test_speed_clamp_is_flagged_and_finite(self):
-        cmd, info = plan_steering(LateralState(0.5, 0.0), 0.2)
+        cmd, info = cold_plan(LateralState(0.5, 0.0), 0.2)
         assert info.speed_clamped
         assert math.isfinite(cmd.steer_cmd)
-        cmd2, info2 = plan_steering(LateralState(0.5, 0.0), V_76_KMH)
+        cmd2, info2 = cold_plan(LateralState(0.5, 0.0), V_76_KMH)
         assert not info2.speed_clamped
         assert cmd.steer_cmd != cmd2.steer_cmd
 
@@ -175,17 +179,24 @@ class TestLateralPlanner:
         planner.reset()
         assert planner._warm is None
 
-    def test_cold_cycle_equals_plan_steering(self):
+    def test_cold_cycle_equals_fresh_solve(self):
         # the planner re-aims one validated problem per centering branch;
-        # a cold cycle must solve exactly what plan_steering builds
+        # a cold cycle must solve exactly the problem built fresh for it
+        planner = LateralPlanner()
+        tuning = planner.tuning
         for state, v in ((LateralState(0.6, -0.02), V_76_KMH),
                          (LateralState(-0.3, 0.04, delta_lat_rate=0.1), 12.0),
                          (LateralState(0.0, 0.01), 0.4)):
-            cmd, diag = LateralPlanner().plan(state, v)
-            ref_cmd, ref_diag = plan_steering(state, v)
-            assert cmd.delta_rad == ref_cmd.delta_rad
-            assert diag.solve_info.cost == ref_diag.solve_info.cost
-            assert diag.speed_clamped == ref_diag.speed_clamped
+            planner.reset()
+            cmd, diag = planner.plan(state, v)
+            dyn = build_lateral_dynamics(planner.params,
+                                         max(v, tuning.v_min), tuning.dt)
+            ref = solve(build_lateral_problem(state, dyn, tuning),
+                        config=planner.cold_config)
+            assert cmd.delta_rad == ref.trajectory.controls[0, 0]
+            assert cmd.steer_cmd == cmd.delta_rad / tuning.steer_limit
+            assert diag.solve_info.cost == ref.info.cost
+            assert diag.speed_clamped == (v < tuning.v_min)
 
     def test_default_configs_unchanged(self):
         planner = LateralPlanner()

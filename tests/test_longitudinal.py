@@ -22,7 +22,6 @@ from cilqr_drive.longitudinal import (
     build_following_problem,
     build_longitudinal_dynamics,
     pi_cruise,
-    plan_longitudinal,
 )
 
 from oracles import lqr_dp_solve
@@ -33,27 +32,30 @@ EXP_NEG5 = 0.006737946999085467   # exp(-5)
 
 V_CRUISE = 76.0 / 3.6
 V_LEAD = 63.5 / 3.6
+PERIOD = 0.00666    # the simulator's planner period, s
 
 
 class TestPiCruise:
     def test_zero_at_reference(self):
-        pi = PiState(v_r=20.0)
+        pi = PiState(v_r=20.0, period=PERIOD)
         assert pi_cruise(pi, 20.0) == 0.0
         assert pi.integral == 0.0
 
     def test_tanh_squash_at_half(self):
-        pi = PiState(v_r=10.0, k_P=0.5, k_I=0.0)
+        pi = PiState(v_r=10.0, k_P=0.5, k_I=0.0, period=PERIOD)
         assert pi_cruise(pi, 9.0) == pytest.approx(TANH_HALF, rel=1e-12)
         assert pi_cruise(pi, 9.0) == pytest.approx(0.46212, abs=1e-5)
 
     def test_saturates_below_one(self):
-        pi = PiState(v_r=100.0)
+        pi = PiState(v_r=100.0, period=PERIOD)
         out = pi_cruise(pi, 0.0)
         assert 0.999 < out <= 1.0
 
     def test_sign_pushes_toward_reference(self):
-        assert pi_cruise(PiState(v_r=20.0), 15.0) > 0.0  # too slow: throttle
-        assert pi_cruise(PiState(v_r=20.0), 25.0) < 0.0  # too fast: lift
+        pi = PiState(v_r=20.0, period=PERIOD)
+        assert pi_cruise(pi, 15.0) > 0.0   # too slow: throttle
+        pi = PiState(v_r=20.0, period=PERIOD)
+        assert pi_cruise(pi, 25.0) < 0.0   # too fast: lift
 
     def test_integral_accumulates_time_weighted_and_clamps(self):
         pi = PiState(v_r=21.0, period=0.1)
@@ -72,7 +74,7 @@ class TestPiCruise:
         with pytest.raises(ValueError):
             PiState(v_r=20.0, period=0.0)
         with pytest.raises(ValueError):
-            PiState(v_r=float("inf"))
+            PiState(v_r=float("inf"), period=PERIOD)
 
 
 class TestDynamics:
@@ -155,7 +157,7 @@ class TestFollowingProblem:
         tight = SolverConfig(max_outer_iterations=60, cost_tolerance=1e-12,
                              regularization_init=1e-10)
         result = solve(bare, config=tight)
-        dyn = spec.dynamics_at(0)
+        dyn = spec.dynamics
         _, u_opt = lqr_dp_solve(
             dyn.A, dyn.B, dyn.C @ dyn.w, np.diag(self.tuning.q_diag),
             np.array([[1.0]]), np.diag(self.tuning.q_diag),
@@ -180,30 +182,34 @@ class TestBrakeRamp:
             LongTuning(d_ref=5.0, d_critical=5.5)
 
 
+def cold_plan(v, lead, cruise_speed=V_CRUISE):
+    """One cold cycle of a fresh planner."""
+    return LongitudinalPlanner(cruise_speed=cruise_speed,
+                               period=PERIOD).plan(v, lead)
+
+
 class TestPlanLongitudinal:
     def test_cruise_at_reference_is_idle(self):
-        pi = PiState(v_r=20.0)
-        cmd, diag = plan_longitudinal(
-            LongitudinalState(D=0.0, v=20.0), None, pi)
+        cmd, diag = cold_plan(20.0, None, cruise_speed=20.0)
         assert cmd.accel_cmd == 0.0
         assert cmd.brake_cmd == 0.0
         assert not diag.following
 
+    def test_cruise_cycle_rejects_non_finite_speed(self):
+        with pytest.raises(ValueError):
+            cold_plan(math.nan, None)
+
     def test_close_gap_brakes(self):
-        pi = PiState(v_r=V_CRUISE)
         lead = LeadMeasurement(v_l=15.0, D=5.0)
-        cmd, diag = plan_longitudinal(
-            LongitudinalState(D=5.0, v=16.0), lead, pi)
+        cmd, diag = cold_plan(16.0, lead)
         assert cmd.brake_cmd > 0.0
         assert diag.following
         assert -1.0 <= cmd.accel_cmd <= 1.0
 
     def test_jerk_respects_log_barrier(self):
-        pi = PiState(v_r=V_CRUISE)
         # hard approach: fast ego, slow lead, short gap
         lead = LeadMeasurement(v_l=15.0, D=12.0)
-        _, diag = plan_longitudinal(
-            LongitudinalState(D=12.0, v=25.0), lead, pi)
+        _, diag = cold_plan(25.0, lead)
         assert -1.0 < diag.jerk < 1.0
         assert diag.jerk < 0.0  # must plan to decelerate
         seq = diag.jerk_sequence
@@ -217,17 +223,15 @@ class TestPlanLongitudinal:
         command relies on the clamp; the jerk itself still sits
         strictly inside the barrier.
         """
-        pi = PiState(v_r=V_CRUISE, k_I=0.0)
         lead = LeadMeasurement(v_l=V_LEAD, D=100.0)
-        cmd, diag = plan_longitudinal(
-            LongitudinalState(D=100.0, v=V_CRUISE), lead, pi)
+        cmd, diag = cold_plan(V_CRUISE, lead)
         assert 0.5 < diag.jerk < 1.0
         assert -1.0 <= cmd.accel_cmd <= 1.0
 
 
 class TestPlannerWrapper:
     def test_hysteresis_band(self):
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         far = LeadMeasurement(v_l=V_LEAD, D=130.0)
         planner.plan(V_CRUISE, far)
         assert not planner.following          # outside engage range
@@ -245,7 +249,7 @@ class TestPlannerWrapper:
         assert not planner.following           # lost lead releases too
 
     def test_reference_capped_while_following(self):
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         planner.plan(V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=50.0))
         assert planner.pi.v_r == pytest.approx(V_LEAD)
         planner.plan(V_CRUISE, None)
@@ -261,7 +265,7 @@ class TestPlannerWrapper:
         assert planner._estimate_accel(20.06) == pytest.approx((1 + 2 + 2) / 3)
 
     def test_warm_start_lifecycle(self):
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         planner.plan(V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=40.0))
         assert planner._warm is not None and planner._warm.shape == (30, 1)
         planner.plan(V_CRUISE, None)
@@ -271,28 +275,32 @@ class TestPlannerWrapper:
 
     def test_determinism(self):
         def run():
-            p = LongitudinalPlanner(cruise_speed=V_CRUISE)
+            p = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
             cmd, _ = p.plan(V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=35.0))
             return cmd.accel_cmd
         assert run() == run()
 
-    def test_cold_cycle_equals_plan_longitudinal(self):
+    def test_cold_cycle_equals_fresh_solve(self):
         # the planner re-aims one validated problem every cycle; a cold
-        # cycle must solve exactly what plan_longitudinal builds
+        # cycle must solve exactly the problem built fresh for its state
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         for v, lead in ((V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=35.0)),
                         (15.0, LeadMeasurement(v_l=19.0, D=80.0, a_l=0.4))):
-            planner = LongitudinalPlanner(cruise_speed=V_CRUISE)
+            planner.reset()
             cmd, diag = planner.plan(v, lead)
-            pi = PiState(v_r=min(V_CRUISE, lead.v_l),
-                         period=planner.period)
-            ref_cmd, ref_diag = plan_longitudinal(
-                LongitudinalState(D=lead.D, v=v, a=0.0), lead, pi)
-            assert cmd == ref_cmd
+            ref = solve(build_following_problem(
+                LongitudinalState(D=lead.D, v=v, a=0.0), lead,
+                planner.tuning), config=planner.cold_config)
             np.testing.assert_array_equal(diag.jerk_sequence,
-                                          ref_diag.jerk_sequence)
+                                          ref.trajectory.controls)
+            assert diag.solve_info.cost == ref.info.cost
+            pi = PiState(v_r=min(V_CRUISE, lead.v_l), period=PERIOD)
+            accel = pi_cruise(pi, v) + ref.trajectory.controls[0, 0]
+            assert cmd.accel_cmd == min(max(accel, -1.0), 1.0)
+            assert cmd.brake_cmd == brake_ramp(lead.D, planner.tuning)
 
     def test_default_configs_unchanged(self):
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         assert planner.cold_config == SolverConfig()
         assert planner.warm_config == SolverConfig(
             barrier_t_init=1.0e4, max_outer_iterations=4,
@@ -305,7 +313,8 @@ class TestPlannerWrapper:
         import cilqr_drive.longitudinal as longitudinal_module
         config = SolverConfig(max_outer_iterations=30, barrier_t_max=500.0,
                               gradient_tolerance=1e-6)
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, config=config)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD,
+                                      config=config)
         assert planner.cold_config is config
         assert planner.warm_config == dataclasses.replace(
             config, barrier_t_init=500.0, max_outer_iterations=4,
@@ -328,7 +337,8 @@ class TestPlannerWrapper:
 
     def test_rejects_inverted_hysteresis(self):
         with pytest.raises(ValueError):
-            LongitudinalPlanner(cruise_speed=20.0, engage_distance=140.0,
+            LongitudinalPlanner(cruise_speed=20.0, period=PERIOD,
+                                engage_distance=140.0,
                                 release_distance=120.0)
 
 

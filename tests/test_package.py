@@ -1,0 +1,13 @@
+"""The package's public names."""
+
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize("module", ["cilqr_drive", "cilqr_drive.sim"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)

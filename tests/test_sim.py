@@ -19,7 +19,6 @@ from cilqr_drive.sim import (
     compute_metrics,
     perceive,
     preset_straight_smoke,
-    project,
     radar_measure,
     run_scenario,
     step_plant,
@@ -82,21 +81,6 @@ class TestBuildTrack:
         ds = ss[1] - ss[0]
         # piecewise-linear profile: increments bounded by slope * ds
         assert np.max(np.abs(np.diff(ks))) <= 0.031 / 12.0 * ds * 1.01
-
-
-class TestFrenetConsistency:
-
-    @pytest.mark.parametrize("preset", ["trackA", "trackB"])
-    def test_pose_then_project_round_trip(self, preset):
-        track = build_track(preset)
-        for s in np.linspace(1.0, track.length - 1.0, 60):
-            x0, y0, psi = track.pose(float(s))
-            for delta in (-1.5, 0.0, 1.5):
-                px = x0 - delta * math.sin(psi)
-                py = y0 + delta * math.cos(psi)
-                s_hat, d_hat = project(track, px, py, s_hint=float(s))
-                assert s_hat == pytest.approx(float(s), abs=1e-6)
-                assert d_hat == pytest.approx(delta, abs=1e-6)
 
 
 class TestStepPlant:
