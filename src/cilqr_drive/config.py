@@ -2,10 +2,10 @@
 
 A configuration is a plain text file of ``section.key = value`` lines.
 Sections mirror the library surface: vehicle.*, lateral.*,
-longitudinal.*, vpc.*, sim.*, and scenario.*.  Every key is checked
-against a registry; unknown keys, duplicate keys, and type or range
-violations are reported with the file name and line number.  Values not
-mentioned keep the published defaults.
+longitudinal.*, vpc.*, sim.*, and scenario.*.  Every key is declared
+by one registry row and checked against it; unknown keys, duplicate
+keys, and type or range violations are reported with the file name and
+line number.  Values not mentioned keep the published defaults.
 """
 
 from __future__ import annotations
@@ -61,16 +61,12 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _as_str(raw: str) -> str:
-    return raw
-
-
 def _positive(x) -> None:
     if not x > 0:
         raise ValueError("must be strictly positive")
 
 
-def _nonnegative(x) -> None:
+def _nonneg(x) -> None:
     if x < 0:
         raise ValueError("must be nonnegative")
 
@@ -86,66 +82,77 @@ def _no_check(_x) -> None:
     return None
 
 
-# key -> (cast, range check); the assembly step below consumes every key
+# key -> (section, field, cast, range check): the one place a key is
+# declared.  The field is a keyword of the section's dataclass, or
+# (keyword, index) for one entry of a tuple; a *_kph value is converted to
+# m/s.  scenario.lead has no field: it switches the lead section on.
 _REGISTRY = {
-    "scenario.track": (_as_str, _choice(*TRACK_PRESETS)),
-    "scenario.duration_s": (_as_float, _positive),
-    "scenario.laps": (_as_float, _positive),
-    "scenario.cruise_speed_kph": (_as_float, _positive),
-    "scenario.start_s": (_as_float, _nonnegative),
-    "scenario.start_delta": (_as_float, _no_check),
-    "scenario.start_theta": (_as_float, _no_check),
-    "scenario.start_speed_kph": (_as_float, _nonnegative),
-    "scenario.seed": (_as_int, _nonnegative),
-    "scenario.controller": (_as_str, _choice(*CONTROLLERS)),
-    "scenario.longitudinal": (_as_bool, _no_check),
-    "scenario.name": (_as_str, _no_check),
-    "scenario.metrics_t_start": (_as_float, _nonnegative),
-    "scenario.metrics_t_end": (_as_float, _positive),
-    "scenario.lead": (_as_bool, _no_check),
-    "scenario.lead_gap_m": (_as_float, _positive),
-    "scenario.lead_speed_kph": (_as_float, _positive),
-    "scenario.lead_amplitude_kph": (_as_float, _nonnegative),
-    "scenario.lead_period_s": (_as_float, _positive),
-    "vehicle.mass": (_as_float, _positive),
-    "vehicle.c_alpha_f": (_as_float, _positive),
-    "vehicle.c_alpha_r": (_as_float, _positive),
-    "vehicle.l_f": (_as_float, _positive),
-    "vehicle.l_r": (_as_float, _positive),
-    "vehicle.i_z": (_as_float, _positive),
-    "lateral.horizon": (_as_int, _positive),
-    "lateral.dt": (_as_float, _positive),
-    "lateral.q_delta": (_as_float, _nonnegative),
-    "lateral.q_delta_rate": (_as_float, _nonnegative),
-    "lateral.q_theta": (_as_float, _nonnegative),
-    "lateral.q_theta_rate": (_as_float, _nonnegative),
-    "lateral.r_steer": (_as_float, _positive),
-    "lateral.steer_limit_rad": (_as_float, _positive),
-    "lateral.centering_weight": (_as_float, _nonnegative),
-    "lateral.centering_rate": (_as_float, _nonnegative),
-    "longitudinal.horizon": (_as_int, _positive),
-    "longitudinal.dt": (_as_float, _positive),
-    "longitudinal.d_ref": (_as_float, _positive),
-    "longitudinal.q_d": (_as_float, _nonnegative),
-    "longitudinal.q_v": (_as_float, _nonnegative),
-    "longitudinal.q_a": (_as_float, _nonnegative),
-    "longitudinal.r_jerk": (_as_float, _positive),
-    "longitudinal.jerk_limit": (_as_float, _positive),
-    "longitudinal.accel_limit": (_as_float, _positive),
-    "longitudinal.d_critical": (_as_float, _positive),
-    "longitudinal.d_floor": (_as_float, _positive),
-    "vpc.lookahead_l": (_as_float, _positive),
-    "vpc.k_vpc": (_as_float, _positive),
-    "vpc.frame_window": (_as_int, _positive),
-    "sim.plant_us": (_as_int, _positive),
-    "sim.perception_us": (_as_int, _positive),
-    "sim.vpc_us": (_as_int, _positive),
-    "sim.planner_us": (_as_int, _positive),
-    "sim.perception_latency_us": (_as_int, _nonnegative),
-    "sim.actuation_latency_us": (_as_int, _nonnegative),
-    "sim.sigma_theta": (_as_float, _nonnegative),
-    "sim.sigma_delta": (_as_float, _nonnegative),
-    "sim.sigma_lane": (_as_float, _nonnegative),
+    "scenario.track": ("spec", "track", str, _choice(*TRACK_PRESETS)),
+    "scenario.duration_s": ("spec", "duration_s", _as_float, _positive),
+    "scenario.laps": ("spec", "laps", _as_float, _positive),
+    "scenario.cruise_speed_kph": ("spec", "cruise_speed", _as_float,
+                                  _positive),
+    "scenario.start_s": ("spec", "start_s", _as_float, _nonneg),
+    "scenario.start_delta": ("spec", "start_delta", _as_float, _no_check),
+    "scenario.start_theta": ("spec", "start_theta", _as_float, _no_check),
+    "scenario.start_speed_kph": ("spec", "start_v", _as_float, _nonneg),
+    "scenario.seed": ("spec", "seed", _as_int, _nonneg),
+    "scenario.controller": ("run", "controller", str, _choice(*CONTROLLERS)),
+    "scenario.longitudinal": ("run", "longitudinal", _as_bool, _no_check),
+    "scenario.name": ("spec", "name", str, _no_check),
+    "scenario.metrics_t_start": ("spec", ("metrics_t_range", 0), _as_float,
+                                 _nonneg),
+    "scenario.metrics_t_end": ("spec", ("metrics_t_range", 1), _as_float,
+                               _positive),
+    "scenario.lead": ("lead", None, _as_bool, _no_check),
+    "scenario.lead_gap_m": ("lead", "initial_gap", _as_float, _positive),
+    "scenario.lead_speed_kph": ("lead", "base_speed", _as_float, _positive),
+    "scenario.lead_amplitude_kph": ("lead", "amplitude", _as_float, _nonneg),
+    "scenario.lead_period_s": ("lead", "period_s", _as_float, _positive),
+    "vehicle.mass": ("vehicle", "m", _as_float, _positive),
+    "vehicle.c_alpha_f": ("vehicle", "c_alpha_f", _as_float, _positive),
+    "vehicle.c_alpha_r": ("vehicle", "c_alpha_r", _as_float, _positive),
+    "vehicle.l_f": ("vehicle", "l_f", _as_float, _positive),
+    "vehicle.l_r": ("vehicle", "l_r", _as_float, _positive),
+    "vehicle.i_z": ("vehicle", "i_z", _as_float, _positive),
+    "lateral.horizon": ("lateral", "horizon", _as_int, _positive),
+    "lateral.dt": ("lateral", "dt", _as_float, _positive),
+    "lateral.q_delta": ("lateral", ("q_diag", 0), _as_float, _nonneg),
+    "lateral.q_delta_rate": ("lateral", ("q_diag", 1), _as_float, _nonneg),
+    "lateral.q_theta": ("lateral", ("q_diag", 2), _as_float, _nonneg),
+    "lateral.q_theta_rate": ("lateral", ("q_diag", 3), _as_float, _nonneg),
+    "lateral.r_steer": ("lateral", "r", _as_float, _positive),
+    "lateral.steer_limit_rad": ("lateral", "steer_limit", _as_float,
+                                _positive),
+    "lateral.centering_weight": ("lateral", "centering_weight", _as_float,
+                                 _nonneg),
+    "lateral.centering_rate": ("lateral", "centering_rate", _as_float,
+                               _nonneg),
+    "longitudinal.horizon": ("long", "horizon", _as_int, _positive),
+    "longitudinal.dt": ("long", "dt", _as_float, _positive),
+    "longitudinal.d_ref": ("long", "d_ref", _as_float, _positive),
+    "longitudinal.q_d": ("long", ("q_diag", 0), _as_float, _nonneg),
+    "longitudinal.q_v": ("long", ("q_diag", 1), _as_float, _nonneg),
+    "longitudinal.q_a": ("long", ("q_diag", 2), _as_float, _nonneg),
+    "longitudinal.r_jerk": ("long", "r", _as_float, _positive),
+    "longitudinal.jerk_limit": ("long", "jerk_limit", _as_float, _positive),
+    "longitudinal.accel_limit": ("long", "accel_limit", _as_float, _positive),
+    "longitudinal.d_critical": ("long", "d_critical", _as_float, _positive),
+    "longitudinal.d_floor": ("long", "d_floor", _as_float, _positive),
+    "vpc.lookahead_l": ("vpc", "lookahead_L", _as_float, _positive),
+    "vpc.k_vpc": ("vpc", "k_vpc", _as_float, _positive),
+    "vpc.frame_window": ("vpc", "frame_window", _as_int, _positive),
+    "sim.plant_us": ("rates", "plant_us", _as_int, _positive),
+    "sim.perception_us": ("rates", "perception_us", _as_int, _positive),
+    "sim.vpc_us": ("rates", "vpc_us", _as_int, _positive),
+    "sim.planner_us": ("rates", "planner_us", _as_int, _positive),
+    "sim.perception_latency_us": ("rates", "perception_latency_us", _as_int,
+                                  _nonneg),
+    "sim.actuation_latency_us": ("rates", "actuation_latency_us", _as_int,
+                                 _nonneg),
+    "sim.sigma_theta": ("noise", "sigma_theta", _as_float, _nonneg),
+    "sim.sigma_delta": ("noise", "sigma_delta", _as_float, _nonneg),
+    "sim.sigma_lane": ("noise", "sigma_lane", _as_float, _nonneg),
 }
 
 
@@ -173,6 +180,26 @@ class RunConfig:
         return mine == theirs
 
 
+# section -> (dataclass, (section, keyword) it is passed to or None for
+# the result, prefix of its errors, keys whose line an error cites).
+# Sections are built in this order, so errors keep their precedence.
+_SECTIONS = {
+    "vehicle": (VehicleParams, ("run", "vehicle"), "vehicle.*", ()),
+    "lateral": (LateralTuning, ("run", "lateral"), "lateral.*", ()),
+    "long": (LongTuning, ("run", "long_tuning"), "longitudinal.*",
+             ("longitudinal.d_critical", "longitudinal.d_floor",
+              "longitudinal.d_ref")),
+    "vpc": (VpcConfig, ("run", "vpc"), "vpc.*", ()),
+    "noise": (NoiseConfig, ("spec", "noise"), "sim.*", ()),
+    "rates": (SimRates, ("spec", "rates"), "sim.*", ("sim.plant_us",)),
+    "lead": (LeadSpec, ("spec", "lead"), "scenario.lead_*",
+             ("scenario.lead_amplitude_kph", "scenario.lead_speed_kph")),
+    "spec": (ScenarioSpec, ("run", "spec"), "scenario.*",
+             ("scenario.duration_s", "scenario.laps", "scenario.track")),
+    "run": (RunConfig, None, "scenario.*", ()),
+}
+
+
 def _typed(key: str, raw: str, prefix: str, source: str, line: int = 0):
     """The value of key read from raw: cast and range-checked.
 
@@ -181,7 +208,7 @@ def _typed(key: str, raw: str, prefix: str, source: str, line: int = 0):
     """
     if key not in _REGISTRY:
         raise ConfigError(f"{prefix}unknown key {key!r}", source, line)
-    cast, check = _REGISTRY[key]
+    cast, check = _REGISTRY[key][2:]
     try:
         value = cast(raw)
         check(value)
@@ -211,130 +238,58 @@ def _parse_lines(text: str, source: str) -> dict[str, tuple[object, int]]:
 
 
 def _build(values: dict[str, tuple[object, int]], source: str) -> RunConfig:
-    def get(key, default=None):
-        return values[key][0] if key in values else default
-
-    def given(**fields) -> dict:
-        """Keyword arguments for the keys that are set; the dataclass
-        defaults stand in for the rest."""
-        return {name: get(key) for name, key in fields.items()
-                if key in values}
-
-    def given_kph(**fields) -> dict:
-        return {name: kph * KPH for name, kph in given(**fields).items()}
-
-    def diag(default: tuple, *keys: str) -> tuple:
-        return tuple(get(key, d) for key, d in zip(keys, default))
-
+    """Each section's dataclass from its keys, plus the cross-field rules;
+    the dataclass defaults stand in for keys that are not set."""
     def line_of(*keys) -> int:
         for key in keys:
             if key in values:
                 return values[key][1]
         return 0
 
-    vehicle = VehicleParams(**given(
-        m="vehicle.mass", c_alpha_f="vehicle.c_alpha_f",
-        c_alpha_r="vehicle.c_alpha_r", l_f="vehicle.l_f", l_r="vehicle.l_r",
-        i_z="vehicle.i_z"))
+    kwargs = {name: {} for name in _SECTIONS}
+    kwargs["run"]["source"] = source
+    for key, (value, _) in values.items():
+        section, name = _REGISTRY[key][:2]
+        if key.endswith("_kph"):
+            value *= KPH
+        if isinstance(name, tuple):
+            # one entry of a tuple field; a field defaulting to None is a
+            # pair (the metrics window)
+            name, index = name
+            entries = list(kwargs[section].get(name)
+                           or getattr(_SECTIONS[section][0], name)
+                           or (None, None))
+            entries[index] = value
+            value = tuple(entries)
+        if name is not None:
+            kwargs[section][name] = value
 
-    lateral = LateralTuning(
-        q_diag=diag(LateralTuning.q_diag, "lateral.q_delta",
-                    "lateral.q_delta_rate", "lateral.q_theta",
-                    "lateral.q_theta_rate"),
-        **given(horizon="lateral.horizon", dt="lateral.dt",
-                r="lateral.r_steer", steer_limit="lateral.steer_limit_rad",
-                centering_weight="lateral.centering_weight",
-                centering_rate="lateral.centering_rate"))
-
-    try:
-        long_tuning = LongTuning(
-            q_diag=diag(LongTuning.q_diag, "longitudinal.q_d",
-                        "longitudinal.q_v", "longitudinal.q_a"),
-            **given(horizon="longitudinal.horizon", dt="longitudinal.dt",
-                    d_ref="longitudinal.d_ref", r="longitudinal.r_jerk",
-                    jerk_limit="longitudinal.jerk_limit",
-                    accel_limit="longitudinal.accel_limit",
-                    d_critical="longitudinal.d_critical",
-                    d_floor="longitudinal.d_floor"))
-    except ValueError as exc:
-        raise ConfigError(
-            f"longitudinal.*: {exc}",
-            source, line_of("longitudinal.d_critical", "longitudinal.d_floor",
-                            "longitudinal.d_ref")) from None
-
-    vpc = VpcConfig(**given(lookahead_L="vpc.lookahead_l", k_vpc="vpc.k_vpc",
-                            frame_window="vpc.frame_window"))
-
-    noise = NoiseConfig(**given(sigma_theta="sim.sigma_theta",
-                                sigma_delta="sim.sigma_delta",
-                                sigma_lane="sim.sigma_lane"))
-
-    try:
-        rates = SimRates(**given(
-            plant_us="sim.plant_us", perception_us="sim.perception_us",
-            vpc_us="sim.vpc_us", planner_us="sim.planner_us",
-            perception_latency_us="sim.perception_latency_us",
-            actuation_latency_us="sim.actuation_latency_us"))
-    except ValueError as exc:
-        raise ConfigError(f"sim.*: {exc}", source,
-                          line_of("sim.plant_us")) from None
-
-    lead = None
-    lead_keys = [k for k in values
-                 if k.startswith("scenario.lead_")]
-    if get("scenario.lead", False):
-        try:
-            lead = LeadSpec(
-                **given(initial_gap="scenario.lead_gap_m",
-                        period_s="scenario.lead_period_s"),
-                **given_kph(base_speed="scenario.lead_speed_kph",
-                            amplitude="scenario.lead_amplitude_kph"))
-        except ValueError as exc:
-            raise ConfigError(f"scenario.lead_*: {exc}", source,
-                              line_of("scenario.lead_amplitude_kph",
-                                      "scenario.lead_speed_kph")) from None
-    elif lead_keys:
-        raise ConfigError(f"{lead_keys[0]} requires scenario.lead = true",
-                          source, values[lead_keys[0]][1])
-
-    metrics_range = None
-    has_start = "scenario.metrics_t_start" in values
-    has_end = "scenario.metrics_t_end" in values
-    if has_start != has_end:
-        raise ConfigError(
-            "scenario.metrics_t_start and scenario.metrics_t_end must be "
-            "given together", source,
-            line_of("scenario.metrics_t_start", "scenario.metrics_t_end"))
-    if has_start:
-        lo = get("scenario.metrics_t_start")
-        hi = get("scenario.metrics_t_end")
-        if hi <= lo:
+    for section, (cls, into, prefix, cited) in _SECTIONS.items():
+        if section == "lead" and not values.get("scenario.lead", (False,))[0]:
+            lead_keys = [k for k in values if k.startswith("scenario.lead_")]
+            if lead_keys:
+                raise ConfigError(
+                    f"{lead_keys[0]} requires scenario.lead = true",
+                    source, values[lead_keys[0]][1])
+            continue
+        window = kwargs[section].get("metrics_t_range")
+        if window and None in window:
+            raise ConfigError(
+                "scenario.metrics_t_start and scenario.metrics_t_end must be "
+                "given together", source,
+                line_of("scenario.metrics_t_start", "scenario.metrics_t_end"))
+        if window and window[1] <= window[0]:
             raise ConfigError("scenario.metrics_t_end must exceed "
                               "scenario.metrics_t_start", source,
                               line_of("scenario.metrics_t_end"))
-        metrics_range = (lo, hi)
-
-    try:
-        spec = ScenarioSpec(
-            lead=lead, noise=noise, rates=rates,
-            metrics_t_range=metrics_range,
-            **given(track="scenario.track", duration_s="scenario.duration_s",
-                    laps="scenario.laps", start_s="scenario.start_s",
-                    start_delta="scenario.start_delta",
-                    start_theta="scenario.start_theta",
-                    seed="scenario.seed", name="scenario.name"),
-            **given_kph(cruise_speed="scenario.cruise_speed_kph",
-                        start_v="scenario.start_speed_kph"))
-    except ValueError as exc:
-        raise ConfigError(f"scenario.*: {exc}", source,
-                          line_of("scenario.duration_s", "scenario.laps",
-                                  "scenario.track")) from None
-
-    return RunConfig(
-        spec=spec, vehicle=vehicle, lateral=lateral, long_tuning=long_tuning,
-        vpc=vpc, source=source,
-        **given(controller="scenario.controller",
-                longitudinal="scenario.longitudinal"))
+        try:
+            built = cls(**kwargs[section])
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}: {exc}", source,
+                              line_of(*cited)) from None
+        if into is None:
+            return built
+        kwargs[into[0]][into[1]] = built
 
 
 def load_run_config(path: str | Path,

@@ -29,6 +29,17 @@ import numpy as np
 # so the line search can still rank candidate trajectories.
 _EXP_ARG_MAX = 45.0
 
+# Fixed parts of the solver schedule.  The line search scores the step
+# sizes 1, 1/2, ..., 2^-13 (every halving down to 1e-4); a failed backward
+# pass or search multiplies the regularization by REG_GROWTH and gives up
+# above REG_MAX; an accepted step divides it by REG_GROWTH and multiplies
+# the log-barrier sharpness by BARRIER_T_GROWTH.
+LINE_SEARCH_STEPS = 0.5 ** np.arange(14)
+LINE_SEARCH_STEPS.flags.writeable = False
+REG_GROWTH = 10.0
+REG_MAX = 1e2
+BARRIER_T_GROWTH = 5.0
+
 
 class InfeasibleTrajectoryError(RuntimeError):
     """A log-barrier argument left the strict interior of its range."""
@@ -331,10 +342,13 @@ class ProblemSpec:
         return memo
 
     def _lifted(self) -> "_Lifted":
-        """The lifted dynamics of the passes; rebuilt if they are replaced."""
+        """The lifted dynamics of the passes; rebuilt only if replacement
+        dynamics differ in A or B (a new drift leaves L as it is)."""
         memo = self.__dict__.get("_lift")
-        if memo is None or memo.dynamics is not self.dynamics:
-            memo = self._lift = _Lifted(self.dynamics)
+        dyn = self.dynamics
+        if memo is None or (memo.dynamics is not dyn
+                            and memo.AB != (dyn.A.tobytes(), dyn.B.tobytes())):
+            memo = self._lift = _Lifted(dyn)
         return memo
 
     @property
@@ -384,31 +398,19 @@ class GainSchedule:
 @dataclass
 class SolverConfig:
     max_outer_iterations: int = 40
-    max_line_search_steps: int = 14
     cost_tolerance: float = 1e-4      # relative |dJ| convergence threshold
     gradient_tolerance: float = 1e-5  # relative control-gradient threshold
-    lambda_shrink: float = 0.5
-    lambda_min: float = 1e-4
     regularization_init: float = 1e-6
-    regularization_growth: float = 10.0
-    regularization_max: float = 1e2
     barrier_t_init: float = 1.0
-    barrier_t_growth: float = 5.0
     barrier_t_max: float = 1e4
 
     def __post_init__(self) -> None:
-        if self.max_outer_iterations < 1 or self.max_line_search_steps < 1:
-            raise ValueError("iteration limits must be >= 1")
-        if not 0.0 < self.lambda_shrink < 1.0:
-            raise ValueError("lambda_shrink must lie in (0, 1)")
-        if self.lambda_min <= 0.0 or self.cost_tolerance <= 0.0:
-            raise ValueError("lambda_min and cost_tolerance must be positive")
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.regularization_init <= 0.0 or self.regularization_growth <= 1.0:
-            raise ValueError("regularization schedule must grow from a positive start")
-        if self.barrier_t_init <= 0.0 or self.barrier_t_growth <= 1.0:
-            raise ValueError("barrier schedule must grow from a positive start")
+        if self.max_outer_iterations < 1:
+            raise ValueError("max_outer_iterations must be >= 1")
+        if self.cost_tolerance <= 0.0 or self.gradient_tolerance <= 0.0:
+            raise ValueError("tolerances must be positive")
+        if self.regularization_init <= 0.0 or self.barrier_t_init <= 0.0:
+            raise ValueError("schedules must start from a positive value")
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 
@@ -577,6 +579,8 @@ class _Lifted:
 
     def __init__(self, dynamics: AffineDynamics) -> None:
         self.dynamics = dynamics
+        # L is a function of these bytes alone
+        self.AB = (dynamics.A.tobytes(), dynamics.B.tobytes())
         n, m = dynamics.n, dynamics.m
         F = np.zeros((n + 1, n + 1 + m))
         F[:n, :n] = dynamics.A
@@ -954,15 +958,14 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     (lambda = 1) step out through the feedback gains, and searches along
     that step's direction.  With affine dynamics the feedback rollout at
     step size lambda is X + lambda (X_1 - X), U + lambda (U_1 - U) up to
-    rounding, so the whole backtracking schedule (1, lambda_shrink,
-    lambda_shrink^2, ... down to lambda_min) is scored in one batch and
-    the longest step with a strict cost decrease is accepted.  The
-    log-barrier sharpness multiplier grows along the configured schedule
-    after every accepted iteration until it hits its cap.  Terminates
-    once the predicted decrease from the backward pass is below
-    cost_tolerance (relative) and no further strict improvement is found,
-    or at the iteration cap.  Never aborts: on a stalled search it
-    returns the best trajectory so far flagged as not converged.
+    rounding, so the whole backtracking schedule (LINE_SEARCH_STEPS) is
+    scored in one batch and the longest step with a strict cost decrease
+    is accepted.  The log-barrier sharpness multiplier grows by
+    BARRIER_T_GROWTH after every accepted iteration until it hits its
+    cap.  Terminates once the predicted decrease from the backward pass
+    is below cost_tolerance (relative) and no further strict improvement
+    is found, or at the iteration cap.  Never aborts: on a stalled search
+    it returns the best trajectory so far flagged as not converged.
     """
     cfg = config or SolverConfig()
     if warm_start is None:
@@ -973,15 +976,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             raise ValueError("warm start must have shape (horizon, m)")
         controls = _clip_warm_start(spec, warm_start)
 
-    lams = [1.0]
-    lam = cfg.lambda_shrink
-    for _ in range(cfg.max_line_search_steps - 1):
-        if lam < cfg.lambda_min:
-            break
-        lams.append(lam)
-        lam *= cfg.lambda_shrink
-    lams = np.array(lams)[:, None, None]
-
+    lams = LINE_SEARCH_STEPS[:, None, None]
     t_scale = min(cfg.barrier_t_init, cfg.barrier_t_max)
     reg = cfg.regularization_init
     traj = rollout(spec.dynamics, spec.x0, controls)
@@ -999,8 +994,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 gains, exp_dec = backward_pass(traj, spec, reg, t_scale)
                 break
             except BackwardPassError:
-                reg *= cfg.regularization_growth
-                if reg > cfg.regularization_max:
+                reg *= REG_GROWTH
+                if reg > REG_MAX:
                     message = "backward pass failed at regularization cap"
                     return _finish(traj, spec, J, history, exp_dec, t_scale,
                                    reg, iterations, False, message)
@@ -1039,7 +1034,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             traj = Trajectory(Xs[best], Us[best])
             J = J_cand
             history.append(J)
-            reg = max(reg / cfg.regularization_growth, cfg.regularization_init)
+            reg = max(reg / REG_GROWTH, cfg.regularization_init)
             # a sub-tolerance step only counts as convergence when the
             # iterate was already near-stationary; damped steps far from
             # stationarity can produce tiny decreases without being done
@@ -1048,12 +1043,12 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 message = "cost decrease below tolerance"
                 break
             if t_scale < cfg.barrier_t_max:
-                t_scale = min(t_scale * cfg.barrier_t_growth, cfg.barrier_t_max)
+                t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
                 J = float(_costs(traj.states, traj.controls, spec, t_scale,
                                  strict=True))
         else:
-            reg *= cfg.regularization_growth
-            if reg > cfg.regularization_max:
+            reg *= REG_GROWTH
+            if reg > REG_MAX:
                 message = "line search stalled at regularization cap"
                 break
 

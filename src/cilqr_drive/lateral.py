@@ -27,6 +27,8 @@ from .ilqr import (
 )
 
 STEER_LIMIT_RAD = math.pi / 6.0
+STEER_BARRIER_T = 1.0   # sharpness of the steering log barrier
+V_MIN = 1.0             # m/s; the model coefficients divide by v
 
 
 @dataclass
@@ -84,10 +86,8 @@ class LateralTuning:
     q_diag: tuple = (20.0, 1.0, 20.0, 1.0)
     r: float = 1.0
     steer_limit: float = STEER_LIMIT_RAD
-    steer_barrier_t: float = 1.0
     centering_weight: float = 1.0  # lane-centering exponential scale
     centering_rate: float = 1.0    # lane-centering exponent per meter
-    v_min: float = 1.0             # m/s, model coefficients divide by v
 
 
 @dataclass
@@ -139,7 +139,7 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
                          x_ref=np.zeros(4))
     steer_barrier = BarrierTerm.log_range(
         n, m, lower=-tuning.steer_limit, upper=tuning.steer_limit,
-        t=tuning.steer_barrier_t, control_index=0)
+        t=STEER_BARRIER_T, control_index=0)
     centering = BarrierTerm.lane_centering(
         n, m, state_index=0, branch_positive=state.delta_lat >= 0.0,
         weight=tuning.centering_weight, rate=tuning.centering_rate)
@@ -168,15 +168,13 @@ class LateralPlanner:
     """
 
     def __init__(self, params: VehicleParams | None = None,
-                 tuning: LateralTuning | None = None,
-                 config: SolverConfig | None = None) -> None:
+                 tuning: LateralTuning | None = None) -> None:
         self.params = params or VehicleParams()
         self.tuning = tuning or LateralTuning()
-        self.cold_config = config or SolverConfig()
+        self.cold_config = SolverConfig()
         self.warm_config = self.cold_config.for_warm_start(12)
         self._warm: np.ndarray | None = None
-        dynamics = build_lateral_dynamics(self.params, self.tuning.v_min,
-                                          self.tuning.dt)
+        dynamics = build_lateral_dynamics(self.params, V_MIN, self.tuning.dt)
         self._problems = {
             branch: build_lateral_problem(
                 LateralState(delta_lat=1.0 if branch else -1.0, theta=0.0),
@@ -188,8 +186,8 @@ class LateralPlanner:
 
     def plan(self, state: LateralState, v: float
              ) -> tuple[SteerCommand, LateralPlanDiagnostics]:
-        clamped = v < self.tuning.v_min
-        v_eff = max(v, self.tuning.v_min)
+        clamped = v < V_MIN
+        v_eff = max(v, V_MIN)
         dynamics = build_lateral_dynamics(self.params, v_eff, self.tuning.dt)
         # the branch rule of build_lateral_problem: offsets >= 0 are positive
         spec = self._problems[state.delta_lat >= 0.0].with_start(

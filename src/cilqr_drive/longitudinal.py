@@ -28,6 +28,13 @@ from .ilqr import (
     solve,
 )
 
+K_P = 0.5                 # PI gain per m/s of speed error
+K_I = 0.05                # PI gain per m of integrated speed error
+INTEGRAL_LIMIT = 2.0      # anti-windup clamp, m
+JERK_BARRIER_T = 1.0      # sharpness of the jerk log barrier
+ENGAGE_DISTANCE = 120.0   # a lead closer than this starts following, m
+RELEASE_DISTANCE = 140.0  # following stops beyond this, m
+
 
 @dataclass
 class LongitudinalState:
@@ -69,17 +76,13 @@ class PiState:
 
     v_r: float                    # reference speed, m/s
     period: float                 # seconds between pi_cruise calls
-    k_P: float = 0.5
-    k_I: float = 0.05
     integral: float = 0.0
-    integral_limit: float = 2.0   # anti-windup clamp, m
 
     def __post_init__(self) -> None:
-        vals = (self.v_r, self.k_P, self.k_I, self.integral)
-        if not all(math.isfinite(x) for x in vals):
+        if not (math.isfinite(self.v_r) and math.isfinite(self.integral)):
             raise ValueError("PI state must be finite")
-        if self.integral_limit <= 0.0 or self.period <= 0.0:
-            raise ValueError("integral_limit and period must be positive")
+        if self.period <= 0.0:
+            raise ValueError("period must be positive")
 
 
 @dataclass
@@ -96,7 +99,6 @@ class LongTuning:
     q_diag: tuple = (20.0, 20.0, 1.0)
     r: float = 1.0
     jerk_limit: float = 1.0        # m/s^3
-    jerk_barrier_t: float = 1.0
     accel_limit: float = 5.0       # m/s^2
     d_critical: float = 5.5        # brake ramp starts here, m
     d_floor: float = 2.0           # full brake at or below, m
@@ -125,8 +127,8 @@ def pi_cruise(pi: PiState, v: float) -> float:
     # positive error = below reference, so the command pushes forward
     e = pi.v_r - v
     raw = pi.integral + e * pi.period
-    pi.integral = min(max(raw, -pi.integral_limit), pi.integral_limit)
-    return math.tanh(pi.k_P * e + pi.k_I * pi.integral)
+    pi.integral = min(max(raw, -INTEGRAL_LIMIT), INTEGRAL_LIMIT)
+    return math.tanh(K_P * e + K_I * pi.integral)
 
 
 def build_longitudinal_dynamics(dt: float, v_l: float = 0.0,
@@ -158,7 +160,7 @@ def build_following_problem(state: LongitudinalState, lead: LeadMeasurement,
                          x_ref=_reference(lead, tuning))
     jerk = BarrierTerm.log_range(n, m, lower=-tuning.jerk_limit,
                                  upper=tuning.jerk_limit,
-                                 t=tuning.jerk_barrier_t, control_index=0)
+                                 t=JERK_BARRIER_T, control_index=0)
 
     def gap_floor() -> BarrierTerm:
         # exp(D_ref - D): explodes as the gap closes below the reference
@@ -212,12 +214,7 @@ class LongitudinalPlanner:
     """
 
     def __init__(self, cruise_speed: float, period: float,
-                 tuning: LongTuning | None = None,
-                 config: SolverConfig | None = None,
-                 engage_distance: float = 120.0,
-                 release_distance: float = 140.0) -> None:
-        if release_distance <= engage_distance:
-            raise ValueError("release distance must exceed engage distance")
+                 tuning: LongTuning | None = None) -> None:
         self.cruise_speed = cruise_speed
         self.tuning = tuning or LongTuning()
         self.pi = PiState(v_r=cruise_speed, period=period)
@@ -226,14 +223,12 @@ class LongitudinalPlanner:
         # solution is already near stationary (re-walking the schedule
         # would hand a boundary-riding jerk an enormous soft-barrier
         # gradient and waste a full re-solve every cycle)
-        self.cold_config = config or SolverConfig()
+        self.cold_config = SolverConfig()
         # short iteration budget: each cycle refines the previous plan, so
         # a few steps recover the applied jerk; long budgets only polish
         # tail-stage barrier margins that the next replan discards anyway
         self.warm_config = self.cold_config.for_warm_start(4)
         self.period = period
-        self.engage_distance = engage_distance
-        self.release_distance = release_distance
         self.following = False
         self._warm: np.ndarray | None = None
         self._diffs: deque[float] = deque(maxlen=3)
@@ -263,14 +258,15 @@ class LongitudinalPlanner:
              ) -> tuple[LongCommand, LongPlanDiagnostics]:
         a_est = self._estimate_accel(v)
         if self.following:
-            if lead is None or lead.D > self.release_distance:
+            if lead is None or lead.D > RELEASE_DISTANCE:
                 self.following = False
-        elif lead is not None and lead.D < self.engage_distance:
+        elif lead is not None and lead.D < ENGAGE_DISTANCE:
             self.following = True
         if not self.following:
             self.pi.v_r = self.cruise_speed
             self._warm = None
-            LongitudinalState(D=0.0, v=v, a=a_est)    # rejects a non-finite v
+            if not math.isfinite(v):
+                raise ValueError("longitudinal state must be finite")
             return (LongCommand(pi_cruise(self.pi, v), 0.0),
                     LongPlanDiagnostics(following=False))
         assert lead is not None

@@ -339,9 +339,12 @@ def compute_metrics(log: SimLog, d_ref: float | None = None) -> dict:
         out["gap_min_m"] = math.nan
         out["gap_last_m"] = math.nan
 
+    # NaN when the run did not time its cycles (log_solver_time off)
     timed = c["solver_time_ms"][c["solver_time_ms"] > 0.0]
-    out["solver_time_mean_ms"] = float(np.mean(timed)) if timed.size else 0.0
-    out["solver_time_max_ms"] = float(np.max(timed)) if timed.size else 0.0
+    if timed.size == 0:
+        timed = np.array([math.nan])
+    out["solver_time_mean_ms"] = float(np.mean(timed))
+    out["solver_time_max_ms"] = float(np.max(timed))
     out["solver_iters_max"] = float(np.max(c["solver_iters"]))
     return out
 

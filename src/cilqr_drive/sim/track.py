@@ -38,15 +38,12 @@ class TrackGeometry:
     """
 
     segments: Sequence[tuple[float, float, float]]
-    lane_width: float = 4.0
     closed: bool = True
     name: str = ""
 
     def __post_init__(self) -> None:
         if len(self.segments) == 0:
             raise ValueError("track needs at least one segment")
-        if self.lane_width <= 0.0:
-            raise ValueError("lane_width must be positive")
         breaks = [0.0]
         kappas = []
         for i, (length, k0, k1) in enumerate(self.segments):
@@ -203,7 +200,7 @@ def _track_a() -> TrackGeometry:
     straight = (total - 2.0 * turn_len) / 2.0
     segs = ([(straight, 0.0, 0.0)] + turn
             + [(straight, 0.0, 0.0)] + turn)
-    return TrackGeometry(segs, lane_width=4.0, closed=True, name="trackA")
+    return TrackGeometry(segs, closed=True, name="trackA")
 
 
 def _track_b() -> TrackGeometry:
@@ -218,12 +215,11 @@ def _track_b() -> TrackGeometry:
     for side in (long_side, short_side, long_side, short_side):
         segs.append((side, 0.0, 0.0))
         segs.extend(turn)
-    return TrackGeometry(segs, lane_width=4.0, closed=True, name="trackB")
+    return TrackGeometry(segs, closed=True, name="trackB")
 
 
 def build_track(preset: str | None = None,
                 segments: Sequence[tuple[float, float, float]] | None = None,
-                lane_width: float = 4.0,
                 closed: bool = True) -> TrackGeometry:
     """Build a preset circuit or a custom segment chain.
 
@@ -234,17 +230,16 @@ def build_track(preset: str | None = None,
     if (preset is None) == (segments is None):
         raise ValueError("provide exactly one of preset or segments")
     if segments is not None:
-        return TrackGeometry(segments, lane_width=lane_width, closed=closed)
+        return TrackGeometry(segments, closed=closed)
     if preset == "trackA":
         return _track_a()
     if preset == "trackB":
         return _track_b()
     if preset == "straight":
-        return TrackGeometry([(5000.0, 0.0, 0.0)], lane_width=lane_width,
-                             closed=False, name="straight")
+        return TrackGeometry([(5000.0, 0.0, 0.0)], closed=False,
+                             name="straight")
     if preset == "circle100":
         r = 100.0
         return TrackGeometry([(2.0 * math.pi * r, 1.0 / r, 1.0 / r)],
-                             lane_width=lane_width, closed=True,
-                             name="circle100")
+                             closed=True, name="circle100")
     raise ValueError(f"unknown track preset: {preset!r}")

@@ -1,11 +1,16 @@
 """Configuration and command-line runner tests."""
 
+import copy
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from cilqr_drive.cli import main
-from cilqr_drive.config import ConfigError, load_run_config
+from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_int,
+                                load_run_config)
+from cilqr_drive.sim import LeadSpec
 
 SMOKE = """\
 scenario.track = straight
@@ -30,6 +35,57 @@ def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+# where each registry section lands in asdict(RunConfig)
+SECTION_PATH = {"run": (), "spec": ("spec",), "lead": ("spec", "lead"),
+                "noise": ("spec", "noise"), "rates": ("spec", "rates"),
+                "vehicle": ("vehicle",), "lateral": ("lateral",),
+                "long": ("long_tuning",), "vpc": ("vpc",)}
+# values the generic rule of _distinct would leave invalid or at default
+SPECIAL = {"scenario.track": "circle100", "scenario.controller": "vpc-cilqr",
+           "scenario.longitudinal": "true", "scenario.lead": "true",
+           "scenario.name": "distinct", "longitudinal.d_critical": "6.25",
+           "longitudinal.d_floor": "1.25", "longitudinal.d_ref": "12.5"}
+# the metrics window is set whole or not at all
+WINDOW = {"scenario.metrics_t_start": "0", "scenario.metrics_t_end": "1000"}
+
+
+def _distinct(index: int, key: str) -> str:
+    """A valid value for key that no other key gets and no default has."""
+    if key in SPECIAL:
+        return SPECIAL[key]
+    if _REGISTRY[key][2] is _as_int:
+        return str(100 + index)
+    return repr(1.5 + index / 16)
+
+
+CROSS_FIELD = [
+    (SMOKE + "longitudinal.d_critical = 12\n", 5,
+     "longitudinal.*: critical distance must sit below the reference"),
+    (SMOKE + "longitudinal.d_floor = 6\n", 5,
+     "longitudinal.*: need 0 < d_floor < d_critical"),
+    (SMOKE + "sim.perception_us = 100\nsim.plant_us = 3000\n", 6,
+     "sim.*: plant step must be at most 2 ms"),
+    (FOLLOWING + "scenario.lead_amplitude_kph = 80\n", 9,
+     "scenario.lead_*: lead speed must stay positive"),
+    (SMOKE + "scenario.lead_gap_m = 30\n", 5,
+     "scenario.lead_gap_m requires scenario.lead = true"),
+    (SMOKE + "scenario.metrics_t_end = 1\n", 5,
+     "scenario.metrics_t_start and scenario.metrics_t_end must be given "
+     "together"),
+    (SMOKE + "scenario.metrics_t_start = 5\nscenario.metrics_t_end = 3\n", 6,
+     "scenario.metrics_t_end must exceed scenario.metrics_t_start"),
+    (SMOKE + "scenario.metrics_t_start = 5\nscenario.metrics_t_end = 5\n", 6,
+     "scenario.metrics_t_end must exceed scenario.metrics_t_start"),
+    (SMOKE + "scenario.laps = 1.0\n", 2,
+     "scenario.*: set exactly one of duration_s or laps"),
+    # sections are checked in order: the longitudinal tuning comes first
+    (SMOKE + "scenario.lead_gap_m = 30\nlongitudinal.d_critical = 12\n", 6,
+     "longitudinal.*: critical distance must sit below the reference"),
+]
 
 
 class TestLoadRunConfig:
@@ -95,6 +151,80 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("key", list(_REGISTRY))
+    def test_every_key_reaches_its_field(self, tmp_path, key):
+        # the key changes exactly the field its registry row names
+        section, name, cast = _REGISTRY[key][:3]
+        base = {"scenario.track": "straight", "scenario.duration_s": "2"}
+        if key == "scenario.laps":
+            base = {"scenario.track": "straight", "scenario.laps": "1"}
+        if key.startswith("scenario.lead_"):
+            base["scenario.lead"] = "true"
+        if key in WINDOW:
+            base.update(WINDOW)
+        path = _write(tmp_path, "".join(f"{k} = {v}\n"
+                                        for k, v in base.items()))
+        raw = _distinct(list(_REGISTRY).index(key), key)
+        before = asdict(load_run_config(path))
+        after = asdict(load_run_config(path, overrides=(f"{key}={raw}",)))
+        expected = copy.deepcopy(before)
+        if name is None:            # the switch of the lead section
+            expected["spec"]["lead"] = asdict(LeadSpec())
+        else:
+            dest = expected
+            for part in SECTION_PATH[section]:
+                dest = dest[part]
+            value = cast(raw)
+            if key.endswith("_kph"):
+                assert value * KPH == pytest.approx(value / 3.6, rel=1e-15)
+                value *= KPH
+            if isinstance(name, tuple):
+                name, index = name
+                entries = list(dest[name])
+                entries[index] = value
+                value = tuple(entries)
+            dest[name] = value
+        assert after != before
+        assert after == expected
+
+    def test_registry_rows_name_distinct_fields(self):
+        # no two keys share a field or tuple entry, and a field is named
+        # after its key unless listed here
+        renamed = {"vehicle.mass": "m", "lateral.r_steer": "r",
+                   "longitudinal.r_jerk": "r",
+                   "lateral.steer_limit_rad": "steer_limit",
+                   "scenario.cruise_speed_kph": "cruise_speed",
+                   "scenario.start_speed_kph": "start_v",
+                   "scenario.lead_gap_m": "initial_gap",
+                   "scenario.lead_speed_kph": "base_speed",
+                   "scenario.lead_amplitude_kph": "amplitude",
+                   "scenario.lead_period_s": "period_s",
+                   "vpc.lookahead_l": "lookahead_L"}
+        seen = set()
+        for key, (section, name, _, _) in _REGISTRY.items():
+            assert (section, name) not in seen
+            seen.add((section, name))
+            if name is not None and not isinstance(name, tuple):
+                assert name == renamed.get(key, key.split(".", 1)[1])
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        assert load_run_config(path).source == str(path)
+
+    def test_shipped_configs_found(self):
+        assert [p.name for p in CONFIGS] == [
+            "straight_smoke.cfg", "trackA_cilqr.cfg", "trackA_vpc.cfg",
+            "trackB_following.cfg"]
+
+    @pytest.mark.parametrize("text, line, message", CROSS_FIELD)
+    def test_cross_field_error_is_pinned(self, tmp_path, text, line,
+                                         message):
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {message}"
+
 
 class TestRunCommand:
 
@@ -109,6 +239,9 @@ class TestRunCommand:
         metrics = json.loads((out / "run_metrics.json").read_text())
         assert "delta_max_abs_m" in metrics
         assert "delta_mae_m" in metrics
+        # run does not time its cycles, so no solve time is reported
+        assert metrics["solver_time_mean_ms"] is None
+        assert metrics["solver_time_max_ms"] is None
         assert (out / "plot_run.py").is_file()
 
     def test_negative_mass_names_the_key(self, tmp_path, capsys):

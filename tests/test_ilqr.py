@@ -10,6 +10,7 @@ from cilqr_drive.ilqr import (
     BarrierKind,
     BarrierTerm,
     InfeasibleTrajectoryError,
+    LINE_SEARCH_STEPS,
     ProblemSpec,
     QuadraticCost,
     SolverConfig,
@@ -403,10 +404,13 @@ class TestPassesAgainstReference:
         # solve scores X + lam (X_1 - X) for every lam of the backtracking
         # schedule; each must be the forward pass at that step size
         rng = np.random.default_rng(78)
-        cfg = SolverConfig()
-        lams = [cfg.lambda_shrink ** j for j in range(cfg.max_line_search_steps)
-                if cfg.lambda_shrink ** j >= cfg.lambda_min]
-        assert len(lams) == cfg.max_line_search_steps
+        # every halving from 1 down to 1e-4, as repeated products
+        halvings, lam = [], 1.0
+        while lam >= 1e-4:
+            halvings.append(lam)
+            lam *= 0.5
+        np.testing.assert_array_equal(LINE_SEARCH_STEPS, halvings)
+        lams = LINE_SEARCH_STEPS.tolist()
         for trial in range(8):
             spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
             gains, _ = backward_pass(nominal, spec, 1e-3)
@@ -459,10 +463,23 @@ class TestLiftedStep:
             while other.horizon != spec.horizon:
                 other, _ = random_barrier_problem(rng, m)
             before, _ = backward_pass(nominal, spec, 1e-3)   # fills the memo
+            d, n = spec.dynamics, spec.n
+            # a new drift alone keeps the lifted propagator, which rests on
+            # A and B only; a change to either rebuilds it
+            drifted = AffineDynamics(A=d.A, B=d.B, C=np.eye(n),
+                                     w=rng.normal(size=n))
             for part in ({"dynamics": other.dynamics},
+                         {"dynamics": AffineDynamics(
+                             A=d.A + 0.01 * rng.normal(size=d.A.shape),
+                             B=d.B)},
+                         {"dynamics": AffineDynamics(
+                             A=d.A, B=d.B + 0.01 * rng.normal(size=d.B.shape))},
+                         {"dynamics": drifted},
                          {"cost": other.cost,
                           "terminal_cost": other.terminal_cost}):
                 moved = spec.with_start(spec.x0, **part)
+                shared = part.get("dynamics", drifted) is drifted
+                assert (moved._lifted() is spec._lifted()) == shared
                 fresh = ProblemSpec(**{
                     "dynamics": spec.dynamics, "horizon": spec.horizon,
                     "cost": spec.cost, "terminal_cost": spec.terminal_cost,
@@ -474,7 +491,9 @@ class TestLiftedStep:
                 np.testing.assert_array_equal(got.K, want.K)
                 assert dec == dec_want
                 assert got.grad_norm == want.grad_norm
-                assert not np.array_equal(got.k, before.k)
+                # the drift does not enter a pass along a given nominal
+                if part.get("dynamics") is not drifted:
+                    assert not np.array_equal(got.k, before.k)
             # and the original keeps its own
             again, _ = backward_pass(nominal, spec, 1e-3)
             np.testing.assert_array_equal(again.K, before.K)
@@ -626,11 +645,11 @@ class TestValidation:
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(lambda_shrink=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(barrier_t_growth=0.5)
-        with pytest.raises(ValueError):
             SolverConfig(max_outer_iterations=0)
+        with pytest.raises(ValueError):
+            SolverConfig(gradient_tolerance=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(barrier_t_init=10.0, barrier_t_max=5.0)
 
     def test_with_start_shares_barriers_and_checks_replacements(self):
         term = BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0,

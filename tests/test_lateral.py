@@ -16,6 +16,7 @@ from cilqr_drive.lateral import (
     LateralPlanner,
     LateralState,
     LateralTuning,
+    V_MIN,
     VehicleParams,
     build_lateral_dynamics,
     build_lateral_problem,
@@ -190,13 +191,13 @@ class TestLateralPlanner:
             planner.reset()
             cmd, diag = planner.plan(state, v)
             dyn = build_lateral_dynamics(planner.params,
-                                         max(v, tuning.v_min), tuning.dt)
+                                         max(v, V_MIN), tuning.dt)
             ref = solve(build_lateral_problem(state, dyn, tuning),
                         config=planner.cold_config)
             assert cmd.delta_rad == ref.trajectory.controls[0, 0]
             assert cmd.steer_cmd == cmd.delta_rad / tuning.steer_limit
             assert diag.solve_info.cost == ref.info.cost
-            assert diag.speed_clamped == (v < tuning.v_min)
+            assert diag.speed_clamped == (v < V_MIN)
 
     def test_default_configs_unchanged(self):
         planner = LateralPlanner()
@@ -204,39 +205,6 @@ class TestLateralPlanner:
         assert planner.warm_config == SolverConfig(
             barrier_t_init=1.0e4, max_outer_iterations=12,
             gradient_tolerance=1e-3)
-
-    def test_caller_config_warm_cycles_start_at_final_sharpness(
-            self, monkeypatch):
-        # a caller's config drives the cold solve; warm cycles continue at
-        # its final sharpness within the warm budget, as without a config
-        import cilqr_drive.lateral as lateral_module
-        config = SolverConfig(max_outer_iterations=30, barrier_t_max=500.0,
-                              gradient_tolerance=1e-6, cost_tolerance=1e-5)
-        planner = LateralPlanner(config=config)
-        assert planner.cold_config is config
-        assert planner.warm_config == dataclasses.replace(
-            config, barrier_t_init=500.0, max_outer_iterations=12,
-            gradient_tolerance=1e-3)
-        seen = []
-        real_solve = lateral_module.solve
-
-        def spy(spec, warm_start=None, config=None):
-            seen.append(config)
-            return real_solve(spec, warm_start=warm_start, config=config)
-
-        monkeypatch.setattr(lateral_module, "solve", spy)
-        state = LateralState(0.5, 0.01)
-        planner.plan(state, V_76_KMH)
-        _, diag = planner.plan(state, V_76_KMH)
-        assert seen[0] is config
-        assert seen[1].barrier_t_init == 500.0
-        assert diag.solve_info.iterations <= 12
-        assert diag.solve_info.barrier_t_scale == 500.0
-        # a budget or tolerance already inside the warm limits is kept
-        loose = SolverConfig(max_outer_iterations=3, gradient_tolerance=1e-2)
-        warm = LateralPlanner(config=loose).warm_config
-        assert warm.max_outer_iterations == 3
-        assert warm.gradient_tolerance == 1e-2
 
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

@@ -11,8 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from cilqr_drive import SolverConfig, barrier_value_and_derivatives, solve
+from cilqr_drive import (SolverConfig, backward_pass,
+                         barrier_value_and_derivatives, rollout, solve)
 from cilqr_drive.longitudinal import (
+    INTEGRAL_LIMIT,
+    K_P,
     LeadMeasurement,
     LongTuning,
     LongitudinalPlanner,
@@ -42,9 +45,14 @@ class TestPiCruise:
         assert pi.integral == 0.0
 
     def test_tanh_squash_at_half(self):
-        pi = PiState(v_r=10.0, k_P=0.5, k_I=0.0, period=PERIOD)
-        assert pi_cruise(pi, 9.0) == pytest.approx(TANH_HALF, rel=1e-12)
-        assert pi_cruise(pi, 9.0) == pytest.approx(0.46212, abs=1e-5)
+        # the integral starts where this update brings it back to zero,
+        # leaving the proportional term alone inside the tanh
+        assert K_P == 0.5
+        pi = PiState(v_r=10.0, period=PERIOD, integral=-PERIOD)
+        out = pi_cruise(pi, 9.0)
+        assert pi.integral == 0.0
+        assert out == pytest.approx(TANH_HALF, rel=1e-12)
+        assert out == pytest.approx(0.46212, abs=1e-5)
 
     def test_saturates_below_one(self):
         pi = PiState(v_r=100.0, period=PERIOD)
@@ -65,10 +73,10 @@ class TestPiCruise:
         assert pi.integral == pytest.approx(0.2)
         for _ in range(100):
             pi_cruise(pi, 20.0)
-        assert pi.integral == 2.0  # anti-windup clamp
+        assert pi.integral == INTEGRAL_LIMIT == 2.0  # anti-windup clamp
         for _ in range(300):
             pi_cruise(pi, 40.0)
-        assert pi.integral == -2.0
+        assert pi.integral == -INTEGRAL_LIMIT
 
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
@@ -196,8 +204,9 @@ class TestPlanLongitudinal:
         assert not diag.following
 
     def test_cruise_cycle_rejects_non_finite_speed(self):
-        with pytest.raises(ValueError):
-            cold_plan(math.nan, None)
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="state must be finite"):
+                cold_plan(v, None)
 
     def test_close_gap_brakes(self):
         lead = LeadMeasurement(v_l=15.0, D=5.0)
@@ -306,40 +315,40 @@ class TestPlannerWrapper:
             barrier_t_init=1.0e4, max_outer_iterations=4,
             gradient_tolerance=1e-3)
 
-    def test_caller_config_warm_cycles_start_at_final_sharpness(
-            self, monkeypatch):
-        # a caller's config drives the cold solve; warm cycles continue at
-        # its final sharpness within the warm budget, as without a config
+    def test_following_cycles_share_the_lifted_dynamics(self, monkeypatch):
+        # only the lead drift changes from cycle to cycle, so every cycle
+        # reuses the lifted propagator built with the planner's problem,
+        # and its backward pass is bit for bit that of a fresh problem
         import cilqr_drive.longitudinal as longitudinal_module
-        config = SolverConfig(max_outer_iterations=30, barrier_t_max=500.0,
-                              gradient_tolerance=1e-6)
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD,
-                                      config=config)
-        assert planner.cold_config is config
-        assert planner.warm_config == dataclasses.replace(
-            config, barrier_t_init=500.0, max_outer_iterations=4,
-            gradient_tolerance=1e-3)
-        seen = []
+        specs = []
         real_solve = longitudinal_module.solve
 
         def spy(spec, warm_start=None, config=None):
-            seen.append(config)
+            specs.append(spec)
             return real_solve(spec, warm_start=warm_start, config=config)
 
         monkeypatch.setattr(longitudinal_module, "solve", spy)
-        lead = LeadMeasurement(v_l=V_LEAD, D=35.0)
-        planner.plan(V_CRUISE, lead)
-        _, diag = planner.plan(V_CRUISE, lead)
-        assert seen[0] is config
-        assert seen[1].barrier_t_init == 500.0
-        assert diag.solve_info.iterations <= 4
-        assert diag.solve_info.barrier_t_scale == 500.0
-
-    def test_rejects_inverted_hysteresis(self):
-        with pytest.raises(ValueError):
-            LongitudinalPlanner(cruise_speed=20.0, period=PERIOD,
-                                engage_distance=140.0,
-                                release_distance=120.0)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
+        leads = (LeadMeasurement(v_l=V_LEAD, D=35.0),
+                 LeadMeasurement(v_l=19.0, D=34.0, a_l=0.3))
+        for lead in leads:
+            planner.plan(V_CRUISE, lead)
+        assert specs[0].dynamics is not specs[1].dynamics
+        assert specs[0]._lifted() is specs[1]._lifted()
+        assert specs[1]._lifted() is planner._problem._lifted()
+        for spec, lead in zip(specs, leads):
+            fresh = build_following_problem(
+                LongitudinalState(*spec.x0), lead, planner.tuning)
+            nominal = rollout(spec.dynamics, spec.x0,
+                              np.full((spec.horizon, 1), 0.1))
+            for reg in (1e-6, 1e-2):
+                gains, dec = backward_pass(nominal, spec, reg, 10.0)
+                ref_gains, ref_dec = backward_pass(nominal, fresh, reg, 10.0)
+                assert fresh._lifted() is not spec._lifted()
+                np.testing.assert_array_equal(gains.k, ref_gains.k)
+                np.testing.assert_array_equal(gains.K, ref_gains.K)
+                assert gains.grad_norm == ref_gains.grad_norm
+                assert dec == ref_dec
 
 
 class TestClosedLoopConvergence:

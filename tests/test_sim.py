@@ -32,7 +32,6 @@ class TestBuildTrack:
         track = build_track("trackA")
         assert abs(track.length - 2843.0) <= 1.0
         assert 0.029 <= track.max_kappa <= 0.031
-        assert track.lane_width == 4.0
         assert track.closed
 
     def test_track_b_headline_numbers(self):
@@ -365,3 +364,16 @@ class TestComputeMetrics:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics(_synthetic_log(np.zeros(0)))
+
+    def test_solver_time_nan_without_timing(self):
+        # a run without log_solver_time logs 0 ms for every cycle
+        m = compute_metrics(_synthetic_log(np.zeros(10)))
+        assert math.isnan(m["solver_time_mean_ms"])
+        assert math.isnan(m["solver_time_max_ms"])
+
+    def test_solver_time_over_timed_cycles(self):
+        log = _synthetic_log(np.zeros(4))
+        log.columns["solver_time_ms"][:] = [0.0, 2.0, 0.0, 4.5]
+        m = compute_metrics(log)
+        assert m["solver_time_mean_ms"] == 3.25
+        assert m["solver_time_max_ms"] == 4.5
