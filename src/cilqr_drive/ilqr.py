@@ -342,13 +342,10 @@ class ProblemSpec:
         return memo
 
     def _lifted(self) -> "_Lifted":
-        """The lifted dynamics of the passes; rebuilt only if replacement
-        dynamics differ in A or B (a new drift leaves L as it is)."""
+        """The lifted dynamics of the passes; rebuilt if they are replaced."""
         memo = self.__dict__.get("_lift")
-        dyn = self.dynamics
-        if memo is None or (memo.dynamics is not dyn
-                            and memo.AB != (dyn.A.tobytes(), dyn.B.tobytes())):
-            memo = self._lift = _Lifted(dyn)
+        if memo is None or memo.dynamics is not self.dynamics:
+            memo = self._lift = _Lifted(self.dynamics)
         return memo
 
     @property
@@ -419,13 +416,12 @@ class SolverConfig:
 
         The carried-over plan is already near stationary at the final
         barrier sharpness, so the solve starts there instead of walking
-        the schedule again, with at most iteration_cap outer iterations
-        and a gradient tolerance no tighter than 1e-3.
+        the schedule again, with iteration_cap outer iterations and a
+        gradient tolerance of 1e-3.
         """
         return dataclasses.replace(
             self, barrier_t_init=self.barrier_t_max,
-            max_outer_iterations=min(self.max_outer_iterations, iteration_cap),
-            gradient_tolerance=max(self.gradient_tolerance, 1e-3))
+            max_outer_iterations=iteration_cap, gradient_tolerance=1e-3)
 
 
 @dataclass
@@ -579,8 +575,6 @@ class _Lifted:
 
     def __init__(self, dynamics: AffineDynamics) -> None:
         self.dynamics = dynamics
-        # L is a function of these bytes alone
-        self.AB = (dynamics.A.tobytes(), dynamics.B.tobytes())
         n, m = dynamics.n, dynamics.m
         F = np.zeros((n + 1, n + 1 + m))
         F[:n, :n] = dynamics.A

@@ -463,23 +463,10 @@ class TestLiftedStep:
             while other.horizon != spec.horizon:
                 other, _ = random_barrier_problem(rng, m)
             before, _ = backward_pass(nominal, spec, 1e-3)   # fills the memo
-            d, n = spec.dynamics, spec.n
-            # a new drift alone keeps the lifted propagator, which rests on
-            # A and B only; a change to either rebuilds it
-            drifted = AffineDynamics(A=d.A, B=d.B, C=np.eye(n),
-                                     w=rng.normal(size=n))
             for part in ({"dynamics": other.dynamics},
-                         {"dynamics": AffineDynamics(
-                             A=d.A + 0.01 * rng.normal(size=d.A.shape),
-                             B=d.B)},
-                         {"dynamics": AffineDynamics(
-                             A=d.A, B=d.B + 0.01 * rng.normal(size=d.B.shape))},
-                         {"dynamics": drifted},
                          {"cost": other.cost,
                           "terminal_cost": other.terminal_cost}):
                 moved = spec.with_start(spec.x0, **part)
-                shared = part.get("dynamics", drifted) is drifted
-                assert (moved._lifted() is spec._lifted()) == shared
                 fresh = ProblemSpec(**{
                     "dynamics": spec.dynamics, "horizon": spec.horizon,
                     "cost": spec.cost, "terminal_cost": spec.terminal_cost,
@@ -491,9 +478,7 @@ class TestLiftedStep:
                 np.testing.assert_array_equal(got.K, want.K)
                 assert dec == dec_want
                 assert got.grad_norm == want.grad_norm
-                # the drift does not enter a pass along a given nominal
-                if part.get("dynamics") is not drifted:
-                    assert not np.array_equal(got.k, before.k)
+                assert not np.array_equal(got.k, before.k)
             # and the original keeps its own
             again, _ = backward_pass(nominal, spec, 1e-3)
             np.testing.assert_array_equal(again.K, before.K)

@@ -206,6 +206,28 @@ class TestLateralPlanner:
             barrier_t_init=1.0e4, max_outer_iterations=12,
             gradient_tolerance=1e-3)
 
+    def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
+        # the first cycle solves cold; the next continues at the final
+        # barrier sharpness within the twelve-iteration warm budget
+        import cilqr_drive.lateral as lateral_module
+        planner = LateralPlanner()
+        seen = []
+        real_solve = lateral_module.solve
+
+        def spy(spec, warm_start=None, config=None):
+            seen.append(config)
+            return real_solve(spec, warm_start=warm_start, config=config)
+
+        monkeypatch.setattr(lateral_module, "solve", spy)
+        state = LateralState(0.5, 0.01)
+        planner.plan(state, V_76_KMH)
+        _, diag = planner.plan(state, V_76_KMH)
+        assert seen[0] is planner.cold_config
+        assert seen[1] is planner.warm_config
+        assert seen[1].barrier_t_init == 1e4
+        assert diag.solve_info.iterations <= 12
+        assert diag.solve_info.barrier_t_scale == 1e4
+
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)
         b, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

@@ -11,8 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cilqr_drive import (SolverConfig, backward_pass,
-                         barrier_value_and_derivatives, rollout, solve)
+from cilqr_drive import SolverConfig, barrier_value_and_derivatives, solve
 from cilqr_drive.longitudinal import (
     INTEGRAL_LIMIT,
     K_P,
@@ -315,40 +314,27 @@ class TestPlannerWrapper:
             barrier_t_init=1.0e4, max_outer_iterations=4,
             gradient_tolerance=1e-3)
 
-    def test_following_cycles_share_the_lifted_dynamics(self, monkeypatch):
-        # only the lead drift changes from cycle to cycle, so every cycle
-        # reuses the lifted propagator built with the planner's problem,
-        # and its backward pass is bit for bit that of a fresh problem
+    def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
+        # the first following cycle solves cold; the next continues at the
+        # final barrier sharpness within the four-iteration warm budget
         import cilqr_drive.longitudinal as longitudinal_module
-        specs = []
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
+        seen = []
         real_solve = longitudinal_module.solve
 
         def spy(spec, warm_start=None, config=None):
-            specs.append(spec)
+            seen.append(config)
             return real_solve(spec, warm_start=warm_start, config=config)
 
         monkeypatch.setattr(longitudinal_module, "solve", spy)
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
-        leads = (LeadMeasurement(v_l=V_LEAD, D=35.0),
-                 LeadMeasurement(v_l=19.0, D=34.0, a_l=0.3))
-        for lead in leads:
-            planner.plan(V_CRUISE, lead)
-        assert specs[0].dynamics is not specs[1].dynamics
-        assert specs[0]._lifted() is specs[1]._lifted()
-        assert specs[1]._lifted() is planner._problem._lifted()
-        for spec, lead in zip(specs, leads):
-            fresh = build_following_problem(
-                LongitudinalState(*spec.x0), lead, planner.tuning)
-            nominal = rollout(spec.dynamics, spec.x0,
-                              np.full((spec.horizon, 1), 0.1))
-            for reg in (1e-6, 1e-2):
-                gains, dec = backward_pass(nominal, spec, reg, 10.0)
-                ref_gains, ref_dec = backward_pass(nominal, fresh, reg, 10.0)
-                assert fresh._lifted() is not spec._lifted()
-                np.testing.assert_array_equal(gains.k, ref_gains.k)
-                np.testing.assert_array_equal(gains.K, ref_gains.K)
-                assert gains.grad_norm == ref_gains.grad_norm
-                assert dec == ref_dec
+        lead = LeadMeasurement(v_l=V_LEAD, D=35.0)
+        planner.plan(V_CRUISE, lead)
+        _, diag = planner.plan(V_CRUISE, lead)
+        assert seen[0] is planner.cold_config
+        assert seen[1] is planner.warm_config
+        assert seen[1].barrier_t_init == 1e4
+        assert diag.solve_info.iterations <= 4
+        assert diag.solve_info.barrier_t_scale == 1e4
 
 
 class TestClosedLoopConvergence:
