@@ -267,7 +267,8 @@ def _cmd_benchmark(args) -> int:
                      f"median {rep['median_ms']:.3f} ms, "
                      f"p95 {rep['p95_ms']:.3f} ms, "
                      f"max {rep['max_ms']:.3f} ms over "
-                     f"{rep['n_solves']} solves")
+                     f"{rep['n_solves']} solves, "
+                     f"{rep['mean_iterations']:.2f} iterations mean")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     payload = [{k: _json_safe(v) for k, v in rep.items()} for rep in reports]

@@ -441,6 +441,7 @@ class SolveInfo:
 class SolveResult:
     trajectory: Trajectory
     info: SolveInfo
+    gains: GainSchedule | None = None   # of the last backward pass, if any
 
 
 @dataclass
@@ -889,7 +890,9 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
 
 def forward_pass(traj: Trajectory, gains: GainSchedule, lam: float,
                  spec: ProblemSpec) -> Trajectory:
-    """Roll out u_i + lam * k_i + K_i (x - x_i) around the nominal."""
+    """Roll out u_i + lam * k_i + K_i (x - x_i) from spec.x0 around the
+    nominal; from a moved start state, lam = 0 gives the nominal's own
+    feedback correction."""
     states, controls = _forward_arrays(traj.states, traj.controls,
                                        gains, lam, spec)
     return Trajectory(states, controls)
@@ -909,7 +912,7 @@ def _forward_arrays(X: np.ndarray, U: np.ndarray, gains: GainSchedule,
     dyn = spec.dynamics
     A, B, drift = dyn.A, dyn.B, dyn._drift
     uff = U + lam * k - (K @ X[:N, :, None])[:, :, 0]
-    states = _propagate(X[0], A + B @ K, uff @ B.T + drift)
+    states = _propagate(spec.x0, A + B @ K, uff @ B.T + drift)
     return states, uff + (K @ states[:N, :, None])[:, :, 0]
 
 
@@ -979,6 +982,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     converged = False
     iterations = 0
     exp_dec = math.inf
+    gains = None
     message = "iteration cap reached"
 
     for _ in range(cfg.max_outer_iterations):
@@ -992,7 +996,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 if reg > REG_MAX:
                     message = "backward pass failed at regularization cap"
                     return _finish(traj, spec, J, history, exp_dec, t_scale,
-                                   reg, iterations, False, message)
+                                   reg, iterations, False, message, gains)
         # Near-stationary iterates still try a single full step: on a
         # quadratic model that polishes the last digits, and if it fails
         # to strictly decrease the cost we declare convergence.  Both the
@@ -1047,11 +1051,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 break
 
     return _finish(traj, spec, J, history, exp_dec, t_scale, reg,
-                   iterations, converged, message)
+                   iterations, converged, message, gains)
 
 
 def _finish(traj, spec, J, history, exp_dec, t_scale, reg,
-            iterations, converged, message) -> SolveResult:
+            iterations, converged, message, gains) -> SolveResult:
     info = SolveInfo(
         converged=converged,
         iterations=iterations,
@@ -1063,4 +1067,4 @@ def _finish(traj, spec, J, history, exp_dec, t_scale, reg,
         log_range_margins=_log_range_margins(traj, spec),
         message=message,
     )
-    return SolveResult(traj, info)
+    return SolveResult(traj, info, gains)

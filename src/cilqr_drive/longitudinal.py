@@ -256,6 +256,10 @@ class LongitudinalPlanner:
 
     def plan(self, v: float, lead: LeadMeasurement | None
              ) -> tuple[LongCommand, LongPlanDiagnostics]:
+        # checked before the speed enters the acceleration estimate, which
+        # a rejected speed would otherwise poison for three cycles
+        if not math.isfinite(v):
+            raise ValueError("longitudinal state must be finite")
         a_est = self._estimate_accel(v)
         if self.following:
             if lead is None or lead.D > RELEASE_DISTANCE:
@@ -265,8 +269,6 @@ class LongitudinalPlanner:
         if not self.following:
             self.pi.v_r = self.cruise_speed
             self._warm = None
-            if not math.isfinite(v):
-                raise ValueError("longitudinal state must be finite")
             return (LongCommand(pi_cruise(self.pi, v), 0.0),
                     LongPlanDiagnostics(following=False))
         assert lead is not None

@@ -69,6 +69,24 @@ def lqr_dp_solve(A, B, d, Q, R, Qf, x_ref, x0, N):
     return xs, us
 
 
+def closed_loop_rollout(A, B, d, X, U, k, K, lam, x0):
+    """Per-step rollout of u_i = U_i + lam k_i + K_i (x_i - X_i) from x0.
+
+    x_{i+1} = A x_i + B u_i + d; returns the states and the controls.
+    """
+    N = len(U)
+    xs = np.empty((N + 1, len(x0)))
+    us = np.empty((N, len(U[0])))
+    x = np.asarray(x0, float).ravel().copy()
+    xs[0] = x
+    for i in range(N):
+        u = U[i] + lam * k[i] + K[i] @ (x - X[i])
+        us[i] = u
+        x = A @ x + B @ u + d
+        xs[i + 1] = x
+    return xs, us
+
+
 def lqr_dp_gains(A, B, Q, R, Qf, N):
     """Riccati feedback gains for the zero-reference, drift-free problem."""
     P = np.asarray(Qf, float).copy()

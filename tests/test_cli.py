@@ -349,7 +349,7 @@ class TestCompareCommand:
 
 class TestBenchmarkCommand:
 
-    def test_benchmark_reports_solver_timing(self, tmp_path):
+    def test_benchmark_reports_solver_timing(self, tmp_path, capsys):
         cfg = _write(tmp_path, FOLLOWING)
         out = tmp_path / "out"
         rc = main(["benchmark", "--config", str(cfg), "--out", str(out),
@@ -358,6 +358,16 @@ class TestBenchmarkCommand:
         reports = json.loads((out / "benchmark.json").read_text())
         names = {r["planner"] for r in reports}
         assert names == {"lateral", "longitudinal"}
+        # each planner's line ends with its mean iteration count
+        lines = capsys.readouterr().out.splitlines()
+        for rep in reports:
+            assert (f"{rep['planner']}: mean {rep['mean_ms']:.3f} ms, "
+                    f"median {rep['median_ms']:.3f} ms, "
+                    f"p95 {rep['p95_ms']:.3f} ms, "
+                    f"max {rep['max_ms']:.3f} ms over "
+                    f"{rep['n_solves']} solves, "
+                    f"{rep['mean_iterations']:.2f} iterations mean") in lines
+            assert rep["mean_iterations"] >= 1.0
         for rep in reports:
             assert rep["mean_ms"] > 0.0
             assert rep["n_solves"] > 0

@@ -22,8 +22,9 @@ from cilqr_drive.ilqr import (
     solve,
     total_cost,
 )
-from oracles import (central_diff_grad, central_diff_hess, grid_minimize,
-                     lqr_dp_gains, lqr_dp_solve, riccati_backward_reference)
+from oracles import (central_diff_grad, central_diff_hess,
+                     closed_loop_rollout, grid_minimize, lqr_dp_gains,
+                     lqr_dp_solve, riccati_backward_reference)
 
 # Frozen from independent evaluation of the stated formulas.
 LOG_RANGE_AT_ZERO_PI6 = 1.2940591667573098      # -2 ln(pi/6)
@@ -425,6 +426,27 @@ class TestPassesAgainstReference:
                                            step.controls, rtol=0,
                                            atol=1e-12 * scale)
 
+    def test_forward_pass_from_moved_start_matches_per_step_rollout(self):
+        # forward_pass rolls out from spec.x0, not from the nominal's first
+        # state: from a moved start it applies the nominal's feedback law
+        rng = np.random.default_rng(79)
+        for trial in range(8):
+            spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
+            gains, _ = backward_pass(nominal, spec, 1e-3)
+            moved = spec.with_start(spec.x0 + rng.normal(size=spec.n))
+            dyn = spec.dynamics
+            for lam in (0.0, 0.5, 1.0):
+                out = forward_pass(nominal, gains, lam, moved)
+                xs, us = closed_loop_rollout(
+                    dyn.A, dyn.B, dyn.C @ dyn.w, nominal.states,
+                    nominal.controls, gains.k, gains.K, lam, moved.x0)
+                scale = max(1.0, np.max(np.abs(xs)))
+                np.testing.assert_array_equal(out.states[0], moved.x0)
+                np.testing.assert_allclose(out.states, xs, rtol=0,
+                                           atol=1e-12 * scale)
+                np.testing.assert_allclose(out.controls, us, rtol=0,
+                                           atol=1e-12 * scale)
+
 
 class TestLiftedStep:
     @staticmethod
@@ -594,6 +616,34 @@ class TestSolve:
         for i in range(spec.horizon):
             np.testing.assert_allclose(
                 X[i + 1], spec.dynamics.step(X[i], U[i]), atol=1e-12)
+
+    def test_result_carries_last_backward_pass_gains(self, monkeypatch):
+        import cilqr_drive.ilqr as ilqr_module
+        returned = []
+        real = ilqr_module.backward_pass
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(ilqr_module, "backward_pass", spy)
+        rng = np.random.default_rng(14)
+        spec, _ = random_affine_problem(rng, n=3, m=1, N=15)
+        res = solve(spec, config=TIGHT)
+        assert len(returned) == res.info.iterations
+        assert res.gains is returned[-1]
+
+    def test_gains_none_when_no_backward_pass_succeeds(self, monkeypatch):
+        import cilqr_drive.ilqr as ilqr_module
+
+        def failing(*args, **kwargs):
+            raise BackwardPassError("forced")
+
+        monkeypatch.setattr(ilqr_module, "backward_pass", failing)
+        res = solve(scalar_problem())
+        assert not res.info.converged
+        assert res.gains is None
 
     def test_bad_warm_start_shape_rejected(self):
         spec = scalar_problem()

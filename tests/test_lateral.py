@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from cilqr_drive import SolverConfig, solve
+from cilqr_drive.ilqr import forward_pass
 from cilqr_drive.lateral import (
+    STEER_LIMIT_RAD,
     LateralPlanner,
     LateralState,
     LateralTuning,
@@ -175,10 +177,10 @@ class TestLateralPlanner:
     def test_warm_start_buffer_shifts(self):
         planner = LateralPlanner()
         planner.plan(LateralState(0.5, 0.0), V_76_KMH)
-        assert planner._warm is not None
-        assert planner._warm.shape == (30, 1)
+        assert planner._prev is not None
+        assert planner._prev.trajectory.controls.shape == (30, 1)
         planner.reset()
-        assert planner._warm is None
+        assert planner._prev is None
 
     def test_cold_cycle_equals_fresh_solve(self):
         # the planner re-aims one validated problem per centering branch;
@@ -206,27 +208,80 @@ class TestLateralPlanner:
             barrier_t_init=1.0e4, max_outer_iterations=12,
             gradient_tolerance=1e-3)
 
-    def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
-        # the first cycle solves cold; the next continues at the final
-        # barrier sharpness within the twelve-iteration warm budget
+    @staticmethod
+    def _spy_solve(monkeypatch):
+        """Record (spec, warm_start, config, result) of every planner solve."""
         import cilqr_drive.lateral as lateral_module
-        planner = LateralPlanner()
         seen = []
         real_solve = lateral_module.solve
 
         def spy(spec, warm_start=None, config=None):
-            seen.append(config)
-            return real_solve(spec, warm_start=warm_start, config=config)
+            result = real_solve(spec, warm_start=warm_start, config=config)
+            seen.append((spec, warm_start, config, result))
+            return result
 
         monkeypatch.setattr(lateral_module, "solve", spy)
+        return seen
+
+    def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
+        # the first cycle solves cold; the next continues at the final
+        # barrier sharpness within the twelve-iteration warm budget
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
         state = LateralState(0.5, 0.01)
         planner.plan(state, V_76_KMH)
         _, diag = planner.plan(state, V_76_KMH)
-        assert seen[0] is planner.cold_config
-        assert seen[1] is planner.warm_config
-        assert seen[1].barrier_t_init == 1e4
+        assert seen[0][2] is planner.cold_config
+        assert seen[1][2] is planner.warm_config
+        assert seen[1][2].barrier_t_init == 1e4
         assert diag.solve_info.iterations <= 12
         assert diag.solve_info.barrier_t_scale == 1e4
+
+    def test_warm_start_per_frame(self, monkeypatch):
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
+        state = LateralState(0.5, 0.01)
+        planner.plan(state, V_76_KMH)
+        assert seen[0][1] is None
+        # a repeated frame starts from the previous controls as they are
+        planner.plan(LateralState(0.5, 0.01), V_76_KMH)
+        prev = seen[0][3]
+        np.testing.assert_array_equal(seen[1][1], prev.trajectory.controls)
+        # a new frame (and speed) starts from the previous plan corrected
+        # by its feedback law, rolled out from the new state
+        planner.plan(LateralState(0.45, 0.012, delta_lat_rate=-0.1), 20.0)
+        spec, warm = seen[2][:2]
+        prev = seen[1][3]
+        expected = forward_pass(prev.trajectory, prev.gains, 0.0, spec)
+        np.testing.assert_array_equal(warm, expected.controls)
+        assert not np.array_equal(warm, prev.trajectory.controls)
+        # reset drops the carried plan: the next cycle is a fresh planner's
+        later = LateralState(-0.2, 0.03, theta_rate=0.01)
+        planner.reset()
+        cmd, diag = planner.plan(later, 15.0)
+        fresh_cmd, fresh_diag = LateralPlanner().plan(later, 15.0)
+        assert seen[3][1] is None
+        assert cmd == fresh_cmd
+        np.testing.assert_array_equal(seen[3][3].trajectory.controls,
+                                      seen[4][3].trajectory.controls)
+        assert diag.solve_info.cost == fresh_diag.solve_info.cost
+
+    def test_corrected_warm_start_outside_steer_range(self, monkeypatch):
+        # a large jump of offset and heading drives U + K dx past the steer
+        # limit; the solver's warm-start clip must restore feasibility
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
+        planner.plan(LateralState(0.1, 0.0), V_76_KMH)
+        _, diag = planner.plan(LateralState(1.5, 0.2), V_76_KMH)
+        spec, warm = seen[1][:2]
+        prev = seen[0][3]
+        np.testing.assert_array_equal(
+            warm, forward_pass(prev.trajectory, prev.gains, 0.0,
+                               spec).controls)
+        assert np.max(np.abs(warm)) > STEER_LIMIT_RAD
+        assert diag.converged
+        margins = diag.solve_info.log_range_margins
+        assert margins and all(lo > 0.0 and hi > 0.0 for lo, hi in margins)
 
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

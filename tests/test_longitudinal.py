@@ -272,6 +272,19 @@ class TestPlannerWrapper:
         # diffs are 1, 1, 2 -> mean 4/3
         assert planner._estimate_accel(20.06) == pytest.approx((1 + 2 + 2) / 3)
 
+    def test_rejected_speed_leaves_accel_estimate_clean(self):
+        # a non-finite speed is refused before it reaches the three-cycle
+        # acceleration estimate, so the following cycles still plan
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
+        planner.plan(20.0, None)
+        with pytest.raises(ValueError, match="state must be finite"):
+            planner.plan(math.nan, None)
+        lead = LeadMeasurement(v_l=V_LEAD, D=30.0)
+        for _ in range(3):
+            cmd, diag = planner.plan(20.0, lead)
+            assert diag.following
+            assert math.isfinite(cmd.accel_cmd)
+
     def test_warm_start_lifecycle(self):
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         planner.plan(V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=40.0))
