@@ -145,7 +145,9 @@ def _cmd_compare(args) -> int:
     for f in fields:
         cells = "  ".join(f"{cell(r[1][f]):>14}" for r in rows)
         lines.append(f"{f.ljust(width)}{cells}")
-    ratio = rows[0][1]["delta_max_abs_m"] / rows[1][1]["delta_max_abs_m"]
+    # NaN (null in the JSON) when the second run never left the centerline
+    a, b = (m["delta_max_abs_m"] for _, m in rows)
+    ratio = a / b if b else math.nan
     lines.append(f"max offset ratio ({names[0]} / {names[1]}): {ratio:.4f}"
                  f"  (reference controller-pair ratio: "
                  f"{_REFERENCE_MAX_OFFSET_RATIO})")
@@ -159,7 +161,7 @@ def _cmd_compare(args) -> int:
         "controllers": names,
         "metrics": {n: {k: _json_safe(v) for k, v in m.items()}
                     for n, m in logs.items()},
-        "max_offset_ratio": ratio,
+        "max_offset_ratio": _json_safe(ratio),
         "reference_ratio": _REFERENCE_MAX_OFFSET_RATIO,
     }
     (out_dir / "compare.json").write_text(
@@ -238,20 +240,23 @@ def replay_longitudinal_timing(log: SimLog, cfg: RunConfig,
 
 
 def _timing_stats(name: str, times: list, iters: list, **extra) -> dict:
-    arr = np.array(times) if times else np.zeros(1)
+    # NaN statistics (null in the JSON) when nothing was solved
+    arr = np.array(times) if times else np.full(1, math.nan)
     out = {
         "planner": name,
         "mean_ms": float(np.mean(arr)),
         "median_ms": float(np.median(arr)),
         "p95_ms": float(np.percentile(arr, 95.0)),
         "max_ms": float(np.max(arr)),
-        "mean_iterations": float(np.mean(iters)) if iters else 0.0,
+        "mean_iterations": float(np.mean(iters)) if iters else math.nan,
     }
     out.update(extra)
     return out
 
 
 def _cmd_benchmark(args) -> int:
+    if args.states < 1:
+        raise ConfigError(f"--states must be at least 1, got {args.states}")
     cfg = load_run_config(args.config, tuple(args.overrides),
                           seed=args.seed, controller=args.controller)
     log = _execute(cfg)

@@ -19,8 +19,7 @@ import copy
 import dataclasses
 import enum
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,10 +59,9 @@ class AffineDynamics:
     """Discrete-time affine map x' = A x + B u + C w.
 
     C and w are optional and must be supplied together; they model a
-    known constant disturbance over the horizon.  Dynamics are immutable
-    (frozen fields holding read-only copies, so the caller's arrays stay
-    writable), so a problem derives its lifted backward-pass operator
-    from them once and reuses it for every pass.
+    known constant disturbance over the horizon.  Dynamics are immutable:
+    frozen fields holding read-only copies, so the caller's arrays stay
+    writable.
     """
 
     A: np.ndarray
@@ -115,9 +113,8 @@ class QuadraticCost:
     """Quadratic penalty (x - x_ref)' Q (x - x_ref) + u' R u.
 
     Q must be symmetric PSD and R symmetric PD.  For a terminal cost R is
-    simply unused.  Costs are immutable (frozen fields, read-only copies
-    of Q and R), so a problem folds the weights into its backward-pass
-    stage weights once.
+    simply unused.  Costs are immutable: frozen fields holding read-only
+    copies of Q, R and x_ref.
     """
 
     Q: np.ndarray
@@ -147,29 +144,20 @@ class QuadraticCost:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def with_reference(self, x_ref: np.ndarray) -> "QuadraticCost":
-        """The same (already validated) weights around another reference."""
-        x_ref = np.array(x_ref, dtype=float).ravel()
-        if x_ref.size != self.x_ref.size:
-            raise ValueError("x_ref must keep its size")
-        x_ref.flags.writeable = False
-        out = copy.copy(self)
-        object.__setattr__(out, "x_ref", x_ref)
-        return out
-
 
 @dataclass(frozen=True)
 class BarrierTerm:
     """One barrier shaped on the scalar z = sel_x . x + sel_u . u + offset.
 
-    LOG_RANGE:          -(1 / (t * t_scale)) * [ln(z - lower) + ln(upper - z)]
+    LOG_RANGE:          -(1 / t_scale) * [ln(z - lower) + ln(upper - z)]
     EXP_ONE_SIDED:      q1 * exp(q2 * z)
     EXP_LANE_CENTERING: q1 * exp(q2 * sign * (z_i - z_{i-1})), the
                         predecessor value taken from the nominal
                         trajectory (frozen per backward pass).
 
-    Terms are immutable (frozen fields, read-only selectors), so a problem
-    stacks its terms once and reuses the stack for every evaluation.
+    t_scale is the solver's barrier sharpness, one for every term.  Terms
+    are immutable (frozen fields, read-only selectors), so problems and
+    their running and terminal lists may share them.
     """
 
     kind: BarrierKind
@@ -178,7 +166,6 @@ class BarrierTerm:
     offset: float = 0.0
     lower: float = 0.0
     upper: float = 0.0
-    t: float = 1.0
     q1: float = 1.0
     q2: float = 1.0
     sign: float = 1.0
@@ -191,11 +178,8 @@ class BarrierTerm:
         if self.kind is BarrierKind.LOG_RANGE:
             if not self.lower < self.upper:
                 raise ValueError("LOG_RANGE requires lower < upper")
-            if self.t <= 0.0:
-                raise ValueError("LOG_RANGE requires t > 0")
-        else:
-            if self.q1 <= 0.0:
-                raise ValueError("exponential barriers require q1 > 0")
+        elif self.q1 <= 0.0:
+            raise ValueError("exponential barriers require q1 > 0")
         if self.kind is BarrierKind.EXP_LANE_CENTERING:
             if self.sign not in (-1.0, 1.0):
                 raise ValueError("sign must be +1 or -1")
@@ -210,11 +194,11 @@ class BarrierTerm:
 
     @classmethod
     def log_range(cls, n: int, m: int, *, lower: float, upper: float,
-                  t: float = 1.0, control_index: int | None = None,
+                  control_index: int | None = None,
                   state_index: int | None = None) -> "BarrierTerm":
         sel_x, sel_u = _basis_selectors(n, m, state_index, control_index)
-        return cls(BarrierKind.LOG_RANGE, sel_x, sel_u,
-                   lower=lower, upper=upper, t=t)
+        return cls(BarrierKind.LOG_RANGE, sel_x, sel_u, lower=lower,
+                   upper=upper)
 
     @classmethod
     def exp_one_sided(cls, n: int, m: int, *, coeff: float = 1.0,
@@ -247,13 +231,15 @@ def _basis_selectors(n: int, m: int, state_index: int | None,
     return sel_x, sel_u
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A complete horizon problem: dynamics, costs, barriers, start state.
 
     `dynamics` is one time-invariant AffineDynamics applied at every
     step.  Running barriers apply at steps 0..N-1; terminal barriers act
-    on x_N only.
+    on x_N only.  A problem is frozen: it is validated once, when it is
+    built, and derives once what every solve reads from it (the stacked
+    barriers, the backward-pass stage weights, the lifted propagator).
     """
 
     dynamics: AffineDynamics
@@ -261,92 +247,64 @@ class ProblemSpec:
     cost: QuadraticCost
     terminal_cost: QuadraticCost
     x0: np.ndarray
-    barriers: list[BarrierTerm] = field(default_factory=list)
-    terminal_barriers: list[BarrierTerm] = field(default_factory=list)
+    barriers: tuple[BarrierTerm, ...] = ()
+    terminal_barriers: tuple[BarrierTerm, ...] = ()
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self._check_dimensions()
-        n, m = self.n, self.m
-        for term in list(self.barriers) + list(self.terminal_barriers):
-            if term.sel_x.size != n or term.sel_u.size != m:
-                raise ValueError("barrier selector dimensions must match the problem")
-        for term in self.terminal_barriers:
-            if np.any(term.sel_u != 0.0):
-                raise ValueError("terminal barriers may not select controls")
-
-    def _check_dimensions(self) -> None:
-        self.x0 = np.asarray(self.x0, dtype=float).ravel()
         if not isinstance(self.dynamics, AffineDynamics):
             raise ValueError("dynamics must be one AffineDynamics")
         n, m = self.n, self.m
-        if self.x0.size != n:
-            raise ValueError("x0 size must match the state dimension")
         if self.cost.x_ref.size != n or self.terminal_cost.x_ref.size != n:
             raise ValueError("cost dimension must match the state dimension")
         if self.cost.R.shape[0] != m:
             raise ValueError("R dimension must match the control dimension")
+        run, term = tuple(self.barriers), tuple(self.terminal_barriers)
+        for t in run + term:
+            if t.sel_x.size != n or t.sel_u.size != m:
+                raise ValueError("barrier selector dimensions must match the problem")
+        if any(np.any(t.sel_u != 0.0) for t in term):
+            raise ValueError("terminal barriers may not select controls")
+        set_ = functools.partial(object.__setattr__, self)
+        set_("x0", _state_vector(self.x0, n, "x0"))
+        set_("barriers", run)
+        set_("terminal_barriers", term)
+        set_("_run", _Stack(run, n, m))
+        set_("_term", _Stack(term, n, m))
+        set_("_weights", _Stage(self._run, self._term, self.cost.Q,
+                                self.cost.R, self.terminal_cost.Q, n, m))
+        set_("_L", _lifted_propagator(self.dynamics))
 
     def with_start(self, x0: np.ndarray,
                    dynamics: AffineDynamics | None = None,
-                   cost: QuadraticCost | None = None,
-                   terminal_cost: QuadraticCost | None = None) -> "ProblemSpec":
-        """This problem from another start state, with any of the dynamics
-        and costs replaced.
+                   x_ref: np.ndarray | None = None) -> "ProblemSpec":
+        """This problem from another start state, optionally under other
+        dynamics of the same sizes and around another reference state
+        (of the running and the terminal cost alike).
 
-        The barrier lists, validated when this problem was built, are
-        shared with the copy, and so is what is derived from the problem
-        once (stacked barriers, backward-pass stage weights, lifted
-        dynamics) until the copy replaces a part it rests on; only the
-        replaced parts are checked.  A planner builds its problem once and
-        re-aims it every cycle this way.
+        Only the new parts are checked.  The copy shares everything else
+        with this problem, derived data included, and rebuilds the lifted
+        propagator only for new dynamics.  A planner builds its problem
+        once and re-aims it every cycle this way.
         """
-        self._stage()      # built once here, then shared by every copy
-        self._lifted()
         out = copy.copy(self)
-        out.x0 = x0
+        set_ = functools.partial(object.__setattr__, out)
+        set_("x0", _state_vector(x0, self.n, "x0"))
         if dynamics is not None:
-            out.dynamics = dynamics
-        if cost is not None:
-            out.cost = cost
-        if terminal_cost is not None:
-            out.terminal_cost = terminal_cost
-        out._check_dimensions()
-        if (out.n, out.m) != (self.n, self.m):
-            raise ValueError("dynamics must keep the state and control sizes")
+            if not isinstance(dynamics, AffineDynamics):
+                raise ValueError("dynamics must be one AffineDynamics")
+            if (dynamics.n, dynamics.m) != (self.n, self.m):
+                raise ValueError("dynamics must keep the state and control sizes")
+            set_("dynamics", dynamics)
+            set_("_L", _lifted_propagator(dynamics))
+        if x_ref is not None:
+            x_ref = _state_vector(x_ref, self.n, "x_ref")
+            for name in ("cost", "terminal_cost"):
+                cost = copy.copy(getattr(self, name))
+                object.__setattr__(cost, "x_ref", x_ref)
+                set_(name, cost)
         return out
-
-    def _stacks(self) -> tuple["_Stack", "_Stack"]:
-        """Running and terminal barriers stacked; restacked if a list changed."""
-        key = (tuple(map(id, self.barriers)),
-               tuple(map(id, self.terminal_barriers)))
-        memo = self.__dict__.get("_stacked")
-        if memo is None or memo[0] != key:
-            n, m = self.n, self.m
-            # the memo holds the terms, so their ids stay theirs
-            memo = (key, _Stack(self.barriers, n, m),
-                    _Stack(self.terminal_barriers, n, m),
-                    (tuple(self.barriers), tuple(self.terminal_barriers)))
-            self._stacked = memo
-        return memo[1], memo[2]
-
-    def _stage(self) -> "_Stage":
-        """Stage weights of the backward pass; rebuilt if a part changed."""
-        run, term = self._stacks()
-        parts = (run, term, self.cost.Q, self.cost.R, self.terminal_cost.Q)
-        key = tuple(map(id, parts))
-        memo = self.__dict__.get("_staged")
-        if memo is None or memo.key != key:
-            memo = self._staged = _Stage(parts, key, self.n, self.m)
-        return memo
-
-    def _lifted(self) -> "_Lifted":
-        """The lifted dynamics of the passes; rebuilt if they are replaced."""
-        memo = self.__dict__.get("_lift")
-        if memo is None or memo.dynamics is not self.dynamics:
-            memo = self._lift = _Lifted(self.dynamics)
-        return memo
 
     @property
     def n(self) -> int:
@@ -355,6 +313,17 @@ class ProblemSpec:
     @property
     def m(self) -> int:
         return self.dynamics.m
+
+
+def _state_vector(value, n: int, name: str) -> np.ndarray:
+    """value as a read-only, finite float vector of size n."""
+    out = np.array(value, dtype=float).ravel()
+    if out.size != n:
+        raise ValueError(f"{name} size must match the state dimension")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} contains non-finite entries")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -430,7 +399,6 @@ class SolveInfo:
     iterations: int
     cost: float
     cost_history: list[float]
-    expected_decrease: float
     barrier_t_scale: float
     regularization: float
     log_range_margins: list[tuple[float, float]]
@@ -503,7 +471,6 @@ class _Stack:
         log, exp = terms[:self.n_log], terms[self.n_log:]
         self.lower = np.array([t.lower for t in log])
         self.upper = np.array([t.upper for t in log])
-        self.t = np.array([t.t for t in log])
         self.q1 = np.array([t.q1 for t in exp])
         self.q2 = np.array([t.q2 for t in exp])
         self.q2_sq = self.q2 * self.q2
@@ -531,11 +498,8 @@ class _Stage:
     N-1:  [t2, t1] (lane columns only) @ succ.
     """
 
-    def __init__(self, parts: tuple, key: tuple, n: int, m: int) -> None:
-        self.key = key
-        self.parts = parts      # held, so the ids in key stay theirs
-        run, term, Q, R, Qf = parts
-        self.stacks = run, term
+    def __init__(self, run: _Stack, term: _Stack, Q: np.ndarray,
+                 R: np.ndarray, Qf: np.ndarray, n: int, m: int) -> None:
         nz, q = n + 1 + m, (n + 1) ** 2
         # row k spreads entry k of a gradient over z into the value row
         # and column (slot n); the Hessian of column t is sel_t sel_t'
@@ -564,29 +528,25 @@ class _Stage:
                                -signed[lane] @ spread])
 
 
-class _Lifted:
-    """The backward-pass operator of one AffineDynamics, built once.
+def _lifted_propagator(dynamics: AffineDynamics) -> np.ndarray:
+    """The backward-pass operator L of one AffineDynamics.
 
-    L is the lifted propagator of the backward pass: with F = [[A, 0, B],
-    [0, 1, 0]] mapping z = [x; 1; u] to [x'; 1], L @ vec(V) is the
-    `_read_rows` of F' ((V + V') / 2) F for any (n+1, n+1) value block V,
-    so one product per step gives every Q-function derivative and
-    symmetrizes V on the way.
+    With F = [[A, 0, B], [0, 1, 0]] mapping z = [x; 1; u] to [x'; 1],
+    L @ vec(V) is the `_read_rows` of F' ((V + V') / 2) F for any
+    (n+1, n+1) value block V, so one product per step gives every
+    Q-function derivative and symmetrizes V on the way.
     """
-
-    def __init__(self, dynamics: AffineDynamics) -> None:
-        self.dynamics = dynamics
-        n, m = dynamics.n, dynamics.m
-        F = np.zeros((n + 1, n + 1 + m))
-        F[:n, :n] = dynamics.A
-        F[:n, n + 1:] = dynamics.B
-        F[n, n] = 1.0
-        # outer[c, d, a, b] = F[c, a] F[d, b], the coefficient of V[c, d]
-        # in (F' V F)[a, b]
-        outer = F[:, None, :, None] * F[None, :, None, :]
-        half = 0.5 * (outer + np.swapaxes(outer, 0, 1))
-        rows = _read_rows(half.reshape(((n + 1) ** 2,) + half.shape[-2:]), n)
-        self.L = np.ascontiguousarray(rows.T)
+    n, m = dynamics.n, dynamics.m
+    F = np.zeros((n + 1, n + 1 + m))
+    F[:n, :n] = dynamics.A
+    F[:n, n + 1:] = dynamics.B
+    F[n, n] = 1.0
+    # outer[c, d, a, b] = F[c, a] F[d, b], the coefficient of V[c, d]
+    # in (F' V F)[a, b]
+    outer = F[:, None, :, None] * F[None, :, None, :]
+    half = 0.5 * (outer + np.swapaxes(outer, 0, 1))
+    rows = _read_rows(half.reshape(((n + 1) ** 2,) + half.shape[-2:]), n)
+    return np.ascontiguousarray(rows.T)
 
 
 def _running_z(stack: _Stack, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -629,7 +589,7 @@ def _log_range_args(stack: _Stack, Z: np.ndarray, t_scale: float,
         raise InfeasibleTrajectoryError(
             f"log-range argument outside ({float(stack.lower[col])}, "
             f"{float(stack.upper[col])})")
-    return a, b, 1.0 / (stack.t * t_scale)
+    return a, b, 1.0 / t_scale
 
 
 def _exp_values(stack: _Stack, Z: np.ndarray) -> np.ndarray:
@@ -765,7 +725,7 @@ def _costs(X: np.ndarray, U: np.ndarray, spec: ProblemSpec, t_scale: float,
     trajectory's cost NaN or inf.
     """
     N = spec.horizon
-    run, term = spec._stacks()
+    run, term = spec._run, spec._term
     cost, final = spec.cost, spec.terminal_cost
     ex = X[..., :N, :] - cost.x_ref
     eN = X[..., N, :] - final.x_ref
@@ -811,8 +771,8 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
     X, U = traj.states, traj.controls
     N, n, m = U.shape[0], X.shape[1], U.shape[1]
     q = (n + 1) ** 2          # value-block entries; the m control rows follow
-    stage, L = spec._stage(), spec._lifted().L
-    run, term = stage.stacks
+    stage, L = spec._weights, spec._L
+    run, term = spec._run, spec._term
 
     # Stage derivatives as read rows, vectorized over the horizon and the
     # barriers.
@@ -921,13 +881,13 @@ def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
 
     Warm starts handed over by a receding-horizon caller often ride an
     active bound at microscopic margins.  There the barrier Hessian is
-    enormous (1 / (t * margin^2)), which freezes the Newton step and
+    enormous (1 / (t_scale * margin^2)), which freezes the Newton step and
     keeps a stale saturated plan pinned even after the optimal sign has
     flipped.  Enforcing a small minimum interior margin keeps the local
     curvature sane; entries deeper inside are left untouched.
     """
     controls = np.array(controls, dtype=float)
-    for j, c, offset, lower, upper in spec._stacks()[0].clips:
+    for j, c, offset, lower, upper in spec._run.clips:
         z = c * controls[:, j] + offset
         np.clip(z, lower, upper, out=z)
         controls[:, j] = (z - offset) / c
@@ -935,7 +895,7 @@ def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
 
 
 def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
-    run, _ = spec._stacks()
+    run = spec._run
     if not run.n_log:
         return []
     N, log = spec.horizon, slice(0, run.n_log)
@@ -981,7 +941,6 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     history = [J]
     converged = False
     iterations = 0
-    exp_dec = math.inf
     gains = None
     message = "iteration cap reached"
 
@@ -995,8 +954,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 reg *= REG_GROWTH
                 if reg > REG_MAX:
                     message = "backward pass failed at regularization cap"
-                    return _finish(traj, spec, J, history, exp_dec, t_scale,
-                                   reg, iterations, False, message, gains)
+                    return _finish(traj, spec, J, history, t_scale, reg,
+                                   iterations, False, message, gains)
         # Near-stationary iterates still try a single full step: on a
         # quadratic model that polishes the last digits, and if it fails
         # to strictly decrease the cost we declare convergence.  Both the
@@ -1050,18 +1009,17 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 message = "line search stalled at regularization cap"
                 break
 
-    return _finish(traj, spec, J, history, exp_dec, t_scale, reg,
-                   iterations, converged, message, gains)
+    return _finish(traj, spec, J, history, t_scale, reg, iterations,
+                   converged, message, gains)
 
 
-def _finish(traj, spec, J, history, exp_dec, t_scale, reg,
-            iterations, converged, message, gains) -> SolveResult:
+def _finish(traj, spec, J, history, t_scale, reg, iterations, converged,
+            message, gains) -> SolveResult:
     info = SolveInfo(
         converged=converged,
         iterations=iterations,
         cost=J,
         cost_history=history,
-        expected_decrease=exp_dec if math.isfinite(exp_dec) else 0.0,
         barrier_t_scale=t_scale,
         regularization=reg,
         log_range_margins=_log_range_margins(traj, spec),

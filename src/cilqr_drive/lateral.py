@@ -29,7 +29,6 @@ from .ilqr import (
 )
 
 STEER_LIMIT_RAD = math.pi / 6.0
-STEER_BARRIER_T = 1.0   # sharpness of the steering log barrier
 V_MIN = 1.0             # m/s; the model coefficients divide by v
 
 
@@ -141,11 +140,8 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
                          x_ref=np.zeros(4))
     steer_barrier = BarrierTerm.log_range(
         n, m, lower=-tuning.steer_limit, upper=tuning.steer_limit,
-        t=STEER_BARRIER_T, control_index=0)
+        control_index=0)
     centering = BarrierTerm.lane_centering(
-        n, m, state_index=0, branch_positive=state.delta_lat >= 0.0,
-        weight=tuning.centering_weight, rate=tuning.centering_rate)
-    terminal_centering = BarrierTerm.lane_centering(
         n, m, state_index=0, branch_positive=state.delta_lat >= 0.0,
         weight=tuning.centering_weight, rate=tuning.centering_rate)
     return ProblemSpec(
@@ -154,8 +150,8 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
         cost=cost,
         terminal_cost=cost,
         x0=state.as_vector(),
-        barriers=[steer_barrier, centering],
-        terminal_barriers=[terminal_centering],
+        barriers=(steer_barrier, centering),
+        terminal_barriers=(centering,),
     )
 
 

@@ -31,7 +31,6 @@ from .ilqr import (
 K_P = 0.5                 # PI gain per m/s of speed error
 K_I = 0.05                # PI gain per m of integrated speed error
 INTEGRAL_LIMIT = 2.0      # anti-windup clamp, m
-JERK_BARRIER_T = 1.0      # sharpness of the jerk log barrier
 ENGAGE_DISTANCE = 120.0   # a lead closer than this starts following, m
 RELEASE_DISTANCE = 140.0  # following stops beyond this, m
 
@@ -159,29 +158,23 @@ def build_following_problem(state: LongitudinalState, lead: LeadMeasurement,
     cost = QuadraticCost(Q=np.diag(tuning.q_diag), R=[[tuning.r]],
                          x_ref=_reference(lead, tuning))
     jerk = BarrierTerm.log_range(n, m, lower=-tuning.jerk_limit,
-                                 upper=tuning.jerk_limit,
-                                 t=JERK_BARRIER_T, control_index=0)
-
-    def gap_floor() -> BarrierTerm:
-        # exp(D_ref - D): explodes as the gap closes below the reference
-        return BarrierTerm.exp_one_sided(n, m, coeff=-1.0,
-                                         offset=tuning.d_ref, state_index=0)
-
-    def accel_cap(side: float) -> BarrierTerm:
-        return BarrierTerm.exp_one_sided(n, m, coeff=side,
-                                         offset=-tuning.accel_limit,
-                                         state_index=2)
-
-    running = [jerk, gap_floor(), accel_cap(1.0), accel_cap(-1.0)]
-    terminal = [gap_floor(), accel_cap(1.0), accel_cap(-1.0)]
+                                 upper=tuning.jerk_limit, control_index=0)
+    # exp(D_ref - D): explodes as the gap closes below the reference
+    gap_floor = BarrierTerm.exp_one_sided(n, m, coeff=-1.0,
+                                          offset=tuning.d_ref, state_index=0)
+    accel_caps = [BarrierTerm.exp_one_sided(n, m, coeff=side,
+                                            offset=-tuning.accel_limit,
+                                            state_index=2)
+                  for side in (1.0, -1.0)]
+    soft = (gap_floor, *accel_caps)
     return ProblemSpec(
         dynamics=dynamics,
         horizon=tuning.horizon,
         cost=cost,
         terminal_cost=cost,
         x0=state.as_vector(),
-        barriers=running,
-        terminal_barriers=terminal,
+        barriers=(jerk, *soft),
+        terminal_barriers=soft,
     )
 
 
@@ -274,11 +267,11 @@ class LongitudinalPlanner:
         assert lead is not None
         self.pi.v_r = min(self.cruise_speed, lead.v_l)
         state = LongitudinalState(D=lead.D, v=v, a=a_est)
-        cost = self._problem.cost.with_reference(_reference(lead, self.tuning))
         spec = self._problem.with_start(
-            state.as_vector(), cost=cost, terminal_cost=cost,
+            state.as_vector(),
             dynamics=build_longitudinal_dynamics(self.tuning.dt, lead.v_l,
-                                                 lead.a_l))
+                                                 lead.a_l),
+            x_ref=_reference(lead, self.tuning))
         config = self.cold_config if self._warm is None else self.warm_config
         accel = pi_cruise(self.pi, v)
         result = solve(spec, warm_start=self._warm, config=config)

@@ -54,21 +54,15 @@ class LeadSpec:
             raise ValueError("period_s must be positive")
 
     def speed(self, t: float) -> float:
-        if self.amplitude == 0.0:
-            return self.base_speed
         return self.base_speed + self.amplitude * math.sin(
             2.0 * math.pi * t / self.period_s)
 
     def accel(self, t: float) -> float:
-        if self.amplitude == 0.0:
-            return 0.0
         w = 2.0 * math.pi / self.period_s
         return self.amplitude * w * math.cos(w * t)
 
     def travel(self, t: float) -> float:
         """Distance covered since t = 0 (closed form)."""
-        if self.amplitude == 0.0:
-            return self.base_speed * t
         w = 2.0 * math.pi / self.period_s
         return self.base_speed * t - (self.amplitude / w) * (
             math.cos(w * t) - 1.0)

@@ -170,17 +170,17 @@ def understeer_yaw_rate(m, lf, lr, caf, car, v, delta):
     return v * delta / (wheelbase + k_us * v * v)
 
 
-def barrier_slopes(kind, z, lower=0.0, upper=0.0, t=1.0, q1=1.0, q2=1.0,
+def barrier_slopes(kind, z, lower=0.0, upper=0.0, q1=1.0, q2=1.0,
                    t_scale=1.0):
     """First and second derivative in z of one barrier profile.
 
-    log_range: -(1 / (t * t_scale)) [ln(z - lower) + ln(upper - z)];
+    log_range: -(1 / t_scale) [ln(z - lower) + ln(upper - z)];
     exp_one_sided and exp_lane_centering: q1 exp(min(q2 z, 45)).
     """
     if kind == "log_range":
         a, b = z - lower, upper - z
         assert a > 0.0 and b > 0.0, "log-range argument outside its range"
-        w = 1.0 / (t * t_scale)
+        w = 1.0 / t_scale
         return -w * (1.0 / a - 1.0 / b), w * (1.0 / a ** 2 + 1.0 / b ** 2)
     e = q1 * np.exp(min(q2 * z, 45.0))
     return q2 * e, q2 * q2 * e
@@ -192,7 +192,7 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
 
     X (N+1, n) and U (N, m) are the nominal; As[i], Bs[i] the dynamics of
     step i.  running and terminal are lists of dicts with the barrier
-    fields (kind, sel_x, sel_u, offset, lower, upper, t, q1, q2, sign).
+    fields (kind, sel_x, sel_u, offset, lower, upper, q1, q2, sign).
     A lane-centering term acts on z_i = sign (s.x_i - s.x_{i-1}) (z_0 = 0)
     with the predecessor frozen: step i collects the own-step derivative
     of term i and the successor derivative of term i+1 (the terminal term
@@ -216,7 +216,7 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
 
     def slopes(term, z):
         return barrier_slopes(term["kind"], z, term["lower"], term["upper"],
-                              term["t"], term["q1"], term["q2"], t_scale)
+                              term["q1"], term["q2"], t_scale)
 
     lx, lu, lxx, luu, lux = [], [], [], [], []
     for i in range(N):

@@ -346,6 +346,22 @@ class TestCompareCommand:
         assert report["controllers"] == ["cilqr", "vpc-cilqr"]
         assert report["reference_ratio"] == 1.36
 
+    def test_zero_offset_in_second_run_gives_nan_ratio(self, tmp_path,
+                                                       capsys):
+        # too short to leave the centerline: the ratio has no value
+        text = SMOKE.replace("duration_s = 2.0", "duration_s = 0.001")
+        cfg_a = _write(tmp_path, text, "a.cfg")
+        cfg_b = _write(tmp_path, text + "scenario.controller = vpc-cilqr\n",
+                       "b.cfg")
+        out = tmp_path / "out"
+        rc = main(["compare", str(cfg_a), str(cfg_b), "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "compare.json").read_text())
+        assert report["metrics"]["vpc-cilqr"]["delta_max_abs_m"] == 0.0
+        assert report["max_offset_ratio"] is None
+        assert ("max offset ratio (cilqr / vpc-cilqr): nan"
+                in capsys.readouterr().out)
+
 
 class TestBenchmarkCommand:
 
@@ -371,3 +387,16 @@ class TestBenchmarkCommand:
         for rep in reports:
             assert rep["mean_ms"] > 0.0
             assert rep["n_solves"] > 0
+
+    @pytest.mark.parametrize("states", ["0", "-3"])
+    def test_fewer_than_one_state_is_a_config_error(self, tmp_path, capsys,
+                                                    states):
+        cfg = _write(tmp_path, SMOKE)
+        out = tmp_path / "out"
+        rc = main(["benchmark", "--config", str(cfg), "--out", str(out),
+                   "--states", states])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "--states" in err
+        assert not out.exists()

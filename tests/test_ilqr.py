@@ -1,8 +1,10 @@
 """Core solver tests: rollout, costs, barriers, passes, and solve()."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cilqr_drive.ilqr import (
     AffineDynamics,
@@ -213,8 +215,7 @@ class TestBarriers:
         rng = np.random.default_rng(42)
         n, m = 3, 2
         terms = [
-            BarrierTerm.log_range(n, m, lower=-2.0, upper=1.5, control_index=1,
-                                  t=2.0),
+            BarrierTerm.log_range(n, m, lower=-2.0, upper=1.5, control_index=1),
             BarrierTerm.log_range(n, m, lower=-1.0, upper=1.0, state_index=2),
             BarrierTerm.exp_one_sided(n, m, state_index=0, coeff=-1.0,
                                       offset=0.3, q1=0.7, q2=1.3),
@@ -229,11 +230,12 @@ class TestBarriers:
                 x = rng.uniform(-0.6, 0.6, size=n)
                 u = rng.uniform(-0.6, 0.6, size=m)
                 prev = rng.uniform(-0.6, 0.6, size=n)
-                d = barrier_value_and_derivatives(term, x, u, prev_x=prev)
+                d = barrier_value_and_derivatives(term, x, u, prev_x=prev,
+                                                  t_scale=2.0)
 
                 def f(zvec):
                     dd = barrier_value_and_derivatives(
-                        term, zvec[:n], zvec[n:], prev_x=prev)
+                        term, zvec[:n], zvec[n:], prev_x=prev, t_scale=2.0)
                     return dd.value
 
                 z0 = np.concatenate([x, u])
@@ -256,9 +258,6 @@ class TestBarriers:
     def test_invalid_terms_rejected(self):
         with pytest.raises(ValueError):
             BarrierTerm.log_range(1, 1, lower=1.0, upper=-1.0, control_index=0)
-        with pytest.raises(ValueError):
-            BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0, t=0.0,
-                                  control_index=0)
         with pytest.raises(ValueError):
             BarrierTerm.exp_one_sided(1, 1, control_index=0, q1=-1.0)
 
@@ -346,8 +345,7 @@ def random_barrier_problem(rng, m):
     running = [
         BarrierTerm.lane_centering(n, m, state_index=0, branch_positive=True,
                                    weight=0.7, rate=1.3),
-        BarrierTerm.log_range(n, m, lower=lo_u, upper=hi_u, t=2.0,
-                              control_index=0),
+        BarrierTerm.log_range(n, m, lower=lo_u, upper=hi_u, control_index=0),
         BarrierTerm.exp_one_sided(n, m, coeff=-1.0, offset=0.4, q1=0.8,
                                   q2=1.1, state_index=1),
         BarrierTerm(BarrierKind.EXP_ONE_SIDED, 0.3 * sx, 0.3 * su,
@@ -368,10 +366,23 @@ def random_barrier_problem(rng, m):
     return spec, nominal
 
 
+def fresh_problem(spec, x0, dynamics=None, x_ref=None):
+    """spec built anew from its parts, with x0 and any of dynamics or the
+    reference of both costs replaced."""
+    def cost(c):
+        return c if x_ref is None else QuadraticCost(Q=c.Q, R=c.R, x_ref=x_ref)
+
+    return ProblemSpec(
+        dynamics=spec.dynamics if dynamics is None else dynamics,
+        horizon=spec.horizon, cost=cost(spec.cost),
+        terminal_cost=cost(spec.terminal_cost), x0=x0,
+        barriers=spec.barriers, terminal_barriers=spec.terminal_barriers)
+
+
 def _plain_terms(terms):
     return [dict(kind=t.kind.value, sel_x=np.array(t.sel_x),
                  sel_u=np.array(t.sel_u), offset=t.offset, lower=t.lower,
-                 upper=t.upper, t=t.t, q1=t.q1, q2=t.q2, sign=t.sign)
+                 upper=t.upper, q1=t.q1, q2=t.q2, sign=t.sign)
             for t in terms]
 
 
@@ -461,7 +472,7 @@ class TestLiftedStep:
             m = 1 + trial % 2
             spec, _ = random_barrier_problem(rng, m)
             n, d = spec.n, spec.dynamics
-            L = spec._lifted().L
+            L = spec._L
             assert L.shape == ((n + 1) ** 2 + m * (n + 1 + m), (n + 1) ** 2)
             F = np.zeros((n + 1, n + 1 + m))
             F[:n, :n] = d.A
@@ -473,27 +484,19 @@ class TestLiftedStep:
                     F.T @ (0.5 * (V + V.T)) @ F, n)
                 assert _rel_err(L @ V.ravel(), want) < 1e-13
 
-    def test_replaced_dynamics_or_costs_rebuild_the_memo(self):
-        # the lifted propagator and the stage weights are memoized on the
-        # problem; a problem re-aimed at other dynamics or costs must give
-        # what a problem built fresh with them gives
+    def test_re_aimed_dynamics_or_reference_match_a_fresh_problem(self):
+        # a problem re-aimed at other dynamics or another reference must
+        # give what a problem built fresh from the same parts gives
         rng = np.random.default_rng(92)
         for trial in range(4):
             m = 1 + trial % 2
             spec, nominal = random_barrier_problem(rng, m)
             other, _ = random_barrier_problem(rng, m)
-            while other.horizon != spec.horizon:
-                other, _ = random_barrier_problem(rng, m)
-            before, _ = backward_pass(nominal, spec, 1e-3)   # fills the memo
+            before, _ = backward_pass(nominal, spec, 1e-3)
             for part in ({"dynamics": other.dynamics},
-                         {"cost": other.cost,
-                          "terminal_cost": other.terminal_cost}):
+                         {"x_ref": rng.normal(size=spec.n)}):
                 moved = spec.with_start(spec.x0, **part)
-                fresh = ProblemSpec(**{
-                    "dynamics": spec.dynamics, "horizon": spec.horizon,
-                    "cost": spec.cost, "terminal_cost": spec.terminal_cost,
-                    "x0": spec.x0, "barriers": spec.barriers,
-                    "terminal_barriers": spec.terminal_barriers, **part})
+                fresh = fresh_problem(spec, spec.x0, **part)
                 got, dec = backward_pass(nominal, moved, 1e-3)
                 want, dec_want = backward_pass(nominal, fresh, 1e-3)
                 np.testing.assert_array_equal(got.k, want.k)
@@ -575,8 +578,8 @@ class TestSolve:
         cfg = SolverConfig(barrier_t_init=50.0, barrier_t_max=50.0)
         for _ in range(5):
             spec, _ = random_affine_problem(rng, n=3, m=1, N=20)
-            spec.barriers = [BarrierTerm.log_range(3, 1, lower=-3.0, upper=3.0,
-                                                   control_index=0)]
+            spec = dataclasses.replace(spec, barriers=(BarrierTerm.log_range(
+                3, 1, lower=-3.0, upper=3.0, control_index=0),))
             res = solve(spec, config=cfg)
             hist = res.info.cost_history
             assert all(b < a for a, b in zip(hist, hist[1:]))
@@ -651,6 +654,74 @@ class TestSolve:
             solve(spec, warm_start=np.zeros((4, 1)))
 
 
+# ---------------------------------------------------------------------------
+# solve on random problems (Hypothesis)
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30,
+                             deadline=None, database=None)
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+control_sizes = st.sampled_from((1, 2))
+
+
+def _same_result(a, b):
+    np.testing.assert_array_equal(a.trajectory.states, b.trajectory.states)
+    np.testing.assert_array_equal(a.trajectory.controls,
+                                  b.trajectory.controls)
+    assert a.info == b.info
+    np.testing.assert_array_equal(a.gains.k, b.gains.k)
+    np.testing.assert_array_equal(a.gains.K, b.gains.K)
+
+
+class TestSolveProperties:
+    """Each problem is feasible at its first rollout: random_barrier_problem
+    with the nominal's controls as the warm start."""
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes)
+    def test_log_range_margins_stay_positive(self, seed, m):
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        res = solve(spec, warm_start=nominal.controls)
+        assert len(res.info.log_range_margins) == 2
+        assert all(lo > 0.0 and hi > 0.0
+                   for lo, hi in res.info.log_range_margins)
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes,
+           sharpness=st.sampled_from((1.0, 50.0, 1e4)))
+    def test_cost_strictly_decreases_at_fixed_sharpness(self, seed, m,
+                                                        sharpness):
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        cfg = SolverConfig(barrier_t_init=sharpness, barrier_t_max=sharpness)
+        hist = solve(spec, warm_start=nominal.controls,
+                     config=cfg).info.cost_history
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes)
+    def test_repeat_solves_are_bit_identical(self, seed, m):
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        _same_result(solve(spec, warm_start=nominal.controls),
+                     solve(spec, warm_start=nominal.controls))
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes)
+    def test_re_aimed_problem_solves_like_a_fresh_one(self, seed, m):
+        # a skeleton at other dynamics, start and reference, re-aimed at
+        # the drawn ones, against the problem built from the drawn parts
+        rng = np.random.default_rng(seed)
+        spec, nominal = random_barrier_problem(rng, m)
+        x_ref = rng.normal(size=spec.n) * 0.5
+        skeleton = fresh_problem(
+            spec, np.zeros(spec.n),
+            dynamics=AffineDynamics(A=np.eye(spec.n), B=np.ones((spec.n, m))))
+        moved = skeleton.with_start(spec.x0, dynamics=spec.dynamics,
+                                    x_ref=x_ref)
+        fresh = fresh_problem(spec, spec.x0, x_ref=x_ref)
+        _same_result(solve(moved, warm_start=nominal.controls),
+                     solve(fresh, warm_start=nominal.controls))
+
+
 class TestValidation:
     def test_dynamics_validation(self):
         with pytest.raises(ValueError):
@@ -690,20 +761,38 @@ class TestValidation:
         term = BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0,
                                      control_index=0)
         spec = scalar_problem(barriers=[term])
-        moved = spec.with_start([2.0],
-                                cost=spec.cost.with_reference([0.5]))
+        moved = spec.with_start([2.0], x_ref=[0.5])
         assert moved.barriers is spec.barriers
+        assert moved.dynamics is spec.dynamics
         np.testing.assert_array_equal(moved.x0, [2.0])
         np.testing.assert_array_equal(spec.x0, [1.0])
-        np.testing.assert_array_equal(moved.cost.x_ref, [0.5])
-        np.testing.assert_array_equal(spec.cost.x_ref, [0.0])
+        for got, kept in ((moved.cost, spec.cost),
+                          (moved.terminal_cost, spec.terminal_cost)):
+            np.testing.assert_array_equal(got.x_ref, [0.5])
+            np.testing.assert_array_equal(kept.x_ref, [0.0])
+            assert got.Q is kept.Q and got.R is kept.R
+            with pytest.raises(ValueError):
+                got.x_ref[0] = 0.0
         with pytest.raises(ValueError):
             spec.with_start([1.0, 2.0])
         with pytest.raises(ValueError):
             spec.with_start([1.0, 2.0], dynamics=AffineDynamics(
                 A=np.eye(2), B=np.ones((2, 1))))
+        for x_ref in ([0.0, 1.0], [math.nan]):
+            with pytest.raises(ValueError):
+                spec.with_start([1.0], x_ref=x_ref)
+
+    def test_problem_is_frozen(self):
+        spec = scalar_problem(barriers=[BarrierTerm.log_range(
+            1, 1, lower=-1.0, upper=1.0, control_index=0)])
+        assert isinstance(spec.barriers, tuple)
+        assert isinstance(spec.terminal_barriers, tuple)
+        for name, value in (("x0", np.zeros(1)), ("barriers", ()),
+                            ("cost", spec.terminal_cost), ("horizon", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
         with pytest.raises(ValueError):
-            spec.cost.with_reference([0.0, 1.0])
+            spec.x0[0] = 0.0
 
     def test_barrier_terms_are_immutable(self):
         term = BarrierTerm.log_range(2, 1, lower=-1.0, upper=1.0,
@@ -738,8 +827,6 @@ class TestValidation:
             cost.Q = 2.0 * np.eye(2)
         with pytest.raises(ValueError):
             cost.Q[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            cost.with_reference([1.0, 1.0]).x_ref[0] = 0.0
         Q[0, 0] = 5.0
         assert cost.Q[0, 0] == 1.0
 
