@@ -169,24 +169,29 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _spread(idx: np.ndarray, n: int) -> np.ndarray:
-    # subsample evenly rather than truncating so long logs contribute
-    # states from every section, turns included
-    if idx.size <= n:
-        return idx
-    return idx[np.linspace(0, idx.size - 1, n).round().astype(int)]
+def _replay_rows(log: SimLog, cfg: RunConfig, n_states: int, have=None):
+    """Every k-th planner-cadence row (where `have`), k = max(1, rows //
+    n_states), so long logs give states from every section, turns included;
+    and the mean logged time between the chosen rows."""
+    rates = cfg.spec.rates
+    rows = np.arange(0, len(log), -(-rates.planner_us // rates.plant_us))
+    if have is not None:
+        rows = rows[have[rows]]
+    idx = rows[::max(1, rows.size // n_states)]
+    t = log.columns["time_s"][idx]
+    period = np.diff(t).mean() if idx.size > 1 else rates.planner_us * 1e-6
+    return idx, float(period)
 
 
 def replay_lateral_timing(log: SimLog, cfg: RunConfig,
                           n_states: int = 1000) -> dict:
     """Re-solve recorded states through a fresh steering planner.
 
-    States are taken from the log at the planner cadence, so the warm
-    start chain mirrors the closed loop; the first solve is cold and is
+    States are strided evenly over the log and replayed in order, each
+    warm-started from the plan before it; the first solve is cold and is
     included in the statistics.
     """
-    stride = max(1, -(-cfg.spec.rates.planner_us // cfg.spec.rates.plant_us))
-    idx = _spread(np.arange(0, len(log), stride), n_states)
+    idx, _ = _replay_rows(log, cfg, n_states)
     planner = LateralPlanner(params=cfg.vehicle, tuning=cfg.lateral)
     d = log.columns["delta_m"]
     th = log.columns["theta_rad"]
@@ -209,14 +214,12 @@ def replay_lateral_timing(log: SimLog, cfg: RunConfig,
 
 def replay_longitudinal_timing(log: SimLog, cfg: RunConfig,
                                n_states: int = 1000) -> dict:
-    """Re-solve recorded car-following states; see replay_lateral_timing."""
-    stride = max(1, -(-cfg.spec.rates.planner_us // cfg.spec.rates.plant_us))
-    have = np.isfinite(log.columns["D_m"])
-    idx = _spread(np.array([i for i in np.arange(0, len(log), stride)
-                            if have[i]], dtype=int), n_states)
-    planner = LongitudinalPlanner(
-        cruise_speed=cfg.spec.cruise_speed, tuning=cfg.long_tuning,
-        period=cfg.spec.rates.planner_us * 1e-6)
+    """Re-solve recorded car-following states; see replay_lateral_timing.
+    The planner's period is the logged time between replayed states."""
+    idx, period = _replay_rows(log, cfg, n_states,
+                               have=np.isfinite(log.columns["D_m"]))
+    planner = LongitudinalPlanner(cruise_speed=cfg.spec.cruise_speed,
+                                  tuning=cfg.long_tuning, period=period)
     v = log.columns["v_mps"]
     D = log.columns["D_m"]
     vl = log.columns["v_l_mps"]

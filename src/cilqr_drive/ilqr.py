@@ -549,29 +549,27 @@ def _lifted_propagator(dynamics: AffineDynamics) -> np.ndarray:
     return np.ascontiguousarray(rows.T)
 
 
-def _running_z(stack: _Stack, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _running_z(stack: _Stack, X: np.ndarray,
+               U: np.ndarray | None = None) -> np.ndarray:
     """Barrier arguments (..., N, T) at steps 0..N-1.
 
     Lane-centering columns are differenced against the previous step;
-    step 0 references itself.
+    step 0 references itself.  U = None stands for zero controls at a
+    step for every row of X.
     """
-    N = U.shape[-2]
-    Z = X[..., :N, :] @ stack.sel_x_t + U @ stack.sel_u_t + stack.offset
-    lane = Z[..., stack.lane]
+    Z = X @ stack.sel_x_t if U is None else (
+        X[..., :U.shape[-2], :] @ stack.sel_x_t + U @ stack.sel_u_t)
+    Z = Z + stack.offset
     if stack.sign.size:
+        lane = Z[..., stack.lane]
         lane[..., 1:, :] = stack.sign * (lane[..., 1:, :] - lane[..., :-1, :])
         lane[..., 0, :] = 0.0
     return Z
 
 
 def _terminal_z(stack: _Stack, X: np.ndarray) -> np.ndarray:
-    """Barrier arguments (..., T) at x_N."""
-    z = X[..., -1, :] @ stack.sel_x_t + stack.offset
-    if stack.sign.size:
-        lane = stack.lane
-        prev = X[..., -2, :] @ stack.sel_x_t[:, lane] + stack.offset[lane]
-        z[..., lane] = stack.sign * (z[..., lane] - prev)
-    return z
+    """Barrier arguments (..., T) at x_N: `_running_z` on x_{N-1}, x_N."""
+    return _running_z(stack, X[..., -2:, :])[..., -1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +636,15 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
     its contribution is held fixed, so the returned derivatives are those
     of this single term with the predecessor frozen.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    z = float(term.sel_x @ x + term.sel_u @ u + term.offset)
-    chain = 1.0
-    if term.kind is BarrierKind.EXP_LANE_CENTERING:
-        if prev_x is None:
-            raise ValueError("lane-centering barrier needs prev_x")
-        z_prev = float(term.sel_x @ np.asarray(prev_x, dtype=float).ravel()
-                       + term.offset)
-        z = term.sign * (z - z_prev)
-        chain = term.sign
+    lane = term.kind is BarrierKind.EXP_LANE_CENTERING
+    if lane and prev_x is None:
+        raise ValueError("lane-centering barrier needs prev_x")
+    chain = term.sign if lane else 1.0
+    # step 1 of a two-step trajectory whose step 0 is the predecessor
+    X = np.array([prev_x if lane else x, x], dtype=float).reshape(2, -1)
+    U = np.array([u, u], dtype=float).reshape(2, -1)
     stack = term._stack
-    Z = np.array([z])
+    Z = _running_z(stack, X, U)[-1]
     value = sum(float(v.sum()) for v in _barrier_values(stack, Z, t_scale,
                                                         strict=True))
     g1, g2 = (float(g[0]) for g in _barrier_slopes(stack, Z, t_scale))
@@ -852,28 +846,20 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, lam: float,
                  spec: ProblemSpec) -> Trajectory:
     """Roll out u_i + lam * k_i + K_i (x - x_i) from spec.x0 around the
     nominal; from a moved start state, lam = 0 gives the nominal's own
-    feedback correction."""
-    states, controls = _forward_arrays(traj.states, traj.controls,
-                                       gains, lam, spec)
-    return Trajectory(states, controls)
-
-
-def _forward_arrays(X: np.ndarray, U: np.ndarray, gains: GainSchedule,
-                    lam: float, spec: ProblemSpec):
-    """The forward pass through the closed-loop matrices A + B K_i.
+    feedback correction.
 
     With u_i = uff_i + K_i x_i, where uff_i = U_i + lam k_i - K_i X_i, the
     rollout is x_{i+1} = (A + B K_i) x_i + B uff_i + drift.  States and
     controls share uff_i, so they stay consistent even when the nominal
     is far larger than the result.
     """
-    N = spec.horizon
+    X, U, N = traj.states, traj.controls, spec.horizon
     k, K = gains.k, gains.K
     dyn = spec.dynamics
     A, B, drift = dyn.A, dyn.B, dyn._drift
     uff = U + lam * k - (K @ X[:N, :, None])[:, :, 0]
     states = _propagate(spec.x0, A + B @ K, uff @ B.T + drift)
-    return states, uff + (K @ states[:N, :, None])[:, :, 0]
+    return Trajectory(states, uff + (K @ states[:N, :, None])[:, :, 0])
 
 
 def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
@@ -895,16 +881,16 @@ def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
 
 
 def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
-    run = spec._run
-    if not run.n_log:
-        return []
-    N, log = spec.horizon, slice(0, run.n_log)
-    Z = (traj.states[:N] @ run.sel_x_t[:, log]
-         + traj.controls @ run.sel_u_t[:, log] + run.offset[log])
-    # subtracting a constant is monotone in floating point, so the
-    # smallest margins come from the extreme arguments
-    return list(zip((Z.min(axis=0) - run.lower).tolist(),
-                    (run.upper - Z.max(axis=0)).tolist()))
+    # running log-range columns first, then terminal ones; subtracting a
+    # constant is monotone, so the extreme arguments give the margins
+    run, term, X = spec._run, spec._term, traj.states
+    Z = _running_z(run, X, traj.controls)[:, :run.n_log]
+    pairs = list(zip((Z.min(axis=0) - run.lower).tolist(),
+                     (run.upper - Z.max(axis=0)).tolist()))
+    if term.n_log:
+        z = _terminal_z(term, X)[:term.n_log]
+        pairs += zip((z - term.lower).tolist(), (term.upper - z).tolist())
+    return pairs
 
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
@@ -968,11 +954,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         # The feedback rollout is affine in the step size, so the candidate
         # at lambda is X + lambda (X_1 - X); the full step is kept exactly
         X, U = traj.states, traj.controls
-        X1, U1 = _forward_arrays(X, U, gains, 1.0, spec)
+        full = forward_pass(traj, gains, 1.0, spec)
         steps = lams[:1] if stationary else lams
-        Xs = X + steps * (X1 - X)
-        Us = U + steps * (U1 - U)
-        Xs[0], Us[0] = X1, U1
+        Xs = X + steps * (full.states - X)
+        Us = U + steps * (full.controls - U)
+        Xs[0], Us[0] = full.states, full.controls
         costs = _costs(Xs, Us, spec, t_scale)
         # NaN and infeasible (NaN or inf) candidates fail this test; the
         # steps descend, so the first hit is the longest

@@ -187,6 +187,8 @@ class LateralPlanner:
 
     def plan(self, state: LateralState, v: float
              ) -> tuple[SteerCommand, LateralPlanDiagnostics]:
+        if not math.isfinite(v):
+            raise ValueError("lateral speed must be finite")
         clamped = v < V_MIN
         v_eff = max(v, V_MIN)
         dynamics = build_lateral_dynamics(self.params, v_eff, self.tuning.dt)

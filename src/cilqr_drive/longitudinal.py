@@ -24,6 +24,7 @@ from .ilqr import (
     ProblemSpec,
     QuadraticCost,
     SolveInfo,
+    SolveResult,
     SolverConfig,
     solve,
 )
@@ -200,7 +201,7 @@ class LongitudinalPlanner:
     is capped at the lead speed: tracking the gap is the solver's job
     and the PI loop must not fight it by pushing toward cruise speed.
     Ego acceleration is not sensed directly; it is estimated from speed
-    differences averaged over the last three cycles, `period` seconds
+    differences averaged over the last three cycles, `pi.period` seconds
     apart (the same period drives the PI integral).  The following
     problem is built and validated once; every cycle re-aims it at the
     new state and lead.
@@ -221,11 +222,8 @@ class LongitudinalPlanner:
         # a few steps recover the applied jerk; long budgets only polish
         # tail-stage barrier margins that the next replan discards anyway
         self.warm_config = self.cold_config.for_warm_start(4)
-        self.period = period
-        self.following = False
-        self._warm: np.ndarray | None = None
         self._diffs: deque[float] = deque(maxlen=3)
-        self._last_v: float | None = None
+        self.reset()
         d_ref = self.tuning.d_ref
         self._problem = build_following_problem(
             LongitudinalState(D=d_ref, v=0.0),
@@ -233,15 +231,15 @@ class LongitudinalPlanner:
 
     def reset(self) -> None:
         self.following = False
-        self._warm = None
+        self._prev: SolveResult | None = None
         self._diffs.clear()
-        self._last_v = None
+        self._last_v: float | None = None
         self.pi.integral = 0.0
         self.pi.v_r = self.cruise_speed
 
     def _estimate_accel(self, v: float) -> float:
         if self._last_v is not None:
-            self._diffs.append((v - self._last_v) / self.period)
+            self._diffs.append((v - self._last_v) / self.pi.period)
         self._last_v = v
         if not self._diffs:
             return 0.0
@@ -261,7 +259,7 @@ class LongitudinalPlanner:
             self.following = True
         if not self.following:
             self.pi.v_r = self.cruise_speed
-            self._warm = None
+            self._prev = None
             return (LongCommand(pi_cruise(self.pi, v), 0.0),
                     LongPlanDiagnostics(following=False))
         assert lead is not None
@@ -272,15 +270,16 @@ class LongitudinalPlanner:
             dynamics=build_longitudinal_dynamics(self.tuning.dt, lead.v_l,
                                                  lead.a_l),
             x_ref=_reference(lead, self.tuning))
-        config = self.cold_config if self._warm is None else self.warm_config
-        accel = pi_cruise(self.pi, v)
-        result = solve(spec, warm_start=self._warm, config=config)
-        # not converged is tolerated: best-so-far jerk, flag in diagnostics.
         # The replan period is far shorter than the prediction step, so the
         # previous plan is reused as-is; shifting it by a whole step would
         # misalign it by an order of magnitude more than the elapsed time.
+        warm, config = None, self.cold_config
+        if self._prev is not None:
+            warm, config = self._prev.trajectory.controls, self.warm_config
+        accel = pi_cruise(self.pi, v)
+        # not converged is tolerated: best-so-far jerk, flag in diagnostics
+        self._prev = result = solve(spec, warm_start=warm, config=config)
         controls = result.trajectory.controls
-        self._warm = controls.copy()
         j0 = float(controls[0, 0])
         cmd = LongCommand(min(max(accel + j0, -1.0), 1.0),
                           brake_ramp(lead.D, self.tuning))

@@ -88,16 +88,6 @@ class TrackGeometry:
         length = self._breaks[i + 1] - self._breaks[i]
         return k0 + (k1 - k0) * (ds / length)
 
-    def heading(self, s: float) -> float:
-        """Centerline tangent angle at s, accumulated from s = 0."""
-        turns = math.floor(s / self.length) if self.closed else 0.0
-        i, ds = self._locate(s)
-        k0, k1 = self._kappas[i]
-        length = self._breaks[i + 1] - self._breaks[i]
-        slope = (k1 - k0) / length
-        return (self._psi[i] + k0 * ds + 0.5 * slope * ds * ds
-                + turns * self._psi[-1])
-
     def _locate_many(self, s: np.ndarray):
         """Vectorized _locate: index, offset, length and end curvatures."""
         sm = s % self.length if self.closed else np.clip(s, 0.0, self.length)
@@ -113,7 +103,7 @@ class TrackGeometry:
         return k0 + (k1 - k0) * (ds / length)
 
     def heading_many(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized heading, equal to heading() at each entry."""
+        """Centerline tangent angles at s, accumulated from s = 0."""
         s = np.asarray(s, dtype=float)
         turns = np.floor(s / self.length) if self.closed else 0.0
         idx, ds, length, k0, k1 = self._locate_many(s)
@@ -129,12 +119,9 @@ class TrackGeometry:
             for i in range(len(self.segments)):
                 s0, s1 = self._breaks[i], self._breaks[i + 1]
                 x0, y0 = poses[-1]
-                x0 += float(np.dot(_GL_WEIGHTS,
-                                   np.cos(self.heading_many(
-                                       s0 + (s1 - s0) * _GL_NODES))) * (s1 - s0))
-                y0 += float(np.dot(_GL_WEIGHTS,
-                                   np.sin(self.heading_many(
-                                       s0 + (s1 - s0) * _GL_NODES))) * (s1 - s0))
+                psi = self.heading_many(s0 + (s1 - s0) * _GL_NODES)
+                x0 += float(np.dot(_GL_WEIGHTS, np.cos(psi)) * (s1 - s0))
+                y0 += float(np.dot(_GL_WEIGHTS, np.sin(psi)) * (s1 - s0))
                 poses.append((x0, y0))
             self._poses = poses
         return self._poses
@@ -157,14 +144,15 @@ class TrackGeometry:
         global position is needed.  Returns an (n, 2) array of (x, y).
         """
         distances = np.asarray(distances, dtype=float)
-        psi0 = self.heading(s)
-        # integrate cos/sin of the relative tangent angle over each gap
-        # with 3-point Gauss-Legendre (error well under 1e-9 per meter),
-        # all gaps in one call, then accumulate the gaps in order
+        # integrate cos/sin of the tangent angle relative to the foot
+        # point's over each gap with 3-point Gauss-Legendre (error well
+        # under 1e-9 per meter), all gaps and the foot point in one call,
+        # then accumulate the gaps in order
         prev = np.concatenate(([0.0], distances[:-1]))
         h = distances - prev
         pts = s + prev[:, None] + h[:, None] * _GL3_NODES
-        phi = self.heading_many(pts.ravel()).reshape(pts.shape) - psi0
+        psi = self.heading_many(np.concatenate(([s], pts.ravel())))
+        phi = psi[1:].reshape(pts.shape) - psi[0]
         h = np.where(h > 0.0, h, 0.0)
         xs = np.cumsum(h * (np.cos(phi) @ _GL3_WEIGHTS))
         ys = np.cumsum(h * (np.sin(phi) @ _GL3_WEIGHTS))

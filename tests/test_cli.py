@@ -5,9 +5,10 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cilqr_drive.cli import main
+from cilqr_drive.cli import _execute, main, replay_longitudinal_timing
 from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_int,
                                 load_run_config)
 from cilqr_drive.sim import LeadSpec
@@ -387,6 +388,36 @@ class TestBenchmarkCommand:
         for rep in reports:
             assert rep["mean_ms"] > 0.0
             assert rep["n_solves"] > 0
+
+    def test_following_replay_runs_at_the_logged_spacing(self, tmp_path,
+                                                         monkeypatch):
+        # the replay planner's period is the logged time between replayed
+        # states: its start-state acceleration is the mean of the last
+        # three speed differences over their logged spacing
+        import cilqr_drive.longitudinal as longitudinal
+        cfg = load_run_config(_write(tmp_path, FOLLOWING), ())
+        log = _execute(cfg)
+        starts = []
+        real_solve = longitudinal.solve
+
+        def spy(spec, warm_start=None, config=None):
+            starts.append(spec.x0.copy())
+            return real_solve(spec, warm_start=warm_start, config=config)
+
+        monkeypatch.setattr(longitudinal, "solve", spy)
+        report = replay_longitudinal_timing(log, cfg, n_states=20)
+        t, v = log.columns["time_s"], log.columns["v_mps"]
+        assert np.isfinite(log.columns["D_m"]).all()
+        # 6.66 ms planner cadence on 1 ms plant rows, then a uniform stride
+        rows = np.arange(0, len(log), 7)
+        idx = rows[::rows.size // 20]
+        assert report["n_solves"] == len(starts) == idx.size >= 20
+        assert starts[0][2] == 0.0
+        for j in range(1, idx.size):
+            r = idx[max(0, j - 3):j + 1]
+            assert starts[j][1] == v[idx[j]]
+            assert starts[j][2] == pytest.approx(
+                np.mean(np.diff(v[r]) / np.diff(t[r])), rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("states", ["0", "-3"])
     def test_fewer_than_one_state_is_a_config_error(self, tmp_path, capsys,

@@ -573,6 +573,22 @@ class TestSolve:
         u_grid, _ = grid_minimize(augmented, -0.1, 0.1)
         assert u0 == pytest.approx(u_grid, abs=2e-4)
 
+    def test_terminal_log_range_margins_follow_the_running_ones(self):
+        dyn = AffineDynamics(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [0.1]])
+        cost = QuadraticCost(Q=np.eye(2), R=[[1.0]], x_ref=[0.0, 0.0])
+        spec = ProblemSpec(
+            dynamics=dyn, horizon=5, cost=cost, terminal_cost=cost,
+            x0=[0.0, 1.0],
+            barriers=(BarrierTerm.log_range(2, 1, lower=-1.0, upper=1.0,
+                                            control_index=0),),
+            terminal_barriers=(BarrierTerm.log_range(
+                2, 1, lower=-1.0, upper=2.0, state_index=1),))
+        res = solve(spec)
+        u = res.trajectory.controls[:, 0]
+        x_N = res.trajectory.states[-1, 1]
+        assert res.info.log_range_margins == [
+            (u.min() + 1.0, 1.0 - u.max()), (x_N + 1.0, 2.0 - x_N)]
+
     def test_monotone_descent_at_fixed_sharpness(self):
         rng = np.random.default_rng(5)
         cfg = SolverConfig(barrier_t_init=50.0, barrier_t_max=50.0)
@@ -682,7 +698,8 @@ class TestSolveProperties:
     def test_log_range_margins_stay_positive(self, seed, m):
         spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
         res = solve(spec, warm_start=nominal.controls)
-        assert len(res.info.log_range_margins) == 2
+        # two running log ranges, then the one on x_N
+        assert len(res.info.log_range_margins) == 3
         assert all(lo > 0.0 and hi > 0.0
                    for lo, hi in res.info.log_range_margins)
 

@@ -283,6 +283,21 @@ class TestLateralPlanner:
         margins = diag.solve_info.log_range_margins
         assert margins and all(lo > 0.0 and hi > 0.0 for lo, hi in margins)
 
+    @pytest.mark.parametrize("v", [math.inf, math.nan])
+    def test_non_finite_speed_leaves_the_carried_plan_clean(self, v):
+        # refused before it touches the carried plan, so the next valid
+        # cycle equals that of a planner that never saw the bad call
+        planner, clean = LateralPlanner(), LateralPlanner()
+        for p in (planner, clean):
+            p.plan(LateralState(0.3, 0.01), V_76_KMH)
+        with pytest.raises(ValueError, match="lateral speed must be finite"):
+            planner.plan(LateralState(0.3, 0.01), v)
+        later = LateralState(0.28, 0.012)
+        cmd, diag = planner.plan(later, V_76_KMH)
+        clean_cmd, clean_diag = clean.plan(later, V_76_KMH)
+        assert cmd == clean_cmd
+        assert diag.solve_info == clean_diag.solve_info
+
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)
         b, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

@@ -288,9 +288,9 @@ class TestPlannerWrapper:
     def test_warm_start_lifecycle(self):
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         planner.plan(V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=40.0))
-        assert planner._warm is not None and planner._warm.shape == (30, 1)
+        assert planner._prev.trajectory.controls.shape == (30, 1)
         planner.plan(V_CRUISE, None)
-        assert planner._warm is None
+        assert planner._prev is None
         planner.reset()
         assert planner.pi.integral == 0.0
 

@@ -57,8 +57,8 @@ class TestBuildTrack:
 
     def test_track_a_is_one_full_turn(self):
         track = build_track("trackA")
-        assert track.heading(track.length) == pytest.approx(2.0 * math.pi,
-                                                            abs=1e-9)
+        assert track.heading_many([track.length])[0] == pytest.approx(
+            2.0 * math.pi, abs=1e-9)
 
     def test_discontinuous_profile_rejected(self):
         with pytest.raises(ValueError):
