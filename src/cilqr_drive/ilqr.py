@@ -15,6 +15,7 @@ iterations, so converged solutions stay strictly inside their ranges.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import enum
@@ -88,7 +89,7 @@ class AffineDynamics:
         else:
             drift = np.zeros(A.shape[0])
         for name, value in (("A", A), ("B", B), ("drift", drift)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} contains non-finite entries")
         for name, value in (("A", A), ("B", B), ("C", C), ("w", w),
                             ("_drift", drift)):
@@ -130,7 +131,7 @@ class QuadraticCost:
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("R must be square")
         for name, value in (("Q", Q), ("R", R), ("x_ref", x_ref)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} contains non-finite entries")
         if not np.allclose(Q, Q.T, atol=1e-10):
             raise ValueError("Q must be symmetric")
@@ -187,8 +188,10 @@ class BarrierTerm:
                 raise ValueError("lane-centering barrier selects states only")
 
     @functools.cached_property
-    def _stack(self) -> "_Stack":
-        return _Stack([self], self.sel_x.size, self.sel_u.size)
+    def _probe(self):
+        n, m = self.sel_x.size, self.sel_u.size
+        stack = _Stack([self], n, m)
+        return stack, _barrier_operator(stack, _Stack([], n, m), 2, n)
 
     # -- convenience constructors -------------------------------------
 
@@ -239,7 +242,7 @@ class ProblemSpec:
     step.  Running barriers apply at steps 0..N-1; terminal barriers act
     on x_N only.  A problem is frozen: it is validated once, when it is
     built, and derives once what every solve reads from it (the stacked
-    barriers, the backward-pass stage weights, the lifted propagator).
+    barriers and their operator, the stage weights, the lifted propagator).
     """
 
     dynamics: AffineDynamics
@@ -272,6 +275,8 @@ class ProblemSpec:
         set_("terminal_barriers", term)
         set_("_run", _Stack(run, n, m))
         set_("_term", _Stack(term, n, m))
+        set_("_bar", _barrier_operator(self._run, self._term, self.horizon,
+                                       n))
         set_("_weights", _Stage(self._run, self._term, self.cost.Q,
                                 self.cost.R, self.terminal_cost.Q, n, m))
         set_("_L", _lifted_propagator(self.dynamics))
@@ -320,7 +325,7 @@ def _state_vector(value, n: int, name: str) -> np.ndarray:
     out = np.array(value, dtype=float).ravel()
     if out.size != n:
         raise ValueError(f"{name} size must match the state dimension")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     out.flags.writeable = False
     return out
@@ -465,16 +470,22 @@ class _Stack:
         for row, term in zip(self.sel, terms):
             row[:n] = term.sel_x
             row[n + 1:] = term.sel_u
-        self.sel_x_t = self.sel[:, :n].T.copy()
-        self.sel_u_t = self.sel[:, n + 1:].T.copy()
-        self.offset = np.array([t.offset for t in terms])
+        self.sign = np.array([t.sign for t in terms[self.lane]])
+        # a step's columns of the barrier operator: the selectors of x_i
+        # (signed for lane centering), of x_{i-1} and of u_i, the offsets
+        # (which a lane-centering difference cancels)
+        is_lane = np.arange(T) >= self.lane.start
+        self.x_t = self.sel[:, :n].T.copy()
+        self.x_t[:, self.lane] *= self.sign
+        self.prev_t = np.where(is_lane, -self.x_t, 0.0)
+        self.u_t = self.sel[:, n + 1:].T
+        self.offset = np.where(is_lane, 0.0, [t.offset for t in terms])
         log, exp = terms[:self.n_log], terms[self.n_log:]
         self.lower = np.array([t.lower for t in log])
         self.upper = np.array([t.upper for t in log])
         self.q1 = np.array([t.q1 for t in exp])
         self.q2 = np.array([t.q2 for t in exp])
         self.q2_sq = self.q2 * self.q2
-        self.sign = np.array([t.sign for t in terms[self.lane]])
         # control-only log ranges on one control: (index, coefficient,
         # offset, lower, upper) of the warm-start clip, in term order
         self.clips = []
@@ -528,6 +539,19 @@ class _Stage:
                                -signed[lane] @ spread])
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_index(n: int, m: int) -> np.ndarray:
+    """Where F[c, a], F[d, b], F[d, a] and F[c, b] of each entry (ab, cd)
+    of the lifted propagator sit in vec F."""
+    nz = n + 1 + m
+    a, b = np.divmod(_read_rows(np.arange(nz * nz).reshape(nz, nz), n), nz)
+    a, b = a[:, None], b[:, None]
+    c, d = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    index = np.array([[c * nz + a, d * nz + b], [d * nz + a, c * nz + b]])
+    index.flags.writeable = False
+    return index
+
+
 def _lifted_propagator(dynamics: AffineDynamics) -> np.ndarray:
     """The backward-pass operator L of one AffineDynamics.
 
@@ -541,35 +565,37 @@ def _lifted_propagator(dynamics: AffineDynamics) -> np.ndarray:
     F[:n, :n] = dynamics.A
     F[:n, n + 1:] = dynamics.B
     F[n, n] = 1.0
-    # outer[c, d, a, b] = F[c, a] F[d, b], the coefficient of V[c, d]
-    # in (F' V F)[a, b]
-    outer = F[:, None, :, None] * F[None, :, None, :]
-    half = 0.5 * (outer + np.swapaxes(outer, 0, 1))
-    rows = _read_rows(half.reshape(((n + 1) ** 2,) + half.shape[-2:]), n)
-    return np.ascontiguousarray(rows.T)
+    p = F.ravel()[_lift_index(n, m)]
+    p = p[:, 0] * p[:, 1]
+    return 0.5 * (p[0] + p[1])
 
 
-def _running_z(stack: _Stack, X: np.ndarray,
-               U: np.ndarray | None = None) -> np.ndarray:
-    """Barrier arguments (..., N, T) at steps 0..N-1.
-
-    Lane-centering columns are differenced against the previous step;
-    step 0 references itself.  U = None stands for zero controls at a
-    step for every row of X.
-    """
-    Z = X @ stack.sel_x_t if U is None else (
-        X[..., :U.shape[-2], :] @ stack.sel_x_t + U @ stack.sel_u_t)
-    Z = Z + stack.offset
-    if stack.sign.size:
-        lane = Z[..., stack.lane]
-        lane[..., 1:, :] = stack.sign * (lane[..., 1:, :] - lane[..., :-1, :])
-        lane[..., 0, :] = 0.0
-    return Z
+def _barrier_operator(run: _Stack, term: _Stack, N: int, n: int):
+    """The barrier operator (M, offset) of a horizon-N problem: for
+    w = [vec X, vec U] of a trajectory, or for a stack of such rows,
+    w @ M + offset holds the running barrier arguments of step i in
+    columns i T .. (i+1) T - 1, then the terminal ones.  It is the one
+    place a barrier argument is formed."""
+    M = np.vstack([np.kron(np.eye(N + 1, N), run.x_t)
+                   + np.kron(np.eye(N + 1, N, 1), run.prev_t),
+                   np.kron(np.eye(N), run.u_t)])
+    M[:n, run.lane] = 0.0               # step 0 has no predecessor
+    final = np.zeros((M.shape[0], term.offset.size))
+    final[(N - 1) * n:(N + 1) * n] = np.vstack([term.prev_t, term.x_t])
+    return np.hstack([M, final]), np.concatenate([np.tile(run.offset, N),
+                                                  term.offset])
 
 
-def _terminal_z(stack: _Stack, X: np.ndarray) -> np.ndarray:
-    """Barrier arguments (..., T) at x_N: `_running_z` on x_{N-1}, x_N."""
-    return _running_z(stack, X[..., -2:, :])[..., -1, :]
+def _flat(traj: Trajectory) -> np.ndarray:
+    return np.concatenate((traj.states.ravel(), traj.controls.ravel()))
+
+
+def _barrier_args(spec: ProblemSpec, w: np.ndarray):
+    """Running (..., N, T) and terminal (..., T') barrier arguments of w."""
+    M, offset = spec._bar
+    Z = w @ M + offset
+    N, T = spec.horizon, spec._run.offset.size
+    return Z[..., :N * T].reshape(Z.shape[:-1] + (N, T)), Z[..., N * T:]
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +607,8 @@ def _log_range_args(stack: _Stack, Z: np.ndarray, t_scale: float,
     Zl = Z[..., :stack.n_log]
     a = Zl - stack.lower
     b = stack.upper - Zl
-    if strict and ((a <= 0.0).any() or (b <= 0.0).any()):
+    # fmin skips NaN arguments, which count as no violation
+    if strict and np.fmin.reduce(np.fmin(a, b), axis=None) <= 0.0:
         bad = ((a <= 0.0) | (b <= 0.0)).reshape(-1, stack.n_log).any(axis=0)
         col = int(np.flatnonzero(bad)[0])
         raise InfeasibleTrajectoryError(
@@ -605,7 +632,8 @@ def _barrier_values(stack: _Stack, Z: np.ndarray, t_scale: float,
     parts = []
     if stack.n_log:
         a, b, inv_t = _log_range_args(stack, Z, t_scale, strict)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with (contextlib.nullcontext() if strict else
+              np.errstate(divide="ignore", invalid="ignore")):
             parts.append(-inv_t * (np.log(a) + np.log(b)))
     if stack.n_exp:
         parts.append(_exp_values(stack, Z))
@@ -641,10 +669,10 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
         raise ValueError("lane-centering barrier needs prev_x")
     chain = term.sign if lane else 1.0
     # step 1 of a two-step trajectory whose step 0 is the predecessor
-    X = np.array([prev_x if lane else x, x], dtype=float).reshape(2, -1)
-    U = np.array([u, u], dtype=float).reshape(2, -1)
-    stack = term._stack
-    Z = _running_z(stack, X, U)[-1]
+    stack, (M, offset) = term._probe
+    w = np.concatenate([np.asarray(v, dtype=float).ravel()
+                        for v in (prev_x if lane else x, x, x, u, u)])
+    Z = (w @ M + offset)[1:]
     value = sum(float(v.sum()) for v in _barrier_values(stack, Z, t_scale,
                                                         strict=True))
     g1, g2 = (float(g[0]) for g in _barrier_slopes(stack, Z, t_scale))
@@ -706,19 +734,20 @@ def total_cost(traj: Trajectory, spec: ProblemSpec, t_scale: float = 1.0) -> flo
     if (traj.horizon != spec.horizon or traj.states.shape[1] != spec.n
             or traj.controls.shape[1] != spec.m):
         raise ValueError("trajectory shape does not match the problem")
-    return float(_costs(traj.states, traj.controls, spec, t_scale,
-                        strict=True))
+    return float(_costs(_flat(traj), spec, t_scale, strict=True))
 
 
-def _costs(X: np.ndarray, U: np.ndarray, spec: ProblemSpec, t_scale: float,
+def _costs(w: np.ndarray, spec: ProblemSpec, t_scale: float,
            strict: bool = False):
-    """Cost of one trajectory, or of each in a stack (..., N+1, n), (..., N, m).
+    """Cost of one trajectory w = [vec X, vec U], or of each row of a stack.
 
     A log-range argument outside its open interval raises
     InfeasibleTrajectoryError when strict and otherwise makes that
     trajectory's cost NaN or inf.
     """
-    N = spec.horizon
+    N, n, lead = spec.horizon, spec.n, w.shape[:-1]
+    X = w[..., :(N + 1) * n].reshape(lead + (N + 1, n))
+    U = w[..., (N + 1) * n:].reshape(lead + (N, spec.m))
     run, term = spec._run, spec._term
     cost, final = spec.cost, spec.terminal_cost
     ex = X[..., :N, :] - cost.x_ref
@@ -726,9 +755,10 @@ def _costs(X: np.ndarray, U: np.ndarray, spec: ProblemSpec, t_scale: float,
     J = ((ex @ cost.Q) * ex).sum(axis=(-2, -1))
     J = J + ((U @ cost.R) * U).sum(axis=(-2, -1))
     J = J + ((eN @ final.Q) * eN).sum(axis=-1)
-    for v in _barrier_values(run, _running_z(run, X, U), t_scale, strict):
+    Zr, Zt = _barrier_args(spec, w)
+    for v in _barrier_values(run, Zr, t_scale, strict):
         J = J + v.sum(axis=(-2, -1))
-    for v in _barrier_values(term, _terminal_z(term, X), t_scale, strict):
+    for v in _barrier_values(term, Zt, t_scale, strict):
         J = J + v.sum(axis=-1)
     return J
 
@@ -770,7 +800,8 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
 
     # Stage derivatives as read rows, vectorized over the horizon and the
     # barriers.
-    g1, g2 = _barrier_slopes(run, _running_z(run, X, U), t_scale)
+    Zr, Zt = _barrier_args(spec, _flat(traj))
+    g1, g2 = _barrier_slopes(run, Zr, t_scale)
     if run.sign.size:
         # Own-step part: +sign * g1 at step i.  Successor part: the term
         # at i+1 differentiates to -sign * g1[i+1] w.r.t. x_i.
@@ -783,7 +814,7 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
     O += stage.run_const
 
     # Terminal value block, as vec(V).
-    t1, t2 = _barrier_slopes(term, _terminal_z(term, X), t_scale)
+    t1, t2 = _barrier_slopes(term, Zt, t_scale)
     v = (np.concatenate([t2, t1, X[N] - spec.terminal_cost.x_ref])
          @ stage.final + stage.final_const)
     if term.sign.size:
@@ -813,7 +844,10 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
             Vi = blocks[i]
             Vi -= g_cols[i].dot(g_rows[i]) * (ouu / ouu_reg ** 2)
             v = values[i]
-        G = Ouz / -(Ouu + regularization)
+        ouu = O[:, -1]          # 1-D views: O_uu, then [O_ux, O_u] and O_u
+        G = (O[:, q:-1] / -(ouu + regularization)[:, None])[:, None]
+        k, Ou = G[:, 0, n], O[:, -2]
+        kOk = (k * ouu) * k
     else:
         Ouzs, Ouus = list(Ouz), list(Ouu)
         eye = regularization * np.eye(m)
@@ -832,13 +866,13 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
             Vi -= W.T @ Ouu_i @ W
             v = values[i]
         G = -np.linalg.solve(Ouu + eye, Ouz)
+        k, Ou = G[:, :, n], Ouz[:, :, n]
+        kOk = k[:, None, :] @ Ouu @ k[:, :, None]
 
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise BackwardPassError("non-finite gains")
-    k, Ou = G[:, :, n], Ouz[:, :, n]
-    kOk = (k[:, None, :] @ Ouu @ k[:, :, None]).sum()
-    expected_decrease = -(float((k * Ou).sum()) + 0.5 * float(kOk))
-    return (GainSchedule(k, G[:, :, :n], float(np.abs(Ou).max())),
+    expected_decrease = -(float((k * Ou).sum()) + 0.5 * float(kOk.sum()))
+    return (GainSchedule(G[:, :, n], G[:, :, :n], float(np.abs(Ou).max())),
             expected_decrease)
 
 
@@ -883,12 +917,13 @@ def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
 def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
     # running log-range columns first, then terminal ones; subtracting a
     # constant is monotone, so the extreme arguments give the margins
-    run, term, X = spec._run, spec._term, traj.states
-    Z = _running_z(run, X, traj.controls)[:, :run.n_log]
+    run, term = spec._run, spec._term
+    Zr, Zt = _barrier_args(spec, _flat(traj))
+    Z = Zr[:, :run.n_log]
     pairs = list(zip((Z.min(axis=0) - run.lower).tolist(),
                      (run.upper - Z.max(axis=0)).tolist()))
     if term.n_log:
-        z = _terminal_z(term, X)[:term.n_log]
+        z = Zt[:term.n_log]
         pairs += zip((z - term.lower).tolist(), (term.upper - z).tolist())
     return pairs
 
@@ -919,11 +954,14 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             raise ValueError("warm start must have shape (horizon, m)")
         controls = _clip_warm_start(spec, warm_start)
 
-    lams = LINE_SEARCH_STEPS[:, None, None]
+    lams = LINE_SEARCH_STEPS[:, None]
     t_scale = min(cfg.barrier_t_init, cfg.barrier_t_max)
     reg = cfg.regularization_init
-    traj = rollout(spec.dynamics, spec.x0, controls)
-    J = float(_costs(traj.states, controls, spec, t_scale, strict=True))
+    dyn, nx = spec.dynamics, (spec.horizon + 1) * spec.n
+    traj = Trajectory(_propagate(spec.x0, dyn.A,
+                                 controls @ dyn.B.T + dyn._drift), controls)
+    w = _flat(traj)
+    J = float(_costs(w, spec, t_scale, strict=True))
     history = [J]
     converged = False
     iterations = 0
@@ -952,14 +990,12 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         stationary = (exp_dec <= cfg.cost_tolerance * scale
                       and gains.grad_norm <= cfg.gradient_tolerance * scale)
         # The feedback rollout is affine in the step size, so the candidate
-        # at lambda is X + lambda (X_1 - X); the full step is kept exactly
-        X, U = traj.states, traj.controls
-        full = forward_pass(traj, gains, 1.0, spec)
+        # at lambda is w + lambda (w_1 - w); the full step is kept exactly
+        w1 = _flat(forward_pass(traj, gains, 1.0, spec))
         steps = lams[:1] if stationary else lams
-        Xs = X + steps * (full.states - X)
-        Us = U + steps * (full.controls - U)
-        Xs[0], Us[0] = full.states, full.controls
-        costs = _costs(Xs, Us, spec, t_scale)
+        ws = w + steps * (w1 - w)
+        ws[0] = w1
+        costs = _costs(ws, spec, t_scale)
         # NaN and infeasible (NaN or inf) candidates fail this test; the
         # steps descend, so the first hit is the longest
         better = np.flatnonzero(costs < J)
@@ -974,7 +1010,9 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             best = better[0]
             J_cand = float(costs[best])
             dJ = J - J_cand
-            traj = Trajectory(Xs[best], Us[best])
+            w = ws[best]
+            traj = Trajectory(w[:nx].reshape(-1, spec.n),
+                              w[nx:].reshape(-1, spec.m))
             J = J_cand
             history.append(J)
             reg = max(reg / REG_GROWTH, cfg.regularization_init)
@@ -987,8 +1025,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 break
             if t_scale < cfg.barrier_t_max:
                 t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
-                J = float(_costs(traj.states, traj.controls, spec, t_scale,
-                                 strict=True))
+                J = float(_costs(w, spec, t_scale, strict=True))
         else:
             reg *= REG_GROWTH
             if reg > REG_MAX:

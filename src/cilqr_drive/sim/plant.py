@@ -40,7 +40,7 @@ class PlantState:
     def __post_init__(self) -> None:
         vals = (self.s, self.delta, self.theta, self.v,
                 self.yaw_rate, self.v_lat, self.a)
-        if not all(math.isfinite(x) for x in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("plant state must be finite")
         if self.v < 0.0:
             raise ValueError("speed must be nonnegative")

@@ -69,6 +69,7 @@ class TrackGeometry:
         self.length = breaks[-1]
         self.max_kappa = max(max(abs(k0), abs(k1)) for k0, k1 in kappas)
         self._poses: list[tuple[float, float]] | None = None
+        self._last = 0      # segment of the last _locate
 
     # -- curvature and heading ------------------------------------------
 
@@ -77,10 +78,12 @@ class TrackGeometry:
             s = s % self.length
         else:
             s = min(max(s, 0.0), self.length)
-        i = bisect.bisect_right(self._breaks, s) - 1
-        if i >= len(self.segments):
-            i = len(self.segments) - 1
-        return i, s - self._breaks[i]
+        # the last segment, when it holds s, is the one bisection gives
+        i, breaks = self._last, self._breaks
+        if not breaks[i] <= s < breaks[i + 1]:
+            i = min(bisect.bisect_right(breaks, s), len(breaks) - 1) - 1
+            self._last = i
+        return i, s - breaks[i]
 
     def curvature(self, s: float) -> float:
         i, ds = self._locate(s)

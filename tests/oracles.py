@@ -186,6 +186,36 @@ def barrier_slopes(kind, z, lower=0.0, upper=0.0, q1=1.0, q2=1.0,
     return q2 * e, q2 * q2 * e
 
 
+def barrier_arguments_reference(X, U, running, terminal):
+    """Every barrier argument of one trajectory, step by step, term by term.
+
+    running and terminal are lists of dicts with the barrier fields (kind,
+    sel_x, sel_u, offset, sign).  A running term at step i acts on
+    s_x.x_i + s_u.u_i + offset; a terminal one on s_x.x_N + offset.  A
+    lane-centering term acts on sign (s_x.x_i - s_x.x_{i-1}), 0 at step 0,
+    with no offset.  Returns the running arguments (N, len(running)) in
+    list order and the terminal ones (len(terminal),).
+    """
+    X = np.asarray(X, float)
+    U = np.asarray(U, float)
+    N = U.shape[0]
+
+    def z_of(term, i):
+        sx = np.asarray(term["sel_x"], float)
+        if term["kind"] == "exp_lane_centering":
+            if i == 0:
+                return 0.0
+            return term["sign"] * (float(sx @ X[i]) - float(sx @ X[i - 1]))
+        z = float(sx @ X[i])
+        if i < N:
+            z += float(np.asarray(term["sel_u"], float) @ U[i])
+        return z + term["offset"]
+
+    run = np.array([[z_of(t, i) for t in running] for i in range(N)])
+    return run.reshape(N, len(running)), np.array([z_of(t, N)
+                                                   for t in terminal])
+
+
 def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
                                running, terminal, reg, t_scale=1.0):
     """Per-step backward pass of the barrier-augmented iLQR, term by term.

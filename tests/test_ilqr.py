@@ -24,9 +24,14 @@ from cilqr_drive.ilqr import (
     solve,
     total_cost,
 )
-from oracles import (central_diff_grad, central_diff_hess,
-                     closed_loop_rollout, grid_minimize, lqr_dp_gains,
-                     lqr_dp_solve, riccati_backward_reference)
+from cilqr_drive.ilqr import _barrier_args, _costs, _flat
+from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
+                                 build_lateral_dynamics, build_lateral_problem)
+from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
+                                      LongTuning, build_following_problem)
+from oracles import (barrier_arguments_reference, central_diff_grad,
+                     central_diff_hess, closed_loop_rollout, grid_minimize,
+                     lqr_dp_gains, lqr_dp_solve, riccati_backward_reference)
 
 # Frozen from independent evaluation of the stated formulas.
 LOG_RANGE_AT_ZERO_PI6 = 1.2940591667573098      # -2 ln(pi/6)
@@ -534,6 +539,112 @@ class TestLiftedStep:
                 res = solve(spec, warm_start=warm, config=config)
                 assert "raised" not in calls
                 assert len(calls) == res.info.iterations
+
+
+_KIND_ORDER = [BarrierKind.LOG_RANGE, BarrierKind.EXP_ONE_SIDED,
+               BarrierKind.EXP_LANE_CENTERING]
+
+
+def _stacked(terms):
+    """Column order of a barrier stack: by kind, stable within a kind."""
+    return sorted(range(len(terms)), key=lambda j: _KIND_ORDER.index(
+        terms[j].kind))
+
+
+def planner_problems():
+    """Both lane-centering branches of the lateral problem and the
+    following problem, each with a plan solved on it."""
+    tuning = LateralTuning()
+    dyn = build_lateral_dynamics(VehicleParams(), 20.0, tuning.dt)
+    out = []
+    for offset in (0.4, -0.3):
+        state = LateralState(delta_lat=offset, theta=0.02)
+        out.append(build_lateral_problem(state, dyn, tuning))
+    out.append(build_following_problem(
+        LongitudinalState(D=30.0, v=20.0, a=0.3),
+        LeadMeasurement(v_l=18.0, D=30.0), LongTuning()))
+    return [(spec, solve(spec).trajectory) for spec in out]
+
+
+def line_search_stack(spec, traj):
+    """The 14 candidates [vec X, vec U] the line search scores from traj."""
+    gains, _ = backward_pass(traj, spec, 1e-6, 1e4)
+    w = _flat(traj)
+    w1 = _flat(forward_pass(traj, gains, 1.0, spec))
+    ws = w + LINE_SEARCH_STEPS[:, None] * (w1 - w)
+    ws[0] = w1
+    return ws
+
+
+class TestBarrierOperator:
+    """One product with the problem's barrier operator gives every barrier
+    argument of a trajectory, or of each row of a stack."""
+
+    @staticmethod
+    def _reference(spec, w):
+        N, n = spec.horizon, spec.n
+        X = w[:(N + 1) * n].reshape(N + 1, n)
+        U = w[(N + 1) * n:].reshape(N, spec.m)
+        run, term = barrier_arguments_reference(
+            X, U, _plain_terms(spec.barriers),
+            _plain_terms(spec.terminal_barriers))
+        return (run[:, _stacked(spec.barriers)],
+                term[_stacked(spec.terminal_barriers)])
+
+    def test_planner_problems_match_the_reference_to_the_bit(self):
+        rng = np.random.default_rng(31)
+        problems = planner_problems()
+        for spec, plan in problems:
+            ws = line_search_stack(spec, plan)
+            ws = np.vstack([ws, ws + rng.normal(size=ws.shape)])
+            Zr, Zt = _barrier_args(spec, ws)
+            assert Zr.shape == (28, spec.horizon, len(spec.barriers))
+            assert Zt.shape == (28, len(spec.terminal_barriers))
+            for j, w in enumerate(ws):
+                zr, zt = _barrier_args(spec, w)
+                want_r, want_t = self._reference(spec, w)
+                np.testing.assert_array_equal(zr, want_r)
+                np.testing.assert_array_equal(zt, want_t)
+                np.testing.assert_array_equal(Zr[j], want_r)
+                np.testing.assert_array_equal(Zt[j], want_t)
+        # both lane-centering branches, and the following problem's gap
+        # and acceleration exponentials at every step and at x_N
+        lateral_pos, lateral_neg, (following, _) = problems
+        assert [spec.terminal_barriers[0].sign
+                for spec, _ in (lateral_pos, lateral_neg)] == [1.0, -1.0]
+        assert len(following.terminal_barriers) == 3
+
+    def test_general_selectors_match_the_reference_closely(self):
+        rng = np.random.default_rng(32)
+        for trial in range(8):
+            spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
+            # a lane-centering term on a general selector, with an offset
+            # that the difference cancels
+            lane = BarrierTerm(BarrierKind.EXP_LANE_CENTERING,
+                               rng.normal(size=spec.n), np.zeros(spec.m),
+                               offset=0.7, q1=0.3, q2=0.4, sign=-1.0)
+            spec = dataclasses.replace(spec, barriers=spec.barriers + (lane,))
+            ws = line_search_stack(spec, nominal)
+            Zr, Zt = _barrier_args(spec, ws)
+            for j, w in enumerate([_flat(nominal)] + list(ws)):
+                zr, zt = _barrier_args(spec, w)
+                want_r, want_t = self._reference(spec, w)
+                assert _rel_err(zr, want_r) < 1e-13
+                assert _rel_err(zt, want_t) < 1e-13
+                if j:
+                    assert _rel_err(Zr[j - 1], want_r) < 1e-13
+                    assert _rel_err(Zt[j - 1], want_t) < 1e-13
+
+    def test_stacked_costs_equal_single_costs_to_the_bit(self):
+        # the line search keeps costs[best] as the new cost, so a plan is
+        # the same to the bit only if the batch scores like one trajectory
+        for spec, plan in planner_problems():
+            ws = line_search_stack(spec, plan)
+            for t_scale in (1.0, 1e4):
+                costs = _costs(ws, spec, t_scale)
+                assert costs.shape == (14,)
+                singles = [_costs(w, spec, t_scale) for w in ws]
+                np.testing.assert_array_equal(costs, singles)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,39 @@ class TestBuildTrack:
         # piecewise-linear profile: increments bounded by slope * ds
         assert np.max(np.abs(np.diff(ks))) <= 0.031 / 12.0 * ds * 1.01
 
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("preset", ["trackA", "trackB", None])
+    def test_scalar_curvature_in_any_query_order_equals_the_vector_form(
+            self, preset, closed):
+        # curvature(s) starts from the segment of its previous query; the
+        # order of queries must never change a result
+        if preset is None:
+            track = build_track(segments=[(30.0, 0.0, 0.03), (50.0, 0.03, 0.03),
+                                          (30.0, 0.03, 0.0)], closed=closed)
+        elif closed:
+            track = build_track(preset)
+        else:
+            track = build_track(segments=build_track(preset).segments,
+                                closed=False)
+        breaks = np.concatenate(([0.0], np.cumsum(
+            [seg[0] for seg in track.segments])))
+        L = track.length
+        on_breaks = np.concatenate([
+            np.column_stack([breaks, np.nextafter(breaks, -np.inf),
+                             np.nextafter(breaks, np.inf)]).ravel(),
+            breaks[::-1], breaks + L, breaks - L])
+        forward = np.arange(-20.0, L + 20.0, L / 397.0)
+        wrap = np.array([L - 1e-9, L, L + 1e-9, -1e-20, 0.0, -1e-9, L,
+                         2.0 * L, 3.0 * L - 1e-7, 1e-7])
+        rng = np.random.default_rng(4)
+        jumps = rng.uniform(-2.0 * L, 3.0 * L, 300)
+        steps = breaks[len(breaks) // 2] + np.cumsum(rng.normal(0.0, 2.0, 500))
+        s = np.concatenate([forward, forward[::-1], on_breaks, wrap, jumps,
+                            steps, on_breaks[::-1]])
+        want = track.curvature_many(s)
+        got = [track.curvature(sj) for sj in s.tolist()]
+        np.testing.assert_array_equal(got, want)
+
 
 class TestStepPlant:
 
