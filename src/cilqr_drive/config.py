@@ -125,7 +125,7 @@ _REGISTRY = {
     "lateral.steer_limit_rad": ("lateral", "steer_limit", _as_float,
                                 _positive),
     "lateral.centering_weight": ("lateral", "centering_weight", _as_float,
-                                 _nonneg),
+                                 _positive),
     "lateral.centering_rate": ("lateral", "centering_rate", _as_float,
                                _nonneg),
     "longitudinal.horizon": ("long", "horizon", _as_int, _positive),
@@ -317,7 +317,8 @@ def load_run_config(path: str | Path,
                        values.get(key, (None, 0))[1])
 
     if seed is not None:
-        values["scenario.seed"] = (seed, 0)
+        values["scenario.seed"] = (_typed("scenario.seed", str(seed),
+                                          "--seed: ", str(path)), 0)
     if controller is not None:
         if controller not in CONTROLLERS:
             raise ConfigError(f"--controller must be one of "

@@ -9,7 +9,9 @@ subject to x_{i+1} = A x_i + B u_i + C w.
 
 Inequality constraints enter the cost through barrier terms shaped on a
 linear functional of (x, u): a two-sided logarithmic barrier for hard
-ranges and one-sided exponentials for soft bounds.  The log-barrier
+ranges, one-sided exponentials for soft bounds, and for lane centering
+an exponential q1 exp(q2 (z_i - z_{i-1})) of the functional's change
+between steps, whose direction is the sign of its selector.  The log-barrier
 sharpness is raised along an interior-point style schedule across outer
 iterations, so converged solutions stay strictly inside their ranges.
 """
@@ -152,9 +154,10 @@ class BarrierTerm:
 
     LOG_RANGE:          -(1 / t_scale) * [ln(z - lower) + ln(upper - z)]
     EXP_ONE_SIDED:      q1 * exp(q2 * z)
-    EXP_LANE_CENTERING: q1 * exp(q2 * sign * (z_i - z_{i-1})), the
-                        predecessor value taken from the nominal
-                        trajectory (frozen per backward pass).
+    EXP_LANE_CENTERING: q1 * exp(q2 * (z_i - z_{i-1})), the predecessor
+                        value taken from the nominal trajectory (frozen
+                        per backward pass); the selector's sign sets the
+                        direction it rewards.
 
     t_scale is the solver's barrier sharpness, one for every term.  Terms
     are immutable (frozen fields, read-only selectors), so problems and
@@ -169,7 +172,6 @@ class BarrierTerm:
     upper: float = 0.0
     q1: float = 1.0
     q2: float = 1.0
-    sign: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("sel_x", "sel_u"):
@@ -181,11 +183,9 @@ class BarrierTerm:
                 raise ValueError("LOG_RANGE requires lower < upper")
         elif self.q1 <= 0.0:
             raise ValueError("exponential barriers require q1 > 0")
-        if self.kind is BarrierKind.EXP_LANE_CENTERING:
-            if self.sign not in (-1.0, 1.0):
-                raise ValueError("sign must be +1 or -1")
-            if np.any(self.sel_u != 0.0):
-                raise ValueError("lane-centering barrier selects states only")
+        if (self.kind is BarrierKind.EXP_LANE_CENTERING
+                and np.any(self.sel_u != 0.0)):
+            raise ValueError("lane-centering barrier selects states only")
 
     @functools.cached_property
     def _probe(self):
@@ -216,9 +216,12 @@ class BarrierTerm:
     def lane_centering(cls, n: int, m: int, *, state_index: int,
                        branch_positive: bool, weight: float = 1.0,
                        rate: float = 1.0) -> "BarrierTerm":
+        """The positive branch rewards a falling x[state_index], the
+        negative one a rising x[state_index]."""
         sel_x, sel_u = _basis_selectors(n, m, state_index, None)
+        sel_x[state_index] = 1.0 if branch_positive else -1.0
         return cls(BarrierKind.EXP_LANE_CENTERING, sel_x, sel_u,
-                   q1=weight, q2=rate, sign=1.0 if branch_positive else -1.0)
+                   q1=weight, q2=rate)
 
 
 def _basis_selectors(n: int, m: int, state_index: int | None,
@@ -470,13 +473,11 @@ class _Stack:
         for row, term in zip(self.sel, terms):
             row[:n] = term.sel_x
             row[n + 1:] = term.sel_u
-        self.sign = np.array([t.sign for t in terms[self.lane]])
-        # a step's columns of the barrier operator: the selectors of x_i
-        # (signed for lane centering), of x_{i-1} and of u_i, the offsets
-        # (which a lane-centering difference cancels)
+        # a step's columns of the barrier operator: the selectors of x_i,
+        # of x_{i-1} and of u_i, the offsets (which a lane-centering
+        # difference cancels)
         is_lane = np.arange(T) >= self.lane.start
-        self.x_t = self.sel[:, :n].T.copy()
-        self.x_t[:, self.lane] *= self.sign
+        self.x_t = self.sel[:, :n].T
         self.prev_t = np.where(is_lane, -self.x_t, 0.0)
         self.u_t = self.sel[:, n + 1:].T
         self.offset = np.where(is_lane, 0.0, [t.offset for t in terms])
@@ -503,7 +504,8 @@ class _Stage:
     """Weights that give a step's read rows (see `_read_rows`) in one product.
 
     Running step i:  [g2_i, g1_i, x_i - x_ref, u_i] @ run + run_const,
-    with g1, g2 the slopes of the barrier columns at step i.  Terminal
+    with g1, g2 the slopes of the barrier columns at step i (a
+    lane-centering column also carries its successor's -g1 and g2).  Terminal
     value block:  [t2, t1, x_N - x_ref] @ final + final_const.  The
     successor part of the terminal lane-centering terms, added to step
     N-1:  [t2, t1] (lane columns only) @ succ.
@@ -519,24 +521,22 @@ class _Stage:
         spread[:, :, n] += np.eye(nz)
         spread = _read_rows(spread, n)
 
-        def hessians(sel):
-            return _read_rows(sel[:, :, None] * sel[:, None, :], n)
+        def barrier_rows(sel):
+            return np.vstack([_read_rows(sel[:, :, None] * sel[:, None, :], n),
+                              sel @ spread])
 
-        self.run = np.vstack([hessians(run.sel), run.sel @ spread,
-                              2.0 * Q @ spread[:n], 2.0 * R @ spread[n + 1:]])
+        self.run = np.vstack([barrier_rows(run.sel), 2.0 * Q @ spread[:n],
+                              2.0 * R @ spread[n + 1:]])
         hess = np.zeros((nz, nz))
         hess[:n, :n] = 2.0 * Q
         hess[n + 1:, n + 1:] = 2.0 * R
         self.run_const = _read_rows(hess, n)
-        lane = term.lane
-        signed = term.sel.copy()
-        signed[lane] *= term.sign[:, None]
-        self.final = np.vstack([hessians(term.sel), signed @ spread,
+        self.final = np.vstack([barrier_rows(term.sel),
                                 2.0 * Qf @ spread[:n]])[:, :q].copy()
         self.final_const = np.zeros(q)
         self.final_const.reshape(n + 1, n + 1)[:n, :n] = 2.0 * Qf
-        self.succ = np.vstack([hessians(term.sel[lane]),
-                               -signed[lane] @ spread])
+        # the terminal lane terms differentiate w.r.t. x_{N-1} through -sel
+        self.succ = barrier_rows(-term.sel[term.lane])
 
 
 @functools.lru_cache(maxsize=None)
@@ -667,7 +667,6 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
     lane = term.kind is BarrierKind.EXP_LANE_CENTERING
     if lane and prev_x is None:
         raise ValueError("lane-centering barrier needs prev_x")
-    chain = term.sign if lane else 1.0
     # step 1 of a two-step trajectory whose step 0 is the predecessor
     stack, (M, offset) = term._probe
     w = np.concatenate([np.asarray(v, dtype=float).ravel()
@@ -676,8 +675,8 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
     value = sum(float(v.sum()) for v in _barrier_values(stack, Z, t_scale,
                                                         strict=True))
     g1, g2 = (float(g[0]) for g in _barrier_slopes(stack, Z, t_scale))
-    gx = (g1 * chain) * term.sel_x
-    gu = (g1 * chain) * term.sel_u
+    gx = g1 * term.sel_x
+    gu = g1 * term.sel_u
     hxx = g2 * np.outer(term.sel_x, term.sel_x)
     huu = g2 * np.outer(term.sel_u, term.sel_u)
     hux = g2 * np.outer(term.sel_u, term.sel_x)
@@ -802,13 +801,11 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
     # barriers.
     Zr, Zt = _barrier_args(spec, _flat(traj))
     g1, g2 = _barrier_slopes(run, Zr, t_scale)
-    if run.sign.size:
-        # Own-step part: +sign * g1 at step i.  Successor part: the term
-        # at i+1 differentiates to -sign * g1[i+1] w.r.t. x_i.
-        lane = run.lane
-        gl = run.sign * g1[:, lane]
-        gl[:-1] -= run.sign * g1[1:, lane]
-        g1[:, lane] = gl
+    lane = run.lane
+    if lane.start < lane.stop:
+        # Own-step part: g1 at step i.  Successor part: the term at i+1
+        # differentiates to -g1[i+1] times its selector w.r.t. x_i.
+        g1[:-1, lane] -= g1[1:, lane]
         g2[:-1, lane] += g2[1:, lane]
     O = np.concatenate([g2, g1, X[:N] - spec.cost.x_ref, U], axis=1) @ stage.run
     O += stage.run_const
@@ -817,10 +814,10 @@ def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
     t1, t2 = _barrier_slopes(term, Zt, t_scale)
     v = (np.concatenate([t2, t1, X[N] - spec.terminal_cost.x_ref])
          @ stage.final + stage.final_const)
-    if term.sign.size:
+    lane = term.lane
+    if lane.start < lane.stop:
         # Successor-side contribution of the terminal lane-centering terms
         # lands on the last running step.
-        lane = term.lane
         O[N - 1] += np.concatenate([t2[lane], t1[lane]]) @ stage.succ
 
     rows = list(O)

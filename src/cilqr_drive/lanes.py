@@ -75,9 +75,6 @@ class LanePolynomial:
         if not lo < hi:
             raise ValueError("valid_range must be a nonempty interval")
 
-    def __call__(self, x: float) -> float:
-        return (self.a * x + self.b) * x + self.c
-
 
 @dataclass
 class PreviewCorrection:

@@ -100,6 +100,8 @@ class ScenarioSpec:
             raise ValueError("start_v must be nonnegative")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

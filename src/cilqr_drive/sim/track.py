@@ -3,10 +3,7 @@
 A track is a chain of segments, each with linearly varying curvature
 (straights and circular arcs are the constant special case; clothoids
 the varying one), so curvature is continuous and heading is an exact
-piecewise quadratic in arc length.  The global centerline positions at
-the segment ends (for the closure check) come from Gauss-Legendre
-integration of the heading, which is smooth enough that a modest node
-count reaches near machine precision.
+piecewise quadratic in arc length.
 """
 
 from __future__ import annotations
@@ -18,11 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Gauss-Legendre nodes mapped to [0, 1]: 20-point for segment integrals,
-# 3-point for the short per-gap integrals of lane-map sampling
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# 3-point Gauss-Legendre nodes mapped to [0, 1], for the short per-gap
+# integrals of lane-map sampling
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 _GL3_NODES = 0.5 * (_GL3_NODES + 1.0)
 _GL3_WEIGHTS = 0.5 * _GL3_WEIGHTS
@@ -68,7 +62,6 @@ class TrackGeometry:
         self._psi = psi
         self.length = breaks[-1]
         self.max_kappa = max(max(abs(k0), abs(k1)) for k0, k1 in kappas)
-        self._poses: list[tuple[float, float]] | None = None
         self._last = 0      # segment of the last _locate
 
     # -- curvature and heading ------------------------------------------
@@ -113,27 +106,6 @@ class TrackGeometry:
         slope = (k1 - k0) / length
         return (np.asarray(self._psi)[idx] + k0 * ds + 0.5 * slope * ds * ds
                 + turns * self._psi[-1])
-
-    # -- global centerline closure --------------------------------------
-
-    def _boundary_poses(self) -> list[tuple[float, float]]:
-        if self._poses is None:
-            poses = [(0.0, 0.0)]
-            for i in range(len(self.segments)):
-                s0, s1 = self._breaks[i], self._breaks[i + 1]
-                x0, y0 = poses[-1]
-                psi = self.heading_many(s0 + (s1 - s0) * _GL_NODES)
-                x0 += float(np.dot(_GL_WEIGHTS, np.cos(psi)) * (s1 - s0))
-                y0 += float(np.dot(_GL_WEIGHTS, np.sin(psi)) * (s1 - s0))
-                poses.append((x0, y0))
-            self._poses = poses
-        return self._poses
-
-    def closure_error(self) -> float:
-        """Distance between the end and start of a closed centerline."""
-        poses = self._boundary_poses()
-        x, y = poses[-1]
-        return math.hypot(x, y)
 
     # -- forward centerline samples in the ego frame ---------------------
 

@@ -190,10 +190,10 @@ def barrier_arguments_reference(X, U, running, terminal):
     """Every barrier argument of one trajectory, step by step, term by term.
 
     running and terminal are lists of dicts with the barrier fields (kind,
-    sel_x, sel_u, offset, sign).  A running term at step i acts on
+    sel_x, sel_u, offset).  A running term at step i acts on
     s_x.x_i + s_u.u_i + offset; a terminal one on s_x.x_N + offset.  A
-    lane-centering term acts on sign (s_x.x_i - s_x.x_{i-1}), 0 at step 0,
-    with no offset.  Returns the running arguments (N, len(running)) in
+    lane-centering term acts on s_x.x_i - s_x.x_{i-1}, 0 at step 0, with
+    no offset.  Returns the running arguments (N, len(running)) in
     list order and the terminal ones (len(terminal),).
     """
     X = np.asarray(X, float)
@@ -205,7 +205,7 @@ def barrier_arguments_reference(X, U, running, terminal):
         if term["kind"] == "exp_lane_centering":
             if i == 0:
                 return 0.0
-            return term["sign"] * (float(sx @ X[i]) - float(sx @ X[i - 1]))
+            return float(sx @ X[i]) - float(sx @ X[i - 1])
         z = float(sx @ X[i])
         if i < N:
             z += float(np.asarray(term["sel_u"], float) @ U[i])
@@ -222,8 +222,8 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
 
     X (N+1, n) and U (N, m) are the nominal; As[i], Bs[i] the dynamics of
     step i.  running and terminal are lists of dicts with the barrier
-    fields (kind, sel_x, sel_u, offset, lower, upper, q1, q2, sign).
-    A lane-centering term acts on z_i = sign (s.x_i - s.x_{i-1}) (z_0 = 0)
+    fields (kind, sel_x, sel_u, offset, lower, upper, q1, q2).
+    A lane-centering term acts on z_i = s.x_i - s.x_{i-1} (z_0 = 0)
     with the predecessor frozen: step i collects the own-step derivative
     of term i and the successor derivative of term i+1 (the terminal term
     for i = N-1).  The gains use Q_uu + reg I; the value update uses the
@@ -241,7 +241,7 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
         if term["kind"] == "exp_lane_centering":
             zp = (float(term["sel_x"] @ x_rows[i - 1] + term["offset"])
                   if i > 0 else z)
-            return term["sign"] * (z - zp)
+            return z - zp
         return z + float(term["sel_u"] @ U[i]) if i < N else z
 
     def slopes(term, z):
@@ -259,11 +259,11 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
             sx, su = term["sel_x"], term["sel_u"]
             g1, g2 = slopes(term, z_of(term, i, X))
             if term["kind"] == "exp_lane_centering":
-                gx = gx + term["sign"] * g1 * sx
+                gx = gx + g1 * sx
                 hxx = hxx + g2 * np.outer(sx, sx)
                 if i + 1 < N:
                     n1, n2 = slopes(term, z_of(term, i + 1, X))
-                    gx = gx - term["sign"] * n1 * sx
+                    gx = gx - n1 * sx
                     hxx = hxx + n2 * np.outer(sx, sx)
             else:
                 gx = gx + g1 * sx
@@ -275,7 +275,7 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
             for term in terminal:
                 if term["kind"] == "exp_lane_centering":
                     g1, g2 = slopes(term, z_of(term, N, X))
-                    gx = gx - term["sign"] * g1 * term["sel_x"]
+                    gx = gx - g1 * term["sel_x"]
                     hxx = hxx + g2 * np.outer(term["sel_x"], term["sel_x"])
         lx.append(gx)
         lu.append(gu)
@@ -287,8 +287,7 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
     Vxx = 2.0 * np.asarray(Qf, float).copy()
     for term in terminal:
         g1, g2 = slopes(term, z_of(term, N, X))
-        chain = term["sign"] if term["kind"] == "exp_lane_centering" else 1.0
-        Vx = Vx + chain * g1 * term["sel_x"]
+        Vx = Vx + g1 * term["sel_x"]
         Vxx = Vxx + g2 * np.outer(term["sel_x"], term["sel_x"])
 
     k = np.empty((N, m))
@@ -422,3 +421,21 @@ def heading_scalar(segments, closed, s):
     _, k0, k1 = segments[i]
     slope = (k1 - k0) / (breaks[i + 1] - breaks[i])
     return psi[i] + k0 * ds + 0.5 * slope * ds * ds + turns * psi[-1]
+
+
+def centerline_end(heading, breaks, nodes=20):
+    """End point (x, y) of a planar curve that starts at the origin.
+
+    heading maps an array of arc lengths to tangent angles.  Each piece
+    [breaks[i], breaks[i+1]] is integrated with a nodes-point
+    Gauss-Legendre rule, near exact where the heading is a smooth
+    polynomial on each piece.
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    x = y = 0.0
+    for s0, s1 in zip(breaks[:-1], breaks[1:]):
+        psi = np.asarray(heading(s0 + (s1 - s0) * t), float)
+        x += float(w @ np.cos(psi)) * (s1 - s0)
+        y += float(w @ np.sin(psi)) * (s1 - s0)
+    return x, y

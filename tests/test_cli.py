@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 from cilqr_drive.cli import _execute, main, replay_longitudinal_timing
-from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_int,
-                                load_run_config)
-from cilqr_drive.sim import LeadSpec
+from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_float,
+                                _as_int, _nonneg, _positive, load_run_config)
+from cilqr_drive.lanes import VpcEstimator
+from cilqr_drive.lateral import LateralPlanner
+from cilqr_drive.longitudinal import LongitudinalPlanner
+from cilqr_drive.sim import (LeadSpec, preset_straight_smoke,
+                             preset_trackA_lane_keeping,
+                             preset_trackB_following)
 
 SMOKE = """\
 scenario.track = straight
@@ -87,6 +92,33 @@ CROSS_FIELD = [
     (SMOKE + "scenario.lead_gap_m = 30\nlongitudinal.d_critical = 12\n", 6,
      "longitudinal.*: critical distance must sit below the reference"),
 ]
+
+
+# shipped file -> (preset it must equal, controller, longitudinal)
+SHIPPED = {
+    "straight_smoke.cfg": (preset_straight_smoke, "cilqr", False),
+    "trackA_cilqr.cfg": (preset_trackA_lane_keeping, "cilqr", False),
+    "trackA_vpc.cfg": (preset_trackA_lane_keeping, "vpc-cilqr", False),
+    "trackB_following.cfg": (preset_trackB_following, "cilqr", True),
+}
+
+
+def _edge_values():
+    """(key, value) at the edge of each numeric key's accepted range: 0
+    for a nonnegative key, 1 for a positive integer, 1e-3 and 1e3 for a
+    positive float."""
+    out = []
+    for key, (_, _, cast, check) in _REGISTRY.items():
+        if check is _nonneg:
+            out.append((key, "0"))
+        elif check is _positive and cast is _as_int:
+            out.append((key, "1"))
+        elif check is _positive and cast is _as_float:
+            out += [(key, "1e-3"), (key, "1e3")]
+    return out
+
+
+EDGE_VALUES = _edge_values()
 
 
 class TestLoadRunConfig:
@@ -217,6 +249,40 @@ class TestLoadRunConfig:
             "straight_smoke.cfg", "trackA_cilqr.cfg", "trackA_vpc.cfg",
             "trackB_following.cfg"]
 
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_equals_its_preset(self, path):
+        # the acceptance gates run the presets and `run` runs the files
+        preset, controller, longitudinal = SHIPPED[path.name]
+        cfg = load_run_config(path)
+        mine, theirs = asdict(cfg.spec), asdict(preset())
+        mine.pop("name")
+        theirs.pop("name")
+        assert mine == theirs
+        assert (cfg.controller, cfg.longitudinal) == (controller,
+                                                      longitudinal)
+
+    @pytest.mark.parametrize("key, raw", EDGE_VALUES)
+    def test_edge_of_range_value_is_rejected_or_runs(self, tmp_path, key,
+                                                     raw):
+        # a value the registry accepts must not fail later, where it
+        # would surface as a traceback instead of a config error
+        base = SMOKE
+        if key.startswith("scenario.lead_"):
+            base += "scenario.lead = true\n"
+        if key in WINDOW:
+            base += "".join(f"{k} = {v}\n" for k, v in WINDOW.items()
+                            if k != key)
+        try:
+            cfg = load_run_config(_write(tmp_path, base),
+                                  overrides=(f"{key}={raw}",))
+        except ConfigError:
+            return
+        LateralPlanner(params=cfg.vehicle, tuning=cfg.lateral)
+        LongitudinalPlanner(cruise_speed=cfg.spec.cruise_speed,
+                            period=cfg.spec.rates.planner_us * 1e-6,
+                            tuning=cfg.long_tuning)
+        VpcEstimator(cfg.vpc)
+
     @pytest.mark.parametrize("text, line, message", CROSS_FIELD)
     def test_cross_field_error_is_pinned(self, tmp_path, text, line,
                                          message):
@@ -299,6 +365,15 @@ class TestRunCommand:
             assert rc == 0
             outs.append((out / "run.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SMOKE)
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path),
+                   "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "--seed: scenario.seed: must be nonnegative" in err
 
     def test_off_track_start_exits_two(self, tmp_path, capsys):
         text = SMOKE + "scenario.start_delta = 9.8\nscenario.start_theta = 0.9\n"
@@ -418,6 +493,17 @@ class TestBenchmarkCommand:
             assert starts[j][1] == v[idx[j]]
             assert starts[j][2] == pytest.approx(
                 np.mean(np.diff(v[r]) / np.diff(t[r])), rel=0.0, abs=1e-9)
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, SMOKE)
+        out = tmp_path / "out"
+        rc = main(["benchmark", "--config", str(cfg), "--out", str(out),
+                   "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "--seed: scenario.seed: must be nonnegative" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("states", ["0", "-3"])
     def test_fewer_than_one_state_is_a_config_error(self, tmp_path, capsys,

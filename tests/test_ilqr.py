@@ -387,7 +387,7 @@ def fresh_problem(spec, x0, dynamics=None, x_ref=None):
 def _plain_terms(terms):
     return [dict(kind=t.kind.value, sel_x=np.array(t.sel_x),
                  sel_u=np.array(t.sel_u), offset=t.offset, lower=t.lower,
-                 upper=t.upper, q1=t.q1, q2=t.q2, sign=t.sign)
+                 upper=t.upper, q1=t.q1, q2=t.q2)
             for t in terms]
 
 
@@ -610,7 +610,7 @@ class TestBarrierOperator:
         # both lane-centering branches, and the following problem's gap
         # and acceleration exponentials at every step and at x_N
         lateral_pos, lateral_neg, (following, _) = problems
-        assert [spec.terminal_barriers[0].sign
+        assert [spec.terminal_barriers[0].sel_x[0]
                 for spec, _ in (lateral_pos, lateral_neg)] == [1.0, -1.0]
         assert len(following.terminal_barriers) == 3
 
@@ -621,8 +621,8 @@ class TestBarrierOperator:
             # a lane-centering term on a general selector, with an offset
             # that the difference cancels
             lane = BarrierTerm(BarrierKind.EXP_LANE_CENTERING,
-                               rng.normal(size=spec.n), np.zeros(spec.m),
-                               offset=0.7, q1=0.3, q2=0.4, sign=-1.0)
+                               -rng.normal(size=spec.n), np.zeros(spec.m),
+                               offset=0.7, q1=0.3, q2=0.4)
             spec = dataclasses.replace(spec, barriers=spec.barriers + (lane,))
             ws = line_search_stack(spec, nominal)
             Zr, Zt = _barrier_args(spec, ws)

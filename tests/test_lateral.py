@@ -102,9 +102,11 @@ class TestProblemShape:
         left = build_lateral_problem(LateralState(0.4, 0.0), dyn, tuning)
         right = build_lateral_problem(LateralState(-0.4, 0.0), dyn, tuning)
         centered = build_lateral_problem(LateralState(0.0, 0.0), dyn, tuning)
-        assert left.barriers[1].sign == 1.0
-        assert right.barriers[1].sign == -1.0
-        assert centered.barriers[1].sign == 1.0  # zero counts as nonnegative
+        # the branch is the sign of the selector on the offset
+        assert left.barriers[1].sel_x[0] == 1.0
+        assert right.barriers[1].sel_x[0] == -1.0
+        # zero counts as nonnegative
+        assert centered.barriers[1].sel_x[0] == 1.0
 
 
 class TestRiccatiEquivalence:
@@ -171,6 +173,79 @@ class TestPlanSteering:
         cmd2, info2 = cold_plan(LateralState(0.5, 0.0), V_76_KMH)
         assert not info2.speed_clamped
         assert cmd.steer_cmd != cmd2.steer_cmd
+
+
+def _mirror(state: LateralState) -> LateralState:
+    return LateralState(-state.delta_lat, -state.theta,
+                        delta_lat_rate=-state.delta_lat_rate,
+                        theta_rate=-state.theta_rate)
+
+
+def _random_left_state(rng) -> LateralState:
+    return LateralState(float(rng.uniform(0.05, 1.5)),
+                        float(rng.uniform(-0.2, 0.2)),
+                        delta_lat_rate=float(rng.uniform(-0.5, 0.5)),
+                        theta_rate=float(rng.uniform(-0.1, 0.1)))
+
+
+def _assert_mirrored(neg, pos):
+    """neg is pos negated, bit for bit."""
+    np.testing.assert_array_equal(neg.trajectory.states,
+                                  -pos.trajectory.states)
+    np.testing.assert_array_equal(neg.trajectory.controls,
+                                  -pos.trajectory.controls)
+    assert neg.info.cost == pos.info.cost
+    assert neg.info.iterations == pos.info.iterations
+
+
+class TestBranchMirror:
+    """The two lane-centering branches are mirror images: the negative
+    branch from x0 solves to exactly the negated positive branch from
+    -x0.  The branch lives in the sign of the centering selector, so this
+    fails if that sign reaches a barrier value but not its gradient, or
+    the running terms but not the terminal ones."""
+
+    def test_cold_and_warm_solves_mirror_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        tuning = LateralTuning()
+        warm_config = SolverConfig().for_warm_start(12)
+        for _ in range(40):
+            pos_state = _random_left_state(rng)
+            neg_state = _mirror(pos_state)
+            dyn = build_lateral_dynamics(VehicleParams(),
+                                         float(rng.uniform(5.0, 30.0)),
+                                         tuning.dt)
+            pos = build_lateral_problem(pos_state, dyn, tuning)
+            neg = build_lateral_problem(neg_state, dyn, tuning)
+            assert neg.barriers[1].sel_x[0] == -1.0
+            assert neg.terminal_barriers[0].sel_x[0] == -1.0
+            _assert_mirrored(solve(neg), solve(pos))
+            warm = rng.uniform(-0.3, 0.3, size=(tuning.horizon, 1))
+            _assert_mirrored(solve(neg, warm_start=-warm, config=warm_config),
+                             solve(pos, warm_start=warm, config=warm_config))
+
+    def test_planner_mirrors_bit_for_bit(self):
+        # offsets that cross the centerline switch both planners' branches
+        rng = np.random.default_rng(13)
+        planners = LateralPlanner(), LateralPlanner()
+        state = LateralState(0.4, -0.02)
+        for cycle in range(30):
+            if cycle % 3 == 0:
+                state = LateralState(
+                    state.delta_lat + float(rng.uniform(-0.25, 0.2)),
+                    float(rng.uniform(-0.1, 0.1)),
+                    delta_lat_rate=float(rng.uniform(-0.3, 0.3)))
+            assert state.delta_lat != 0.0
+            v = float(rng.uniform(5.0, 30.0))
+            cmd, diag = planners[0].plan(state, v)
+            cmd_m, diag_m = planners[1].plan(_mirror(state), v)
+            assert cmd_m.delta_rad == -cmd.delta_rad
+            assert diag_m.solve_info.cost == diag.solve_info.cost
+            assert (diag_m.solve_info.iterations
+                    == diag.solve_info.iterations)
+            np.testing.assert_array_equal(
+                planners[1]._prev.trajectory.states,
+                -planners[0]._prev.trajectory.states)
 
 
 class TestLateralPlanner:

@@ -25,6 +25,8 @@ from cilqr_drive.sim import (
 )
 from cilqr_drive.sim.scenario import CSV_COLUMNS
 
+from oracles import centerline_end
+
 
 class TestBuildTrack:
 
@@ -52,8 +54,11 @@ class TestBuildTrack:
 
     def test_closed_presets_return_to_start(self):
         # far tighter than the 1 m requirement: construction is symmetric
-        assert build_track("trackA").closure_error() < 1e-6
-        assert build_track("trackB").closure_error() < 1e-6
+        for preset in ("trackA", "trackB"):
+            track = build_track(preset)
+            breaks = np.cumsum([0.0] + [seg[0] for seg in track.segments])
+            assert math.hypot(*centerline_end(track.heading_many,
+                                              breaks)) < 1e-6
 
     def test_track_a_is_one_full_turn(self):
         track = build_track("trackA")
@@ -330,6 +335,10 @@ class TestRunScenario:
             ScenarioSpec(track="straight", duration_s=1.0, laps=1.0)
         with pytest.raises(ValueError):
             ScenarioSpec(track="straight")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ScenarioSpec(track="straight", duration_s=1.0, seed=-1)
 
     def test_csv_has_documented_header(self, tmp_path):
         log = run_scenario(_short_spec(duration_s=0.05))
