@@ -192,24 +192,12 @@ def replay_lateral_timing(log: SimLog, cfg: RunConfig,
     included in the statistics.
     """
     idx, _ = _replay_rows(log, cfg, n_states)
-    planner = LateralPlanner(params=cfg.vehicle, tuning=cfg.lateral)
-    d = log.columns["delta_m"]
-    th = log.columns["theta_rad"]
-    v = log.columns["v_mps"]
-    times, iters = [], []
-    worst_cmd = 0.0
-    min_margin = math.inf
-    for i in idx:
-        state = LateralState(delta_lat=float(d[i]), theta=float(th[i]))
-        t0 = time.perf_counter()
-        cmd, diag = planner.plan(state, float(v[i]))
-        times.append((time.perf_counter() - t0) * 1e3)
-        iters.append(diag.solve_info.iterations)
-        worst_cmd = max(worst_cmd, abs(cmd.steer_cmd))
-        for lo, hi in diag.solve_info.log_range_margins:
-            min_margin = min(min_margin, lo, hi)
-    return _timing_stats("lateral", times, iters, n_solves=len(idx),
-                         worst_cmd=worst_cmd, min_margin=min_margin)
+    d, th, v = (log.columns[k] for k in ("delta_m", "theta_rad", "v_mps"))
+    calls = [(LateralState(delta_lat=float(d[i]), theta=float(th[i])),
+              float(v[i])) for i in idx]
+    return _replay_timing("lateral", LateralPlanner(cfg.vehicle, cfg.lateral),
+                          calls, "worst_cmd",
+                          lambda cmd, result: abs(cmd.steer_cmd))
 
 
 def replay_longitudinal_timing(log: SimLog, cfg: RunConfig,
@@ -220,41 +208,46 @@ def replay_longitudinal_timing(log: SimLog, cfg: RunConfig,
                                have=np.isfinite(log.columns["D_m"]))
     planner = LongitudinalPlanner(cruise_speed=cfg.spec.cruise_speed,
                                   tuning=cfg.long_tuning, period=period)
-    v = log.columns["v_mps"]
-    D = log.columns["D_m"]
-    vl = log.columns["v_l_mps"]
+    v, D, vl = (log.columns[k] for k in ("v_mps", "D_m", "v_l_mps"))
+    calls = [(float(v[i]), LeadMeasurement(v_l=float(vl[i]), D=float(D[i])))
+             for i in idx]
+    return _replay_timing(
+        "longitudinal", planner, calls, "worst_jerk",
+        lambda cmd, result: float(np.max(np.abs(result.trajectory.controls))))
+
+
+def _replay_timing(name: str, planner, calls: list, worst_key: str,
+                   worst) -> dict:
+    """Time planner.plan(*args) for each args in calls, in order.
+
+    Iterations, the smallest log-range margin and the largest
+    worst(cmd, result) come from the cycles that solved (a result that
+    is not None); the time statistics are NaN (null in the JSON) when
+    there were no calls.
+    """
     times, iters = [], []
-    worst_jerk = 0.0
-    min_margin = math.inf
-    for i in idx:
-        meas = LeadMeasurement(v_l=float(vl[i]), D=float(D[i]))
+    peak, min_margin = 0.0, math.inf
+    for args in calls:
         t0 = time.perf_counter()
-        _cmd, diag = planner.plan(float(v[i]), meas)
+        cmd, result = planner.plan(*args)
         times.append((time.perf_counter() - t0) * 1e3)
-        if diag.solve_info is not None:
-            iters.append(diag.solve_info.iterations)
-            for lo, hi in diag.solve_info.log_range_margins:
+        if result is not None:
+            iters.append(result.info.iterations)
+            peak = max(peak, worst(cmd, result))
+            for lo, hi in result.info.log_range_margins:
                 min_margin = min(min_margin, lo, hi)
-        if diag.jerk_sequence is not None:
-            worst_jerk = max(worst_jerk,
-                             float(np.max(np.abs(diag.jerk_sequence))))
-    return _timing_stats("longitudinal", times, iters, n_solves=len(idx),
-                         worst_jerk=worst_jerk, min_margin=min_margin)
-
-
-def _timing_stats(name: str, times: list, iters: list, **extra) -> dict:
-    # NaN statistics (null in the JSON) when nothing was solved
     arr = np.array(times) if times else np.full(1, math.nan)
-    out = {
+    return {
         "planner": name,
         "mean_ms": float(np.mean(arr)),
         "median_ms": float(np.median(arr)),
         "p95_ms": float(np.percentile(arr, 95.0)),
         "max_ms": float(np.max(arr)),
         "mean_iterations": float(np.mean(iters)) if iters else math.nan,
+        "n_solves": len(calls),
+        worst_key: peak,
+        "min_margin": min_margin,
     }
-    out.update(extra)
-    return out
 
 
 def _cmd_benchmark(args) -> int:

@@ -122,8 +122,6 @@ _REGISTRY = {
     "lateral.q_theta": ("lateral", ("q_diag", 2), _as_float, _nonneg),
     "lateral.q_theta_rate": ("lateral", ("q_diag", 3), _as_float, _nonneg),
     "lateral.r_steer": ("lateral", "r", _as_float, _positive),
-    "lateral.steer_limit_rad": ("lateral", "steer_limit", _as_float,
-                                _positive),
     "lateral.centering_weight": ("lateral", "centering_weight", _as_float,
                                  _positive),
     "lateral.centering_rate": ("lateral", "centering_rate", _as_float,

@@ -954,9 +954,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     lams = LINE_SEARCH_STEPS[:, None]
     t_scale = min(cfg.barrier_t_init, cfg.barrier_t_max)
     reg = cfg.regularization_init
-    dyn, nx = spec.dynamics, (spec.horizon + 1) * spec.n
-    traj = Trajectory(_propagate(spec.x0, dyn.A,
-                                 controls @ dyn.B.T + dyn._drift), controls)
+    nx = (spec.horizon + 1) * spec.n
+    traj = rollout(spec.dynamics, spec.x0, controls)
     w = _flat(traj)
     J = float(_costs(w, spec, t_scale, strict=True))
     history = [J]

@@ -2,9 +2,11 @@
 
 Builds a constrained iLQR problem around a linear lateral dynamics model
 in road-aligned coordinates (offset, offset rate, heading error, heading
-error rate) and emits a normalized steering command.  Steering is kept
-strictly inside +-pi/6 rad by a log barrier; an exponential barrier on
-consecutive lateral offsets rewards motion toward the lane center.
+error rate) and emits a normalized steering command with the solver's
+`SolveResult`.  Steering is kept strictly inside +-STEER_LIMIT_RAD
+(pi/6 rad, shared with the plant and the preview corrector) by a log
+barrier; an exponential barrier on consecutive lateral offsets rewards
+motion toward the lane center.
 
 Sign convention: positive offset means the ego is left of the
 centerline, positive steering angle steers left.
@@ -21,7 +23,6 @@ from .ilqr import (
     BarrierTerm,
     ProblemSpec,
     QuadraticCost,
-    SolveInfo,
     SolveResult,
     SolverConfig,
     forward_pass,
@@ -86,19 +87,8 @@ class LateralTuning:
     dt: float = 0.05               # s
     q_diag: tuple = (20.0, 1.0, 20.0, 1.0)
     r: float = 1.0
-    steer_limit: float = STEER_LIMIT_RAD
     centering_weight: float = 1.0  # lane-centering exponential scale
     centering_rate: float = 1.0    # lane-centering exponent per meter
-
-
-@dataclass
-class LateralPlanDiagnostics:
-    solve_info: SolveInfo
-    speed_clamped: bool
-
-    @property
-    def converged(self) -> bool:
-        return self.solve_info.converged
 
 
 def build_lateral_dynamics(params: VehicleParams, v: float,
@@ -139,7 +129,7 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
     cost = QuadraticCost(Q=np.diag(tuning.q_diag), R=[[tuning.r]],
                          x_ref=np.zeros(4))
     steer_barrier = BarrierTerm.log_range(
-        n, m, lower=-tuning.steer_limit, upper=tuning.steer_limit,
+        n, m, lower=-STEER_LIMIT_RAD, upper=STEER_LIMIT_RAD,
         control_index=0)
     centering = BarrierTerm.lane_centering(
         n, m, state_index=0, branch_positive=state.delta_lat >= 0.0,
@@ -186,10 +176,14 @@ class LateralPlanner:
         self._prev = None
 
     def plan(self, state: LateralState, v: float
-             ) -> tuple[SteerCommand, LateralPlanDiagnostics]:
+             ) -> tuple[SteerCommand, SolveResult]:
+        """Plan one steering command at speed v (clamped below at V_MIN).
+
+        The returned result is the one the planner keeps for its next warm
+        start: read it, do not write it.
+        """
         if not math.isfinite(v):
             raise ValueError("lateral speed must be finite")
-        clamped = v < V_MIN
         v_eff = max(v, V_MIN)
         dynamics = build_lateral_dynamics(self.params, v_eff, self.tuning.dt)
         # the branch rule of build_lateral_problem: offsets >= 0 are positive
@@ -204,10 +198,7 @@ class LateralPlanner:
                     and not np.array_equal(spec.x0, prev.trajectory.states[0])):
                 warm = forward_pass(prev.trajectory, prev.gains, 0.0,
                                     spec).controls
-        result = solve(spec, warm_start=warm, config=config)
-        self._prev = result
-        controls = result.trajectory.controls
-        delta = float(controls[0, 0])
-        cmd = SteerCommand(steer_cmd=delta / self.tuning.steer_limit,
-                           delta_rad=delta)
-        return cmd, LateralPlanDiagnostics(result.info, clamped)
+        self._prev = result = solve(spec, warm_start=warm, config=config)
+        delta = float(result.trajectory.controls[0, 0])
+        return SteerCommand(steer_cmd=delta / STEER_LIMIT_RAD,
+                            delta_rad=delta), result

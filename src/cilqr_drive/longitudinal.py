@@ -8,7 +8,9 @@ first element is added to the PI command.  Jerk stays strictly inside
 gap above the reference distance and acceleration inside +-5 m/s^2.
 
 The brake channel is separate: it ramps from 0 to 1 as the measured gap
-falls from the critical distance to the floor distance.
+falls from the critical distance to the floor distance.  `plan` returns
+the command with the solver's `SolveResult` of a following cycle, or
+None on a cruise cycle.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .ilqr import (
     BarrierTerm,
     ProblemSpec,
     QuadraticCost,
-    SolveInfo,
     SolveResult,
     SolverConfig,
     solve,
@@ -108,18 +109,6 @@ class LongTuning:
             raise ValueError("need 0 < d_floor < d_critical")
         if self.d_critical >= self.d_ref:
             raise ValueError("critical distance must sit below the reference")
-
-
-@dataclass
-class LongPlanDiagnostics:
-    following: bool
-    jerk: float = 0.0
-    solve_info: SolveInfo | None = None
-    jerk_sequence: np.ndarray | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.solve_info is None or self.solve_info.converged
 
 
 def pi_cruise(pi: PiState, v: float) -> float:
@@ -246,7 +235,13 @@ class LongitudinalPlanner:
         return sum(self._diffs) / len(self._diffs)
 
     def plan(self, v: float, lead: LeadMeasurement | None
-             ) -> tuple[LongCommand, LongPlanDiagnostics]:
+             ) -> tuple[LongCommand, SolveResult | None]:
+        """Plan one accel/brake command; the result is None on a cruise
+        cycle, and `following` tells the mode.
+
+        The returned result is the one the planner keeps for its next warm
+        start: read it, do not write it.
+        """
         # checked before the speed enters the acceleration estimate, which
         # a rejected speed would otherwise poison for three cycles
         if not math.isfinite(v):
@@ -260,8 +255,7 @@ class LongitudinalPlanner:
         if not self.following:
             self.pi.v_r = self.cruise_speed
             self._prev = None
-            return (LongCommand(pi_cruise(self.pi, v), 0.0),
-                    LongPlanDiagnostics(following=False))
+            return LongCommand(pi_cruise(self.pi, v), 0.0), None
         assert lead is not None
         self.pi.v_r = min(self.cruise_speed, lead.v_l)
         state = LongitudinalState(D=lead.D, v=v, a=a_est)
@@ -277,12 +271,8 @@ class LongitudinalPlanner:
         if self._prev is not None:
             warm, config = self._prev.trajectory.controls, self.warm_config
         accel = pi_cruise(self.pi, v)
-        # not converged is tolerated: best-so-far jerk, flag in diagnostics
+        # not converged is tolerated: best-so-far jerk, flag in result.info
         self._prev = result = solve(spec, warm_start=warm, config=config)
-        controls = result.trajectory.controls
-        j0 = float(controls[0, 0])
-        cmd = LongCommand(min(max(accel + j0, -1.0), 1.0),
-                          brake_ramp(lead.D, self.tuning))
-        return cmd, LongPlanDiagnostics(following=True, jerk=j0,
-                                        solve_info=result.info,
-                                        jerk_sequence=controls.copy())
+        j0 = float(result.trajectory.controls[0, 0])
+        return LongCommand(min(max(accel + j0, -1.0), 1.0),
+                           brake_ramp(lead.D, self.tuning)), result

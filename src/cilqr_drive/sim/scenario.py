@@ -226,7 +226,7 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
             while planner_due <= t_us:
                 planner_due += rates.planner_us
             t0 = time.perf_counter() if log_solver_time else 0.0
-            cmd, diag = lat_planner.plan(_plan_state(latest_frame), state.v)
+            cmd, result = lat_planner.plan(_plan_state(latest_frame), state.v)
             last_delta_cmd = cmd.delta_rad
             steer_cmd = cmd.steer_cmd
             if correction is not None:
@@ -237,12 +237,12 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
                                      lead.speed(now), lead.accel(now))
             else:
                 meas = None
-            lcmd, ldiag = lon_planner.plan(state.v, meas)
+            lcmd, lresult = lon_planner.plan(state.v, meas)
             act_queue.push(t_us + rates.actuation_latency_us,
                            (steer_cmd, lcmd.accel_cmd, lcmd.brake_cmd))
-            cycle_iters = diag.solve_info.iterations
-            if ldiag.solve_info is not None:
-                cycle_iters += ldiag.solve_info.iterations
+            cycle_iters = result.info.iterations
+            if lresult is not None:
+                cycle_iters += lresult.info.iterations
             if log_solver_time:
                 cycle_ms = (time.perf_counter() - t0) * 1e3
 

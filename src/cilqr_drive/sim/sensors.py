@@ -57,12 +57,11 @@ class SimRates:
 
 @dataclass
 class PerceptionFrame:
-    """One perception output: noisy road-frame offset, heading, lane map."""
+    """One perception output: noisy offset, heading and stamped lane map."""
 
     theta_meas: float
     delta_meas: float
     lane_map: LaneMap
-    stamp: float
 
 
 class LatencyQueue:
@@ -115,7 +114,7 @@ def perceive(state: PlantState, track: TrackGeometry, noise: NoiseConfig,
     keep = (pts[:, 0] >= -1e-9) & (pts[:, 0] <= SENSING_RANGE_M + 1e-9)
     pts = pts[keep]
     pts[:, 0] = np.clip(pts[:, 0], 0.0, SENSING_RANGE_M)
-    return PerceptionFrame(theta_meas, delta_meas, LaneMap(pts, now), now)
+    return PerceptionFrame(theta_meas, delta_meas, LaneMap(pts, now))
 
 
 def radar_measure(ego_s: float, ego_v: float, lead_s: float | None,

@@ -225,7 +225,6 @@ class TestLoadRunConfig:
         # after its key unless listed here
         renamed = {"vehicle.mass": "m", "lateral.r_steer": "r",
                    "longitudinal.r_jerk": "r",
-                   "lateral.steer_limit_rad": "steer_limit",
                    "scenario.cruise_speed_kph": "cruise_speed",
                    "scenario.start_speed_kph": "start_v",
                    "scenario.lead_gap_m": "initial_gap",
@@ -324,6 +323,15 @@ class TestRunCommand:
         rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 1
         assert "sim.sigma_tehta" in capsys.readouterr().err
+
+    def test_steer_limit_key_is_unknown(self, tmp_path, capsys):
+        # the planner, the plant and the preview corrector share one fixed
+        # steering limit, so no key may move the planner's alone
+        cfg = _write(tmp_path, SMOKE + "lateral.steer_limit_rad = 0.3\n")
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown key" in err and "lateral.steer_limit_rad" in err
 
     def test_bad_set_override_exits_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, SMOKE)

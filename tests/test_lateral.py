@@ -135,9 +135,9 @@ def cold_plan(state, v):
 
 class TestPlanSteering:
     def test_normalization_ties_command_to_angle(self):
-        cmd, info = cold_plan(LateralState(1.5, 0.0), V_76_KMH)
+        cmd, result = cold_plan(LateralState(1.5, 0.0), V_76_KMH)
         assert cmd.steer_cmd == cmd.delta_rad / (math.pi / 6.0)
-        assert info.converged
+        assert result.info.converged
 
     def test_centered_state_keeps_wheel_nearly_still(self):
         cmd, _ = cold_plan(LateralState(0.0, 0.0), V_76_KMH)
@@ -152,10 +152,10 @@ class TestPlanSteering:
         # even hopeless initial conditions must respect the steering barrier
         for d in (-3.0, -1.0, 0.2, 2.5):
             for th in (-0.3, 0.0, 0.25):
-                cmd, info = cold_plan(LateralState(d, th), V_76_KMH)
+                cmd, result = cold_plan(LateralState(d, th), V_76_KMH)
                 assert -1.0 < cmd.steer_cmd < 1.0
                 assert abs(cmd.delta_rad) < math.pi / 6.0
-                margins = info.solve_info.log_range_margins
+                margins = result.info.log_range_margins
                 assert margins and min(min(pair) for pair in margins) > 0.0
 
     def test_mirror_symmetry(self):
@@ -166,13 +166,22 @@ class TestPlanSteering:
         cmd_b, _ = cold_plan(mirror, V_76_KMH)
         assert cmd_a.steer_cmd == pytest.approx(-cmd_b.steer_cmd, abs=1e-6)
 
-    def test_speed_clamp_is_flagged_and_finite(self):
-        cmd, info = cold_plan(LateralState(0.5, 0.0), 0.2)
-        assert info.speed_clamped
-        assert math.isfinite(cmd.steer_cmd)
-        cmd2, info2 = cold_plan(LateralState(0.5, 0.0), V_76_KMH)
-        assert not info2.speed_clamped
-        assert cmd.steer_cmd != cmd2.steer_cmd
+    def test_speed_below_v_min_plans_as_at_v_min(self):
+        # the model divides by v, so slower speeds are planned at V_MIN:
+        # the same command, controls, iterations and cost, bit for bit
+        state = LateralState(0.5, 0.0)
+        ref_cmd, ref = cold_plan(state, V_MIN)
+        assert math.isfinite(ref_cmd.steer_cmd)
+        for v in (0.0, 0.2, 0.99):
+            cmd, result = cold_plan(state, v)
+            assert cmd == ref_cmd
+            np.testing.assert_array_equal(result.trajectory.controls,
+                                          ref.trajectory.controls)
+            assert result.info.iterations == ref.info.iterations
+            assert result.info.cost == ref.info.cost
+        fast_cmd, fast = cold_plan(state, V_76_KMH)
+        assert fast_cmd.steer_cmd != ref_cmd.steer_cmd
+        assert fast.info.cost != ref.info.cost
 
 
 def _mirror(state: LateralState) -> LateralState:
@@ -237,12 +246,11 @@ class TestBranchMirror:
                     delta_lat_rate=float(rng.uniform(-0.3, 0.3)))
             assert state.delta_lat != 0.0
             v = float(rng.uniform(5.0, 30.0))
-            cmd, diag = planners[0].plan(state, v)
-            cmd_m, diag_m = planners[1].plan(_mirror(state), v)
+            cmd, result = planners[0].plan(state, v)
+            cmd_m, result_m = planners[1].plan(_mirror(state), v)
             assert cmd_m.delta_rad == -cmd.delta_rad
-            assert diag_m.solve_info.cost == diag.solve_info.cost
-            assert (diag_m.solve_info.iterations
-                    == diag.solve_info.iterations)
+            assert result_m.info.cost == result.info.cost
+            assert result_m.info.iterations == result.info.iterations
             np.testing.assert_array_equal(
                 planners[1]._prev.trajectory.states,
                 -planners[0]._prev.trajectory.states)
@@ -266,15 +274,16 @@ class TestLateralPlanner:
                          (LateralState(-0.3, 0.04, delta_lat_rate=0.1), 12.0),
                          (LateralState(0.0, 0.01), 0.4)):
             planner.reset()
-            cmd, diag = planner.plan(state, v)
+            cmd, result = planner.plan(state, v)
             dyn = build_lateral_dynamics(planner.params,
                                          max(v, V_MIN), tuning.dt)
             ref = solve(build_lateral_problem(state, dyn, tuning),
                         config=planner.cold_config)
             assert cmd.delta_rad == ref.trajectory.controls[0, 0]
-            assert cmd.steer_cmd == cmd.delta_rad / tuning.steer_limit
-            assert diag.solve_info.cost == ref.info.cost
-            assert diag.speed_clamped == (v < V_MIN)
+            assert cmd.steer_cmd == cmd.delta_rad / STEER_LIMIT_RAD
+            assert result.info.cost == ref.info.cost
+            np.testing.assert_array_equal(result.trajectory.controls,
+                                          ref.trajectory.controls)
 
     def test_default_configs_unchanged(self):
         planner = LateralPlanner()
@@ -305,12 +314,12 @@ class TestLateralPlanner:
         planner = LateralPlanner()
         state = LateralState(0.5, 0.01)
         planner.plan(state, V_76_KMH)
-        _, diag = planner.plan(state, V_76_KMH)
+        _, result = planner.plan(state, V_76_KMH)
         assert seen[0][2] is planner.cold_config
         assert seen[1][2] is planner.warm_config
         assert seen[1][2].barrier_t_init == 1e4
-        assert diag.solve_info.iterations <= 12
-        assert diag.solve_info.barrier_t_scale == 1e4
+        assert result.info.iterations <= 12
+        assert result.info.barrier_t_scale == 1e4
 
     def test_warm_start_per_frame(self, monkeypatch):
         seen = self._spy_solve(monkeypatch)
@@ -333,13 +342,13 @@ class TestLateralPlanner:
         # reset drops the carried plan: the next cycle is a fresh planner's
         later = LateralState(-0.2, 0.03, theta_rate=0.01)
         planner.reset()
-        cmd, diag = planner.plan(later, 15.0)
-        fresh_cmd, fresh_diag = LateralPlanner().plan(later, 15.0)
+        cmd, result = planner.plan(later, 15.0)
+        fresh_cmd, fresh = LateralPlanner().plan(later, 15.0)
         assert seen[3][1] is None
         assert cmd == fresh_cmd
         np.testing.assert_array_equal(seen[3][3].trajectory.controls,
                                       seen[4][3].trajectory.controls)
-        assert diag.solve_info.cost == fresh_diag.solve_info.cost
+        assert result.info.cost == fresh.info.cost
 
     def test_corrected_warm_start_outside_steer_range(self, monkeypatch):
         # a large jump of offset and heading drives U + K dx past the steer
@@ -347,15 +356,15 @@ class TestLateralPlanner:
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         planner.plan(LateralState(0.1, 0.0), V_76_KMH)
-        _, diag = planner.plan(LateralState(1.5, 0.2), V_76_KMH)
+        _, result = planner.plan(LateralState(1.5, 0.2), V_76_KMH)
         spec, warm = seen[1][:2]
         prev = seen[0][3]
         np.testing.assert_array_equal(
             warm, forward_pass(prev.trajectory, prev.gains, 0.0,
                                spec).controls)
         assert np.max(np.abs(warm)) > STEER_LIMIT_RAD
-        assert diag.converged
-        margins = diag.solve_info.log_range_margins
+        assert result.info.converged
+        margins = result.info.log_range_margins
         assert margins and all(lo > 0.0 and hi > 0.0 for lo, hi in margins)
 
     @pytest.mark.parametrize("v", [math.inf, math.nan])
@@ -368,10 +377,10 @@ class TestLateralPlanner:
         with pytest.raises(ValueError, match="lateral speed must be finite"):
             planner.plan(LateralState(0.3, 0.01), v)
         later = LateralState(0.28, 0.012)
-        cmd, diag = planner.plan(later, V_76_KMH)
-        clean_cmd, clean_diag = clean.plan(later, V_76_KMH)
+        cmd, result = planner.plan(later, V_76_KMH)
+        clean_cmd, clean_result = clean.plan(later, V_76_KMH)
         assert cmd == clean_cmd
-        assert diag.solve_info == clean_diag.solve_info
+        assert result.info == clean_result.info
 
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

@@ -197,10 +197,12 @@ def cold_plan(v, lead, cruise_speed=V_CRUISE):
 
 class TestPlanLongitudinal:
     def test_cruise_at_reference_is_idle(self):
-        cmd, diag = cold_plan(20.0, None, cruise_speed=20.0)
+        planner = LongitudinalPlanner(cruise_speed=20.0, period=PERIOD)
+        cmd, result = planner.plan(20.0, None)
         assert cmd.accel_cmd == 0.0
         assert cmd.brake_cmd == 0.0
-        assert not diag.following
+        assert result is None              # a cruise cycle solves nothing
+        assert not planner.following
 
     def test_cruise_cycle_rejects_non_finite_speed(self):
         for v in (math.nan, math.inf):
@@ -209,18 +211,17 @@ class TestPlanLongitudinal:
 
     def test_close_gap_brakes(self):
         lead = LeadMeasurement(v_l=15.0, D=5.0)
-        cmd, diag = cold_plan(16.0, lead)
+        cmd, result = cold_plan(16.0, lead)
         assert cmd.brake_cmd > 0.0
-        assert diag.following
+        assert result is not None          # a following cycle
         assert -1.0 <= cmd.accel_cmd <= 1.0
 
     def test_jerk_respects_log_barrier(self):
         # hard approach: fast ego, slow lead, short gap
         lead = LeadMeasurement(v_l=15.0, D=12.0)
-        _, diag = cold_plan(25.0, lead)
-        assert -1.0 < diag.jerk < 1.0
-        assert diag.jerk < 0.0  # must plan to decelerate
-        seq = diag.jerk_sequence
+        _, result = cold_plan(25.0, lead)
+        seq = result.trajectory.controls
+        assert -1.0 < seq[0, 0] < 0.0  # must plan to decelerate
         assert seq.shape == (30, 1)
         assert np.all(np.abs(seq) < 1.0)
 
@@ -232,8 +233,8 @@ class TestPlanLongitudinal:
         strictly inside the barrier.
         """
         lead = LeadMeasurement(v_l=V_LEAD, D=100.0)
-        cmd, diag = cold_plan(V_CRUISE, lead)
-        assert 0.5 < diag.jerk < 1.0
+        cmd, result = cold_plan(V_CRUISE, lead)
+        assert 0.5 < result.trajectory.controls[0, 0] < 1.0
         assert -1.0 <= cmd.accel_cmd <= 1.0
 
 
@@ -241,8 +242,9 @@ class TestPlannerWrapper:
     def test_hysteresis_band(self):
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         far = LeadMeasurement(v_l=V_LEAD, D=130.0)
-        planner.plan(V_CRUISE, far)
+        _, result = planner.plan(V_CRUISE, far)
         assert not planner.following          # outside engage range
+        assert result is None
         near = LeadMeasurement(v_l=V_LEAD, D=119.0)
         planner.plan(V_CRUISE, near)
         assert planner.following               # engaged
@@ -253,8 +255,9 @@ class TestPlannerWrapper:
         assert not planner.following           # released
         planner.plan(V_CRUISE, near)
         assert planner.following
-        planner.plan(V_CRUISE, None)
+        _, result = planner.plan(V_CRUISE, None)
         assert not planner.following           # lost lead releases too
+        assert result is None
 
     def test_reference_capped_while_following(self):
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
@@ -281,8 +284,8 @@ class TestPlannerWrapper:
             planner.plan(math.nan, None)
         lead = LeadMeasurement(v_l=V_LEAD, D=30.0)
         for _ in range(3):
-            cmd, diag = planner.plan(20.0, lead)
-            assert diag.following
+            cmd, result = planner.plan(20.0, lead)
+            assert planner.following and result is not None
             assert math.isfinite(cmd.accel_cmd)
 
     def test_warm_start_lifecycle(self):
@@ -308,13 +311,13 @@ class TestPlannerWrapper:
         for v, lead in ((V_CRUISE, LeadMeasurement(v_l=V_LEAD, D=35.0)),
                         (15.0, LeadMeasurement(v_l=19.0, D=80.0, a_l=0.4))):
             planner.reset()
-            cmd, diag = planner.plan(v, lead)
+            cmd, result = planner.plan(v, lead)
             ref = solve(build_following_problem(
                 LongitudinalState(D=lead.D, v=v, a=0.0), lead,
                 planner.tuning), config=planner.cold_config)
-            np.testing.assert_array_equal(diag.jerk_sequence,
+            np.testing.assert_array_equal(result.trajectory.controls,
                                           ref.trajectory.controls)
-            assert diag.solve_info.cost == ref.info.cost
+            assert result.info.cost == ref.info.cost
             pi = PiState(v_r=min(V_CRUISE, lead.v_l), period=PERIOD)
             accel = pi_cruise(pi, v) + ref.trajectory.controls[0, 0]
             assert cmd.accel_cmd == min(max(accel, -1.0), 1.0)
@@ -342,12 +345,12 @@ class TestPlannerWrapper:
         monkeypatch.setattr(longitudinal_module, "solve", spy)
         lead = LeadMeasurement(v_l=V_LEAD, D=35.0)
         planner.plan(V_CRUISE, lead)
-        _, diag = planner.plan(V_CRUISE, lead)
+        _, result = planner.plan(V_CRUISE, lead)
         assert seen[0] is planner.cold_config
         assert seen[1] is planner.warm_config
         assert seen[1].barrier_t_init == 1e4
-        assert diag.solve_info.iterations <= 4
-        assert diag.solve_info.barrier_t_scale == 1e4
+        assert result.info.iterations <= 4
+        assert result.info.barrier_t_scale == 1e4
 
 
 class TestClosedLoopConvergence:

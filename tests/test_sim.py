@@ -208,7 +208,7 @@ class TestPerceive:
         frame = perceive(state, track, NoiseConfig(), rng, now=1.5)
         assert frame.theta_meas == state.theta
         assert frame.delta_meas == state.delta
-        assert frame.stamp == 1.5
+        assert frame.lane_map.timestamp == 1.5
 
     def test_straight_track_lane_points_sit_at_minus_offset(self):
         track = build_track("straight")
