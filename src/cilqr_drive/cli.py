@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
     cfg = load_run_config(args.config, tuple(args.overrides),
                           seed=args.seed, controller=args.controller)
     log = _execute(cfg)
-    metrics = compute_metrics(log, d_ref=cfg.long_tuning.d_ref)
+    metrics = compute_metrics(log)
     metrics["seed"] = cfg.spec.seed
 
     name = cfg.spec.name or Path(args.config).stem
@@ -130,7 +130,7 @@ def _cmd_compare(args) -> int:
     logs = {}
     for cfg in (cfg_a, cfg_b):
         log = _execute(cfg)
-        m = compute_metrics(log, d_ref=cfg.long_tuning.d_ref)
+        m = compute_metrics(log)
         logs[cfg.controller] = m
         rows.append((cfg.controller, m))
 

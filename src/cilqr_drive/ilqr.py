@@ -107,9 +107,6 @@ class AffineDynamics:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def step(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.B @ u + self._drift
-
 
 @dataclass(frozen=True)
 class QuadraticCost:
@@ -369,7 +366,7 @@ class GainSchedule:
     grad_norm: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     max_outer_iterations: int = 40
     cost_tolerance: float = 1e-4      # relative |dJ| convergence threshold
@@ -952,7 +949,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         controls = _clip_warm_start(spec, warm_start)
 
     lams = LINE_SEARCH_STEPS[:, None]
-    t_scale = min(cfg.barrier_t_init, cfg.barrier_t_max)
+    t_scale = cfg.barrier_t_init
     reg = cfg.regularization_init
     nx = (spec.horizon + 1) * spec.n
     traj = rollout(spec.dynamics, spec.x0, controls)

@@ -100,7 +100,7 @@ class PreviewCorrection:
 @dataclass
 class VpcConfig:
     lookahead_L: float = 10.0
-    # steady-state kinematic steer on curvature k is atan(wheelbase * k)
+    # steady-state kinematic steer on curvature k is atan((l_f + l_r) * k)
     k_vpc: float = 2.64
     frame_window: int = 8
 
@@ -236,16 +236,8 @@ class VpcEstimator:
         self._frames.append(lane_map)
         self._fit = None
 
-    @property
-    def frame_count(self) -> int:
-        return len(self._frames)
-
     def correction(self, delta_now: float = 0.0) -> PreviewCorrection:
         if self._fit is None:
             self._fit = (fit_lane_polynomial(
                 average_lane_maps(list(self._frames))),)
         return preview_correction(delta_now, self._fit[0], self.config)
-
-    def reset(self) -> None:
-        self._frames.clear()
-        self._fit = (None,)

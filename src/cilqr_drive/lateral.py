@@ -49,10 +49,6 @@ class VehicleParams:
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
-    @property
-    def wheelbase(self) -> float:
-        return self.l_f + self.l_r
-
 
 @dataclass
 class LateralState:

@@ -114,6 +114,7 @@ class SimLog:
     spec: ScenarioSpec
     controller: str
     terminal_event: str = ""
+    long_tuning: LongTuning = field(default_factory=LongTuning)
 
     def __len__(self) -> int:
         return self.columns["time_s"].shape[0]
@@ -189,7 +190,6 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
     latest_frame = None
     correction = None
     applied = (0.0, 0.0, 0.0)            # steer_cmd, accel_cmd, brake_cmd
-    last_delta_cmd = 0.0
     cycle_iters = 0
     cycle_ms = 0.0
 
@@ -219,7 +219,7 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
             vpc_due += rates.vpc_us
             if vpc is not None and latest_frame is not None:
                 vpc.observe(latest_frame.lane_map)
-                correction = vpc.correction(last_delta_cmd)
+                correction = vpc.correction()
 
         if t_us >= planner_due and latest_frame is not None:
             # catch up to the nominal grid after the first frame arrives
@@ -227,7 +227,6 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
                 planner_due += rates.planner_us
             t0 = time.perf_counter() if log_solver_time else 0.0
             cmd, result = lat_planner.plan(_plan_state(latest_frame), state.v)
-            last_delta_cmd = cmd.delta_rad
             steer_cmd = cmd.steer_cmd
             if correction is not None:
                 steer_cmd = apply_vpc(steer_cmd, correction.delta_shift)
@@ -282,21 +281,20 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
     events = [""] * (len(rows) - 1) + [terminal]
     columns = dict(zip(CSV_COLUMNS, np.array(rows).T.copy()))
     return SimLog(columns, events, track, spec, controller,
-                  terminal_event=terminal)
+                  terminal_event=terminal, long_tuning=lon_planner.tuning)
 
 
-def compute_metrics(log: SimLog, d_ref: float | None = None) -> dict:
+def compute_metrics(log: SimLog) -> dict:
     """Score a run: tracking MAEs, peak offsets, and solver statistics.
 
     Lateral metrics cover the whole log; following metrics cover the
     scenario's metrics window (or every row with a lead in range).  The
     max-offset-at-peak-curvature entry masks rows where |kappa| is
-    within 5% of the track maximum.
+    within 5% of the track maximum.  The gap error is taken against the
+    run's own reference gap, log.long_tuning.d_ref.
     """
     if len(log) == 0:
         raise ValueError("empty log")
-    if d_ref is None:
-        d_ref = LongTuning().d_ref
     c = log.columns
     track = log.track
     out = {
@@ -326,7 +324,8 @@ def compute_metrics(log: SimLog, d_ref: float | None = None) -> dict:
     if window.any():
         out["v_mae_mps"] = float(np.mean(
             np.abs(c["v_mps"][window] - c["v_l_mps"][window])))
-        out["d_mae_m"] = float(np.mean(np.abs(c["D_m"][window] - d_ref)))
+        out["d_mae_m"] = float(np.mean(
+            np.abs(c["D_m"][window] - log.long_tuning.d_ref)))
         out["gap_min_m"] = float(np.min(c["D_m"][have_lead]))
         out["gap_last_m"] = float(c["D_m"][-1])
     else:

@@ -86,9 +86,6 @@ class LatencyQueue:
             out.append(self._q.popleft()[1])
         return out
 
-    def __len__(self) -> int:
-        return len(self._q)
-
 
 _LANE_SAMPLE_M = np.arange(0.0, SENSING_RANGE_M + 0.5, 1.0)
 

@@ -87,6 +87,11 @@ def closed_loop_rollout(A, B, d, X, U, k, K, lam, x0):
     return xs, us
 
 
+def affine_step(dyn, x, u):
+    """One step x' = A x + B u + C w of an AffineDynamics, from its fields."""
+    return dyn.A @ x + dyn.B @ u + (0.0 if dyn.C is None else dyn.C @ dyn.w)
+
+
 def lqr_dp_gains(A, B, Q, R, Qf, N):
     """Riccati feedback gains for the zero-reference, drift-free problem."""
     P = np.asarray(Qf, float).copy()

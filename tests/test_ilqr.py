@@ -29,9 +29,10 @@ from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
                                  build_lateral_dynamics, build_lateral_problem)
 from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
                                       LongTuning, build_following_problem)
-from oracles import (barrier_arguments_reference, central_diff_grad,
-                     central_diff_hess, closed_loop_rollout, grid_minimize,
-                     lqr_dp_gains, lqr_dp_solve, riccati_backward_reference)
+from oracles import (affine_step, barrier_arguments_reference,
+                     central_diff_grad, central_diff_hess, closed_loop_rollout,
+                     grid_minimize, lqr_dp_gains, lqr_dp_solve,
+                     riccati_backward_reference)
 
 # Frozen from independent evaluation of the stated formulas.
 LOG_RANGE_AT_ZERO_PI6 = 1.2940591667573098      # -2 ln(pi/6)
@@ -745,7 +746,7 @@ class TestSolve:
         X, U = res.trajectory.states, res.trajectory.controls
         for i in range(spec.horizon):
             np.testing.assert_allclose(
-                X[i + 1], spec.dynamics.step(X[i], U[i]), atol=1e-12)
+                X[i + 1], affine_step(spec.dynamics, X[i], U[i]), atol=1e-12)
 
     def test_result_carries_last_backward_pass_gains(self, monkeypatch):
         import cilqr_drive.ilqr as ilqr_module
@@ -885,6 +886,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolverConfig(barrier_t_init=10.0, barrier_t_max=5.0)
 
+    def test_solver_config_is_frozen(self):
+        # a field set after construction would skip the checks above
+        cfg = SolverConfig()
+        for name, value in (("barrier_t_max", 0.5),
+                            ("max_outer_iterations", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        warm = cfg.for_warm_start(4)
+        assert (warm.barrier_t_init, warm.max_outer_iterations) == (1e4, 4)
+
     def test_with_start_shares_barriers_and_checks_replacements(self):
         term = BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0,
                                      control_index=0)
@@ -945,8 +956,8 @@ class TestValidation:
         A[0, 0] = 3.0
         w[0] = 2.0
         assert dyn.A[0, 0] == 1.0
-        np.testing.assert_array_equal(dyn.step(np.zeros(2), np.zeros(1)),
-                                      [0.5, -0.5])
+        np.testing.assert_array_equal(
+            rollout(dyn, np.zeros(2), np.zeros((1, 1))).states[1], [0.5, -0.5])
 
     def test_costs_are_immutable(self):
         Q = np.eye(2)

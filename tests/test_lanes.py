@@ -291,18 +291,29 @@ class TestVpcEstimator:
         assert corr.delta_shift == 0.0
         assert corr.delta_p == 0.3
 
+    @staticmethod
+    def fed(frames, window: int = 8) -> VpcEstimator:
+        est = VpcEstimator(VpcConfig(frame_window=window))
+        for f in frames:
+            est.observe(f)
+        return est
+
     def test_window_rolls_at_capacity(self):
-        est = VpcEstimator(VpcConfig(frame_window=8))
-        for i in range(11):
-            est.observe(straight_map(ts=float(i)))
-        assert est.frame_count == 8
+        # each frame bends differently, so every window averages to its
+        # own curvature and the correction tells the windows apart
+        frames = [circle_map(50.0 + 10.0 * i, ts=float(i)) for i in range(11)]
+        got = self.fed(frames).correction()
+        assert got.delta_shift != 0.0
+        assert got == self.fed(frames[3:]).correction()
+        # a window that kept one frame too many
+        assert got != self.fed(frames[2:], window=9).correction()
 
     def test_repeated_timestamp_deduplicated(self):
-        est = VpcEstimator()
-        m = straight_map(ts=5.0)
-        est.observe(m)
-        est.observe(m)
-        assert est.frame_count == 1
+        first = circle_map(50.0, ts=5.0)
+        repeat = circle_map(200.0, ts=5.0)
+        got = self.fed([first, repeat]).correction()
+        assert got == self.fed([first]).correction()
+        assert got != self.fed([repeat]).correction()
 
     def test_straight_frames_yield_zero_shift(self):
         est = VpcEstimator()
@@ -319,12 +330,6 @@ class TestVpcEstimator:
             a.observe(f)
             b.observe(f)
         assert a.correction(0.1) == b.correction(0.1)
-
-    def test_reset_clears_frames(self):
-        est = VpcEstimator()
-        est.observe(straight_map(ts=0.0))
-        est.reset()
-        assert est.frame_count == 0
 
 
 class TestVpcFitCache:
@@ -375,9 +380,12 @@ class TestVpcFitCache:
         for f in frames[1:]:
             fresh.observe(f)
         assert rolled == fresh.correction(0.2)
-        est.reset()
+        # a new estimator starts empty: no fit until its first frame, and
+        # a timestamp another estimator has seen is no repeat for it
+        est = VpcEstimator(VpcConfig(frame_window=3))
         assert est.correction(0.2) == preview_correction(0.2, None)
-        est.observe(frames[3])           # the last timestamp again, after reset
+        assert len(fits) == 3
+        est.observe(frames[3])
         est.correction()
         assert len(fits) == 4
 

@@ -24,7 +24,7 @@ from cilqr_drive.lateral import (
     build_lateral_problem,
 )
 
-from oracles import lqr_dp_solve
+from oracles import affine_step, lqr_dp_solve
 
 V_76_KMH = 76.0 / 3.6  # 21.111... m/s
 DT = 0.05
@@ -401,7 +401,7 @@ class TestLateralPlanner:
             state = LateralState(x[0], x[2], delta_lat_rate=x[1],
                                  theta_rate=x[3])
             cmd, _ = planner.plan(state, V_76_KMH)
-            x = dyn.step(x, np.array([cmd.delta_rad]))
+            x = affine_step(dyn, x, np.array([cmd.delta_rad]))
             worst = max(worst, abs(x[0]))
         assert abs(x[0]) < 0.05
         assert worst <= 0.55

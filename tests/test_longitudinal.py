@@ -26,7 +26,7 @@ from cilqr_drive.longitudinal import (
     pi_cruise,
 )
 
-from oracles import lqr_dp_solve
+from oracles import affine_step, lqr_dp_solve
 
 TANH_HALF = 0.46211715726000974   # tanh(0.5)
 EXP_TWO = 7.38905609893065        # exp(2)
@@ -87,19 +87,19 @@ class TestPiCruise:
 class TestDynamics:
     def test_hand_substitution(self):
         dyn = build_longitudinal_dynamics(0.1, v_l=18.0, a_l=0.0)
-        nxt = dyn.step(np.array([20.0, 22.0, 0.0]), np.zeros(1))
+        nxt = affine_step(dyn, np.array([20.0, 22.0, 0.0]), np.zeros(1))
         np.testing.assert_allclose(nxt, [19.6, 22.0, 0.0], rtol=1e-12)
 
     def test_equal_speeds_hold_the_gap(self):
         dyn = build_longitudinal_dynamics(0.1, v_l=22.0)
         x = np.array([15.0, 22.0, 0.0])
         for _ in range(10):
-            x = dyn.step(x, np.zeros(1))
+            x = affine_step(dyn, x, np.zeros(1))
         assert x[0] == pytest.approx(15.0, abs=1e-12)
 
     def test_jerk_integrates_into_acceleration(self):
         dyn = build_longitudinal_dynamics(0.1)
-        nxt = dyn.step(np.zeros(3), np.array([1.0]))
+        nxt = affine_step(dyn, np.zeros(3), np.array([1.0]))
         assert nxt[2] == pytest.approx(0.1, abs=1e-15)
 
     def test_rejects_nonpositive_dt(self):
