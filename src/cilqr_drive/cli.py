@@ -2,7 +2,7 @@
 
 Subcommands
     run        execute one configured scenario, write CSV/metrics/plot script
-    compare    run a config pair differing only in controller, report ratios
+    compare    run one config under each controller, report ratios
     benchmark  re-solve recorded closed-loop states and report solve times
 
 Exit codes: 0 run complete, 1 configuration error, 2 the vehicle left the
@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .lateral import LateralPlanner, LateralState
 from .longitudinal import LeadMeasurement, LongitudinalPlanner
 from .sim import SimLog, compute_metrics, run_scenario
+from .sim.scenario import CONTROLLERS
 
 _REFERENCE_MAX_OFFSET_RATIO = 1.36   # plain vs preview-corrected steering
 
@@ -114,25 +116,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg_a = load_run_config(args.config_a, tuple(args.overrides))
-    cfg_b = load_run_config(args.config_b, tuple(args.overrides))
-    if cfg_a.spec.seed != cfg_b.spec.seed:
-        raise ConfigError(
-            f"seeds differ ({cfg_a.spec.seed} vs {cfg_b.spec.seed}); "
-            "a controller comparison needs identical seeds",
-            str(args.config_b))
-    if not cfg_a.differs_only_in_controller(cfg_b):
-        raise ConfigError(
-            "configs must differ only in scenario.controller",
-            str(args.config_b))
-
-    rows = []
-    logs = {}
-    for cfg in (cfg_a, cfg_b):
-        log = _execute(cfg)
-        m = compute_metrics(log)
-        logs[cfg.controller] = m
-        rows.append((cfg.controller, m))
+    # one config under every controller: the pair differs in nothing else
+    cfg = load_run_config(args.config, tuple(args.overrides))
+    rows = [(c, compute_metrics(_execute(replace(cfg, controller=c))))
+            for c in CONTROLLERS]
 
     names = [r[0] for r in rows]
     fields = ["delta_max_abs_m", "delta_max_abs_kmax_m", "delta_mae_m",
@@ -160,7 +147,7 @@ def _cmd_compare(args) -> int:
     payload = {
         "controllers": names,
         "metrics": {n: {k: _json_safe(v) for k, v in m.items()}
-                    for n, m in logs.items()},
+                    for n, m in rows},
         "max_offset_ratio": _json_safe(ratio),
         "reference_ratio": _REFERENCE_MAX_OFFSET_RATIO,
     }
@@ -173,6 +160,8 @@ def _replay_rows(log: SimLog, cfg: RunConfig, n_states: int, have=None):
     """Every k-th planner-cadence row (where `have`), k = max(1, rows //
     n_states), so long logs give states from every section, turns included;
     and the mean logged time between the chosen rows."""
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
     rates = cfg.spec.rates
     rows = np.arange(0, len(log), -(-rates.planner_us // rates.plant_us))
     if have is not None:
@@ -301,10 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_run)
 
     p_cmp = sub.add_parser("compare",
-                           help="run two configs differing only in "
-                                "controller")
-    p_cmp.add_argument("config_a")
-    p_cmp.add_argument("config_b")
+                           help="run one config under each controller")
+    p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", default="out")
     p_cmp.add_argument("--set", dest="overrides", action="append",
                        default=[], metavar="KEY=VALUE")

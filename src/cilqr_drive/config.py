@@ -11,7 +11,7 @@ line number.  Values not mentioned keep the published defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .lanes import VpcConfig
@@ -19,8 +19,7 @@ from .lateral import LateralTuning, VehicleParams
 from .longitudinal import LongTuning
 from .sim import LeadSpec, NoiseConfig, ScenarioSpec, SimRates
 from .sim.scenario import CONTROLLERS
-
-TRACK_PRESETS = ("trackA", "trackB", "straight", "circle100")
+from .sim.track import TRACKS
 
 KPH = 1.0 / 3.6    # km/h to m/s
 
@@ -87,7 +86,7 @@ def _no_check(_x) -> None:
 # (keyword, index) for one entry of a tuple; a *_kph value is converted to
 # m/s.  scenario.lead has no field: it switches the lead section on.
 _REGISTRY = {
-    "scenario.track": ("spec", "track", str, _choice(*TRACK_PRESETS)),
+    "scenario.track": ("spec", "track", str, _choice(*TRACKS)),
     "scenario.duration_s": ("spec", "duration_s", _as_float, _positive),
     "scenario.laps": ("spec", "laps", _as_float, _positive),
     "scenario.cruise_speed_kph": ("spec", "cruise_speed", _as_float,
@@ -165,17 +164,6 @@ class RunConfig:
     lateral: LateralTuning = field(default_factory=LateralTuning)
     long_tuning: LongTuning = field(default_factory=LongTuning)
     vpc: VpcConfig = field(default_factory=VpcConfig)
-    source: str = ""
-
-    def differs_only_in_controller(self, other: "RunConfig") -> bool:
-        """True when everything but the controller and labels matches."""
-        mine, theirs = asdict(self), asdict(other)
-        for skip in ("controller", "source"):
-            mine.pop(skip)
-            theirs.pop(skip)
-        mine["spec"].pop("name")
-        theirs["spec"].pop("name")
-        return mine == theirs
 
 
 # section -> (dataclass, (section, keyword) it is passed to or None for
@@ -245,7 +233,6 @@ def _build(values: dict[str, tuple[object, int]], source: str) -> RunConfig:
         return 0
 
     kwargs = {name: {} for name in _SECTIONS}
-    kwargs["run"]["source"] = source
     for key, (value, _) in values.items():
         section, name = _REGISTRY[key][:2]
         if key.endswith("_kph"):
@@ -318,9 +305,7 @@ def load_run_config(path: str | Path,
         values["scenario.seed"] = (_typed("scenario.seed", str(seed),
                                           "--seed: ", str(path)), 0)
     if controller is not None:
-        if controller not in CONTROLLERS:
-            raise ConfigError(f"--controller must be one of "
-                              f"{', '.join(CONTROLLERS)}", str(path))
-        values["scenario.controller"] = (controller, 0)
+        values["scenario.controller"] = (_typed(
+            "scenario.controller", controller, "--controller: ", str(path)), 0)
 
     return _build(values, str(path))

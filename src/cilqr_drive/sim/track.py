@@ -181,28 +181,25 @@ def _track_b() -> TrackGeometry:
     return TrackGeometry(segs, closed=True, name="trackB")
 
 
-def build_track(preset: str | None = None,
-                segments: Sequence[tuple[float, float, float]] | None = None,
-                closed: bool = True) -> TrackGeometry:
-    """Build a preset circuit or a custom segment chain.
+def _straight() -> TrackGeometry:
+    return TrackGeometry([(5000.0, 0.0, 0.0)], closed=False, name="straight")
 
-    Presets: trackA (2843 m stadium, max curvature 0.03), trackB (3919 m
-    rounded rectangle, max curvature 0.05), straight (5 km open line),
-    circle100 (radius 100 m loop).
-    """
-    if (preset is None) == (segments is None):
-        raise ValueError("provide exactly one of preset or segments")
-    if segments is not None:
-        return TrackGeometry(segments, closed=closed)
-    if preset == "trackA":
-        return _track_a()
-    if preset == "trackB":
-        return _track_b()
-    if preset == "straight":
-        return TrackGeometry([(5000.0, 0.0, 0.0)], closed=False,
-                             name="straight")
-    if preset == "circle100":
-        r = 100.0
-        return TrackGeometry([(2.0 * math.pi * r, 1.0 / r, 1.0 / r)],
-                             closed=True, name="circle100")
-    raise ValueError(f"unknown track preset: {preset!r}")
+
+def _circle100() -> TrackGeometry:
+    r = 100.0
+    return TrackGeometry([(2.0 * math.pi * r, 1.0 / r, 1.0 / r)],
+                         closed=True, name="circle100")
+
+
+# preset name -> builder: trackA (2843 m stadium, max curvature 0.03),
+# trackB (3919 m rounded rectangle, max curvature 0.05), straight (5 km
+# open line), circle100 (radius 100 m loop)
+TRACKS = {"trackA": _track_a, "trackB": _track_b, "straight": _straight,
+          "circle100": _circle100}
+
+
+def build_track(preset: str) -> TrackGeometry:
+    """Build the preset circuit of that name (a key of TRACKS)."""
+    if preset not in TRACKS:
+        raise ValueError(f"unknown track preset: {preset!r}")
+    return TRACKS[preset]()

@@ -14,7 +14,7 @@ from cilqr_drive.lanes import (BIN_WIDTH_M, SENSING_RANGE_M, LaneMap,
                                average_lane_maps)
 from cilqr_drive.lateral import VehicleParams
 from cilqr_drive.sim import (OffTrackError, PlantState, ScenarioSpec, SimLog,
-                             build_track, step_plant)
+                             TrackGeometry, build_track, step_plant)
 from cilqr_drive.sim.plant import (ACCEL_GAIN, BRAKE_GAIN, OFF_TRACK_M,
                                    _V_SLIP_MIN)
 from cilqr_drive.sim.scenario import CSV_COLUMNS
@@ -123,7 +123,7 @@ class TestPlantStep:
 
     def test_road_frame_singularity_guard(self):
         # delta at 1 / kappa puts the ego on the centre of curvature
-        track = build_track(segments=[(100.0, 0.2, 0.2)], closed=True)
+        track = TrackGeometry([(100.0, 0.2, 0.2)], closed=True)
         state = PlantState(s=1.0, delta=5.0, v=2.0, v_lat=0.1)
         assert abs(1.0 - track.curvature(state.s) * state.delta) < 1e-6
         _same_step(state, 0.0, 0.0, 0.0, track)
@@ -196,9 +196,9 @@ class TestCurvatureAndHeading:
                                         "closed_chain"])
     def test_vector_and_scalar_forms_equal_the_reference(self, preset):
         if preset == "open_chain":
-            track = build_track(segments=CLOTHOID_CHAIN, closed=False)
+            track = TrackGeometry(CLOTHOID_CHAIN, closed=False)
         elif preset == "closed_chain":
-            track = build_track(segments=CLOTHOID_CHAIN[:3], closed=True)
+            track = TrackGeometry(CLOTHOID_CHAIN[:3], closed=True)
         else:
             track = build_track(preset)
         segs, closed = list(track.segments), track.closed

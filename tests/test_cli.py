@@ -2,21 +2,25 @@
 
 import copy
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cilqr_drive.cli import _execute, main, replay_longitudinal_timing
+from cilqr_drive.cli import (_execute, main, replay_lateral_timing,
+                             replay_longitudinal_timing)
 from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_float,
                                 _as_int, _nonneg, _positive, load_run_config)
 from cilqr_drive.lanes import VpcEstimator
 from cilqr_drive.lateral import LateralPlanner
 from cilqr_drive.longitudinal import LongitudinalPlanner
-from cilqr_drive.sim import (LeadSpec, preset_straight_smoke,
+from cilqr_drive.sim import (LeadSpec, compute_metrics, preset_straight_smoke,
                              preset_trackA_lane_keeping,
-                             preset_trackB_following)
+                             preset_trackB_following, run_scenario)
+from cilqr_drive.sim.scenario import CONTROLLERS
+from cilqr_drive.sim.track import TRACKS
 
 SMOKE = """\
 scenario.track = straight
@@ -163,6 +167,13 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="scenario.lead"):
             load_run_config(path)
 
+    def test_unknown_track_lists_the_presets(self, tmp_path):
+        path = _write(tmp_path, SMOKE.replace("= straight", "= moon"))
+        with pytest.raises(ConfigError) as err:
+            load_run_config(path)
+        assert str(err.value) == (f"{path}:1: scenario.track: must be one "
+                                  f"of {', '.join(TRACKS)}")
+
     def test_metrics_window_needs_both_ends(self, tmp_path):
         path = _write(tmp_path, SMOKE + "scenario.metrics_t_start = 1\n")
         with pytest.raises(ConfigError, match="metrics_t_end"):
@@ -241,7 +252,7 @@ class TestLoadRunConfig:
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
-        assert load_run_config(path).source == str(path)
+        assert load_run_config(path).spec.name == path.stem.replace("_", "-")
 
     def test_shipped_configs_found(self):
         assert [p.name for p in CONFIGS] == [
@@ -383,6 +394,19 @@ class TestRunCommand:
         assert err.startswith("config error: ")
         assert "--seed: scenario.seed: must be nonnegative" in err
 
+    def test_unknown_controller_flag_is_a_config_error(self, tmp_path,
+                                                       capsys):
+        cfg = _write(tmp_path, SMOKE)
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out),
+                   "--controller", "bogus"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert ("--controller: scenario.controller: must be one of "
+                "cilqr, vpc-cilqr") in err
+        assert not out.exists()
+
     def test_off_track_start_exits_two(self, tmp_path, capsys):
         text = SMOKE + "scenario.start_delta = 9.8\nscenario.start_theta = 0.9\n"
         cfg = _write(tmp_path, text)
@@ -391,60 +415,53 @@ class TestRunCommand:
         assert "off_track" in capsys.readouterr().err
 
 
+def _compare(tmp_path, text, name):
+    """compare.txt and compare.json of `compare` on a config of text."""
+    cfg = _write(tmp_path, text, f"{name}.cfg")
+    out = tmp_path / name
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    return ((out / "compare.txt").read_text(),
+            json.loads((out / "compare.json").read_text()))
+
+
 class TestCompareCommand:
 
-    def test_identical_controllers_ratio_one(self, tmp_path):
-        cfg_a = _write(tmp_path, SMOKE, "a.cfg")
-        cfg_b = _write(tmp_path, SMOKE, "b.cfg")
-        out = tmp_path / "out"
-        rc = main(["compare", str(cfg_a), str(cfg_b), "--out", str(out)])
-        assert rc == 0
-        report = json.loads((out / "compare.json").read_text())
-        assert report["max_offset_ratio"] == 1.0
-
-    def test_seed_mismatch_rejected(self, tmp_path, capsys):
-        cfg_a = _write(tmp_path, SMOKE, "a.cfg")
-        cfg_b = _write(tmp_path, SMOKE.replace("seed = 3", "seed = 4"),
-                       "b.cfg")
-        rc = main(["compare", str(cfg_a), str(cfg_b),
-                   "--out", str(tmp_path)])
-        assert rc == 1
-        assert "seed" in capsys.readouterr().err
-
-    def test_non_controller_difference_rejected(self, tmp_path, capsys):
-        cfg_a = _write(tmp_path, SMOKE, "a.cfg")
-        cfg_b = _write(tmp_path, SMOKE + "vehicle.mass = 1200\n", "b.cfg")
-        rc = main(["compare", str(cfg_a), str(cfg_b),
-                   "--out", str(tmp_path)])
-        assert rc == 1
-        assert "controller" in capsys.readouterr().err
+    def test_each_controller_runs_the_one_config(self, tmp_path):
+        # the report holds one run per controller on the same config, and
+        # the controller a file names does not change it
+        text, report = _compare(tmp_path, SMOKE, "plain")
+        assert report["controllers"] == list(CONTROLLERS)
+        spec = load_run_config(_write(tmp_path, SMOKE)).spec
+        for c in CONTROLLERS:
+            expected = {k: None if isinstance(v, float)
+                        and not math.isfinite(v) else v
+                        for k, v in compute_metrics(
+                            run_scenario(spec, controller=c)).items()}
+            assert report["metrics"][c] == expected
+        assert _compare(tmp_path,
+                        SMOKE + "scenario.controller = vpc-cilqr\n",
+                        "vpc") == (text, report)
 
     def test_controller_pair_reports_ratio(self, tmp_path):
-        cfg_a = _write(tmp_path, SMOKE, "a.cfg")
-        cfg_b = _write(tmp_path,
-                       SMOKE + "scenario.controller = vpc-cilqr\n", "b.cfg")
-        out = tmp_path / "out"
-        rc = main(["compare", str(cfg_a), str(cfg_b), "--out", str(out)])
-        assert rc == 0
-        report = json.loads((out / "compare.json").read_text())
+        text, report = _compare(tmp_path, SMOKE, "out")
         assert report["controllers"] == ["cilqr", "vpc-cilqr"]
         assert report["reference_ratio"] == 1.36
+        a, b = (report["metrics"][c]["delta_max_abs_m"]
+                for c in ("cilqr", "vpc-cilqr"))
+        assert report["max_offset_ratio"] == a / b
+        assert (f"max offset ratio (cilqr / vpc-cilqr): {a / b:.4f}"
+                in text)
 
     def test_zero_offset_in_second_run_gives_nan_ratio(self, tmp_path,
                                                        capsys):
         # too short to leave the centerline: the ratio has no value
-        text = SMOKE.replace("duration_s = 2.0", "duration_s = 0.001")
-        cfg_a = _write(tmp_path, text, "a.cfg")
-        cfg_b = _write(tmp_path, text + "scenario.controller = vpc-cilqr\n",
-                       "b.cfg")
-        out = tmp_path / "out"
-        rc = main(["compare", str(cfg_a), str(cfg_b), "--out", str(out)])
-        assert rc == 0
-        report = json.loads((out / "compare.json").read_text())
+        text, report = _compare(
+            tmp_path, SMOKE.replace("duration_s = 2.0", "duration_s = 0.001"),
+            "out")
         assert report["metrics"]["vpc-cilqr"]["delta_max_abs_m"] == 0.0
         assert report["max_offset_ratio"] is None
-        assert ("max offset ratio (cilqr / vpc-cilqr): nan"
-                in capsys.readouterr().out)
+        assert "max offset ratio (cilqr / vpc-cilqr): nan" in text
+        assert capsys.readouterr().out == text
 
 
 class TestBenchmarkCommand:
@@ -525,3 +542,14 @@ class TestBenchmarkCommand:
         assert err.startswith("config error: ")
         assert "--states" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("replay", [replay_lateral_timing,
+                                        replay_longitudinal_timing])
+    @pytest.mark.parametrize("n_states", [0, -3])
+    def test_replay_of_fewer_than_one_state_is_rejected(self, tmp_path,
+                                                         replay, n_states):
+        cfg = load_run_config(_write(tmp_path, FOLLOWING),
+                              ("scenario.duration_s=0.2",))
+        log = _execute(cfg)
+        with pytest.raises(ValueError, match="n_states must be at least 1"):
+            replay(log, cfg, n_states=n_states)

@@ -4,6 +4,7 @@ import ast
 import fnmatch
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,30 @@ def test_readme_constants_exist_in_their_modules():
         missing += [(module, name) for name in _ticked(names)
                     if not hasattr(mod, name)]
     assert missing == []
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each `cilqr-drive` line of the README's sh blocks, continuations
+    joined, as argv; lines that use a shell variable are left out."""
+    text = "".join(re.findall(r"```sh\n(.*?)```", README, re.S))
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("cilqr-drive ") and "$" not in line]
+
+
+def test_readme_commands_parse(monkeypatch):
+    # the subcommands are stubbed: each line is parsed, not run
+    from cilqr_drive import cli
+    parsed = []
+    for name in ("_cmd_run", "_cmd_compare", "_cmd_benchmark"):
+        monkeypatch.setattr(cli, name, lambda args: parsed.append(args) or 0)
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:   # argparse rejected the line
+            rc = exc.code
+        assert rc == 0, argv
+        assert (ROOT / parsed[-1].config).is_file(), argv
+    assert len(parsed) == len(commands)

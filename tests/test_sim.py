@@ -15,6 +15,7 @@ from cilqr_drive.sim import (
     ScenarioSpec,
     SimLog,
     SimRates,
+    TrackGeometry,
     build_track,
     compute_metrics,
     perceive,
@@ -26,6 +27,7 @@ from cilqr_drive.sim import (
 )
 from cilqr_drive.longitudinal import LongTuning
 from cilqr_drive.sim.scenario import CONTROLLERS, CSV_COLUMNS
+from cilqr_drive.sim.track import TRACKS
 
 from oracles import centerline_end
 
@@ -67,18 +69,24 @@ class TestBuildTrack:
         assert track.heading_many([track.length])[0] == pytest.approx(
             2.0 * math.pi, abs=1e-9)
 
+    def test_each_preset_builds_its_named_track(self):
+        for name in TRACKS:
+            assert build_track(name).name == name
+        with pytest.raises(ValueError, match="unknown track preset"):
+            build_track("moon")
+
     def test_discontinuous_profile_rejected(self):
         with pytest.raises(ValueError):
-            build_track(segments=[(100.0, 0.0, 0.0), (100.0, 0.02, 0.02)],
-                        closed=False)
+            TrackGeometry([(100.0, 0.0, 0.0), (100.0, 0.02, 0.02)],
+                          closed=False)
 
     def test_closed_track_with_curvature_jump_at_seam_rejected(self):
         with pytest.raises(ValueError):
-            build_track(segments=[(100.0, 0.0, 0.01)], closed=True)
+            TrackGeometry([(100.0, 0.0, 0.01)], closed=True)
 
     def test_nonpositive_segment_length_rejected(self):
         with pytest.raises(ValueError):
-            build_track(segments=[(0.0, 0.0, 0.0)], closed=False)
+            TrackGeometry([(0.0, 0.0, 0.0)], closed=False)
 
     def test_curvature_is_continuous_along_arc_length(self):
         track = build_track("trackA")
@@ -95,13 +103,13 @@ class TestBuildTrack:
         # curvature(s) starts from the segment of its previous query; the
         # order of queries must never change a result
         if preset is None:
-            track = build_track(segments=[(30.0, 0.0, 0.03), (50.0, 0.03, 0.03),
-                                          (30.0, 0.03, 0.0)], closed=closed)
+            track = TrackGeometry([(30.0, 0.0, 0.03), (50.0, 0.03, 0.03),
+                                   (30.0, 0.03, 0.0)], closed=closed)
         elif closed:
             track = build_track(preset)
         else:
-            track = build_track(segments=build_track(preset).segments,
-                                closed=False)
+            track = TrackGeometry(build_track(preset).segments,
+                                  closed=False)
         breaks = np.concatenate(([0.0], np.cumsum(
             [seg[0] for seg in track.segments])))
         L = track.length
