@@ -15,7 +15,6 @@ None on a cruise cycle.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,7 @@ K_I = 0.05                # PI gain per m of integrated speed error
 INTEGRAL_LIMIT = 2.0      # anti-windup clamp, m
 ENGAGE_DISTANCE = 120.0   # a lead closer than this starts following, m
 RELEASE_DISTANCE = 140.0  # following stops beyond this, m
+ACCEL_TAU = 0.5           # time constant of the acceleration low-pass, s
 
 
 @dataclass
@@ -189,11 +189,13 @@ class LongitudinalPlanner:
     not chatter at the boundary.  While following, the cruise reference
     is capped at the lead speed: tracking the gap is the solver's job
     and the PI loop must not fight it by pushing toward cruise speed.
-    Ego acceleration is not sensed directly; it is estimated from speed
-    differences averaged over the last three cycles, `pi.period` seconds
-    apart (the same period drives the PI integral).  The following
-    problem is built and validated once; every cycle re-aims it at the
-    new state and lead.
+    Ego acceleration is not sensed directly: a first-order low-pass with
+    time constant ACCEL_TAU filters the speed differences, `pi.period`
+    seconds apart (the same period drives the PI integral).  A shorter
+    average echoes the last command into chatter; on trackB seeds 0-9
+    every tau in 0.25-2 s avoids that, and 0.5 s keeps the lag short.
+    The following problem is built and validated once; every cycle
+    re-aims it at the new state and lead.
     """
 
     def __init__(self, cruise_speed: float, period: float,
@@ -201,17 +203,13 @@ class LongitudinalPlanner:
         self.cruise_speed = cruise_speed
         self.tuning = tuning or LongTuning()
         self.pi = PiState(v_r=cruise_speed, period=period)
-        # cold solves walk the barrier sharpness schedule; warm-started
-        # cycles continue at final sharpness, where the carried-over
-        # solution is already near stationary (re-walking the schedule
-        # would hand a boundary-riding jerk an enormous soft-barrier
-        # gradient and waste a full re-solve every cycle)
+        # cold solves walk the barrier sharpness schedule; warm cycles are
+        # real-time iterations: one Newton step at final sharpness from the
+        # previous plan, already near the optimum of a problem that moves
+        # little in one period (re-walking the schedule would hand a
+        # boundary-riding jerk an enormous soft-barrier gradient)
         self.cold_config = SolverConfig()
-        # short iteration budget: each cycle refines the previous plan, so
-        # a few steps recover the applied jerk; long budgets only polish
-        # tail-stage barrier margins that the next replan discards anyway
-        self.warm_config = self.cold_config.for_warm_start(4)
-        self._diffs: deque[float] = deque(maxlen=3)
+        self.warm_config = self.cold_config.for_warm_start(1)
         self.reset()
         d_ref = self.tuning.d_ref
         self._problem = build_following_problem(
@@ -221,18 +219,18 @@ class LongitudinalPlanner:
     def reset(self) -> None:
         self.following = False
         self._prev: SolveResult | None = None
-        self._diffs.clear()
         self._last_v: float | None = None
+        self._accel = 0.0
         self.pi.integral = 0.0
         self.pi.v_r = self.cruise_speed
 
     def _estimate_accel(self, v: float) -> float:
+        p = self.pi.period
         if self._last_v is not None:
-            self._diffs.append((v - self._last_v) / self.pi.period)
+            self._accel += p / (ACCEL_TAU + p) * (
+                (v - self._last_v) / p - self._accel)
         self._last_v = v
-        if not self._diffs:
-            return 0.0
-        return sum(self._diffs) / len(self._diffs)
+        return self._accel
 
     def plan(self, v: float, lead: LeadMeasurement | None
              ) -> tuple[LongCommand, SolveResult | None]:
@@ -243,7 +241,7 @@ class LongitudinalPlanner:
         start: read it, do not write it.
         """
         # checked before the speed enters the acceleration estimate, which
-        # a rejected speed would otherwise poison for three cycles
+        # a rejected speed would otherwise poison for good
         if not math.isfinite(v):
             raise ValueError("longitudinal state must be finite")
         a_est = self._estimate_accel(v)

@@ -22,7 +22,7 @@ from ..longitudinal import LongitudinalPlanner, LongTuning
 from .plant import OffTrackError, PlantState, step_plant
 from .sensors import (LatencyQueue, NoiseConfig, SimRates, perceive,
                       radar_measure)
-from .track import TrackGeometry, build_track
+from .track import TRACKS, TrackGeometry, build_track
 
 CSV_COLUMNS = ("time_s", "s_m", "delta_m", "theta_rad", "v_mps",
                "steer_cmd", "accel_cmd", "brake_cmd", "D_m", "v_l_mps",
@@ -88,6 +88,8 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if self.track not in TRACKS:
+            raise ValueError(f"unknown track preset: {self.track!r}")
         if (self.duration_s is None) == (self.laps is None):
             raise ValueError("set exactly one of duration_s or laps")
         if self.duration_s is not None and self.duration_s <= 0.0:

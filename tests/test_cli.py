@@ -15,7 +15,7 @@ from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_float,
                                 _as_int, _nonneg, _positive, load_run_config)
 from cilqr_drive.lanes import VpcEstimator
 from cilqr_drive.lateral import LateralPlanner
-from cilqr_drive.longitudinal import LongitudinalPlanner
+from cilqr_drive.longitudinal import ACCEL_TAU, LongitudinalPlanner
 from cilqr_drive.sim import (LeadSpec, compute_metrics, preset_straight_smoke,
                              preset_trackA_lane_keeping,
                              preset_trackB_following, run_scenario)
@@ -492,8 +492,8 @@ class TestBenchmarkCommand:
     def test_following_replay_runs_at_the_logged_spacing(self, tmp_path,
                                                          monkeypatch):
         # the replay planner's period is the logged time between replayed
-        # states: its start-state acceleration is the mean of the last
-        # three speed differences over their logged spacing
+        # states: its start-state acceleration is the low-pass of the
+        # replayed speed differences at their logged spacing
         import cilqr_drive.longitudinal as longitudinal
         cfg = load_run_config(_write(tmp_path, FOLLOWING), ())
         log = _execute(cfg)
@@ -512,12 +512,13 @@ class TestBenchmarkCommand:
         rows = np.arange(0, len(log), 7)
         idx = rows[::rows.size // 20]
         assert report["n_solves"] == len(starts) == idx.size >= 20
+        p = float(np.mean(np.diff(t[idx])))
+        a = 0.0
         assert starts[0][2] == 0.0
         for j in range(1, idx.size):
-            r = idx[max(0, j - 3):j + 1]
+            a += p / (ACCEL_TAU + p) * ((v[idx[j]] - v[idx[j - 1]]) / p - a)
             assert starts[j][1] == v[idx[j]]
-            assert starts[j][2] == pytest.approx(
-                np.mean(np.diff(v[r]) / np.diff(t[r])), rel=0.0, abs=1e-9)
+            assert starts[j][2] == pytest.approx(a, rel=0.0, abs=1e-9)
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         cfg = _write(tmp_path, SMOKE)

@@ -13,6 +13,7 @@ import pytest
 
 from cilqr_drive import SolverConfig, barrier_value_and_derivatives, solve
 from cilqr_drive.longitudinal import (
+    ACCEL_TAU,
     INTEGRAL_LIMIT,
     K_P,
     LeadMeasurement,
@@ -25,6 +26,8 @@ from cilqr_drive.longitudinal import (
     build_longitudinal_dynamics,
     pi_cruise,
 )
+from cilqr_drive.sim import (compute_metrics, preset_trackB_following,
+                             run_scenario)
 
 from oracles import affine_step, lqr_dp_solve
 
@@ -266,18 +269,26 @@ class TestPlannerWrapper:
         planner.plan(V_CRUISE, None)
         assert planner.pi.v_r == pytest.approx(V_CRUISE)
 
-    def test_accel_estimator_averages_three_diffs(self):
-        planner = LongitudinalPlanner(cruise_speed=20.0, period=0.01)
+    def test_accel_estimator_is_a_first_order_low_pass(self):
+        p = 0.01
+        gain = p / (ACCEL_TAU + p)
+        planner = LongitudinalPlanner(cruise_speed=20.0, period=p)
         assert planner._estimate_accel(20.0) == 0.0
-        assert planner._estimate_accel(20.01) == pytest.approx(1.0)
-        planner._estimate_accel(20.02)
-        planner._estimate_accel(20.04)
-        # diffs are 1, 1, 2 -> mean 4/3
-        assert planner._estimate_accel(20.06) == pytest.approx((1 + 2 + 2) / 3)
+        # one speed step of 0.01 m/s: p/(tau+p) of its 1 m/s^2 slope passes
+        assert planner._estimate_accel(20.01) == pytest.approx(gain * 1.0)
+        # a constant ramp of 2 m/s^2: the estimate settles on the slope
+        v = 20.01
+        for _ in range(2000):
+            v += 2.0 * p
+            a = planner._estimate_accel(v)
+        assert a == pytest.approx(2.0, rel=1e-9)
+        planner.reset()
+        assert planner._estimate_accel(v) == 0.0
+        assert planner._estimate_accel(v) == 0.0
 
     def test_rejected_speed_leaves_accel_estimate_clean(self):
-        # a non-finite speed is refused before it reaches the three-cycle
-        # acceleration estimate, so the following cycles still plan
+        # a non-finite speed is refused before it reaches the acceleration
+        # estimate, so the following cycles still plan
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         planner.plan(20.0, None)
         with pytest.raises(ValueError, match="state must be finite"):
@@ -327,12 +338,12 @@ class TestPlannerWrapper:
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         assert planner.cold_config == SolverConfig()
         assert planner.warm_config == SolverConfig(
-            barrier_t_init=1.0e4, max_outer_iterations=4,
+            barrier_t_init=1.0e4, max_outer_iterations=1,
             gradient_tolerance=1e-3)
 
     def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
         # the first following cycle solves cold; the next continues at the
-        # final barrier sharpness within the four-iteration warm budget
+        # final barrier sharpness within the warm iteration budget
         import cilqr_drive.longitudinal as longitudinal_module
         planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         seen = []
@@ -377,3 +388,21 @@ class TestClosedLoopConvergence:
         tail_v = np.array(speeds[-int(5.0 / period):])
         assert np.all(np.abs(tail_v - V_LEAD) < 0.5)
         assert np.all(np.abs(tail_gap - 11.0) < 1.5)
+
+    def test_start_gap_perturbation_stays_small(self):
+        # A seeded trackB run that starts settled, at the reference gap
+        # and the lead's speed: a 1e-12 m change in the start gap must not
+        # grow.  An acceleration estimate that echoes the last command makes
+        # the command chatter between its limits, and that loop amplifies
+        # the change to about 1e-3 within the 2 s.
+        base = preset_trackB_following(seed=0)
+        scores = []
+        for gap in (11.0, 11.0 + 1e-12):
+            spec = dataclasses.replace(
+                base, duration_s=2.0, metrics_t_range=None,
+                start_v=base.lead.base_speed,
+                lead=dataclasses.replace(base.lead, initial_gap=gap))
+            scores.append(compute_metrics(run_scenario(spec,
+                                                       longitudinal=True)))
+        for key in ("d_mae_m", "v_mae_mps"):
+            assert abs(scores[0][key] - scores[1][key]) < 1e-6, key

@@ -350,6 +350,10 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             ScenarioSpec(track="straight", duration_s=1.0, seed=-1)
 
+    def test_unknown_track_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown track preset: 'moon'"):
+            ScenarioSpec(track="moon", duration_s=1.0)
+
     def test_csv_has_documented_header(self, tmp_path):
         log = run_scenario(_short_spec(duration_s=0.05))
         p = tmp_path / "log.csv"
