@@ -385,17 +385,16 @@ class SolverConfig:
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 
-    def for_warm_start(self, iteration_cap: int) -> "SolverConfig":
+    def for_warm_start(self) -> "SolverConfig":
         """This config for a solve warm-started from the previous plan.
 
         The carried-over plan is already near stationary at the final
-        barrier sharpness, so the solve starts there instead of walking
-        the schedule again, with iteration_cap outer iterations and a
-        gradient tolerance of 1e-3.
+        barrier sharpness, so the solve starts there and takes one Newton
+        step (max_outer_iterations=1) with a gradient tolerance of 1e-3.
         """
         return dataclasses.replace(
             self, barrier_t_init=self.barrier_t_max,
-            max_outer_iterations=iteration_cap, gradient_tolerance=1e-3)
+            max_outer_iterations=1, gradient_tolerance=1e-3)
 
 
 @dataclass

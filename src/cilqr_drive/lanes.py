@@ -25,6 +25,7 @@ FIT_WINDOW_M = 15.0      # far-field points degrade the quadratic fit
 MIN_FIT_POINTS = 6
 MIN_FIT_SPAN_M = 5.0
 MAX_FIT_RMS_M = 0.3
+STEER_CMD_MAX = 1.0 - 2e-3   # 1e-3 of the [-1, 1] range inside the limit
 
 
 class ExtrapolationError(ValueError):
@@ -204,13 +205,13 @@ def apply_vpc(steer_cmd: float, delta_shift: float) -> float:
 
     The shift magnitude is normalized by the steer limit and pushed in
     the direction the command already points, then the result is
-    clamped to [-1, 1].
+    clamped to +-STEER_CMD_MAX, strictly inside the limit.
     """
     if abs(steer_cmd) > 1.0:
         raise ValueError("steer_cmd must lie within [-1, 1]")
     mag = abs(delta_shift) / STEER_LIMIT_RAD
     out = steer_cmd + mag if steer_cmd >= 0.0 else steer_cmd - mag
-    return min(max(out, -1.0), 1.0)
+    return min(max(out, -STEER_CMD_MAX), STEER_CMD_MAX)
 
 
 @dataclass

@@ -145,8 +145,8 @@ class LateralPlanner:
     """Receding-horizon wrapper owning the warm-start buffer.
 
     Cold solves walk the barrier sharpness schedule; warm-started cycles
-    continue at final sharpness with a small iteration cap, where the
-    carried-over solution is already near stationary.  A repeated
+    are real-time iterations: one Newton step at final sharpness, where
+    the carried-over solution is already near stationary.  A repeated
     perception frame starts from the previous controls; a new one from
     the previous plan corrected by its own feedback law, u_i = U_i +
     K_i (x_i - X_i) rolled out from the new state, which saves about one
@@ -159,7 +159,7 @@ class LateralPlanner:
         self.params = params or VehicleParams()
         self.tuning = tuning or LateralTuning()
         self.cold_config = SolverConfig()
-        self.warm_config = self.cold_config.for_warm_start(12)
+        self.warm_config = self.cold_config.for_warm_start()
         self._prev: SolveResult | None = None
         dynamics = build_lateral_dynamics(self.params, V_MIN, self.tuning.dt)
         self._problems = {

@@ -209,7 +209,7 @@ class LongitudinalPlanner:
         # little in one period (re-walking the schedule would hand a
         # boundary-riding jerk an enormous soft-barrier gradient)
         self.cold_config = SolverConfig()
-        self.warm_config = self.cold_config.for_warm_start(1)
+        self.warm_config = self.cold_config.for_warm_start()
         self.reset()
         d_ref = self.tuning.d_ref
         self._problem = build_following_problem(

@@ -217,7 +217,8 @@ class TestBranchMirror:
     def test_cold_and_warm_solves_mirror_bit_for_bit(self):
         rng = np.random.default_rng(12)
         tuning = LateralTuning()
-        warm_config = SolverConfig().for_warm_start(12)
+        warm_config = dataclasses.replace(SolverConfig().for_warm_start(),
+                                          max_outer_iterations=12)
         for _ in range(40):
             pos_state = _random_left_state(rng)
             neg_state = _mirror(pos_state)
@@ -289,7 +290,7 @@ class TestLateralPlanner:
         planner = LateralPlanner()
         assert planner.cold_config == SolverConfig()
         assert planner.warm_config == SolverConfig(
-            barrier_t_init=1.0e4, max_outer_iterations=12,
+            barrier_t_init=1.0e4, max_outer_iterations=1,
             gradient_tolerance=1e-3)
 
     @staticmethod
@@ -309,7 +310,7 @@ class TestLateralPlanner:
 
     def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
         # the first cycle solves cold; the next continues at the final
-        # barrier sharpness within the twelve-iteration warm budget
+        # barrier sharpness with one Newton step
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         state = LateralState(0.5, 0.01)
@@ -318,7 +319,7 @@ class TestLateralPlanner:
         assert seen[0][2] is planner.cold_config
         assert seen[1][2] is planner.warm_config
         assert seen[1][2].barrier_t_init == 1e4
-        assert result.info.iterations <= 12
+        assert result.info.iterations <= 1
         assert result.info.barrier_t_scale == 1e4
 
     def test_warm_start_per_frame(self, monkeypatch):
@@ -356,16 +357,29 @@ class TestLateralPlanner:
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         planner.plan(LateralState(0.1, 0.0), V_76_KMH)
-        _, result = planner.plan(LateralState(1.5, 0.2), V_76_KMH)
+        jump = LateralState(1.5, 0.2)
+        _, result = planner.plan(jump, V_76_KMH)
         spec, warm = seen[1][:2]
         prev = seen[0][3]
         np.testing.assert_array_equal(
             warm, forward_pass(prev.trajectory, prev.gains, 0.0,
                                spec).controls)
         assert np.max(np.abs(warm)) > STEER_LIMIT_RAD
-        assert result.info.converged
-        margins = result.info.log_range_margins
-        assert margins and all(lo > 0.0 and hi > 0.0 for lo, hi in margins)
+        # One Newton step is not enough for this jump, and repeated frames
+        # do not make up for it: each cycle's step wins back little more
+        # than the warm-start clip takes from the steering that rides its
+        # bound.  Measured: no cycle of 40,000 converges, and the plan cost
+        # settles at about 19,537 within some 5,000 cycles; a cold solve of
+        # the jump costs 682.  What holds on every cycle is feasibility and
+        # a falling cost.
+        costs = [result.info.cost]
+        for _ in range(20):
+            margins = result.info.log_range_margins
+            assert margins and all(lo > 0.0 and hi > 0.0
+                                   for lo, hi in margins)
+            _, result = planner.plan(jump, V_76_KMH)
+            costs.append(result.info.cost)
+        assert np.all(np.diff(costs) < 0.0)
 
     @pytest.mark.parametrize("v", [math.inf, math.nan])
     def test_non_finite_speed_leaves_the_carried_plan_clean(self, v):

@@ -448,7 +448,7 @@ class TestComputeMetrics:
 
 class TestClosedLoopProperties:
     """Short seeded scenarios off the presets: defined ends, feasible
-    plans and reproducible logs.
+    plans, steering strictly inside its limit and reproducible logs.
 
     Draw k runs on the k-th of the four tracks (modulo 4) with the k-th
     controller (modulo 2); draws 0-2 follow a lead, draws 3-5 cruise.
@@ -493,6 +493,8 @@ class TestClosedLoopProperties:
             log = run_scenario(spec, controller=controller, longitudinal=True)
             assert log.terminal_event in ("time_limit", "finish",
                                           "collision", "off_track")
+            # the emitted steering stays strictly inside +-pi/6
+            assert np.max(np.abs(log.columns["steer_cmd"])) < 1.0
             log.to_csv(tmp_path / f"run{i}.csv")
             csvs.append((tmp_path / f"run{i}.csv").read_bytes())
         assert margins
