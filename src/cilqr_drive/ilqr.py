@@ -41,6 +41,7 @@ LINE_SEARCH_STEPS.flags.writeable = False
 REG_GROWTH = 10.0
 REG_MAX = 1e2
 BARRIER_T_GROWTH = 5.0
+CLIP_MARGIN = 1e-7   # share of a range the warm-start clip keeps inside
 
 
 class InfeasibleTrajectoryError(RuntimeError):
@@ -491,7 +492,7 @@ class _Stack:
             if nonzero.size != 1 or t.sel_x.any():
                 continue
             j = int(nonzero[0])
-            margin = 1e-3 * (t.upper - t.lower)
+            margin = CLIP_MARGIN * (t.upper - t.lower)
             self.clips.append((j, t.sel_u[j], t.offset, t.lower + margin,
                                t.upper - margin))
 
@@ -890,14 +891,12 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, lam: float,
 
 
 def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
-    """Pull control-only log-range scalars a minimum margin inside.
+    """Pull control-only log-range scalars CLIP_MARGIN of the range inside.
 
-    Warm starts handed over by a receding-horizon caller often ride an
-    active bound at microscopic margins.  There the barrier Hessian is
-    enormous (1 / (t_scale * margin^2)), which freezes the Newton step and
-    keeps a stale saturated plan pinned even after the optimal sign has
-    flipped.  Enforcing a small minimum interior margin keeps the local
-    curvature sane; entries deeper inside are left untouched.
+    A corrected warm start can cross an active bound.  A wider margin
+    would move bound-riding optima (down to about 5e-7 of the steer range
+    at the final sharpness) on every repeated frame, and clip and one
+    warm Newton step would settle far from them.
     """
     controls = np.array(controls, dtype=float)
     for j, c, offset, lower, upper in spec._run.clips:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ilqr import CLIP_MARGIN
 from .lateral import STEER_LIMIT_RAD
 
 SENSING_RANGE_M = 30.0
@@ -25,7 +26,7 @@ FIT_WINDOW_M = 15.0      # far-field points degrade the quadratic fit
 MIN_FIT_POINTS = 6
 MIN_FIT_SPAN_M = 5.0
 MAX_FIT_RMS_M = 0.3
-STEER_CMD_MAX = 1.0 - 2e-3   # 1e-3 of the [-1, 1] range inside the limit
+STEER_CMD_MAX = 1.0 - 2.0 * CLIP_MARGIN   # the warm-start clip's margin
 
 
 class ExtrapolationError(ValueError):

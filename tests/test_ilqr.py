@@ -896,8 +896,6 @@ class TestValidation:
         warm = cfg.for_warm_start()
         assert (warm.barrier_t_init, warm.max_outer_iterations,
                 warm.gradient_tolerance) == (1e4, 1, 1e-3)
-        warm = dataclasses.replace(warm, max_outer_iterations=4)
-        assert (warm.barrier_t_init, warm.max_outer_iterations) == (1e4, 4)
 
     def test_with_start_shares_barriers_and_checks_replacements(self):
         term = BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0,

@@ -266,8 +266,6 @@ class TestApplyVpc:
         assert apply_vpc(-0.2, -0.05) == apply_vpc(-0.2, 0.05)
 
     def test_clamped_to_unit_range(self):
-        # the warm-start clip's margin, 1e-3 of the [-1, 1] range
-        assert STEER_CMD_MAX == 1.0 - 2e-3
         assert apply_vpc(0.95, 0.2) == STEER_CMD_MAX
         assert apply_vpc(-0.95, 0.2) == -STEER_CMD_MAX
         assert apply_vpc(1.0, 0.0) == STEER_CMD_MAX

@@ -365,21 +365,19 @@ class TestLateralPlanner:
             warm, forward_pass(prev.trajectory, prev.gains, 0.0,
                                spec).controls)
         assert np.max(np.abs(warm)) > STEER_LIMIT_RAD
-        # One Newton step is not enough for this jump, and repeated frames
-        # do not make up for it: each cycle's step wins back little more
-        # than the warm-start clip takes from the steering that rides its
-        # bound.  Measured: no cycle of 40,000 converges, and the plan cost
-        # settles at about 19,537 within some 5,000 cycles; a cold solve of
-        # the jump costs 682.  What holds on every cycle is feasibility and
-        # a falling cost.
-        costs = [result.info.cost]
-        for _ in range(20):
+        # One Newton step does not settle this jump; repeated frames finish
+        # the solve at the cold solve's cost, feasible on every cycle.
+        # Measured: the fifth repeated frame converges.
+        _, cold = LateralPlanner().plan(jump, V_76_KMH)
+        for _ in range(8):
             margins = result.info.log_range_margins
             assert margins and all(lo > 0.0 and hi > 0.0
                                    for lo, hi in margins)
+            if result.info.converged:
+                break
             _, result = planner.plan(jump, V_76_KMH)
-            costs.append(result.info.cost)
-        assert np.all(np.diff(costs) < 0.0)
+        assert result.info.converged
+        assert result.info.cost == pytest.approx(cold.info.cost, rel=1e-6)
 
     @pytest.mark.parametrize("v", [math.inf, math.nan])
     def test_non_finite_speed_leaves_the_carried_plan_clean(self, v):
