@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import dataclasses
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -255,8 +255,7 @@ class ProblemSpec:
     terminal_barriers: tuple[BarrierTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _check_count(self.horizon, "horizon")
         if not isinstance(self.dynamics, AffineDynamics):
             raise ValueError("dynamics must be one AffineDynamics")
         n, m = self.n, self.m
@@ -332,6 +331,16 @@ def _state_vector(value, n: int, name: str) -> np.ndarray:
     return out
 
 
+def _check_count(value, name: str) -> None:
+    """Reject a count that is not an integer >= 1 (numpy integers pass)."""
+    try:
+        ok = operator.index(value) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 @dataclass
 class Trajectory:
     """States (N+1, n) and controls (N, m); consistent after rollout."""
@@ -377,8 +386,7 @@ class SolverConfig:
     barrier_t_max: float = 1e4
 
     def __post_init__(self) -> None:
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be >= 1")
+        _check_count(self.max_outer_iterations, "max_outer_iterations")
         if self.cost_tolerance <= 0.0 or self.gradient_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.regularization_init <= 0.0 or self.barrier_t_init <= 0.0:
@@ -386,16 +394,15 @@ class SolverConfig:
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 
-    def for_warm_start(self) -> "SolverConfig":
-        """This config for a solve warm-started from the previous plan.
 
-        The carried-over plan is already near stationary at the final
-        barrier sharpness, so the solve starts there and takes one Newton
-        step (max_outer_iterations=1) with a gradient tolerance of 1e-3.
-        """
-        return dataclasses.replace(
-            self, barrier_t_init=self.barrier_t_max,
-            max_outer_iterations=1, gradient_tolerance=1e-3)
+# The budget of a solve warm-started from the previous plan: a real-time
+# iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005).  The
+# carried-over plan is already near stationary at the final barrier
+# sharpness, so the solve starts there (re-walking the schedule would hand
+# a bound-riding control an enormous soft-barrier gradient) and takes one
+# Newton step, with a gradient tolerance of 1e-3.
+WARM_CONFIG = SolverConfig(barrier_t_init=SolverConfig.barrier_t_max,
+                           max_outer_iterations=1, gradient_tolerance=1e-3)
 
 
 @dataclass
@@ -932,10 +939,12 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     scored in one batch and the longest step with a strict cost decrease
     is accepted.  The log-barrier sharpness multiplier grows by
     BARRIER_T_GROWTH after every accepted iteration until it hits its
-    cap.  Terminates once the predicted decrease from the backward pass
-    is below cost_tolerance (relative) and no further strict improvement
-    is found, or at the iteration cap.  Never aborts: on a stalled search
-    it returns the best trajectory so far flagged as not converged.
+    cap.  A failed backward pass or a search with no decrease fails its
+    iteration: the regularization grows by REG_GROWTH, and the solve
+    stops above REG_MAX.  Terminates once the predicted decrease from the
+    backward pass is below cost_tolerance (relative) and no further
+    strict improvement is found, or at the iteration cap.  Never aborts:
+    it returns the best trajectory so far, flagged as not converged.
     """
     cfg = config or SolverConfig()
     if warm_start is None:
@@ -955,88 +964,63 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     J = float(_costs(w, spec, t_scale, strict=True))
     history = [J]
     converged = False
-    iterations = 0
     gains = None
     message = "iteration cap reached"
 
-    for _ in range(cfg.max_outer_iterations):
-        iterations += 1
-        while True:
-            try:
-                gains, exp_dec = backward_pass(traj, spec, reg, t_scale)
+    for iterations in range(1, cfg.max_outer_iterations + 1):
+        try:
+            gains, exp_dec = backward_pass(traj, spec, reg, t_scale)
+        except BackwardPassError:
+            failure = "backward pass failed at regularization cap"
+        else:
+            # Near-stationary iterates still try a single full step, which
+            # polishes the last digits; if it fails to strictly decrease
+            # the cost, the solve has converged.  With an active barrier
+            # the Hessian blows up and the Newton decrement alone can look
+            # tiny, so the control gradient must be small too.
+            scale = max(1.0, abs(J))
+            stationary = (exp_dec <= cfg.cost_tolerance * scale
+                          and gains.grad_norm <= cfg.gradient_tolerance * scale)
+            # The feedback rollout is affine in the step size, so the
+            # candidate at lambda is w + lambda (w_1 - w); the full step is
+            # kept exactly
+            w1 = _flat(forward_pass(traj, gains, 1.0, spec))
+            ws = w + (lams[:1] if stationary else lams) * (w1 - w)
+            ws[0] = w1
+            costs = _costs(ws, spec, t_scale)
+            # NaN and infeasible (NaN or inf) candidates fail this test;
+            # the steps descend, so the first hit is the longest
+            better = np.flatnonzero(costs < J)
+            if better.size:
+                w = ws[better[0]]
+                traj = Trajectory(w[:nx].reshape(-1, spec.n),
+                                  w[nx:].reshape(-1, spec.m))
+                dJ, J = J - costs[better[0]], float(costs[better[0]])
+                history.append(J)
+                reg = max(reg / REG_GROWTH, cfg.regularization_init)
+                # a sub-tolerance step is convergence only from a
+                # near-stationary iterate: damped steps far from it can
+                # decrease the cost by little without being done
+                if stationary and dJ <= cfg.cost_tolerance * scale:
+                    converged = True
+                    message = "cost decrease below tolerance"
+                    break
+                if t_scale < cfg.barrier_t_max:
+                    t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
+                    J = float(_costs(w, spec, t_scale, strict=True))
+                continue
+            if stationary:
+                converged = True
+                message = "stationary"
                 break
-            except BackwardPassError:
-                reg *= REG_GROWTH
-                if reg > REG_MAX:
-                    message = "backward pass failed at regularization cap"
-                    return _finish(traj, spec, J, history, t_scale, reg,
-                                   iterations, False, message, gains)
-        # Near-stationary iterates still try a single full step: on a
-        # quadratic model that polishes the last digits, and if it fails
-        # to strictly decrease the cost we declare convergence.  Both the
-        # predicted decrease and the control gradient must be small: with
-        # an active barrier the Hessian blows up, so the Newton decrement
-        # alone can look tiny while the gradient is still large.
-        scale = max(1.0, abs(J))
-        stationary = (exp_dec <= cfg.cost_tolerance * scale
-                      and gains.grad_norm <= cfg.gradient_tolerance * scale)
-        # The feedback rollout is affine in the step size, so the candidate
-        # at lambda is w + lambda (w_1 - w); the full step is kept exactly
-        w1 = _flat(forward_pass(traj, gains, 1.0, spec))
-        steps = lams[:1] if stationary else lams
-        ws = w + steps * (w1 - w)
-        ws[0] = w1
-        costs = _costs(ws, spec, t_scale)
-        # NaN and infeasible (NaN or inf) candidates fail this test; the
-        # steps descend, so the first hit is the longest
-        better = np.flatnonzero(costs < J)
-        accepted = better.size > 0
-
-        if stationary and not accepted:
-            converged = True
-            message = "stationary"
+            failure = "line search stalled at regularization cap"
+        reg *= REG_GROWTH
+        if reg > REG_MAX:
+            message = failure
             break
 
-        if accepted:
-            best = better[0]
-            J_cand = float(costs[best])
-            dJ = J - J_cand
-            w = ws[best]
-            traj = Trajectory(w[:nx].reshape(-1, spec.n),
-                              w[nx:].reshape(-1, spec.m))
-            J = J_cand
-            history.append(J)
-            reg = max(reg / REG_GROWTH, cfg.regularization_init)
-            # a sub-tolerance step only counts as convergence when the
-            # iterate was already near-stationary; damped steps far from
-            # stationarity can produce tiny decreases without being done
-            if stationary and dJ <= cfg.cost_tolerance * scale:
-                converged = True
-                message = "cost decrease below tolerance"
-                break
-            if t_scale < cfg.barrier_t_max:
-                t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
-                J = float(_costs(w, spec, t_scale, strict=True))
-        else:
-            reg *= REG_GROWTH
-            if reg > REG_MAX:
-                message = "line search stalled at regularization cap"
-                break
-
-    return _finish(traj, spec, J, history, t_scale, reg, iterations,
-                   converged, message, gains)
-
-
-def _finish(traj, spec, J, history, t_scale, reg, iterations, converged,
-            message, gains) -> SolveResult:
     info = SolveInfo(
-        converged=converged,
-        iterations=iterations,
-        cost=J,
-        cost_history=history,
-        barrier_t_scale=t_scale,
-        regularization=reg,
-        log_range_margins=_log_range_margins(traj, spec),
-        message=message,
-    )
+        converged=converged, iterations=iterations, cost=J,
+        cost_history=history, barrier_t_scale=t_scale, regularization=reg,
+        log_range_margins=_log_range_margins(traj, spec), message=message)
     return SolveResult(traj, info, gains)

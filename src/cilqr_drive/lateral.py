@@ -24,7 +24,7 @@ from .ilqr import (
     ProblemSpec,
     QuadraticCost,
     SolveResult,
-    SolverConfig,
+    WARM_CONFIG,
     forward_pass,
     solve,
 )
@@ -144,9 +144,9 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
 class LateralPlanner:
     """Receding-horizon wrapper owning the warm-start buffer.
 
-    Cold solves walk the barrier sharpness schedule; warm-started cycles
-    are real-time iterations: one Newton step at final sharpness, where
-    the carried-over solution is already near stationary.  A repeated
+    The first cycle solves on the solver defaults, which walk the barrier
+    sharpness schedule; warm-started cycles solve with WARM_CONFIG, one
+    real-time iteration from the previous plan.  A repeated
     perception frame starts from the previous controls; a new one from
     the previous plan corrected by its own feedback law, u_i = U_i +
     K_i (x_i - X_i) rolled out from the new state, which saves about one
@@ -158,8 +158,6 @@ class LateralPlanner:
                  tuning: LateralTuning | None = None) -> None:
         self.params = params or VehicleParams()
         self.tuning = tuning or LateralTuning()
-        self.cold_config = SolverConfig()
-        self.warm_config = self.cold_config.for_warm_start()
         self._prev: SolveResult | None = None
         dynamics = build_lateral_dynamics(self.params, V_MIN, self.tuning.dt)
         self._problems = {
@@ -185,11 +183,11 @@ class LateralPlanner:
         # the branch rule of build_lateral_problem: offsets >= 0 are positive
         spec = self._problems[state.delta_lat >= 0.0].with_start(
             state.as_vector(), dynamics=dynamics)
-        prev, warm, config = self._prev, None, self.cold_config
+        prev, warm, config = self._prev, None, None
         if prev is not None:
             # the replan period is much shorter than the prediction step,
             # so the previous optimum is reused unshifted
-            warm, config = prev.trajectory.controls, self.warm_config
+            warm, config = prev.trajectory.controls, WARM_CONFIG
             if (prev.gains is not None
                     and not np.array_equal(spec.x0, prev.trajectory.states[0])):
                 warm = forward_pass(prev.trajectory, prev.gains, 0.0,

@@ -25,7 +25,7 @@ from .ilqr import (
     ProblemSpec,
     QuadraticCost,
     SolveResult,
-    SolverConfig,
+    WARM_CONFIG,
     solve,
 )
 
@@ -203,13 +203,6 @@ class LongitudinalPlanner:
         self.cruise_speed = cruise_speed
         self.tuning = tuning or LongTuning()
         self.pi = PiState(v_r=cruise_speed, period=period)
-        # cold solves walk the barrier sharpness schedule; warm cycles are
-        # real-time iterations: one Newton step at final sharpness from the
-        # previous plan, already near the optimum of a problem that moves
-        # little in one period (re-walking the schedule would hand a
-        # boundary-riding jerk an enormous soft-barrier gradient)
-        self.cold_config = SolverConfig()
-        self.warm_config = self.cold_config.for_warm_start()
         self.reset()
         d_ref = self.tuning.d_ref
         self._problem = build_following_problem(
@@ -265,9 +258,9 @@ class LongitudinalPlanner:
         # The replan period is far shorter than the prediction step, so the
         # previous plan is reused as-is; shifting it by a whole step would
         # misalign it by an order of magnitude more than the elapsed time.
-        warm, config = None, self.cold_config
+        warm, config = None, None
         if self._prev is not None:
-            warm, config = self._prev.trajectory.controls, self.warm_config
+            warm, config = self._prev.trajectory.controls, WARM_CONFIG
         accel = pi_cruise(self.pi, v)
         # not converged is tolerated: best-so-far jerk, flag in result.info
         self._prev = result = solve(spec, warm_start=warm, config=config)

@@ -104,6 +104,10 @@ class ScenarioSpec:
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        window = self.metrics_t_range
+        if window is not None and not (
+                len(window) == 2 and 0.0 <= window[0] < window[1]):
+            raise ValueError("metrics_t_range must be (start, end), 0 <= start < end")
 
 
 @dataclass

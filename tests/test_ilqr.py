@@ -1,6 +1,9 @@
 """Core solver tests: rollout, costs, barriers, passes, and solve()."""
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from cilqr_drive.ilqr import (
     QuadraticCost,
     SolverConfig,
     Trajectory,
+    WARM_CONFIG,
     backward_pass,
     barrier_value_and_derivatives,
     forward_pass,
@@ -516,18 +520,16 @@ class TestLiftedStep:
 
     def test_solve_runs_one_backward_pass_per_iteration(self, monkeypatch):
         # solve calls ilqr.backward_pass through the module once per outer
-        # iteration when no pass has to be retried
+        # iteration, and a failed pass costs its iteration
         import cilqr_drive.ilqr as ilqr_module
         real = ilqr_module.backward_pass
-        calls = []
+        calls, failures = [], []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            try:
-                return real(*args, **kwargs)
-            except BackwardPassError:
-                calls.append("raised")
-                raise
+            if len(calls) <= len(failures):
+                raise BackwardPassError("forced")
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(ilqr_module, "backward_pass", counting)
         rng = np.random.default_rng(93)
@@ -538,8 +540,22 @@ class TestLiftedStep:
             for config in (SolverConfig(), SolverConfig(max_outer_iterations=3)):
                 calls.clear()
                 res = solve(spec, warm_start=warm, config=config)
-                assert "raised" not in calls
                 assert len(calls) == res.info.iterations
+        # two failed passes, then the real ones: 1e-6 -> 1e-4 on the way
+        failures[:] = [1, 1]
+        calls.clear()
+        res = solve(scalar_problem())
+        assert len(calls) == res.info.iterations == 5
+        assert res.info.converged
+        # every pass fails: 1e-6 grows tenfold per iteration past REG_MAX
+        failures[:] = [1] * 100
+        calls.clear()
+        res = solve(scalar_problem())
+        assert len(calls) == res.info.iterations == 9
+        assert res.info.message == "backward pass failed at regularization cap"
+        assert not res.info.converged
+        assert res.gains is None
+        assert res.info.regularization == pytest.approx(1e3)
 
 
 _KIND_ORDER = [BarrierKind.LOG_RANGE, BarrierKind.EXP_ONE_SIDED,
@@ -767,19 +783,50 @@ class TestSolve:
 
     def test_gains_none_when_no_backward_pass_succeeds(self, monkeypatch):
         import cilqr_drive.ilqr as ilqr_module
-
-        def failing(*args, **kwargs):
-            raise BackwardPassError("forced")
-
-        monkeypatch.setattr(ilqr_module, "backward_pass", failing)
+        monkeypatch.setattr(ilqr_module, "backward_pass", _failing_pass)
         res = solve(scalar_problem())
         assert not res.info.converged
         assert res.gains is None
+
+    def test_stop_messages_are_the_benchmark_stop_reasons(self, monkeypatch):
+        # bench/instrument.py counts stops by message; a reworded one would
+        # move its counters to stop.other without an error
+        path = Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+        module_spec = importlib.util.spec_from_file_location(
+            "bench_instrument", path)
+        instrument = importlib.util.module_from_spec(module_spec)
+        # its dataclasses resolve their annotations through sys.modules
+        monkeypatch.setitem(sys.modules, module_spec.name, instrument)
+        module_spec.loader.exec_module(instrument)
+        import cilqr_drive.ilqr as ilqr_module
+        spec = scalar_problem()
+        optimum = solve(spec).trajectory.controls
+        messages = [
+            solve(spec).info.message,
+            solve(spec, warm_start=optimum).info.message,
+            solve(spec, config=SolverConfig(max_outer_iterations=1)).info.message,
+        ]
+        real_forward = ilqr_module.forward_pass
+        with monkeypatch.context() as patch:
+            # every search direction climbs
+            patch.setattr(ilqr_module, "forward_pass",
+                          lambda traj, gains, lam, spec:
+                          real_forward(traj, gains, -lam, spec))
+            messages.append(solve(spec).info.message)
+        with monkeypatch.context() as patch:
+            patch.setattr(ilqr_module, "backward_pass", _failing_pass)
+            messages.append(solve(spec).info.message)
+        assert len(set(messages)) == 5
+        assert set(messages) == set(instrument.STOP_REASONS)
 
     def test_bad_warm_start_shape_rejected(self):
         spec = scalar_problem()
         with pytest.raises(ValueError):
             solve(spec, warm_start=np.zeros((4, 1)))
+
+
+def _failing_pass(*args, **kwargs):
+    raise BackwardPassError("forced")
 
 
 # ---------------------------------------------------------------------------
@@ -888,14 +935,33 @@ class TestValidation:
 
     def test_solver_config_is_frozen(self):
         # a field set after construction would skip the checks above
-        cfg = SolverConfig()
-        for name, value in (("barrier_t_max", 0.5),
-                            ("max_outer_iterations", 0)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(cfg, name, value)
-        warm = cfg.for_warm_start()
-        assert (warm.barrier_t_init, warm.max_outer_iterations,
-                warm.gradient_tolerance) == (1e4, 1, 1e-3)
+        for cfg in (SolverConfig(), WARM_CONFIG):
+            for name, value in (("barrier_t_max", 0.5),
+                                ("max_outer_iterations", 0)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(cfg, name, value)
+        # a changed copy runs them again
+        with pytest.raises(ValueError):
+            dataclasses.replace(WARM_CONFIG, barrier_t_max=0.5)
+        longer = dataclasses.replace(WARM_CONFIG, max_outer_iterations=12)
+        assert (longer.barrier_t_init, longer.max_outer_iterations,
+                longer.gradient_tolerance) == (1e4, 12, 1e-3)
+        assert WARM_CONFIG.max_outer_iterations == 1
+
+    def test_counts_must_be_integers(self):
+        # a float count used to pass construction and fail inside numpy
+        for bad in (2.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="max_outer_iterations"):
+                SolverConfig(max_outer_iterations=bad)
+            with pytest.raises(ValueError, match="horizon"):
+                dataclasses.replace(scalar_problem(), horizon=bad)
+        for bad in (0, -1, np.int64(0)):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                SolverConfig(max_outer_iterations=bad)
+        # numpy integers are integers
+        cfg = SolverConfig(max_outer_iterations=np.int64(2))
+        spec = dataclasses.replace(scalar_problem(), horizon=np.int32(3))
+        assert solve(spec, config=cfg).info.iterations <= 2
 
     def test_with_start_shares_barriers_and_checks_replacements(self):
         term = BarrierTerm.log_range(1, 1, lower=-1.0, upper=1.0,

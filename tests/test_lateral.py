@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cilqr_drive import SolverConfig, solve
-from cilqr_drive.ilqr import forward_pass
+from cilqr_drive.ilqr import WARM_CONFIG, forward_pass
 from cilqr_drive.lateral import (
     STEER_LIMIT_RAD,
     LateralPlanner,
@@ -217,8 +217,7 @@ class TestBranchMirror:
     def test_cold_and_warm_solves_mirror_bit_for_bit(self):
         rng = np.random.default_rng(12)
         tuning = LateralTuning()
-        warm_config = dataclasses.replace(SolverConfig().for_warm_start(),
-                                          max_outer_iterations=12)
+        warm_config = dataclasses.replace(WARM_CONFIG, max_outer_iterations=12)
         for _ in range(40):
             pos_state = _random_left_state(rng)
             neg_state = _mirror(pos_state)
@@ -278,20 +277,24 @@ class TestLateralPlanner:
             cmd, result = planner.plan(state, v)
             dyn = build_lateral_dynamics(planner.params,
                                          max(v, V_MIN), tuning.dt)
-            ref = solve(build_lateral_problem(state, dyn, tuning),
-                        config=planner.cold_config)
+            ref = solve(build_lateral_problem(state, dyn, tuning))
             assert cmd.delta_rad == ref.trajectory.controls[0, 0]
             assert cmd.steer_cmd == cmd.delta_rad / STEER_LIMIT_RAD
             assert result.info.cost == ref.info.cost
             np.testing.assert_array_equal(result.trajectory.controls,
                                           ref.trajectory.controls)
 
-    def test_default_configs_unchanged(self):
+    def test_default_configs_unchanged(self, monkeypatch):
+        # cold cycles solve on the defaults, warm ones on the one-step budget
+        assert (WARM_CONFIG.barrier_t_init, WARM_CONFIG.max_outer_iterations,
+                WARM_CONFIG.gradient_tolerance) == (1.0e4, 1, 1e-3)
+        seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
-        assert planner.cold_config == SolverConfig()
-        assert planner.warm_config == SolverConfig(
-            barrier_t_init=1.0e4, max_outer_iterations=1,
-            gradient_tolerance=1e-3)
+        for _ in range(2):
+            planner.reset()
+            planner.plan(LateralState(0.5, 0.01), V_76_KMH)
+        assert [config for _, _, config, _ in seen] == [None, None]
+        assert seen[0][3].info.iterations > 1
 
     @staticmethod
     def _spy_solve(monkeypatch):
@@ -316,9 +319,8 @@ class TestLateralPlanner:
         state = LateralState(0.5, 0.01)
         planner.plan(state, V_76_KMH)
         _, result = planner.plan(state, V_76_KMH)
-        assert seen[0][2] is planner.cold_config
-        assert seen[1][2] is planner.warm_config
-        assert seen[1][2].barrier_t_init == 1e4
+        assert seen[0][2] is None
+        assert seen[1][2] is WARM_CONFIG
         assert result.info.iterations <= 1
         assert result.info.barrier_t_scale == 1e4
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cilqr_drive import SolverConfig, barrier_value_and_derivatives, solve
+from cilqr_drive.ilqr import WARM_CONFIG
 from cilqr_drive.longitudinal import (
     ACCEL_TAU,
     INTEGRAL_LIMIT,
@@ -325,7 +326,7 @@ class TestPlannerWrapper:
             cmd, result = planner.plan(v, lead)
             ref = solve(build_following_problem(
                 LongitudinalState(D=lead.D, v=v, a=0.0), lead,
-                planner.tuning), config=planner.cold_config)
+                planner.tuning))
             np.testing.assert_array_equal(result.trajectory.controls,
                                           ref.trajectory.controls)
             assert result.info.cost == ref.info.cost
@@ -334,18 +335,10 @@ class TestPlannerWrapper:
             assert cmd.accel_cmd == min(max(accel, -1.0), 1.0)
             assert cmd.brake_cmd == brake_ramp(lead.D, planner.tuning)
 
-    def test_default_configs_unchanged(self):
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
-        assert planner.cold_config == SolverConfig()
-        assert planner.warm_config == SolverConfig(
-            barrier_t_init=1.0e4, max_outer_iterations=1,
-            gradient_tolerance=1e-3)
-
-    def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
-        # the first following cycle solves cold; the next continues at the
-        # final barrier sharpness within the warm iteration budget
+    @staticmethod
+    def _spy_configs(monkeypatch):
+        """Record the config of every planner solve."""
         import cilqr_drive.longitudinal as longitudinal_module
-        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         seen = []
         real_solve = longitudinal_module.solve
 
@@ -354,13 +347,34 @@ class TestPlannerWrapper:
             return real_solve(spec, warm_start=warm_start, config=config)
 
         monkeypatch.setattr(longitudinal_module, "solve", spy)
+        return seen
+
+    def test_default_configs_unchanged(self, monkeypatch):
+        # engage cycles solve on the defaults, warm ones on the one-step
+        # budget
+        assert (WARM_CONFIG.barrier_t_init, WARM_CONFIG.max_outer_iterations,
+                WARM_CONFIG.gradient_tolerance) == (1.0e4, 1, 1e-3)
+        seen = self._spy_configs(monkeypatch)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
+        lead = LeadMeasurement(v_l=V_LEAD, D=35.0)
+        planner.plan(V_CRUISE, lead)
+        planner.plan(V_CRUISE, None)          # cruise: the plan is dropped
+        planner.plan(V_CRUISE, lead)
+        planner.reset()
+        planner.plan(V_CRUISE, lead)
+        assert seen == [None, None, None]
+
+    def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
+        # the first following cycle solves cold; the next continues at the
+        # final barrier sharpness with one Newton step
+        seen = self._spy_configs(monkeypatch)
+        planner = LongitudinalPlanner(cruise_speed=V_CRUISE, period=PERIOD)
         lead = LeadMeasurement(v_l=V_LEAD, D=35.0)
         planner.plan(V_CRUISE, lead)
         _, result = planner.plan(V_CRUISE, lead)
-        assert seen[0] is planner.cold_config
-        assert seen[1] is planner.warm_config
-        assert seen[1].barrier_t_init == 1e4
-        assert result.info.iterations <= 4
+        assert seen[0] is None
+        assert seen[1] is WARM_CONFIG
+        assert result.info.iterations <= 1
         assert result.info.barrier_t_scale == 1e4
 
 

@@ -354,6 +354,18 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="unknown track preset: 'moon'"):
             ScenarioSpec(track="moon", duration_s=1.0)
 
+    def test_bad_metrics_window_rejected_at_construction(self):
+        # (5, 1) used to build and score NaN; a 1-tuple failed only when
+        # compute_metrics unpacked it
+        lead = LeadSpec(initial_gap=30.0, base_speed=17.5)
+        for window in ((5.0, 1.0), (-3.0, 0.5), (1.0,), (2.0, 2.0),
+                       (0.0, math.nan)):
+            with pytest.raises(ValueError, match="metrics_t_range"):
+                ScenarioSpec(track="straight", duration_s=1.0, lead=lead,
+                             metrics_t_range=window)
+        ScenarioSpec(track="straight", duration_s=1.0, lead=lead,
+                     metrics_t_range=(0.0, 0.5))
+
     def test_csv_has_documented_header(self, tmp_path):
         log = run_scenario(_short_spec(duration_s=0.05))
         p = tmp_path / "log.csv"
