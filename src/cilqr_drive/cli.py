@@ -186,7 +186,7 @@ def replay_lateral_timing(log: SimLog, cfg: RunConfig,
               float(v[i])) for i in idx]
     return _replay_timing("lateral", LateralPlanner(cfg.vehicle, cfg.lateral),
                           calls, "worst_cmd",
-                          lambda cmd, result: abs(cmd.steer_cmd))
+                          lambda cmd, _result: abs(cmd.steer_cmd))
 
 
 def replay_longitudinal_timing(log: SimLog, cfg: RunConfig,
@@ -202,7 +202,7 @@ def replay_longitudinal_timing(log: SimLog, cfg: RunConfig,
              for i in idx]
     return _replay_timing(
         "longitudinal", planner, calls, "worst_jerk",
-        lambda cmd, result: float(np.max(np.abs(result.trajectory.controls))))
+        lambda _cmd, result: float(np.max(np.abs(result.trajectory.controls))))
 
 
 def _replay_timing(name: str, planner, calls: list, worst_key: str,

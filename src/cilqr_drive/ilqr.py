@@ -41,7 +41,6 @@ LINE_SEARCH_STEPS.flags.writeable = False
 REG_GROWTH = 10.0
 REG_MAX = 1e2
 BARRIER_T_GROWTH = 5.0
-CLIP_MARGIN = 1e-7   # share of a range the warm-start clip keeps inside
 
 
 class InfeasibleTrajectoryError(RuntimeError):
@@ -491,17 +490,6 @@ class _Stack:
         self.q1 = np.array([t.q1 for t in exp])
         self.q2 = np.array([t.q2 for t in exp])
         self.q2_sq = self.q2 * self.q2
-        # control-only log ranges on one control: (index, coefficient,
-        # offset, lower, upper) of the warm-start clip, in term order
-        self.clips = []
-        for t in log:
-            nonzero = np.flatnonzero(t.sel_u)
-            if nonzero.size != 1 or t.sel_x.any():
-                continue
-            j = int(nonzero[0])
-            margin = CLIP_MARGIN * (t.upper - t.lower)
-            self.clips.append((j, t.sel_u[j], t.offset, t.lower + margin,
-                               t.upper - margin))
 
 
 class _Stage:
@@ -897,22 +885,6 @@ def forward_pass(traj: Trajectory, gains: GainSchedule, lam: float,
     return Trajectory(states, uff + (K @ states[:N, :, None])[:, :, 0])
 
 
-def _clip_warm_start(spec: ProblemSpec, controls: np.ndarray) -> np.ndarray:
-    """Pull control-only log-range scalars CLIP_MARGIN of the range inside.
-
-    A corrected warm start can cross an active bound.  A wider margin
-    would move bound-riding optima (down to about 5e-7 of the steer range
-    at the final sharpness) on every repeated frame, and clip and one
-    warm Newton step would settle far from them.
-    """
-    controls = np.array(controls, dtype=float)
-    for j, c, offset, lower, upper in spec._run.clips:
-        z = c * controls[:, j] + offset
-        np.clip(z, lower, upper, out=z)
-        controls[:, j] = (z - offset) / c
-    return controls
-
-
 def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
     # running log-range columns first, then terminal ones; subtracting a
     # constant is monotone, so the extreme arguments give the margins
@@ -943,17 +915,17 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     iteration: the regularization grows by REG_GROWTH, and the solve
     stops above REG_MAX.  Terminates once the predicted decrease from the
     backward pass is below cost_tolerance (relative) and no further
-    strict improvement is found, or at the iteration cap.  Never aborts:
-    it returns the best trajectory so far, flagged as not converged.
+    strict improvement is found, or at the iteration cap.  A start (zero
+    controls or the warm start, as given) outside a log range raises
+    InfeasibleTrajectoryError; after that the solve never aborts: it
+    returns the best trajectory so far, flagged as not converged.
     """
     cfg = config or SolverConfig()
-    if warm_start is None:
-        controls = np.zeros((spec.horizon, spec.m))
-    else:
-        warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape != (spec.horizon, spec.m):
-            raise ValueError("warm start must have shape (horizon, m)")
-        controls = _clip_warm_start(spec, warm_start)
+    # a copy: no result shares memory with the caller's warm start
+    controls = (np.zeros((spec.horizon, spec.m)) if warm_start is None
+                else np.array(warm_start, dtype=float))
+    if controls.shape != (spec.horizon, spec.m):
+        raise ValueError("warm start must have shape (horizon, m)")
 
     lams = LINE_SEARCH_STEPS[:, None]
     t_scale = cfg.barrier_t_init

@@ -30,6 +30,8 @@ from .ilqr import (
 )
 
 STEER_LIMIT_RAD = math.pi / 6.0
+CLIP_MARGIN = 1e-7      # share of the steer range the warm-start clip leaves
+_WARM_STEER_MAX = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
 V_MIN = 1.0             # m/s; the model coefficients divide by v
 
 
@@ -146,12 +148,15 @@ class LateralPlanner:
 
     The first cycle solves on the solver defaults, which walk the barrier
     sharpness schedule; warm-started cycles solve with WARM_CONFIG, one
-    real-time iteration from the previous plan.  A repeated
-    perception frame starts from the previous controls; a new one from
-    the previous plan corrected by its own feedback law, u_i = U_i +
-    K_i (x_i - X_i) rolled out from the new state, which saves about one
-    Newton step.  The problem for each lane-centering branch is built and
-    validated once; every cycle re-aims it at the new state and speed.
+    real-time iteration from the previous plan.  A repeated perception
+    frame starts from the previous controls; a new one from the previous
+    plan corrected by its own feedback law, u_i = U_i + K_i (x_i - X_i)
+    rolled out from the new state, which saves about one Newton step.
+    That can cross the steer bound after a large jump, so it is clipped
+    CLIP_MARGIN of the range inside, close enough to leave bound-riding
+    optima (down to 5e-7 of the range inside) in place.  The problem for
+    each lane-centering branch is built and validated once; every cycle
+    re-aims it at the new state and speed.
     """
 
     def __init__(self, params: VehicleParams | None = None,
@@ -192,6 +197,7 @@ class LateralPlanner:
                     and not np.array_equal(spec.x0, prev.trajectory.states[0])):
                 warm = forward_pass(prev.trajectory, prev.gains, 0.0,
                                     spec).controls
+                np.clip(warm, -_WARM_STEER_MAX, _WARM_STEER_MAX, out=warm)
         self._prev = result = solve(spec, warm_start=warm, config=config)
         delta = float(result.trajectory.controls[0, 0])
         return SteerCommand(steer_cmd=delta / STEER_LIMIT_RAD,

@@ -10,6 +10,7 @@ fixed sequence, so a scenario is a pure function of its spec.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -100,14 +101,27 @@ class ScenarioSpec:
             raise ValueError("cruise_speed must be positive")
         if self.start_v is not None and self.start_v < 0.0:
             raise ValueError("start_v must be nonnegative")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)    # numpy integers pass
+        except TypeError:
+            raise ValueError("seed must be an integer") from None
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
         window = self.metrics_t_range
         if window is not None and not (
                 len(window) == 2 and 0.0 <= window[0] < window[1]):
             raise ValueError("metrics_t_range must be (start, end), 0 <= start < end")
+        if window is not None and window[0] >= (limit := self.time_limit_s):
+            raise ValueError(f"metrics_t_range must start before the run's "
+                             f"time limit, {limit:g} s")
+
+    @property
+    def time_limit_s(self) -> float:
+        """When the run stops: duration_s, or 4x the laps at cruise speed."""
+        if self.duration_s is not None:
+            return self.duration_s
+        return (self.laps * build_track(self.track).length
+                / self.cruise_speed * 4.0)
 
 
 @dataclass
@@ -183,13 +197,9 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
     lead = spec.lead
     lead_s0 = spec.start_s + lead.initial_gap if lead else None
 
-    if spec.duration_s is not None:
-        end_us = int(round(spec.duration_s * 1e6))
-        end_s = math.inf
-    else:
-        end_us = int(round(spec.laps * track.length
-                           / spec.cruise_speed * 4.0 * 1e6))
-        end_s = spec.start_s + spec.laps * track.length
+    end_us = int(round(spec.time_limit_s * 1e6))
+    end_s = (math.inf if spec.laps is None
+             else spec.start_s + spec.laps * track.length)
 
     perc_queue = LatencyQueue()
     act_queue = LatencyQueue()
@@ -237,8 +247,7 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
             if correction is not None:
                 steer_cmd = apply_vpc(steer_cmd, correction.delta_shift)
             if longitudinal and lead is not None:
-                meas = radar_measure(state.s, state.v,
-                                     lead_s0 + lead.travel(now),
+                meas = radar_measure(state.s, lead_s0 + lead.travel(now),
                                      lead.speed(now), lead.accel(now))
             else:
                 meas = None
@@ -293,11 +302,11 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
 def compute_metrics(log: SimLog) -> dict:
     """Score a run: tracking MAEs, peak offsets, and solver statistics.
 
-    Lateral metrics cover the whole log; following metrics cover the
-    scenario's metrics window (or every row with a lead in range).  The
-    max-offset-at-peak-curvature entry masks rows where |kappa| is
-    within 5% of the track maximum.  The gap error is taken against the
-    run's own reference gap, log.long_tuning.d_ref.
+    Lateral metrics and the gap extremes cover the whole log; the
+    following MAEs cover the scenario's metrics window (or every row with
+    a lead in range).  The max-offset-at-peak-curvature entry masks rows
+    where |kappa| is within 5% of the track maximum.  The gap error is
+    taken against the run's own reference gap, log.long_tuning.d_ref.
     """
     if len(log) == 0:
         raise ValueError("empty log")
@@ -321,24 +330,19 @@ def compute_metrics(log: SimLog) -> dict:
     else:
         out["delta_max_abs_kmax_m"] = math.nan
 
-    have_lead = np.isfinite(c["D_m"])
+    window = np.isfinite(c["D_m"])
     if log.spec.metrics_t_range is not None:
         lo, hi = log.spec.metrics_t_range
-        window = have_lead & (c["time_s"] >= lo) & (c["time_s"] <= hi)
-    else:
-        window = have_lead
+        window &= (c["time_s"] >= lo) & (c["time_s"] <= hi)
+    out["v_mae_mps"] = out["d_mae_m"] = math.nan
     if window.any():
         out["v_mae_mps"] = float(np.mean(
             np.abs(c["v_mps"][window] - c["v_l_mps"][window])))
         out["d_mae_m"] = float(np.mean(
             np.abs(c["D_m"][window] - log.long_tuning.d_ref)))
-        out["gap_min_m"] = float(np.min(c["D_m"][have_lead]))
-        out["gap_last_m"] = float(c["D_m"][-1])
-    else:
-        out["v_mae_mps"] = math.nan
-        out["d_mae_m"] = math.nan
-        out["gap_min_m"] = math.nan
-        out["gap_last_m"] = math.nan
+    # a run without a lead logs NaN gaps, which fmin skips (all NaN: NaN)
+    out["gap_min_m"] = float(np.fmin.reduce(c["D_m"]))
+    out["gap_last_m"] = float(c["D_m"][-1])
 
     # NaN when the run did not time its cycles (log_solver_time off)
     timed = c["solver_time_ms"][c["solver_time_ms"] > 0.0]

@@ -114,8 +114,7 @@ def perceive(state: PlantState, track: TrackGeometry, noise: NoiseConfig,
     return PerceptionFrame(theta_meas, delta_meas, LaneMap(pts, now))
 
 
-def radar_measure(ego_s: float, ego_v: float, lead_s: float | None,
-                  lead_v: float = 0.0,
+def radar_measure(ego_s: float, lead_s: float | None, lead_v: float = 0.0,
                   lead_a: float = 0.0) -> LeadMeasurement | None:
     """Exact gap and lead speed, or None when nothing is in the gate."""
     if lead_s is None:

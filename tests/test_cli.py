@@ -95,6 +95,10 @@ CROSS_FIELD = [
     # sections are checked in order: the longitudinal tuning comes first
     (SMOKE + "scenario.lead_gap_m = 30\nlongitudinal.d_critical = 12\n", 6,
      "longitudinal.*: critical distance must sit below the reference"),
+    # a window past the run's end cites the duration that ends the run
+    (SMOKE + "scenario.metrics_t_start = 5\nscenario.metrics_t_end = 9\n", 2,
+     "scenario.*: metrics_t_range must start before the run's time limit, "
+     "2 s"),
 ]
 
 
@@ -199,7 +203,8 @@ class TestLoadRunConfig:
     def test_every_key_reaches_its_field(self, tmp_path, key):
         # the key changes exactly the field its registry row names
         section, name, cast = _REGISTRY[key][:3]
-        base = {"scenario.track": "straight", "scenario.duration_s": "2"}
+        # long enough to hold every drawn metrics_t_start (2.25 at most)
+        base = {"scenario.track": "straight", "scenario.duration_s": "3"}
         if key == "scenario.laps":
             base = {"scenario.track": "straight", "scenario.laps": "1"}
         if key.startswith("scenario.lead_"):

@@ -739,13 +739,33 @@ class TestSolve:
         assert again.info.converged
         assert again.info.iterations == 1
 
-    def test_warm_start_outside_range_clipped_feasible(self):
+    def test_warm_start_outside_range_rejected(self):
+        # the warm start is taken as given: an infeasible one is refused
+        # as an infeasible start state is
         term = BarrierTerm.log_range(1, 1, lower=-0.1, upper=0.1,
                                      control_index=0)
         spec = scalar_problem(barriers=[term])
-        res = solve(spec, warm_start=np.array([[5.0]]))
-        assert res.info.converged
-        assert -0.1 < res.trajectory.controls[0, 0] < 0.1
+        with pytest.raises(InfeasibleTrajectoryError,
+                           match=r"outside \(-0\.1, 0\.1\)"):
+            solve(spec, warm_start=[[5.0]])
+
+    def test_result_never_shares_the_warm_start(self, monkeypatch):
+        # neither a solve that keeps its start (an optimal warm start, a
+        # failing backward pass) nor one that steps returns the caller's
+        # array
+        import cilqr_drive.ilqr as ilqr_module
+        spec = scalar_problem()
+        optimum = solve(spec).trajectory.controls
+        zeros = np.zeros((1, 1))
+        solved = [(optimum, solve(spec, warm_start=optimum)),
+                  (zeros, solve(spec, warm_start=zeros))]
+        monkeypatch.setattr(ilqr_module, "backward_pass", _failing_pass)
+        solved.append((optimum, solve(spec, warm_start=optimum)))
+        assert solved[-1][1].gains is None
+        np.testing.assert_array_equal(solved[0][1].trajectory.controls,
+                                      optimum)
+        for warm, res in solved:
+            assert not np.shares_memory(res.trajectory.controls, warm)
 
     def test_iteration_cap_flagged(self):
         rng = np.random.default_rng(9)

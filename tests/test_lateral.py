@@ -14,6 +14,7 @@ import pytest
 from cilqr_drive import SolverConfig, solve
 from cilqr_drive.ilqr import WARM_CONFIG, forward_pass
 from cilqr_drive.lateral import (
+    CLIP_MARGIN,
     STEER_LIMIT_RAD,
     LateralPlanner,
     LateralState,
@@ -355,7 +356,8 @@ class TestLateralPlanner:
 
     def test_corrected_warm_start_outside_steer_range(self, monkeypatch):
         # a large jump of offset and heading drives U + K dx past the steer
-        # limit; the solver's warm-start clip must restore feasibility
+        # limit; the planner clips it CLIP_MARGIN of the steer range inside
+        # before the solver, which takes its warm start as given, sees it
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         planner.plan(LateralState(0.1, 0.0), V_76_KMH)
@@ -363,10 +365,10 @@ class TestLateralPlanner:
         _, result = planner.plan(jump, V_76_KMH)
         spec, warm = seen[1][:2]
         prev = seen[0][3]
-        np.testing.assert_array_equal(
-            warm, forward_pass(prev.trajectory, prev.gains, 0.0,
-                               spec).controls)
-        assert np.max(np.abs(warm)) > STEER_LIMIT_RAD
+        raw = forward_pass(prev.trajectory, prev.gains, 0.0, spec).controls
+        assert np.max(np.abs(raw)) > STEER_LIMIT_RAD
+        inside = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
+        np.testing.assert_array_equal(warm, np.clip(raw, -inside, inside))
         # One Newton step does not settle this jump; repeated frames finish
         # the solve at the cold solve's cost, feasible on every cycle.
         # Measured: the fifth repeated frame converges.

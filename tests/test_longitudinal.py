@@ -377,6 +377,38 @@ class TestPlannerWrapper:
         assert result.info.iterations <= 1
         assert result.info.barrier_t_scale == 1e4
 
+    def test_warm_following_cycles_start_from_the_previous_plan(
+            self, monkeypatch):
+        # the solver takes its warm start as given: on every warm following
+        # cycle of a closed-loop run its first rollout runs the previous
+        # plan's controls bit for bit, bound-riding jerk included
+        import cilqr_drive.ilqr as ilqr_module
+        import cilqr_drive.longitudinal as longitudinal_module
+        started, solved = [], []
+        real_rollout = ilqr_module.rollout
+        real_solve = longitudinal_module.solve
+
+        def rollout_spy(dynamics, x0, controls):
+            started.append(np.array(controls))
+            return real_rollout(dynamics, x0, controls)
+
+        def solve_spy(spec, warm_start=None, config=None):
+            started.clear()
+            result = real_solve(spec, warm_start=warm_start, config=config)
+            solved.append((warm_start, started[0], result))
+            return result
+
+        monkeypatch.setattr(ilqr_module, "rollout", rollout_spy)
+        monkeypatch.setattr(longitudinal_module, "solve", solve_spy)
+        spec = dataclasses.replace(preset_trackB_following(seed=0),
+                                   duration_s=2.0, metrics_t_range=None)
+        run_scenario(spec, longitudinal=True)
+        warm = [(prev[2], start) for prev, (w, start, _)
+                in zip(solved, solved[1:]) if w is not None]
+        assert len(warm) == len(solved) - 1 > 100
+        for prev, start in warm:
+            np.testing.assert_array_equal(start, prev.trajectory.controls)
+
 
 class TestClosedLoopConvergence:
     def test_approach_settles_at_reference_gap(self):

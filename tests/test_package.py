@@ -76,6 +76,34 @@ def test_every_public_member_and_function_has_a_caller():
     assert unreached == []
 
 
+def test_every_parameter_is_read():
+    """No function or lambda in src/ takes a parameter its body never reads.
+
+    `self`, `cls` and names with a leading underscore (a parameter a
+    caller's signature imposes) are exempt.  A read in a nested function
+    counts.
+    """
+    unread = []
+    for path, tree in _trees("src").items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno}:{name}({param})"
+                       for param in params
+                       if param not in read and param not in ("self", "cls")
+                       and not param.startswith("_")]
+    assert unread == []
+
+
 def _table(header: str) -> list[list[str]]:
     """Cells of the README table under the given header row."""
     lines = README.splitlines()

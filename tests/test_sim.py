@@ -244,21 +244,21 @@ class TestPerceive:
 class TestRadar:
 
     def test_direct_readout(self):
-        meas = radar_measure(100.0, 21.0, 120.0, 18.0, 0.3)
+        meas = radar_measure(100.0, 120.0, 18.0, 0.3)
         assert meas is not None
         assert meas.D == 20.0
         assert meas.v_l == 18.0
         assert meas.a_l == 0.3
 
     def test_lead_behind_is_invisible(self):
-        assert radar_measure(100.0, 21.0, 90.0, 18.0) is None
+        assert radar_measure(100.0, 90.0, 18.0) is None
 
     def test_lead_beyond_range_gate_is_invisible(self):
-        assert radar_measure(100.0, 21.0, 261.0, 18.0) is None
-        assert radar_measure(100.0, 21.0, 260.0, 18.0) is not None
+        assert radar_measure(100.0, 261.0, 18.0) is None
+        assert radar_measure(100.0, 260.0, 18.0) is not None
 
     def test_no_lead_signal(self):
-        assert radar_measure(100.0, 21.0, None) is None
+        assert radar_measure(100.0, None) is None
 
 
 class TestLatencyQueue:
@@ -349,6 +349,40 @@ class TestRunScenario:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             ScenarioSpec(track="straight", duration_s=1.0, seed=-1)
+
+    def test_numpy_integer_seed_accepted(self):
+        # seeds are checked as counts are: anything operator.index takes
+        assert ScenarioSpec(track="straight", duration_s=1.0,
+                            seed=np.int64(3)).seed == 3
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ScenarioSpec(track="straight", duration_s=1.0, seed=np.int64(-1))
+        for seed in (3.0, "3", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                ScenarioSpec(track="straight", duration_s=1.0, seed=seed)
+
+    def test_time_limit_has_one_owner(self):
+        spec = ScenarioSpec(track="straight", duration_s=1.5)
+        assert spec.time_limit_s == 1.5
+        spec = ScenarioSpec(track="trackA", laps=0.5, cruise_speed=20.0)
+        length = TRACKS["trackA"]().length
+        assert spec.time_limit_s == 0.5 * length / 20.0 * 4.0
+        log = run_scenario(_short_spec(duration_s=0.25))
+        assert log.terminal_event == "time_limit"
+        assert log.columns["time_s"][-1] == pytest.approx(0.25, abs=1e-12)
+
+    def test_window_past_the_time_limit_rejected(self):
+        # a window that starts at or after the run's end would score NaN
+        lead = LeadSpec(initial_gap=30.0, base_speed=17.5)
+        laps = ScenarioSpec(track="trackA", laps=0.01, cruise_speed=20.0)
+        for kw, start in (({"duration_s": 1.0}, 5.0),
+                          ({"duration_s": 1.0}, 1.0),
+                          ({"track": "trackA", "laps": 0.01,
+                            "cruise_speed": 20.0}, laps.time_limit_s)):
+            with pytest.raises(ValueError, match="time limit"):
+                ScenarioSpec(**{"track": "straight", "lead": lead, **kw},
+                             metrics_t_range=(start, start + 4.0))
+        ScenarioSpec(track="straight", duration_s=1.0, lead=lead,
+                     metrics_t_range=(0.9, 9.0))
 
     def test_unknown_track_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown track preset: 'moon'"):
@@ -456,6 +490,24 @@ class TestComputeMetrics:
         assert lead.any()
         assert compute_metrics(log)["d_mae_m"] == np.mean(
             np.abs(gap[lead] - 15.0))
+
+    def test_collision_before_the_window_shows_in_the_gap(self):
+        # the gap extremes cover every row with a lead, so a run that
+        # collides before its scoring window still reports the collision
+        spec = ScenarioSpec(track="straight", duration_s=10.0,
+                            cruise_speed=25.0,
+                            lead=LeadSpec(initial_gap=20.0, base_speed=5.0),
+                            metrics_t_range=(8.0, 10.0))
+        log = run_scenario(spec, longitudinal=False)
+        assert log.terminal_event == "collision"
+        assert log.columns["time_s"][-1] < 8.0
+        m = compute_metrics(log)
+        whole = compute_metrics(dataclasses.replace(
+            log, spec=dataclasses.replace(spec, metrics_t_range=None)))
+        assert m["gap_min_m"] <= 0.0
+        assert m["gap_min_m"] == whole["gap_min_m"]
+        assert m["gap_last_m"] == whole["gap_last_m"] == m["gap_min_m"]
+        assert math.isnan(m["d_mae_m"]) and math.isnan(m["v_mae_mps"])
 
 
 class TestClosedLoopProperties:
