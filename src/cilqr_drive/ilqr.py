@@ -31,6 +31,10 @@ import numpy as np
 # so the line search can still rank candidate trajectories.
 _EXP_ARG_MAX = 45.0
 
+# Largest lifted-map entry (growth over the horizon) of an open loop that
+# the Newton system is condensed on directly; see _Lift.
+_OPEN_LOOP_GROWTH_MAX = 1e3
+
 # Fixed parts of the solver schedule.  The line search scores the step
 # sizes 1, 1/2, ..., 2^-13 (every halving down to 1e-4); a failed backward
 # pass or search multiplies the regularization by REG_GROWTH and gives up
@@ -48,7 +52,7 @@ class InfeasibleTrajectoryError(RuntimeError):
 
 
 class BackwardPassError(RuntimeError):
-    """O_uu was not positive definite at the requested regularization."""
+    """The Newton system plus regularization was not positive definite."""
 
 
 class BarrierKind(enum.Enum):
@@ -98,6 +102,28 @@ class AffineDynamics:
             if value is not None:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_open_loop_maps", {})
+
+    def with_drift(self, w: np.ndarray) -> "AffineDynamics":
+        """These dynamics, A, B and C shared, under another disturbance."""
+        w = np.array(w, dtype=float).ravel()
+        if self.C is None or w.shape != self.w.shape:
+            raise ValueError("w must keep its size")
+        drift = self.C @ w
+        if not np.isfinite(drift).all():
+            raise ValueError("drift contains non-finite entries")
+        out = copy.copy(self)
+        for name, value in (("w", w), ("_drift", drift)):
+            value.flags.writeable = False
+            object.__setattr__(out, name, value)
+        return out
+
+    def _open_loop(self, N: int) -> np.ndarray:
+        """The lifted map over N steps (see _lifted_map), derived once per
+        A, B and N; dynamics that with_drift copies share it."""
+        if N not in self._open_loop_maps:
+            self._open_loop_maps[N] = _lifted_map(self.A, self.B, N)
+        return self._open_loop_maps[N]
 
     @property
     def n(self) -> int:
@@ -188,7 +214,8 @@ class BarrierTerm:
     def _probe(self):
         n, m = self.sel_x.size, self.sel_u.size
         stack = _Stack([self], n, m)
-        return stack, _barrier_operator(stack, _Stack([], n, m), 2, n)
+        own, prev, offset = _barrier_operator(stack, _Stack([], n, m), 2, n)
+        return stack, (*_gather(own + prev), offset)
 
     # -- convenience constructors -------------------------------------
 
@@ -242,7 +269,8 @@ class ProblemSpec:
     step.  Running barriers apply at steps 0..N-1; terminal barriers act
     on x_N only.  A problem is frozen: it is validated once, when it is
     built, and derives once what every solve reads from it (the stacked
-    barriers and their operator, the stage weights, the lifted propagator).
+    barriers, their operator and the Newton system's barrier rows, and the
+    lifted map of the dynamics with what it gives the Newton system).
     """
 
     dynamics: AffineDynamics
@@ -274,11 +302,27 @@ class ProblemSpec:
         set_("terminal_barriers", term)
         set_("_run", _Stack(run, n, m))
         set_("_term", _Stack(term, n, m))
-        set_("_bar", _barrier_operator(self._run, self._term, self.horizon,
-                                       n))
-        set_("_weights", _Stage(self._run, self._term, self.cost.Q,
-                                self.cost.R, self.terminal_cost.Q, n, m))
-        set_("_L", _lifted_propagator(self.dynamics))
+        # Every barrier column (running ones step by step, then terminal)
+        # sorted by kind; _order takes them back to step order.
+        own, prev, offset = _barrier_operator(self._run, self._term,
+                                              self.horizon, n)
+        terms = self._run.terms * int(self.horizon) + self._term.terms
+        order = np.argsort([_KIND_RANK[t.kind] for t in terms], kind="stable")
+        own, prev = own[:, order], prev[:, order]
+        set_("_columns", _Stack([terms[c] for c in order], n, m))
+        set_("_bar", (*_gather(own + prev), offset[order]))
+        set_("_order", np.argsort(order))
+        # The Newton system's barrier rows: each column's own part and a
+        # lane-centering column's predecessor part, as separate rank-one
+        # Hessian terms (the predecessor is frozen); _cols gives a row's
+        # column.
+        split = np.hstack([own, prev])
+        keep = np.flatnonzero(split.any(axis=0))
+        keep = keep[np.argsort(keep % own.shape[1], kind="stable")]
+        set_("_rows", _gather(split[:, keep]))
+        set_("_cols", keep % own.shape[1])
+        set_("_w_ref", _reference_row(self))
+        set_("_lift", _Lift(self))
 
     def with_start(self, x0: np.ndarray,
                    dynamics: AffineDynamics | None = None,
@@ -288,9 +332,10 @@ class ProblemSpec:
         (of the running and the terminal cost alike).
 
         Only the new parts are checked.  The copy shares everything else
-        with this problem, derived data included, and rebuilds the lifted
-        propagator only for new dynamics.  A planner builds its problem
-        once and re-aims it every cycle this way.
+        with this problem, derived data included, and re-derives the lifted
+        map only for dynamics with another A or B (a new disturbance alone
+        keeps it).  A planner builds its problem once and re-aims it every
+        cycle this way.
         """
         out = copy.copy(self)
         set_ = functools.partial(object.__setattr__, out)
@@ -301,13 +346,16 @@ class ProblemSpec:
             if (dynamics.n, dynamics.m) != (self.n, self.m):
                 raise ValueError("dynamics must keep the state and control sizes")
             set_("dynamics", dynamics)
-            set_("_L", _lifted_propagator(dynamics))
+            if not (np.array_equal(dynamics.A, self.dynamics.A)
+                    and np.array_equal(dynamics.B, self.dynamics.B)):
+                set_("_lift", _Lift(out))
         if x_ref is not None:
             x_ref = _state_vector(x_ref, self.n, "x_ref")
             for name in ("cost", "terminal_cost"):
                 cost = copy.copy(getattr(self, name))
                 object.__setattr__(cost, "x_ref", x_ref)
                 set_(name, cost)
+            set_("_w_ref", _reference_row(out))
         return out
 
     @property
@@ -317,6 +365,14 @@ class ProblemSpec:
     @property
     def m(self) -> int:
         return self.dynamics.m
+
+
+def _reference_row(spec: ProblemSpec) -> np.ndarray:
+    """[vec X, vec U] of the costs' reference: x_ref at steps 0..N-1, the
+    terminal cost's at step N, zero controls."""
+    N, m = spec.horizon, spec.m
+    return np.concatenate([np.tile(spec.cost.x_ref, N),
+                           spec.terminal_cost.x_ref, np.zeros(N * m)])
 
 
 def _state_vector(value, n: int, name: str) -> np.ndarray:
@@ -362,16 +418,16 @@ class Trajectory:
 
 @dataclass
 class GainSchedule:
-    """Feedforward k (N, m) and feedback K (N, m, n) from a backward pass.
-
-    grad_norm carries the largest control-gradient entry seen during the
-    pass.  Near active barriers the expected decrease alone is a poor
-    stationarity measure (the barrier Hessian crushes the Newton step),
-    so convergence tests pair it with this gradient norm.
+    """A backward pass's full step [vec dX, vec dU] of w = [vec X, vec U],
+    the stepped controls' first-order change S (N, m, n) per unit change
+    of the start state, and the largest stage gradient grad_norm.  Near
+    active barriers the expected decrease alone is a poor stationarity
+    measure (the barrier Hessian crushes the Newton step), so convergence
+    tests pair it with this gradient norm.
     """
 
-    k: np.ndarray
-    K: np.ndarray
+    step: np.ndarray
+    S: np.ndarray
     grad_norm: float = 0.0
 
 
@@ -441,48 +497,25 @@ _KIND_RANK = {BarrierKind.LOG_RANGE: 0, BarrierKind.EXP_ONE_SIDED: 1,
               BarrierKind.EXP_LANE_CENTERING: 2}
 
 
-def _read_rows(O: np.ndarray, n: int) -> np.ndarray:
-    """The entries of symmetric (..., nz, nz) blocks that the backward pass
-    reads, flattened to (..., R) rows.
-
-    With z = [x; 1; u] these are the (n+1)^2 value block O[:n+1, :n+1],
-    then the m control rows O[n+1:, :] = [O_ux, O_u, O_uu]; the block
-    O[:n+1, n+1:] only transposes the control rows and is left out.
-    """
-    lead, nz = O.shape[:-2], O.shape[-1]
-    return np.concatenate(
-        [O[..., :n + 1, :n + 1].reshape(lead + ((n + 1) ** 2,)),
-         O[..., n + 1:, :].reshape(lead + ((nz - n - 1) * nz,))], axis=-1)
-
-
 class _Stack:
-    """Barrier terms side by side, one column of a (..., T) block each.
-
-    Columns run log-range, then one-sided exponential, then lane
-    centering, so each kind is a contiguous slice.  Row t of `sel` is
-    [sel_x, 0, sel_u] in the homogeneous coordinates z = [x; 1; u] of the
-    backward pass: the middle slot multiplies the constant 1, so the
-    offset never enters a derivative.
-    """
+    """Barrier terms side by side, one column of a (..., T) block each:
+    log-range, then one-sided exponential, then lane centering, so each
+    kind is a contiguous slice; `terms` lists them in that order."""
 
     def __init__(self, terms: Sequence[BarrierTerm], n: int, m: int) -> None:
-        terms = sorted(terms, key=lambda t: _KIND_RANK[t.kind])
+        self.terms = terms = sorted(terms, key=lambda t: _KIND_RANK[t.kind])
         kinds = [t.kind for t in terms]
         T = len(terms)
         self.n_log = kinds.count(BarrierKind.LOG_RANGE)
         self.n_exp = T - self.n_log
         self.lane = slice(T - kinds.count(BarrierKind.EXP_LANE_CENTERING), T)
-        self.sel = np.zeros((T, n + 1 + m))
-        for row, term in zip(self.sel, terms):
-            row[:n] = term.sel_x
-            row[n + 1:] = term.sel_u
         # a step's columns of the barrier operator: the selectors of x_i,
         # of x_{i-1} and of u_i, the offsets (which a lane-centering
         # difference cancels)
         is_lane = np.arange(T) >= self.lane.start
-        self.x_t = self.sel[:, :n].T
+        self.x_t = np.reshape([t.sel_x for t in terms], (T, n)).T
         self.prev_t = np.where(is_lane, -self.x_t, 0.0)
-        self.u_t = self.sel[:, n + 1:].T
+        self.u_t = np.reshape([t.sel_u for t in terms], (T, m)).T
         self.offset = np.where(is_lane, 0.0, [t.offset for t in terms])
         log, exp = terms[:self.n_log], terms[self.n_log:]
         self.lower = np.array([t.lower for t in log])
@@ -492,100 +525,186 @@ class _Stack:
         self.q2_sq = self.q2 * self.q2
 
 
-class _Stage:
-    """Weights that give a step's read rows (see `_read_rows`) in one product.
+def _barrier_operator(run: _Stack, term: _Stack, N: int, n: int):
+    """The barrier operator (own, prev, offset) of a horizon-N problem: for
+    w = [vec X, vec U], w @ (own + prev) + offset holds step i's running
+    barrier arguments in columns i T .. (i+1) T - 1, then the terminal
+    ones.  prev is the lane-centering columns' predecessor part.  It is
+    the one place a barrier argument is formed."""
+    rows = (N + 1) * n + N * run.u_t.shape[0]
+    own = np.zeros((rows, N * run.offset.size + term.offset.size))
+    prev = np.zeros_like(own)
+    own[:, :N * run.offset.size] = np.vstack(
+        [np.kron(np.eye(N + 1, N), run.x_t), np.kron(np.eye(N), run.u_t)])
+    own[:n, run.lane] = 0.0             # step 0 has no predecessor
+    prev[:(N + 1) * n, :N * run.offset.size] = np.kron(np.eye(N + 1, N, 1),
+                                                       run.prev_t)
+    own[N * n:(N + 1) * n, N * run.offset.size:] = term.x_t
+    prev[(N - 1) * n:N * n, N * run.offset.size:] = term.prev_t
+    return own, prev, np.concatenate([np.tile(run.offset, N), term.offset])
 
-    Running step i:  [g2_i, g1_i, x_i - x_ref, u_i] @ run + run_const,
-    with g1, g2 the slopes of the barrier columns at step i (a
-    lane-centering column also carries its successor's -g1 and g2).  Terminal
-    value block:  [t2, t1, x_N - x_ref] @ final + final_const.  The
-    successor part of the terminal lane-centering terms, added to step
-    N-1:  [t2, t1] (lane columns only) @ succ.
-    """
 
-    def __init__(self, run: _Stack, term: _Stack, Q: np.ndarray,
-                 R: np.ndarray, Qf: np.ndarray, n: int, m: int) -> None:
-        nz, q = n + 1 + m, (n + 1) ** 2
-        # row k spreads entry k of a gradient over z into the value row
-        # and column (slot n); the Hessian of column t is sel_t sel_t'
-        spread = np.zeros((nz, nz, nz))
-        spread[:, n, :] += np.eye(nz)
-        spread[:, :, n] += np.eye(nz)
-        spread = _read_rows(spread, n)
-
-        def barrier_rows(sel):
-            return np.vstack([_read_rows(sel[:, :, None] * sel[:, None, :], n),
-                              sel @ spread])
-
-        self.run = np.vstack([barrier_rows(run.sel), 2.0 * Q @ spread[:n],
-                              2.0 * R @ spread[n + 1:]])
-        hess = np.zeros((nz, nz))
-        hess[:n, :n] = 2.0 * Q
-        hess[n + 1:, n + 1:] = 2.0 * R
-        self.run_const = _read_rows(hess, n)
-        self.final = np.vstack([barrier_rows(term.sel),
-                                2.0 * Qf @ spread[:n]])[:, :q].copy()
-        self.final_const = np.zeros(q)
-        self.final_const.reshape(n + 1, n + 1)[:n, :n] = 2.0 * Qf
-        # the terminal lane terms differentiate w.r.t. x_{N-1} through -sel
-        self.succ = barrier_rows(-term.sel[term.lane])
+def _gather(M: np.ndarray):
+    """The nonzeros of M column by column, as (rows, values), both
+    (k, columns): row 0 and value 0 pad every column to the longest one's
+    k nonzeros.  The sum over j of w[..., rows[j]] * values[j] is then
+    w @ M without the products with zeros."""
+    nonzero = M != 0.0
+    counts = nonzero.sum(axis=0)
+    cols, rows = np.nonzero(nonzero.T)      # column by column, rows ascending
+    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (max(int(counts.max(initial=0)), 1), M.shape[1])
+    index, values = np.zeros(shape, dtype=np.intp), np.zeros(shape)
+    index[slot, cols] = rows
+    values[slot, cols] = M[rows, cols]
+    return index, values
 
 
 @functools.lru_cache(maxsize=None)
-def _lift_index(n: int, m: int) -> np.ndarray:
-    """Where F[c, a], F[d, b], F[d, a] and F[c, b] of each entry (ab, cd)
-    of the lifted propagator sit in vec F."""
-    nz = n + 1 + m
-    a, b = np.divmod(_read_rows(np.arange(nz * nz).reshape(nz, nz), n), nz)
-    a, b = a[:, None], b[:, None]
-    c, d = np.divmod(np.arange((n + 1) ** 2), n + 1)
-    index = np.array([[c * nz + a, d * nz + b], [d * nz + a, c * nz + b]])
+def _toeplitz_index(N: int, n: int, m: int) -> np.ndarray:
+    """Where each entry of the lifted map sits in [0, 1, vec P], P the
+    (n, 2^j >= N+1, m+n) blocks A^k [B, I]: x_i's rows hold A^(i-1-j) B
+    under u_j (j < i) and A^i under x0, U's rows the identity."""
+    W = (1 << int(N).bit_length()) * (m + n)
+    i, r = np.divmod(np.arange((N + 1) * n), n)
+    j, c = np.divmod(np.arange(N * m), m)
+    k = i[:, None] - 1 - j
+    under_u = np.where(k >= 0, 2 + r[:, None] * W + k * (m + n) + c, 0)
+    under_x0 = 2 + r[:, None] * W + i[:, None] * (m + n) + m + np.arange(n)
+    controls = np.eye(N * m, N * m + n, dtype=np.intp)
+    index = np.vstack([np.hstack([under_u, under_x0]), controls])
     index.flags.writeable = False
     return index
 
 
-def _lifted_propagator(dynamics: AffineDynamics) -> np.ndarray:
-    """The backward-pass operator L of one AffineDynamics.
+def _lifted_map(A: np.ndarray, B: np.ndarray, N: int,
+                K: np.ndarray | None = None) -> np.ndarray:
+    """The lifted map F of x' = A x + B u over N steps with u_i = K x_i
+    + v_i (u = v without K): a change [vec dv; dx0] moves a trajectory's
+    w = [vec X, vec U] by F [vec dv; dx0].  The blocks (A + B K)^k [B, I]
+    come by doubling (blocks L .. 2L-1 are (A + B K)^L times blocks
+    0 .. L-1), and one gather lays them out."""
+    n, m = B.shape
+    W = m + n
+    src = np.empty(2 + n * (1 << int(N).bit_length()) * W)
+    src[:2] = 0.0, 1.0
+    P = src[2:].reshape(n, -1)
+    P[:, :W] = np.hstack([B, np.eye(n)])
+    power = A if K is None else A + B @ K
+    done = W
+    while done < P.shape[1]:
+        np.matmul(power, P[:, :done], out=P[:, done:2 * done])
+        power = power @ power
+        done *= 2
+    F = src[_toeplitz_index(N, n, m)]
+    if K is not None:
+        F[(N + 1) * n:] += (K @ F[:N * n].reshape(N, n, -1)).reshape(N * m, -1)
+    return F
 
-    With F = [[A, 0, B], [0, 1, 0]] mapping z = [x; 1; u] to [x'; 1],
-    L @ vec(V) is the `_read_rows` of F' ((V + V') / 2) F for any
-    (n+1, n+1) value block V, so one product per step gives every
-    Q-function derivative and symmetrizes V on the way.
+
+def _lqr_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray,
+              N: int) -> np.ndarray:
+    """The first gain of the LQR problem (A, B, Q, R) over 2^k >= N steps,
+    by the structure-preserving doubling algorithm for the discrete
+    Riccati equation: iterate k holds the 2^k-step value matrix H."""
+    eye = np.eye(A.shape[0])
+    G, H, power = B @ np.linalg.solve(R, B.T), Q, A
+    span = 1
+    while span < N:
+        W = np.linalg.inv(eye + G @ H)
+        PW = power @ W
+        G = G + PW @ G @ power.T
+        H = H + power.T @ H @ W @ power
+        power = PW @ power
+        span *= 2
+    BH = B.T @ H
+    return -np.linalg.solve(R + BH @ B, BH @ A)
+
+
+class _Lift:
+    """What every Newton system of a problem under one A and B shares.
+
+    With affine dynamics the states are an affine function of the
+    controls, so the iLQR step is the Newton step on the N m controls
+    (condensing: Jerez, Kerrigan & Constantinides, CDC 2011).  It is taken
+    in the parameters v of the closed loop u_i = K x_i + v_i, which changes
+    neither the Newton step nor a stage gradient.  K is zero (v = U) unless
+    the open loop grows past _OPEN_LOOP_GROWTH_MAX over the horizon, and
+    the problem's LQR gain beyond (pre-stabilization: Rossiter,
+    Kouvaritakis & Rice, Automatica 1998): the condensed Hessian loses its
+    stage Schur complements to rounding as the growth squared, so on 400
+    random problems the open loop's start-state gains were within 3e-9 of
+    Riccati's below 1e3, 1e-5 off by 1e4 and useless from 1e7, while the
+    LQR gain costs about 0.1 ms more for every new A and B.
+
+    Fv is F's v block (FvT a contiguous Fv', which the line search
+    multiplies twice as fast as a view), Fu its control rows, and
+    Tv = Fu_v' Fu_v, so that reg Tv is reg I on the controls; row j of
+    Sc is barrier row j (see ProblemSpec) as a function of [vec v; x0].
+    H0 is the quadratic cost's Hessian in [vec v; x0], v rows only, and
+    Gq (w - w_ref) its gradient in v.  A model that overflows gives a
+    non-finite lift, which every search direction reports as a failure.
     """
-    n, m = dynamics.n, dynamics.m
-    F = np.zeros((n + 1, n + 1 + m))
-    F[:n, :n] = dynamics.A
-    F[:n, n + 1:] = dynamics.B
-    F[n, n] = 1.0
-    p = F.ravel()[_lift_index(n, m)]
-    p = p[:, 0] * p[:, 1]
-    return 0.5 * (p[0] + p[1])
+
+    @np.errstate(all="ignore")
+    def __init__(self, spec: "ProblemSpec") -> None:
+        N, n, m = spec.horizon, spec.n, spec.m
+        A, B = spec.dynamics.A, spec.dynamics.B
+        F, self.K = spec.dynamics._open_loop(N), np.zeros((m, n))
+        if np.abs(F).max() > _OPEN_LOOP_GROWTH_MAX:
+            try:
+                self.K = _lqr_gain(A, B, spec.cost.Q, spec.cost.R, N)
+            except np.linalg.LinAlgError:
+                self.K = np.full((m, n), np.nan)
+            F = _lifted_map(A, B, N, self.K)
+        self.F = F
+        nx, Nm = (N + 1) * n, N * m
+        rows, values = spec._rows
+        self.Fv, self.Fu, self.FvT = F[:, :Nm], F[nx:], F[:, :Nm].T.copy()
+        self.Tv = self.Fu[:, :Nm].T @ self.Fu[:, :Nm]
+        self.Sc = (F[rows] * values[..., None]).sum(axis=0)
+        WF = np.vstack([
+            np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1)
+                      ).reshape(N * n, -1),
+            2.0 * spec.terminal_cost.Q @ F[N * n:nx],
+            np.matmul(2.0 * spec.cost.R, F[nx:].reshape(N, m, -1)
+                      ).reshape(Nm, -1)])
+        self.H0 = self.Fv.T @ WF
+        self.Gq = WF[:, :Nm].T
 
 
-def _barrier_operator(run: _Stack, term: _Stack, N: int, n: int):
-    """The barrier operator (M, offset) of a horizon-N problem: for
-    w = [vec X, vec U] of a trajectory, or for a stack of such rows,
-    w @ M + offset holds the running barrier arguments of step i in
-    columns i T .. (i+1) T - 1, then the terminal ones.  It is the one
-    place a barrier argument is formed."""
-    M = np.vstack([np.kron(np.eye(N + 1, N), run.x_t)
-                   + np.kron(np.eye(N + 1, N, 1), run.prev_t),
-                   np.kron(np.eye(N), run.u_t)])
-    M[:n, run.lane] = 0.0               # step 0 has no predecessor
-    final = np.zeros((M.shape[0], term.offset.size))
-    final[(N - 1) * n:(N + 1) * n] = np.vstack([term.prev_t, term.x_t])
-    return np.hstack([M, final]), np.concatenate([np.tile(run.offset, N),
-                                                  term.offset])
+def _lifted_w(F: np.ndarray, v: np.ndarray, x0: np.ndarray,
+              drift: np.ndarray) -> np.ndarray:
+    """w = F [vec v; x0] for the lifted map F of some (A, B, K) (see
+    _lifted_map), plus the response to the constant drift c: x_i gains
+    the sum over k < i of Phi^k c, Phi = A + B K, and u_i K times it."""
+    (N, m), n = v.shape, x0.size
+    nx = (N + 1) * n
+    y = F[:, N * m:] @ drift
+    w = F @ np.concatenate([v.ravel(), x0])
+    w[n:nx] += np.cumsum(y[:N * n].reshape(N, n), axis=0).ravel()
+    w[nx + m:] += np.cumsum(y[nx:-m].reshape(N - 1, m), axis=0).ravel()
+    return w
 
 
 def _flat(traj: Trajectory) -> np.ndarray:
     return np.concatenate((traj.states.ravel(), traj.controls.ravel()))
 
 
+def _arguments(bar, w: np.ndarray) -> np.ndarray:
+    """The barrier arguments of w, or of each row of a stack, under the
+    gathered barrier operator bar = (rows, values, offset)."""
+    rows, values, offset = bar
+    Z = np.take(w, rows[0], axis=-1) * values[0]
+    for r, v in zip(rows[1:], values[1:]):
+        Z += np.take(w, r, axis=-1) * v
+    return Z + offset
+
+
 def _barrier_args(spec: ProblemSpec, w: np.ndarray):
-    """Running (..., N, T) and terminal (..., T') barrier arguments of w."""
-    M, offset = spec._bar
-    Z = w @ M + offset
+    """Running (..., N, T) and terminal (..., T') barrier arguments of w,
+    in step order."""
+    Z = np.take(_arguments(spec._bar, w), spec._order, axis=-1)
     N, T = spec.horizon, spec._run.offset.size
     return Z[..., :N * T].reshape(Z.shape[:-1] + (N, T)), Z[..., N * T:]
 
@@ -660,10 +779,10 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
     if lane and prev_x is None:
         raise ValueError("lane-centering barrier needs prev_x")
     # step 1 of a two-step trajectory whose step 0 is the predecessor
-    stack, (M, offset) = term._probe
+    stack, bar = term._probe
     w = np.concatenate([np.asarray(v, dtype=float).ravel()
                         for v in (prev_x if lane else x, x, x, u, u)])
-    Z = (w @ M + offset)[1:]
+    Z = _arguments(bar, w)[1:]
     value = sum(float(v.sum()) for v in _barrier_values(stack, Z, t_scale,
                                                         strict=True))
     g1, g2 = (float(g[0]) for g in _barrier_slopes(stack, Z, t_scale))
@@ -679,25 +798,6 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
 # Trajectory operations.
 # ---------------------------------------------------------------------------
 
-def _propagate(x0: np.ndarray, A: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """States of x_{i+1} = A_i x_i + c_i from x0; A is one matrix or a stack.
-
-    Each step is one product of the homogeneous map [[A_i, c_i], [0, 1]]
-    with [x_i; 1], written straight into the next row.
-    """
-    N, n = c.shape
-    T = np.zeros((N, n + 1, n + 1))
-    T[:, :n, :n] = A
-    T[:, :n, n] = c
-    T[:, n, n] = 1.0
-    out = np.empty((N + 1, n + 1))
-    out[0, :n] = x0
-    out[0, n] = 1.0
-    for Ti, xi, xo in zip(T, out[:-1], out[1:]):
-        Ti.dot(xi, out=xo)
-    return out[:, :n]
-
-
 def rollout(dynamics: AffineDynamics, x0: np.ndarray,
             controls: np.ndarray) -> Trajectory:
     """Propagate x0 through the dynamics under the given control sequence."""
@@ -711,9 +811,9 @@ def rollout(dynamics: AffineDynamics, x0: np.ndarray,
         raise ValueError("x0 size must match the state dimension")
     if controls.shape[1] != dynamics.m:
         raise ValueError("controls width must match the control dimension")
-    return Trajectory(_propagate(x0, dynamics.A,
-                                 controls @ dynamics.B.T + dynamics._drift),
-                      controls)
+    N, n = controls.shape[0], dynamics.n
+    w = _lifted_w(dynamics._open_loop(N), controls, x0, dynamics._drift)
+    return Trajectory(w[:(N + 1) * n].reshape(N + 1, n), controls)
 
 
 def total_cost(traj: Trajectory, spec: ProblemSpec, t_scale: float = 1.0) -> float:
@@ -739,150 +839,67 @@ def _costs(w: np.ndarray, spec: ProblemSpec, t_scale: float,
     N, n, lead = spec.horizon, spec.n, w.shape[:-1]
     X = w[..., :(N + 1) * n].reshape(lead + (N + 1, n))
     U = w[..., (N + 1) * n:].reshape(lead + (N, spec.m))
-    run, term = spec._run, spec._term
     cost, final = spec.cost, spec.terminal_cost
     ex = X[..., :N, :] - cost.x_ref
     eN = X[..., N, :] - final.x_ref
     J = ((ex @ cost.Q) * ex).sum(axis=(-2, -1))
     J = J + ((U @ cost.R) * U).sum(axis=(-2, -1))
     J = J + ((eN @ final.Q) * eN).sum(axis=-1)
-    Zr, Zt = _barrier_args(spec, w)
-    for v in _barrier_values(run, Zr, t_scale, strict):
-        J = J + v.sum(axis=(-2, -1))
-    for v in _barrier_values(term, Zt, t_scale, strict):
+    for v in _barrier_values(spec._columns, _arguments(spec._bar, w),
+                             t_scale, strict):
         J = J + v.sum(axis=-1)
     return J
 
 
 def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
                   t_scale: float = 1.0) -> tuple[GainSchedule, float]:
-    """Backward recursion around the nominal trajectory.
+    """The search direction of one iteration around the nominal, and the
+    expected cost decrease of a full (lambda = 1) step.
 
-    Returns the gain schedule and the expected cost decrease of a full
-    (lambda = 1) step.  Lane-centering barriers are linearized with the
-    predecessor state frozen at its nominal value; both the own-step and
-    the successor-step contributions of each coupled term are assigned to
-    the step they differentiate, so the stage gradients match the true
-    gradient of the coupled cost at the nominal point.
+    With affine dynamics the iLQR step is the Newton step on the controls
+    (condensing, see _Lift): (H + reg Tv) dv = -g, H the quadratic cost's
+    fixed part plus one weighted product of the barrier rows, Sc' diag(g2)
+    Sc, and reg Tv the regularization reg I of the controls.  H + reg Tv
+    is factored last stage first, the elimination order of the Riccati
+    recursion, so L_ii y_i (L y = g) is stage i's control gradient with
+    every later stage eliminated, Riccati's Q_u.  The same system gives
+    the plan's change with the start state.
 
-    The recursion runs in homogeneous coordinates z = [dx; 1; du].  Each
-    step's stage derivatives form one symmetric block
-    [[l_xx, l_x, l_ux'], [l_x', 0, l_u'], [l_ux, l_u, l_uu]] and the value
-    function is V = [[V_xx, V_x], [V_x', .]]; the Q-function block is
-    O = F' V F + stage with F = [[A, 0, B], [0, 1, 0]].  Only its read
-    rows are kept (the value block [O_xx, O_x; O_x', .], then the control
-    rows [O_ux, O_u, O_uu]), and they are linear in vec(V): one product
-    with the problem's lifted propagator L (built once per dynamics)
-    gives them, added onto the stored stage rows.  The next value block
-    is then the rank-m update V = O_zz - [O_ux, O_u]' G in place, with G
-    the gains of the unregularized O_uu in the value update.  k, K, the
-    expected decrease and the largest control-gradient entry are read
-    from the stored rows after the loop; the gains use O_uu plus
-    regularization.
-
-    Raises BackwardPassError when O_uu (plus regularization) is not
-    positive definite; the caller should raise regularization and retry.
+    Raises BackwardPassError when H + reg Tv is not positive definite; the
+    caller should raise regularization and retry.
     """
-    X, U = traj.states, traj.controls
-    N, n, m = U.shape[0], X.shape[1], U.shape[1]
-    q = (n + 1) ** 2          # value-block entries; the m control rows follow
-    stage, L = spec._weights, spec._L
-    run, term = spec._run, spec._term
+    N, m = traj.controls.shape
+    Nm = N * m
+    lift = spec._lift
+    w = _flat(traj)
+    g1, g2 = (np.take(g, spec._cols) for g in _barrier_slopes(
+        spec._columns, _arguments(spec._bar, w), t_scale))
+    Scv = lift.Sc[:, :Nm]
+    # v rows of the Hessian in [vec v; x0], then the gradient
+    H = lift.H0 + (Scv.T * g2) @ lift.Sc
+    g = lift.Gq @ (w - spec._w_ref) + Scv.T @ g1
 
-    # Stage derivatives as read rows, vectorized over the horizon and the
-    # barriers.
-    Zr, Zt = _barrier_args(spec, _flat(traj))
-    g1, g2 = _barrier_slopes(run, Zr, t_scale)
-    lane = run.lane
-    if lane.start < lane.stop:
-        # Own-step part: g1 at step i.  Successor part: the term at i+1
-        # differentiates to -g1[i+1] times its selector w.r.t. x_i.
-        g1[:-1, lane] -= g1[1:, lane]
-        g2[:-1, lane] += g2[1:, lane]
-    O = np.concatenate([g2, g1, X[:N] - spec.cost.x_ref, U], axis=1) @ stage.run
-    O += stage.run_const
-
-    # Terminal value block, as vec(V).
-    t1, t2 = _barrier_slopes(term, Zt, t_scale)
-    v = (np.concatenate([t2, t1, X[N] - spec.terminal_cost.x_ref])
-         @ stage.final + stage.final_const)
-    lane = term.lane
-    if lane.start < lane.stop:
-        # Successor-side contribution of the terminal lane-centering terms
-        # lands on the last running step.
-        O[N - 1] += np.concatenate([t2[lane], t1[lane]]) @ stage.succ
-
-    rows = list(O)
-    values = list(O[:, :q])
-    blocks = list(O[:, :q].reshape(N, n + 1, n + 1))
-    ctrl = O[:, q:].reshape(N, m, n + 1 + m)      # [O_ux, O_u, O_uu] rows
-    Ouz, Ouu = ctrl[:, :, :n + 1], ctrl[:, :, n + 1:]
-    if m == 1:
-        # scalar control: V = O_zz - g' g * O_uu / (O_uu + reg)^2 with g
-        # the row [O_ux, O_u]; g' g is the product of its column and row
-        g_rows = list(Ouz)
-        g_cols = list(np.swapaxes(Ouz, -1, -2))
-        for i in range(N - 1, -1, -1):
-            o = rows[i]
-            o += L.dot(v)
-            ouu = o.item(-1)
-            ouu_reg = ouu + regularization
-            if ouu_reg <= 0.0:
-                raise BackwardPassError(
-                    f"O_uu not positive definite at step {i}")
-            Vi = blocks[i]
-            Vi -= g_cols[i].dot(g_rows[i]) * (ouu / ouu_reg ** 2)
-            v = values[i]
-        ouu = O[:, -1]          # 1-D views: O_uu, then [O_ux, O_u] and O_u
-        G = (O[:, q:-1] / -(ouu + regularization)[:, None])[:, None]
-        k, Ou = G[:, 0, n], O[:, -2]
-        kOk = (k * ouu) * k
-    else:
-        Ouzs, Ouus = list(Ouz), list(Ouu)
-        eye = regularization * np.eye(m)
-        for i in range(N - 1, -1, -1):
-            o = rows[i]
-            o += L.dot(v)
-            Ouu_i = Ouus[i]
-            Ouu_reg = Ouu_i + eye
-            try:
-                np.linalg.cholesky(Ouu_reg)
-            except np.linalg.LinAlgError as exc:
-                raise BackwardPassError(
-                    f"O_uu not positive definite at step {i}") from exc
-            W = np.linalg.solve(Ouu_reg, Ouzs[i])     # the gains are -W
-            Vi = blocks[i]
-            Vi -= W.T @ Ouu_i @ W
-            v = values[i]
-        G = -np.linalg.solve(Ouu + eye, Ouz)
-        k, Ou = G[:, :, n], Ouz[:, :, n]
-        kOk = k[:, None, :] @ Ouu @ k[:, :, None]
-
-    if not np.isfinite(G).all():
-        raise BackwardPassError("non-finite gains")
-    expected_decrease = -(float((k * Ou).sum()) + 0.5 * float(kOk.sum()))
-    return (GainSchedule(G[:, :, n], G[:, :, :n], float(np.abs(Ou).max())),
+    # last stage first; Z = (H + reg Tv)^-1 [g, dg/dx0]
+    H[:, :Nm] += regularization * lift.Tv
+    H_rev = H[::-1, Nm - 1::-1]
+    try:
+        L = np.linalg.cholesky(H_rev)
+        Z = np.linalg.solve(H_rev, np.column_stack([g[::-1], H[::-1, Nm:]]))
+    except np.linalg.LinAlgError as exc:
+        raise BackwardPassError("Newton system not positive definite") from exc
+    y = (L.T @ Z[:, 0]).reshape(N, m)
+    blocks = L.reshape(N, m, N, m).diagonal(0, 0, 2)    # (m, m, N)
+    stage_grad = np.einsum("abi,ib->ia", blocks, y)
+    dv = -Z[::-1, 0]
+    step = lift.Fv @ dv
+    S = lift.Fu[:, :Nm] @ -Z[::-1, 1:] + lift.Fu[:, Nm:]
+    if not (np.isfinite(step).all() and np.isfinite(S).all()):
+        raise BackwardPassError("non-finite step")
+    dU = step[-Nm:]
+    expected_decrease = 0.5 * float((y * y).sum() + regularization * dU @ dU)
+    return (GainSchedule(step, S.reshape(N, m, -1),
+                         float(np.abs(stage_grad).max())),
             expected_decrease)
-
-
-def forward_pass(traj: Trajectory, gains: GainSchedule, lam: float,
-                 spec: ProblemSpec) -> Trajectory:
-    """Roll out u_i + lam * k_i + K_i (x - x_i) from spec.x0 around the
-    nominal; from a moved start state, lam = 0 gives the nominal's own
-    feedback correction.
-
-    With u_i = uff_i + K_i x_i, where uff_i = U_i + lam k_i - K_i X_i, the
-    rollout is x_{i+1} = (A + B K_i) x_i + B uff_i + drift.  States and
-    controls share uff_i, so they stay consistent even when the nominal
-    is far larger than the result.
-    """
-    X, U, N = traj.states, traj.controls, spec.horizon
-    k, K = gains.k, gains.K
-    dyn = spec.dynamics
-    A, B, drift = dyn.A, dyn.B, dyn._drift
-    uff = U + lam * k - (K @ X[:N, :, None])[:, :, 0]
-    states = _propagate(spec.x0, A + B @ K, uff @ B.T + drift)
-    return Trajectory(states, uff + (K @ states[:N, :, None])[:, :, 0])
 
 
 def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
@@ -903,22 +920,21 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
           config: SolverConfig | None = None) -> SolveResult:
     """Run the constrained iLQR loop.
 
-    Each outer iteration performs one backward pass, rolls the full
-    (lambda = 1) step out through the feedback gains, and searches along
-    that step's direction.  With affine dynamics the feedback rollout at
-    step size lambda is X + lambda (X_1 - X), U + lambda (U_1 - U) up to
-    rounding, so the whole backtracking schedule (LINE_SEARCH_STEPS) is
-    scored in one batch and the longest step with a strict cost decrease
-    is accepted.  The log-barrier sharpness multiplier grows by
-    BARRIER_T_GROWTH after every accepted iteration until it hits its
-    cap.  A failed backward pass or a search with no decrease fails its
-    iteration: the regularization grows by REG_GROWTH, and the solve
-    stops above REG_MAX.  Terminates once the predicted decrease from the
-    backward pass is below cost_tolerance (relative) and no further
-    strict improvement is found, or at the iteration cap.  A start (zero
-    controls or the warm start, as given) outside a log range raises
-    InfeasibleTrajectoryError; after that the solve never aborts: it
-    returns the best trajectory so far, flagged as not converged.
+    Each outer iteration computes one search direction (backward_pass)
+    and scores the candidates w + lambda step of the whole backtracking
+    schedule (LINE_SEARCH_STEPS) in one batch, each formed from its
+    feedback parameters (see _Lift), so each is a trajectory of the
+    dynamics; the longest step with a strict cost decrease is accepted.
+    The log-barrier sharpness grows by BARRIER_T_GROWTH after every
+    accepted iteration until it hits its cap.  A failed backward pass or
+    a search with no decrease fails its iteration: the regularization
+    grows by REG_GROWTH, and the solve stops above REG_MAX.  Terminates
+    once the predicted decrease from the backward pass is below
+    cost_tolerance (relative) and no further strict improvement is
+    found, or at the iteration cap.  A start (zero controls or the warm
+    start, as given) outside a log range raises InfeasibleTrajectoryError;
+    after that the solve never aborts: it returns the best trajectory so
+    far, flagged as not converged.
     """
     cfg = config or SolverConfig()
     # a copy: no result shares memory with the caller's warm start
@@ -930,10 +946,15 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     lams = LINE_SEARCH_STEPS[:, None]
     t_scale = cfg.barrier_t_init
     reg = cfg.regularization_init
-    nx = (spec.horizon + 1) * spec.n
+    N, n, lift = spec.horizon, spec.n, spec._lift
+    nx = (N + 1) * n
     traj = rollout(spec.dynamics, spec.x0, controls)
     w = _flat(traj)
     J = float(_costs(w, spec, t_scale, strict=True))
+    # the iterate as the lift's parameters v: w = w_free + Fv v
+    w_free = _lifted_w(lift.F, np.zeros_like(controls), spec.x0,
+                       spec.dynamics._drift)
+    v = (controls - traj.states[:-1] @ lift.K.T).ravel()
     history = [J]
     converged = False
     gains = None
@@ -953,19 +974,18 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             scale = max(1.0, abs(J))
             stationary = (exp_dec <= cfg.cost_tolerance * scale
                           and gains.grad_norm <= cfg.gradient_tolerance * scale)
-            # The feedback rollout is affine in the step size, so the
-            # candidate at lambda is w + lambda (w_1 - w); the full step is
-            # kept exactly
-            w1 = _flat(forward_pass(traj, gains, 1.0, spec))
-            ws = w + (lams[:1] if stationary else lams) * (w1 - w)
-            ws[0] = w1
+            # the step in v: du_i = K dx_i + dv_i
+            step = gains.step
+            dv = step[nx:] - (step[:nx - n].reshape(N, n) @ lift.K.T).ravel()
+            vs = v + (lams[:1] if stationary else lams) * dv
+            ws = w_free + vs @ lift.FvT
             costs = _costs(ws, spec, t_scale)
             # NaN and infeasible (NaN or inf) candidates fail this test;
             # the steps descend, so the first hit is the longest
             better = np.flatnonzero(costs < J)
             if better.size:
-                w = ws[better[0]]
-                traj = Trajectory(w[:nx].reshape(-1, spec.n),
+                v, w = vs[better[0]], ws[better[0]]
+                traj = Trajectory(w[:nx].reshape(-1, n),
                                   w[nx:].reshape(-1, spec.m))
                 dJ, J = J - costs[better[0]], float(costs[better[0]])
                 history.append(J)

@@ -25,7 +25,6 @@ from .ilqr import (
     QuadraticCost,
     SolveResult,
     WARM_CONFIG,
-    forward_pass,
     solve,
 )
 
@@ -150,13 +149,14 @@ class LateralPlanner:
     sharpness schedule; warm-started cycles solve with WARM_CONFIG, one
     real-time iteration from the previous plan.  A repeated perception
     frame starts from the previous controls; a new one from the previous
-    plan corrected by its own feedback law, u_i = U_i + K_i (x_i - X_i)
-    rolled out from the new state, which saves about one Newton step.
+    plan re-aimed at the new state by its start-state gains, U + S dx0,
+    which saves about one Newton step.
     That can cross the steer bound after a large jump, so it is clipped
     CLIP_MARGIN of the range inside, close enough to leave bound-riding
     optima (down to 5e-7 of the range inside) in place.  The problem for
     each lane-centering branch is built and validated once; every cycle
-    re-aims it at the new state and speed.
+    re-aims it at the new state, and at the speed when that changed, so a
+    steady speed keeps the problem's derived dynamics data.
     """
 
     def __init__(self, params: VehicleParams | None = None,
@@ -165,10 +165,11 @@ class LateralPlanner:
         self.tuning = tuning or LateralTuning()
         self._prev: SolveResult | None = None
         dynamics = build_lateral_dynamics(self.params, V_MIN, self.tuning.dt)
+        # per branch: the speed it was last re-aimed at, and that problem
         self._problems = {
-            branch: build_lateral_problem(
+            branch: (V_MIN, build_lateral_problem(
                 LateralState(delta_lat=1.0 if branch else -1.0, theta=0.0),
-                dynamics, self.tuning)
+                dynamics, self.tuning))
             for branch in (True, False)}
 
     def reset(self) -> None:
@@ -184,10 +185,13 @@ class LateralPlanner:
         if not math.isfinite(v):
             raise ValueError("lateral speed must be finite")
         v_eff = max(v, V_MIN)
-        dynamics = build_lateral_dynamics(self.params, v_eff, self.tuning.dt)
         # the branch rule of build_lateral_problem: offsets >= 0 are positive
-        spec = self._problems[state.delta_lat >= 0.0].with_start(
-            state.as_vector(), dynamics=dynamics)
+        branch = state.delta_lat >= 0.0
+        speed, problem = self._problems[branch]
+        dynamics = (None if v_eff == speed else
+                    build_lateral_dynamics(self.params, v_eff, self.tuning.dt))
+        spec = problem.with_start(state.as_vector(), dynamics=dynamics)
+        self._problems[branch] = (v_eff, spec)
         prev, warm, config = self._prev, None, None
         if prev is not None:
             # the replan period is much shorter than the prediction step,
@@ -195,8 +199,8 @@ class LateralPlanner:
             warm, config = prev.trajectory.controls, WARM_CONFIG
             if (prev.gains is not None
                     and not np.array_equal(spec.x0, prev.trajectory.states[0])):
-                warm = forward_pass(prev.trajectory, prev.gains, 0.0,
-                                    spec).controls
+                warm = prev.trajectory.controls + prev.gains.S @ (
+                    spec.x0 - prev.trajectory.states[0])
                 np.clip(warm, -_WARM_STEER_MAX, _WARM_STEER_MAX, out=warm)
         self._prev = result = solve(spec, warm_start=warm, config=config)
         delta = float(result.trajectory.controls[0, 0])

@@ -136,8 +136,12 @@ def build_longitudinal_dynamics(dt: float, v_l: float = 0.0,
         [0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0],
     ])
-    w = np.array([0.0, v_l, a_l])
-    return AffineDynamics(A=A, B=B, C=C, w=w)
+    return AffineDynamics(A=A, B=B, C=C, w=_lead_drift(v_l, a_l))
+
+
+def _lead_drift(v_l: float, a_l: float) -> np.ndarray:
+    """build_longitudinal_dynamics' disturbance w: lead speed and accel."""
+    return np.array([0.0, v_l, a_l])
 
 
 def build_following_problem(state: LongitudinalState, lead: LeadMeasurement,
@@ -195,7 +199,7 @@ class LongitudinalPlanner:
     average echoes the last command into chatter; on trackB seeds 0-9
     every tau in 0.25-2 s avoids that, and 0.5 s keeps the lag short.
     The following problem is built and validated once; every cycle
-    re-aims it at the new state and lead.
+    re-aims it at the new state and at the lead's drift and reference.
     """
 
     def __init__(self, cruise_speed: float, period: float,
@@ -250,10 +254,11 @@ class LongitudinalPlanner:
         assert lead is not None
         self.pi.v_r = min(self.cruise_speed, lead.v_l)
         state = LongitudinalState(D=lead.D, v=v, a=a_est)
+        # only the lead's drift moves the model: A, B and their data stay
         spec = self._problem.with_start(
             state.as_vector(),
-            dynamics=build_longitudinal_dynamics(self.tuning.dt, lead.v_l,
-                                                 lead.a_l),
+            dynamics=self._problem.dynamics.with_drift(
+                _lead_drift(lead.v_l, lead.a_l)),
             x_ref=_reference(lead, self.tuning))
         # The replan period is far shorter than the prediction step, so the
         # previous plan is reused as-is; shifting it by a whole step would

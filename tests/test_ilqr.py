@@ -23,12 +23,12 @@ from cilqr_drive.ilqr import (
     WARM_CONFIG,
     backward_pass,
     barrier_value_and_derivatives,
-    forward_pass,
     rollout,
     solve,
     total_cost,
 )
-from cilqr_drive.ilqr import _barrier_args, _costs, _flat
+from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _barrier_args, _costs,
+                               _flat, _lifted_map)
 from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
                                  build_lateral_dynamics, build_lateral_problem)
 from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
@@ -284,11 +284,13 @@ class TestPasses:
                            terminal_cost=cost, x0=[0.0, 0.0])
         traj = rollout(dyn, spec.x0, np.zeros((4, 1)))
         gains, dec = backward_pass(traj, spec, 0.0)
-        np.testing.assert_allclose(gains.k, 0.0, atol=1e-15)
-        np.testing.assert_allclose(gains.K, 0.0, atol=1e-15)
+        np.testing.assert_allclose(gains.step, 0.0, atol=1e-15)
+        np.testing.assert_allclose(gains.S, 0.0, atol=1e-15)
         assert dec == pytest.approx(0.0, abs=1e-15)
 
-    def test_feedback_matches_riccati_gains(self):
+    def test_start_state_gains_are_the_riccati_closed_loop(self):
+        # S_i = K_i Phi_i, Phi_0 = I, Phi_{i+1} = (A + B K_i) Phi_i: the
+        # optimal plan's change with the start state
         rng = np.random.default_rng(11)
         for _ in range(10):
             spec, (A, B, d, Q, R, Qf, x_ref, x0, N) = random_affine_problem(
@@ -297,8 +299,37 @@ class TestPasses:
                            rng.normal(size=(spec.horizon, 1)) * 0.1)
             gains, _ = backward_pass(traj, spec, 0.0)
             ref = lqr_dp_gains(A, B, Q, R, Qf, spec.horizon)
+            phi, want = np.eye(4), []
             for i in range(spec.horizon):
-                np.testing.assert_allclose(gains.K[i], -ref[i], atol=1e-9)
+                K = -ref[i]
+                want.append(K @ phi)
+                phi = (A + B @ K) @ phi
+            assert _rel_err(gains.S, want) < 1e-8
+
+    def test_gain_is_on_exactly_where_the_open_loop_loses_digits(self):
+        # the condensed step is taken in the open loop's controls up to
+        # _OPEN_LOOP_GROWTH_MAX and around the LQR gain beyond it; either
+        # way the start-state gains hold 1e-8 on both sides of the limit
+        rng = np.random.default_rng(12)
+        below = above = 0
+        for _ in range(40):
+            spec, (A, B, d, Q, R, Qf, x_ref, x0, N) = random_affine_problem(
+                rng, n=4, m=1, with_drift=False, with_ref=False)
+            growth = np.abs(_lifted_map(A, B, N)).max()
+            gain_on = bool(np.any(spec._lift.K != 0.0))
+            assert gain_on == (growth > _OPEN_LOOP_GROWTH_MAX)
+            below, above = below + (not gain_on), above + gain_on
+            traj = rollout(spec.dynamics, spec.x0,
+                           rng.normal(size=(spec.horizon, 1)) * 0.1)
+            gains, _ = backward_pass(traj, spec, 0.0)
+            ref = lqr_dp_gains(A, B, Q, R, Qf, spec.horizon)
+            phi, want = np.eye(4), []
+            for i in range(spec.horizon):
+                K = -ref[i]
+                want.append(K @ phi)
+                phi = (A + B @ K) @ phi
+            assert _rel_err(gains.S, want) < 1e-8
+        assert below >= 10 and above >= 10
 
     def test_backward_failure_signal(self):
         spec = scalar_problem()
@@ -306,19 +337,14 @@ class TestPasses:
         with pytest.raises(BackwardPassError):
             backward_pass(traj, spec, -100.0)
 
-    def test_forward_lambda_zero_keeps_nominal(self):
-        spec = scalar_problem()
-        traj = rollout(spec.dynamics, spec.x0, np.array([[0.2]]))
-        gains, _ = backward_pass(traj, spec, 0.0)
-        same = forward_pass(traj, gains, 0.0, spec)
-        np.testing.assert_allclose(same.controls, traj.controls, atol=1e-15)
-
-    def test_forward_full_step_is_exact_newton_on_quadratic(self):
+    def test_full_step_is_exact_newton_on_quadratic(self):
         spec = scalar_problem()
         traj = rollout(spec.dynamics, spec.x0, np.zeros((1, 1)))
         gains, _ = backward_pass(traj, spec, 0.0)
-        stepped = forward_pass(traj, gains, 1.0, spec)
+        w = _flat(traj) + gains.step
+        stepped = Trajectory(w[:2].reshape(2, 1), w[2:].reshape(1, 1))
         assert stepped.controls[0, 0] == pytest.approx(-0.5, abs=1e-12)
+        assert stepped.states[1, 0] == pytest.approx(0.5, abs=1e-12)
         assert total_cost(stepped, spec) == pytest.approx(1.5, abs=1e-12)
 
 
@@ -402,29 +428,10 @@ def _rel_err(a, b):
 
 
 class TestPassesAgainstReference:
-    def test_backward_pass_matches_per_step_reference(self):
-        rng = np.random.default_rng(77)
-        for trial in range(16):
-            m = 1 if trial % 4 < 2 else 2
-            spec, nominal = random_barrier_problem(rng, m)
-            reg = float(10.0 ** rng.uniform(-6.0, 0.0))
-            t_scale = float(5.0 ** rng.integers(0, 4))
-            gains, dec = backward_pass(nominal, spec, reg, t_scale)
-            N, dyn = spec.horizon, spec.dynamics
-            k, K, dec_ref, gn_ref = riccati_backward_reference(
-                nominal.states, nominal.controls, [dyn.A] * N,
-                [dyn.B] * N, spec.cost.Q, spec.cost.R,
-                spec.cost.x_ref, spec.terminal_cost.Q,
-                spec.terminal_cost.x_ref, _plain_terms(spec.barriers),
-                _plain_terms(spec.terminal_barriers), reg, t_scale)
-            assert _rel_err(gains.k, k) < 1e-10
-            assert _rel_err(gains.K, K) < 1e-10
-            assert dec == pytest.approx(dec_ref, rel=1e-10)
-            assert gains.grad_norm == pytest.approx(gn_ref, rel=1e-10)
-
-    def test_line_search_candidates_are_forward_passes(self):
-        # solve scores X + lam (X_1 - X) for every lam of the backtracking
-        # schedule; each must be the forward pass at that step size
+    def test_line_search_candidates_are_rollouts(self):
+        # solve scores w + lam step for every lam of the backtracking
+        # schedule; each candidate's states must be the rollout of its
+        # controls
         rng = np.random.default_rng(78)
         # every halving from 1 down to 1e-4, as repeated products
         halvings, lam = [], 1.0
@@ -432,91 +439,99 @@ class TestPassesAgainstReference:
             halvings.append(lam)
             lam *= 0.5
         np.testing.assert_array_equal(LINE_SEARCH_STEPS, halvings)
-        lams = LINE_SEARCH_STEPS.tolist()
         for trial in range(8):
             spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
-            gains, _ = backward_pass(nominal, spec, 1e-3)
-            full = forward_pass(nominal, gains, 1.0, spec)
-            X, U = nominal.states, nominal.controls
-            for lam in lams:
-                step = forward_pass(nominal, gains, lam, spec)
-                scale = max(1.0, np.max(np.abs(step.states)))
-                np.testing.assert_allclose(X + lam * (full.states - X),
-                                           step.states, rtol=0, atol=1e-12 * scale)
-                np.testing.assert_allclose(U + lam * (full.controls - U),
-                                           step.controls, rtol=0,
+            N, n = spec.horizon, spec.n
+            for w in line_search_stack(spec, nominal, 1e-3, 1.0):
+                X = w[:(N + 1) * n].reshape(N + 1, n)
+                U = w[(N + 1) * n:].reshape(N, spec.m)
+                want = rollout(spec.dynamics, spec.x0, U).states
+                scale = max(1.0, np.max(np.abs(want)))
+                np.testing.assert_allclose(X, want, rtol=0,
                                            atol=1e-12 * scale)
 
-    def test_forward_pass_from_moved_start_matches_per_step_rollout(self):
-        # forward_pass rolls out from spec.x0, not from the nominal's first
-        # state: from a moved start it applies the nominal's feedback law
+    def test_start_state_gains_give_the_feedback_correction(self):
+        # U_1 + S dx0 is the stepped plan corrected by the feedback law of
+        # the pass, u_i = U_1,i + K_i (x_i - X_1,i) rolled out from a moved
+        # start state
         rng = np.random.default_rng(79)
         for trial in range(8):
             spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
-            gains, _ = backward_pass(nominal, spec, 1e-3)
-            moved = spec.with_start(spec.x0 + rng.normal(size=spec.n))
-            dyn = spec.dynamics
-            for lam in (0.0, 0.5, 1.0):
-                out = forward_pass(nominal, gains, lam, moved)
-                xs, us = closed_loop_rollout(
-                    dyn.A, dyn.B, dyn.C @ dyn.w, nominal.states,
-                    nominal.controls, gains.k, gains.K, lam, moved.x0)
-                scale = max(1.0, np.max(np.abs(xs)))
-                np.testing.assert_array_equal(out.states[0], moved.x0)
-                np.testing.assert_allclose(out.states, xs, rtol=0,
-                                           atol=1e-12 * scale)
-                np.testing.assert_allclose(out.controls, us, rtol=0,
-                                           atol=1e-12 * scale)
+            gains, _ = backward_pass(nominal, spec, 1e-9)
+            k, K, _, _ = _reference_pass(spec, nominal, 1e-9, 1.0)
+            w = _flat(nominal) + gains.step
+            N, n, dyn = spec.horizon, spec.n, spec.dynamics
+            X, U = w[:(N + 1) * n].reshape(N + 1, n), w[(N + 1) * n:].reshape(
+                N, spec.m)
+            x0 = spec.x0 + 0.3 * rng.normal(size=n)
+            _, us = closed_loop_rollout(dyn.A, dyn.B, dyn._drift, X, U, k, K,
+                                        0.0, x0)
+            assert _rel_err(gains.S @ (x0 - spec.x0), us - U) < 1e-8
+
+
+def _reference_pass(spec, nominal, reg, t_scale):
+    """riccati_backward_reference on spec around nominal."""
+    N, dyn = spec.horizon, spec.dynamics
+    return riccati_backward_reference(
+        nominal.states, nominal.controls, [dyn.A] * N, [dyn.B] * N,
+        spec.cost.Q, spec.cost.R, spec.cost.x_ref, spec.terminal_cost.Q,
+        spec.terminal_cost.x_ref, _plain_terms(spec.barriers),
+        _plain_terms(spec.terminal_barriers), reg, t_scale)
 
 
 class TestLiftedStep:
-    @staticmethod
-    def _read_rows_reference(O, n):
-        # the value block [O_xx, O_x; O_x', .], then the control rows
-        # [O_ux, O_u, O_uu]
-        return np.concatenate([O[:n + 1, :n + 1].ravel(), O[n + 1:].ravel()])
-
-    def test_propagator_maps_value_to_read_rows(self):
+    def test_lifted_map_moves_a_trajectory_as_a_rollout_does(self):
+        # F [vec dU; dx0] is how a change of the controls and of the start
+        # state moves the rolled-out trajectory w = [vec X, vec U]
         rng = np.random.default_rng(91)
         for trial in range(8):
             m = 1 + trial % 2
-            spec, _ = random_barrier_problem(rng, m)
-            n, d = spec.n, spec.dynamics
-            L = spec._L
-            assert L.shape == ((n + 1) ** 2 + m * (n + 1 + m), (n + 1) ** 2)
-            F = np.zeros((n + 1, n + 1 + m))
-            F[:n, :n] = d.A
-            F[:n, n + 1:] = d.B
-            F[n, n] = 1.0
-            for _ in range(8):
-                V = rng.normal(size=(n + 1, n + 1))
-                want = self._read_rows_reference(
-                    F.T @ (0.5 * (V + V.T)) @ F, n)
-                assert _rel_err(L @ V.ravel(), want) < 1e-13
+            spec, nominal = random_barrier_problem(rng, m)
+            N, n = spec.horizon, spec.n
+            F = _lifted_map(spec.dynamics.A, spec.dynamics.B, N)
+            assert F.shape == ((N + 1) * n + N * m, N * m + n)
+            dU, dx0 = rng.normal(size=(N, m)), rng.normal(size=n)
+            moved = rollout(spec.dynamics, spec.x0 + dx0,
+                            nominal.controls + dU)
+            got = _flat(nominal) + F @ np.concatenate([dU.ravel(), dx0])
+            assert _rel_err(got, _flat(moved)) < 1e-12
 
     def test_re_aimed_dynamics_or_reference_match_a_fresh_problem(self):
-        # a problem re-aimed at other dynamics or another reference must
-        # give what a problem built fresh from the same parts gives
+        # a problem re-aimed at other dynamics, another disturbance or
+        # another reference must give what a problem built fresh from the
+        # same parts gives
         rng = np.random.default_rng(92)
         for trial in range(4):
             m = 1 + trial % 2
             spec, nominal = random_barrier_problem(rng, m)
             other, _ = random_barrier_problem(rng, m)
             before, _ = backward_pass(nominal, spec, 1e-3)
+            drift = spec.dynamics.with_drift(
+                spec.dynamics.w + 0.01 * rng.normal(size=spec.n))
             for part in ({"dynamics": other.dynamics},
+                         {"dynamics": drift},
                          {"x_ref": rng.normal(size=spec.n)}):
                 moved = spec.with_start(spec.x0, **part)
                 fresh = fresh_problem(spec, spec.x0, **part)
                 got, dec = backward_pass(nominal, moved, 1e-3)
                 want, dec_want = backward_pass(nominal, fresh, 1e-3)
-                np.testing.assert_array_equal(got.k, want.k)
-                np.testing.assert_array_equal(got.K, want.K)
+                np.testing.assert_array_equal(got.step, want.step)
+                np.testing.assert_array_equal(got.S, want.S)
                 assert dec == dec_want
                 assert got.grad_norm == want.grad_norm
-                assert not np.array_equal(got.k, before.k)
+                # the direction around a given nominal does not read the
+                # disturbance, which enters through the rollout
+                assert (np.array_equal(got.step, before.step)
+                        == (part.get("dynamics") is drift))
+            moved = spec.with_start(spec.x0, dynamics=drift)
+            _same_result(solve(moved, warm_start=nominal.controls),
+                         solve(fresh_problem(spec, spec.x0, dynamics=drift),
+                               warm_start=nominal.controls))
+            # a new disturbance keeps the derived data
+            assert spec.with_start(spec.x0, dynamics=drift)._lift is spec._lift
             # and the original keeps its own
             again, _ = backward_pass(nominal, spec, 1e-3)
-            np.testing.assert_array_equal(again.K, before.K)
+            np.testing.assert_array_equal(again.S, before.S)
 
     def test_solve_runs_one_backward_pass_per_iteration(self, monkeypatch):
         # solve calls ilqr.backward_pass through the module once per outer
@@ -583,14 +598,10 @@ def planner_problems():
     return [(spec, solve(spec).trajectory) for spec in out]
 
 
-def line_search_stack(spec, traj):
+def line_search_stack(spec, traj, reg=1e-6, t_scale=1e4):
     """The 14 candidates [vec X, vec U] the line search scores from traj."""
-    gains, _ = backward_pass(traj, spec, 1e-6, 1e4)
-    w = _flat(traj)
-    w1 = _flat(forward_pass(traj, gains, 1.0, spec))
-    ws = w + LINE_SEARCH_STEPS[:, None] * (w1 - w)
-    ws[0] = w1
-    return ws
+    gains, _ = backward_pass(traj, spec, reg, t_scale)
+    return _flat(traj) + LINE_SEARCH_STEPS[:, None] * gains.step
 
 
 class TestBarrierOperator:
@@ -681,6 +692,37 @@ class TestSolve:
             _, us = lqr_dp_solve(A, B, d, Q, R, Qf, x_ref, x0, N)
             assert res.info.converged
             np.testing.assert_allclose(res.trajectory.controls, us, atol=1e-6)
+
+    def test_result_is_a_trajectory_at_its_cost_when_the_open_loop_grows(self):
+        # from a cold start whose rollout grows by orders of magnitude, the
+        # result is still a trajectory of the dynamics, strictly inside its
+        # log range, and the cost reported is that trajectory's
+        rng = np.random.default_rng(2024)
+        grown = 0
+        for _ in range(8):
+            spec, _ = random_affine_problem(rng)
+            dyn, N = spec.dynamics, spec.horizon
+            growth = np.abs(_lifted_map(dyn.A, dyn.B, N)).max()
+            if growth <= _OPEN_LOOP_GROWTH_MAX:
+                continue
+            grown += 1
+            spec = dataclasses.replace(spec, barriers=(BarrierTerm.log_range(
+                spec.n, spec.m, lower=-0.3, upper=0.3, control_index=0),))
+            res = solve(spec)
+            traj, info = res.trajectory, res.info
+            assert np.isfinite(info.cost) and info.cost < info.cost_history[0]
+            # the batched score sums in another order than one trajectory's
+            assert info.cost == pytest.approx(
+                total_cost(traj, spec, info.barrier_t_scale), rel=1e-14)
+            assert all(lo > 0.0 and hi > 0.0
+                       for lo, hi in info.log_range_margins)
+            # step by step: a rollout of the controls would amplify their
+            # rounding by the growth
+            X, U = traj.states, traj.controls
+            defect = X[1:] - (X[:-1] @ dyn.A.T + U @ dyn.B.T + dyn._drift)
+            assert np.array_equal(X[0], spec.x0)
+            assert np.abs(defect).max() < 1e-12 * np.abs(X).max()
+        assert grown == 3
 
     def test_log_range_bound_strictly_interior(self):
         term = BarrierTerm.log_range(1, 1, lower=-0.1, upper=0.1,
@@ -826,12 +868,15 @@ class TestSolve:
             solve(spec, warm_start=optimum).info.message,
             solve(spec, config=SolverConfig(max_outer_iterations=1)).info.message,
         ]
-        real_forward = ilqr_module.forward_pass
+        real_backward = ilqr_module.backward_pass
+
+        def climbing(*args, **kwargs):
+            gains, dec = real_backward(*args, **kwargs)
+            return dataclasses.replace(gains, step=-gains.step), dec
+
         with monkeypatch.context() as patch:
             # every search direction climbs
-            patch.setattr(ilqr_module, "forward_pass",
-                          lambda traj, gains, lam, spec:
-                          real_forward(traj, gains, -lam, spec))
+            patch.setattr(ilqr_module, "backward_pass", climbing)
             messages.append(solve(spec).info.message)
         with monkeypatch.context() as patch:
             patch.setattr(ilqr_module, "backward_pass", _failing_pass)
@@ -864,8 +909,8 @@ def _same_result(a, b):
     np.testing.assert_array_equal(a.trajectory.controls,
                                   b.trajectory.controls)
     assert a.info == b.info
-    np.testing.assert_array_equal(a.gains.k, b.gains.k)
-    np.testing.assert_array_equal(a.gains.K, b.gains.K)
+    np.testing.assert_array_equal(a.gains.step, b.gains.step)
+    np.testing.assert_array_equal(a.gains.S, b.gains.S)
 
 
 class TestSolveProperties:
@@ -892,6 +937,25 @@ class TestSolveProperties:
         hist = solve(spec, warm_start=nominal.controls,
                      config=cfg).info.cost_history
         assert all(b < a for a, b in zip(hist, hist[1:]))
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes,
+           sharpness=st.sampled_from((1.0, 50.0, 1e4)))
+    def test_step_is_the_riccati_step(self, seed, m, sharpness):
+        # the condensed Newton step is the per-step Riccati pass rolled out
+        # through its feedback at lambda = 1; at a small regularization the
+        # two differ only by rounding
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        gains, dec = backward_pass(nominal, spec, 1e-9, sharpness)
+        k, K, dec_ref, grad_ref = _reference_pass(spec, nominal, 1e-9,
+                                                  sharpness)
+        dyn = spec.dynamics
+        xs, us = closed_loop_rollout(dyn.A, dyn.B, dyn._drift, nominal.states,
+                                     nominal.controls, k, K, 1.0, spec.x0)
+        want = np.concatenate([xs.ravel(), us.ravel()]) - _flat(nominal)
+        assert _rel_err(gains.step, want) < 1e-8
+        assert dec == pytest.approx(dec_ref, rel=1e-8)
+        assert gains.grad_norm == pytest.approx(grad_ref, rel=1e-8)
 
     @PROPERTY_SETTINGS
     @given(seed=seeds, m=control_sizes)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cilqr_drive import SolverConfig, solve
-from cilqr_drive.ilqr import WARM_CONFIG, forward_pass
+from cilqr_drive.ilqr import WARM_CONFIG, rollout
 from cilqr_drive.lateral import (
     CLIP_MARGIN,
     STEER_LIMIT_RAD,
@@ -25,7 +25,8 @@ from cilqr_drive.lateral import (
     build_lateral_problem,
 )
 
-from oracles import affine_step, lqr_dp_solve
+from oracles import (affine_step, closed_loop_rollout, lqr_dp_solve,
+                     riccati_backward_reference)
 
 V_76_KMH = 76.0 / 3.6  # 21.111... m/s
 DT = 0.05
@@ -335,13 +336,14 @@ class TestLateralPlanner:
         planner.plan(LateralState(0.5, 0.01), V_76_KMH)
         prev = seen[0][3]
         np.testing.assert_array_equal(seen[1][1], prev.trajectory.controls)
-        # a new frame (and speed) starts from the previous plan corrected
-        # by its feedback law, rolled out from the new state
+        # a new frame (and speed) starts from the previous plan re-aimed at
+        # the new state by its start-state gains
         planner.plan(LateralState(0.45, 0.012, delta_lat_rate=-0.1), 20.0)
         spec, warm = seen[2][:2]
         prev = seen[1][3]
-        expected = forward_pass(prev.trajectory, prev.gains, 0.0, spec)
-        np.testing.assert_array_equal(warm, expected.controls)
+        expected = prev.trajectory.controls + prev.gains.S @ (
+            spec.x0 - prev.trajectory.states[0])
+        np.testing.assert_array_equal(warm, expected)
         assert not np.array_equal(warm, prev.trajectory.controls)
         # reset drops the carried plan: the next cycle is a fresh planner's
         later = LateralState(-0.2, 0.03, theta_rate=0.01)
@@ -355,7 +357,7 @@ class TestLateralPlanner:
         assert result.info.cost == fresh.info.cost
 
     def test_corrected_warm_start_outside_steer_range(self, monkeypatch):
-        # a large jump of offset and heading drives U + K dx past the steer
+        # a large jump of offset and heading drives U + S dx0 past the steer
         # limit; the planner clips it CLIP_MARGIN of the steer range inside
         # before the solver, which takes its warm start as given, sees it
         seen = self._spy_solve(monkeypatch)
@@ -364,8 +366,8 @@ class TestLateralPlanner:
         jump = LateralState(1.5, 0.2)
         _, result = planner.plan(jump, V_76_KMH)
         spec, warm = seen[1][:2]
-        prev = seen[0][3]
-        raw = forward_pass(prev.trajectory, prev.gains, 0.0, spec).controls
+        prev = seen[0][3].trajectory
+        raw = prev.controls + seen[0][3].gains.S @ (spec.x0 - prev.states[0])
         assert np.max(np.abs(raw)) > STEER_LIMIT_RAD
         inside = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
         np.testing.assert_array_equal(warm, np.clip(raw, -inside, inside))
@@ -382,6 +384,44 @@ class TestLateralPlanner:
             _, result = planner.plan(jump, V_76_KMH)
         assert result.info.converged
         assert result.info.cost == pytest.approx(cold.info.cost, rel=1e-6)
+
+    def test_re_aimed_warm_start_is_the_feedback_correction(self,
+                                                           monkeypatch):
+        # Under unchanged dynamics, U + S dx0 is the previous plan corrected
+        # by the feedback law of its last Riccati pass, u_i = U_i + K_i
+        # (x_i - X_i) rolled out from the new state.  A one-step warm solve
+        # makes that pass around the rollout of its warm start.
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
+        state = LateralState(0.5, 0.01)
+        planner.plan(state, V_76_KMH)
+        planner.plan(state, V_76_KMH)
+        planner.plan(LateralState(0.47, 0.012, delta_lat_rate=-0.05),
+                     V_76_KMH)
+        spec, warm_start, config, prev = seen[1]
+        assert config is WARM_CONFIG and prev.info.iterations == 1
+        dyn, N = spec.dynamics, spec.horizon
+        nominal = rollout(dyn, spec.x0, warm_start)
+        def plain(terms):
+            return [dict(kind=t.kind.value, sel_x=t.sel_x, sel_u=t.sel_u,
+                         offset=t.offset, lower=t.lower, upper=t.upper,
+                         q1=t.q1, q2=t.q2) for t in terms]
+
+        k, K, _, _ = riccati_backward_reference(
+            nominal.states, nominal.controls, [dyn.A] * N, [dyn.B] * N,
+            spec.cost.Q, spec.cost.R, spec.cost.x_ref, spec.terminal_cost.Q,
+            spec.terminal_cost.x_ref, plain(spec.barriers),
+            plain(spec.terminal_barriers), WARM_CONFIG.regularization_init,
+            WARM_CONFIG.barrier_t_init)
+        moved = seen[2][0]
+        X, U = prev.trajectory.states, prev.trajectory.controls
+        _, corrected = closed_loop_rollout(dyn.A, dyn.B, dyn._drift, X, U,
+                                           k, K, 0.0, moved.x0)
+        got = U + prev.gains.S @ (moved.x0 - X[0])
+        assert np.max(np.abs(corrected - U)) > 1e-3
+        assert (np.max(np.abs(got - corrected))
+                < 1e-8 * np.max(np.abs(corrected - U)))
+        np.testing.assert_array_equal(seen[2][1], got)   # the clip is idle
 
     @pytest.mark.parametrize("v", [math.inf, math.nan])
     def test_non_finite_speed_leaves_the_carried_plan_clean(self, v):

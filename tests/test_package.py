@@ -3,8 +3,10 @@
 import ast
 import fnmatch
 import importlib
+import importlib.util
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,29 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """Every name bench/instrument.py rebinds or calls exists in src/, so a
+    rename or a deletion fails here rather than in a traced benchmark run."""
+    path = ROOT / "bench" / "instrument.py"
+    module_spec = importlib.util.spec_from_file_location("bench_instrument",
+                                                         path)
+    instrument = importlib.util.module_from_spec(module_spec)
+    # its dataclasses resolve their annotations through sys.modules
+    monkeypatch.setitem(sys.modules, module_spec.name, instrument)
+    module_spec.loader.exec_module(instrument)
+    missing = [(mod, attr) for mod, attr, _ in instrument.FUNCTIONS
+               if not callable(getattr(importlib.import_module(mod), attr,
+                                       None))]
+    missing += [(mod, f"{cls}.{attr}")
+                for mod, cls, attr, _ in instrument.METHODS
+                if not callable(vars(getattr(importlib.import_module(mod),
+                                             cls, object)).get(attr))]
+    if not callable(getattr(importlib.import_module("cilqr_drive.ilqr"),
+                            "total_cost", None)):
+        missing.append(("cilqr_drive.ilqr", "total_cost"))
+    assert missing == []
 
 
 def _trees(*dirs: str) -> dict[Path, ast.Module]:
