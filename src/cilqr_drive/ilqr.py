@@ -302,8 +302,8 @@ class ProblemSpec:
         set_("terminal_barriers", term)
         set_("_run", _Stack(run, n, m))
         set_("_term", _Stack(term, n, m))
-        # Every barrier column (running ones step by step, then terminal)
-        # sorted by kind; _order takes them back to step order.
+        # Every barrier column (running ones step by step, then terminal),
+        # stably sorted by kind.
         own, prev, offset = _barrier_operator(self._run, self._term,
                                               self.horizon, n)
         terms = self._run.terms * int(self.horizon) + self._term.terms
@@ -311,16 +311,16 @@ class ProblemSpec:
         own, prev = own[:, order], prev[:, order]
         set_("_columns", _Stack([terms[c] for c in order], n, m))
         set_("_bar", (*_gather(own + prev), offset[order]))
-        set_("_order", np.argsort(order))
         # The Newton system's barrier rows: each column's own part and a
         # lane-centering column's predecessor part, as separate rank-one
         # Hessian terms (the predecessor is frozen); _cols gives a row's
-        # column.
+        # column, and _sum_rows' columns add up each column's rows.
         split = np.hstack([own, prev])
         keep = np.flatnonzero(split.any(axis=0))
         keep = keep[np.argsort(keep % own.shape[1], kind="stable")]
         set_("_rows", _gather(split[:, keep]))
         set_("_cols", keep % own.shape[1])
+        set_("_sum_rows", np.eye(own.shape[1])[self._cols])
         set_("_w_ref", _reference_row(self))
         set_("_lift", _Lift(self))
 
@@ -418,7 +418,7 @@ class Trajectory:
 
 @dataclass
 class GainSchedule:
-    """A backward pass's full step [vec dX, vec dU] of w = [vec X, vec U],
+    """A backward pass's full step dv in the lift's parameters (see _Lift),
     the stepped controls' first-order change S (N, m, n) per unit change
     of the start state, and the largest stage gradient grad_norm.  Near
     active barriers the expected decrease alone is a poor stationarity
@@ -637,13 +637,13 @@ class _Lift:
     Riccati's below 1e3, 1e-5 off by 1e4 and useless from 1e7, while the
     LQR gain costs about 0.1 ms more for every new A and B.
 
-    Fv is F's v block (FvT a contiguous Fv', which the line search
-    multiplies twice as fast as a view), Fu its control rows, and
-    Tv = Fu_v' Fu_v, so that reg Tv is reg I on the controls; row j of
-    Sc is barrier row j (see ProblemSpec) as a function of [vec v; x0].
-    H0 is the quadratic cost's Hessian in [vec v; x0], v rows only, and
-    Gq (w - w_ref) its gradient in v.  A model that overflows gives a
-    non-finite lift, which every search direction reports as a failure.
+    Fv is F's v block, Fu its control rows and Tv = Fu_v' Fu_v (I when
+    K = 0), so reg Tv is reg I on the controls.  Row j of Sc is barrier
+    row j (see ProblemSpec) as a function of [vec v; x0]; SbT sums each
+    column's rows, v part, so w_free + Fv v has w_free's barrier arguments
+    plus v SbT.  H0 is the quadratic cost's Hessian in [vec v; x0], v rows
+    only, and Gq (w - w_ref) its gradient in v.  A model that overflows
+    gives a non-finite lift, which every search direction reports.
     """
 
     @np.errstate(all="ignore")
@@ -660,9 +660,11 @@ class _Lift:
         self.F = F
         nx, Nm = (N + 1) * n, N * m
         rows, values = spec._rows
-        self.Fv, self.Fu, self.FvT = F[:, :Nm], F[nx:], F[:, :Nm].T.copy()
-        self.Tv = self.Fu[:, :Nm].T @ self.Fu[:, :Nm]
+        self.Fv, self.Fu = F[:, :Nm], F[nx:]
+        self.Tv = (self.Fu[:, :Nm].T @ self.Fu[:, :Nm] if self.K.any()
+                   else np.eye(Nm))
         self.Sc = (F[rows] * values[..., None]).sum(axis=0)
+        self.SbT = self.Sc[:, :Nm].T @ spec._sum_rows
         WF = np.vstack([
             np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1)
                       ).reshape(N * n, -1),
@@ -701,14 +703,6 @@ def _arguments(bar, w: np.ndarray) -> np.ndarray:
     return Z + offset
 
 
-def _barrier_args(spec: ProblemSpec, w: np.ndarray):
-    """Running (..., N, T) and terminal (..., T') barrier arguments of w,
-    in step order."""
-    Z = np.take(_arguments(spec._bar, w), spec._order, axis=-1)
-    N, T = spec.horizon, spec._run.offset.size
-    return Z[..., :N * T].reshape(Z.shape[:-1] + (N, T)), Z[..., N * T:]
-
-
 # ---------------------------------------------------------------------------
 # Barrier profiles: value, first and second derivative w.r.t. z.
 # ---------------------------------------------------------------------------
@@ -733,22 +727,23 @@ def _exp_values(stack: _Stack, Z: np.ndarray) -> np.ndarray:
                                         _EXP_ARG_MAX))
 
 
-def _barrier_values(stack: _Stack, Z: np.ndarray, t_scale: float,
-                    strict: bool) -> list[np.ndarray]:
-    """Values of the log-range columns and of the exponential columns of Z.
+def _barrier_cost(stack: _Stack, Z: np.ndarray, t_scale: float,
+                  strict: bool = False):
+    """The barrier cost of arguments Z (..., columns): the log-range
+    columns' values plus the exponential columns', summed over columns.
 
     A log-range argument outside its open interval raises
     InfeasibleTrajectoryError when strict and gives NaN or inf otherwise.
     """
-    parts = []
+    J = 0.0
     if stack.n_log:
         a, b, inv_t = _log_range_args(stack, Z, t_scale, strict)
         with (contextlib.nullcontext() if strict else
               np.errstate(divide="ignore", invalid="ignore")):
-            parts.append(-inv_t * (np.log(a) + np.log(b)))
+            J = (-inv_t * (np.log(a) + np.log(b))).sum(axis=-1)
     if stack.n_exp:
-        parts.append(_exp_values(stack, Z))
-    return parts
+        J = J + _exp_values(stack, Z).sum(axis=-1)
+    return J
 
 
 def _barrier_slopes(stack: _Stack, Z: np.ndarray, t_scale: float):
@@ -783,8 +778,7 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
     w = np.concatenate([np.asarray(v, dtype=float).ravel()
                         for v in (prev_x if lane else x, x, x, u, u)])
     Z = _arguments(bar, w)[1:]
-    value = sum(float(v.sum()) for v in _barrier_values(stack, Z, t_scale,
-                                                        strict=True))
+    value = _barrier_cost(stack, Z, t_scale, strict=True)
     g1, g2 = (float(g[0]) for g in _barrier_slopes(stack, Z, t_scale))
     gx = g1 * term.sel_x
     gu = g1 * term.sel_u
@@ -825,17 +819,14 @@ def total_cost(traj: Trajectory, spec: ProblemSpec, t_scale: float = 1.0) -> flo
     if (traj.horizon != spec.horizon or traj.states.shape[1] != spec.n
             or traj.controls.shape[1] != spec.m):
         raise ValueError("trajectory shape does not match the problem")
-    return float(_costs(_flat(traj), spec, t_scale, strict=True))
+    w = _flat(traj)
+    return float(_quadratic(w, spec) + _barrier_cost(
+        spec._columns, _arguments(spec._bar, w), t_scale, strict=True))
 
 
-def _costs(w: np.ndarray, spec: ProblemSpec, t_scale: float,
-           strict: bool = False):
-    """Cost of one trajectory w = [vec X, vec U], or of each row of a stack.
-
-    A log-range argument outside its open interval raises
-    InfeasibleTrajectoryError when strict and otherwise makes that
-    trajectory's cost NaN or inf.
-    """
+def _quadratic(w: np.ndarray, spec: ProblemSpec):
+    """The quadratic part of the cost of one trajectory w = [vec X, vec U],
+    or of each row of a stack."""
     N, n, lead = spec.horizon, spec.n, w.shape[:-1]
     X = w[..., :(N + 1) * n].reshape(lead + (N + 1, n))
     U = w[..., (N + 1) * n:].reshape(lead + (N, spec.m))
@@ -844,97 +835,91 @@ def _costs(w: np.ndarray, spec: ProblemSpec, t_scale: float,
     eN = X[..., N, :] - final.x_ref
     J = ((ex @ cost.Q) * ex).sum(axis=(-2, -1))
     J = J + ((U @ cost.R) * U).sum(axis=(-2, -1))
-    J = J + ((eN @ final.Q) * eN).sum(axis=-1)
-    for v in _barrier_values(spec._columns, _arguments(spec._bar, w),
-                             t_scale, strict):
-        J = J + v.sum(axis=-1)
-    return J
+    return J + ((eN @ final.Q) * eN).sum(axis=-1)
 
 
-def backward_pass(traj: Trajectory, spec: ProblemSpec, regularization: float,
+def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
+                  spec: ProblemSpec, regularization: float,
                   t_scale: float = 1.0) -> tuple[GainSchedule, float]:
-    """The search direction of one iteration around the nominal, and the
-    expected cost decrease of a full (lambda = 1) step.
+    """The search direction dv of one iteration from the iterate v, in the
+    lift's parameters (see _Lift), with barrier arguments Z (the columns
+    of ProblemSpec._bar) and q the quadratic cost's gradient at v = 0; and
+    the expected cost decrease of a full (lambda = 1) step.
 
     With affine dynamics the iLQR step is the Newton step on the controls
     (condensing, see _Lift): (H + reg Tv) dv = -g, H the quadratic cost's
-    fixed part plus one weighted product of the barrier rows, Sc' diag(g2)
-    Sc, and reg Tv the regularization reg I of the controls.  H + reg Tv
-    is factored last stage first, the elimination order of the Riccati
-    recursion, so L_ii y_i (L y = g) is stage i's control gradient with
-    every later stage eliminated, Riccati's Q_u.  The same system gives
-    the plan's change with the start state.
+    fixed part plus the barrier rows' Sc' diag(g2) Sc, g = q + H0 v +
+    Sc' g1, and reg Tv is reg I on the controls.  H + reg Tv is factored
+    last stage first, the elimination order of the Riccati recursion, so
+    L_ii y_i (L y = g) is stage i's control gradient with every later
+    stage eliminated, Riccati's Q_u.  The same system gives the plan's
+    change with the start state.
 
     Raises BackwardPassError when H + reg Tv is not positive definite; the
     caller should raise regularization and retry.
     """
-    N, m = traj.controls.shape
+    N, m, lift = spec.horizon, spec.m, spec._lift
     Nm = N * m
-    lift = spec._lift
-    w = _flat(traj)
-    g1, g2 = (np.take(g, spec._cols) for g in _barrier_slopes(
-        spec._columns, _arguments(spec._bar, w), t_scale))
+    g1, g2 = (np.take(g, spec._cols)
+              for g in _barrier_slopes(spec._columns, Z, t_scale))
     Scv = lift.Sc[:, :Nm]
     # v rows of the Hessian in [vec v; x0], then the gradient
     H = lift.H0 + (Scv.T * g2) @ lift.Sc
-    g = lift.Gq @ (w - spec._w_ref) + Scv.T @ g1
+    g = q + lift.H0[:, :Nm] @ v + Scv.T @ g1
 
-    # last stage first; Z = (H + reg Tv)^-1 [g, dg/dx0]
+    # last stage first; Y = (H + reg Tv)^-1 [g, dg/dx0]
     H[:, :Nm] += regularization * lift.Tv
     H_rev = H[::-1, Nm - 1::-1]
     try:
         L = np.linalg.cholesky(H_rev)
-        Z = np.linalg.solve(H_rev, np.column_stack([g[::-1], H[::-1, Nm:]]))
+        Y = np.linalg.solve(H_rev, np.column_stack([g[::-1], H[::-1, Nm:]]))
     except np.linalg.LinAlgError as exc:
         raise BackwardPassError("Newton system not positive definite") from exc
-    y = (L.T @ Z[:, 0]).reshape(N, m)
+    y = (L.T @ Y[:, 0]).reshape(N, m)
     blocks = L.reshape(N, m, N, m).diagonal(0, 0, 2)    # (m, m, N)
     stage_grad = np.einsum("abi,ib->ia", blocks, y)
-    dv = -Z[::-1, 0]
-    step = lift.Fv @ dv
-    S = lift.Fu[:, :Nm] @ -Z[::-1, 1:] + lift.Fu[:, Nm:]
-    if not (np.isfinite(step).all() and np.isfinite(S).all()):
+    dv = -Y[::-1, 0]
+    S = lift.Fu[:, :Nm] @ -Y[::-1, 1:] + lift.Fu[:, Nm:]
+    if not (np.isfinite(dv).all() and np.isfinite(S).all()):
         raise BackwardPassError("non-finite step")
-    dU = step[-Nm:]
+    dU = lift.Fu[:, :Nm] @ dv
     expected_decrease = 0.5 * float((y * y).sum() + regularization * dU @ dU)
-    return (GainSchedule(step, S.reshape(N, m, -1),
+    return (GainSchedule(dv, S.reshape(N, m, -1),
                          float(np.abs(stage_grad).max())),
             expected_decrease)
 
 
-def _log_range_margins(traj: Trajectory, spec: ProblemSpec):
-    # running log-range columns first, then terminal ones; subtracting a
-    # constant is monotone, so the extreme arguments give the margins
+def _log_range_margins(spec: ProblemSpec, Z: np.ndarray):
+    # the log-range columns lead Z, the running ones step by step; the
+    # extreme arguments give the margins
     run, term = spec._run, spec._term
-    Zr, Zt = _barrier_args(spec, _flat(traj))
-    Z = Zr[:, :run.n_log]
-    pairs = list(zip((Z.min(axis=0) - run.lower).tolist(),
-                     (run.upper - Z.max(axis=0)).tolist()))
-    if term.n_log:
-        z = Zt[:term.n_log]
-        pairs += zip((z - term.lower).tolist(), (term.upper - z).tolist())
-    return pairs
+    k = spec.horizon * run.n_log
+    Zr, z = Z[:k].reshape(spec.horizon, -1), Z[k:k + term.n_log]
+    pairs = list(zip((Zr.min(axis=0) - run.lower).tolist(),
+                     (run.upper - Zr.max(axis=0)).tolist()))
+    return pairs + list(zip((z - term.lower).tolist(),
+                            (term.upper - z).tolist()))
 
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
           config: SolverConfig | None = None) -> SolveResult:
-    """Run the constrained iLQR loop.
+    """Run the constrained iLQR loop in the lift's parameters v (see _Lift).
 
-    Each outer iteration computes one search direction (backward_pass)
-    and scores the candidates w + lambda step of the whole backtracking
-    schedule (LINE_SEARCH_STEPS) in one batch, each formed from its
-    feedback parameters (see _Lift), so each is a trajectory of the
-    dynamics; the longest step with a strict cost decrease is accepted.
-    The log-barrier sharpness grows by BARRIER_T_GROWTH after every
-    accepted iteration until it hits its cap.  A failed backward pass or
-    a search with no decrease fails its iteration: the regularization
-    grows by REG_GROWTH, and the solve stops above REG_MAX.  Terminates
-    once the predicted decrease from the backward pass is below
-    cost_tolerance (relative) and no further strict improvement is
-    found, or at the iteration cap.  A start (zero controls or the warm
-    start, as given) outside a log range raises InfeasibleTrajectoryError;
-    after that the solve never aborts: it returns the best trajectory so
-    far, flagged as not converged.
+    Each outer iteration takes one search direction dv (backward_pass) and
+    scores v + lambda dv for the whole backtracking schedule
+    (LINE_SEARCH_STEPS) in one batch, unformed: barrier arguments
+    Z_free + v SbT and quadratic cost J_free + q'v + v'H0 v / 2, from the
+    free response (v = 0).  The longest step with a strict decrease is
+    accepted, and the log-barrier sharpness grows by BARRIER_T_GROWTH up
+    to its cap.  A failed pass or search grows the regularization by
+    REG_GROWTH; the solve stops above REG_MAX, once a near-stationary
+    iterate finds no decrease above cost_tolerance (relative), or at the
+    iteration cap.  A start (zero controls or the warm start, as given;
+    with a gain K, their rollout) outside a log range raises
+    InfeasibleTrajectoryError; then the solve never aborts.  The plan is
+    formed once, at the end, and info.cost and the margins are its own;
+    if its exact cost is not below the start's (a growing open loop's
+    rounding can cost a condensed score that), the start is returned.
     """
     cfg = config or SolverConfig()
     # a copy: no result shares memory with the caller's warm start
@@ -946,23 +931,33 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     lams = LINE_SEARCH_STEPS[:, None]
     t_scale = cfg.barrier_t_init
     reg = cfg.regularization_init
-    N, n, lift = spec.horizon, spec.n, spec._lift
-    nx = (N + 1) * n
-    traj = rollout(spec.dynamics, spec.x0, controls)
-    w = _flat(traj)
-    J = float(_costs(w, spec, t_scale, strict=True))
-    # the iterate as the lift's parameters v: w = w_free + Fv v
+    N, n, lift, cols = spec.horizon, spec.n, spec._lift, spec._columns
+    nx, H0 = (N + 1) * n, lift.H0[:, :N * spec.m]
     w_free = _lifted_w(lift.F, np.zeros_like(controls), spec.x0,
                        spec.dynamics._drift)
-    v = (controls - traj.states[:-1] @ lift.K.T).ravel()
-    history = [J]
-    converged = False
-    gains = None
+    Z_free, J_free = _arguments(spec._bar, w_free), _quadratic(w_free, spec)
+    q = lift.Gq @ (w_free - spec._w_ref)
+
+    def score(vs):
+        # barrier arguments and quadratic cost of w_free + Fv v
+        return (Z_free + vs @ lift.SbT,
+                J_free + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1))
+
+    v, start = controls.ravel(), None
+    if lift.K.any():
+        start = _flat(rollout(spec.dynamics, spec.x0, controls))
+        v = v - (start[:nx - n].reshape(N, n) @ lift.K.T).ravel()
+        Z, Jq = _arguments(spec._bar, start), _quadratic(start, spec)
+    else:
+        Z, Jq = score(v)
+    v0, Z0, Jq0 = v, Z, Jq
+    J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
+    history, converged, gains = [J], False, None
     message = "iteration cap reached"
 
     for iterations in range(1, cfg.max_outer_iterations + 1):
         try:
-            gains, exp_dec = backward_pass(traj, spec, reg, t_scale)
+            gains, exp_dec = backward_pass(v, Z, q, spec, reg, t_scale)
         except BackwardPassError:
             failure = "backward pass failed at regularization cap"
         else:
@@ -974,20 +969,16 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             scale = max(1.0, abs(J))
             stationary = (exp_dec <= cfg.cost_tolerance * scale
                           and gains.grad_norm <= cfg.gradient_tolerance * scale)
-            # the step in v: du_i = K dx_i + dv_i
-            step = gains.step
-            dv = step[nx:] - (step[:nx - n].reshape(N, n) @ lift.K.T).ravel()
-            vs = v + (lams[:1] if stationary else lams) * dv
-            ws = w_free + vs @ lift.FvT
-            costs = _costs(ws, spec, t_scale)
+            vs = v + (lams[:1] if stationary else lams) * gains.step
+            Zs, Jqs = score(vs)
+            costs = Jqs + _barrier_cost(cols, Zs, t_scale)
             # NaN and infeasible (NaN or inf) candidates fail this test;
             # the steps descend, so the first hit is the longest
             better = np.flatnonzero(costs < J)
             if better.size:
-                v, w = vs[better[0]], ws[better[0]]
-                traj = Trajectory(w[:nx].reshape(-1, n),
-                                  w[nx:].reshape(-1, spec.m))
-                dJ, J = J - costs[better[0]], float(costs[better[0]])
+                k = better[0]
+                v, Z, Jq = vs[k], Zs[k], Jqs[k]
+                dJ, J = J - costs[k], float(costs[k])
                 history.append(J)
                 reg = max(reg / REG_GROWTH, cfg.regularization_init)
                 # a sub-tolerance step is convergence only from a
@@ -999,7 +990,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                     break
                 if t_scale < cfg.barrier_t_max:
                     t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
-                    J = float(_costs(w, spec, t_scale, strict=True))
+                    J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
                 continue
             if stationary:
                 converged = True
@@ -1011,8 +1002,17 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             message = failure
             break
 
+    # the plan, formed once and scored exactly; the start if no step was
+    # taken or the plan's exact cost is not below the start's
+    plans = [] if v is v0 else [w_free + lift.Fv @ v]
+    for w in plans + [w_free + lift.Fv @ v0 if start is None else start]:
+        Z = _arguments(spec._bar, w)
+        J = float(_quadratic(w, spec) + _barrier_cost(cols, Z, t_scale))
+        if J < Jq0 + _barrier_cost(cols, Z0, t_scale):
+            break
     info = SolveInfo(
         converged=converged, iterations=iterations, cost=J,
         cost_history=history, barrier_t_scale=t_scale, regularization=reg,
-        log_range_margins=_log_range_margins(traj, spec), message=message)
+        log_range_margins=_log_range_margins(spec, Z), message=message)
+    traj = Trajectory(w[:nx].reshape(N + 1, n), w[nx:].reshape(N, spec.m))
     return SolveResult(traj, info, gains)

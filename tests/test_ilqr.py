@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cilqr_drive.ilqr import (
     AffineDynamics,
@@ -27,8 +27,9 @@ from cilqr_drive.ilqr import (
     solve,
     total_cost,
 )
-from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _barrier_args, _costs,
-                               _flat, _lifted_map)
+from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _arguments,
+                               _barrier_cost, _flat, _lifted_map, _lifted_w,
+                               _quadratic)
 from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
                                  build_lateral_dynamics, build_lateral_problem)
 from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
@@ -276,6 +277,24 @@ class TestBarriers:
 # backward / forward passes
 # ---------------------------------------------------------------------------
 
+def direction(traj, spec, reg, t_scale=1.0):
+    """backward_pass from traj, a trajectory of spec's dynamics, given as
+    solve holds an iterate: its lift parameters v and barrier arguments,
+    and the quadratic cost's gradient q at the free response."""
+    lift = spec._lift
+    v = (traj.controls - traj.states[:-1] @ lift.K.T).ravel()
+    w_free = _lifted_w(lift.F, np.zeros_like(traj.controls), spec.x0,
+                       spec.dynamics._drift)
+    q = lift.Gq @ (w_free - spec._w_ref)
+    return backward_pass(v, _arguments(spec._bar, _flat(traj)), q, spec, reg,
+                         t_scale)
+
+
+def trajectory_step(spec, gains):
+    """The step [vec dX, vec dU] of a direction dv in the lift's v."""
+    return spec._lift.Fv @ gains.step
+
+
 class TestPasses:
     def test_backward_zero_cost_zero_gains(self):
         dyn = AffineDynamics(A=np.eye(2), B=np.ones((2, 1)))
@@ -283,7 +302,7 @@ class TestPasses:
         spec = ProblemSpec(dynamics=dyn, horizon=4, cost=cost,
                            terminal_cost=cost, x0=[0.0, 0.0])
         traj = rollout(dyn, spec.x0, np.zeros((4, 1)))
-        gains, dec = backward_pass(traj, spec, 0.0)
+        gains, dec = direction(traj, spec, 0.0)
         np.testing.assert_allclose(gains.step, 0.0, atol=1e-15)
         np.testing.assert_allclose(gains.S, 0.0, atol=1e-15)
         assert dec == pytest.approx(0.0, abs=1e-15)
@@ -297,7 +316,7 @@ class TestPasses:
                 rng, n=4, m=1, with_drift=False, with_ref=False)
             traj = rollout(spec.dynamics, spec.x0,
                            rng.normal(size=(spec.horizon, 1)) * 0.1)
-            gains, _ = backward_pass(traj, spec, 0.0)
+            gains, _ = direction(traj, spec, 0.0)
             ref = lqr_dp_gains(A, B, Q, R, Qf, spec.horizon)
             phi, want = np.eye(4), []
             for i in range(spec.horizon):
@@ -321,7 +340,7 @@ class TestPasses:
             below, above = below + (not gain_on), above + gain_on
             traj = rollout(spec.dynamics, spec.x0,
                            rng.normal(size=(spec.horizon, 1)) * 0.1)
-            gains, _ = backward_pass(traj, spec, 0.0)
+            gains, _ = direction(traj, spec, 0.0)
             ref = lqr_dp_gains(A, B, Q, R, Qf, spec.horizon)
             phi, want = np.eye(4), []
             for i in range(spec.horizon):
@@ -335,28 +354,31 @@ class TestPasses:
         spec = scalar_problem()
         traj = rollout(spec.dynamics, spec.x0, np.zeros((1, 1)))
         with pytest.raises(BackwardPassError):
-            backward_pass(traj, spec, -100.0)
+            direction(traj, spec, -100.0)
 
     def test_full_step_is_exact_newton_on_quadratic(self):
         spec = scalar_problem()
         traj = rollout(spec.dynamics, spec.x0, np.zeros((1, 1)))
-        gains, _ = backward_pass(traj, spec, 0.0)
-        w = _flat(traj) + gains.step
+        gains, _ = direction(traj, spec, 0.0)
+        w = _flat(traj) + trajectory_step(spec, gains)
         stepped = Trajectory(w[:2].reshape(2, 1), w[2:].reshape(1, 1))
         assert stepped.controls[0, 0] == pytest.approx(-0.5, abs=1e-12)
         assert stepped.states[1, 0] == pytest.approx(0.5, abs=1e-12)
         assert total_cost(stepped, spec) == pytest.approx(1.5, abs=1e-12)
 
 
-def random_barrier_problem(rng, m):
+def random_barrier_problem(rng, m, growth=None):
     """Random problem with every barrier kind, feasible at its rollout.
 
     Returns the problem and a nominal trajectory rolled out from small
     random controls.  Log-range bounds straddle the nominal with a margin.
+    A's spectral radius is at most 1.02, or growth ** (1 / N) if given.
     """
     n, N = 4, int(rng.integers(5, 31))
     A = rng.normal(size=(n, n)) * 0.3 + np.eye(n) * 0.9
-    A *= min(1.0, 1.02 / np.max(np.abs(np.linalg.eigvals(A))))
+    radius = np.max(np.abs(np.linalg.eigvals(A)))
+    A *= (min(1.0, 1.02 / radius) if growth is None
+          else growth ** (1.0 / N) / radius)
     dynamics = AffineDynamics(A=A, B=rng.normal(size=(n, m)), C=np.eye(n),
                               w=rng.normal(size=n) * 0.1)
     Mq = rng.normal(size=(n, n))
@@ -428,10 +450,11 @@ def _rel_err(a, b):
 
 
 class TestPassesAgainstReference:
-    def test_line_search_candidates_are_rollouts(self):
-        # solve scores w + lam step for every lam of the backtracking
-        # schedule; each candidate's states must be the rollout of its
-        # controls
+    def test_condensed_scores_are_the_costs_of_rolled_out_candidates(self):
+        # solve scores v + lam dv for every lam of the backtracking
+        # schedule without forming it: arguments Z_free + v Sb', quadratic
+        # cost J_free + q'v + v'H0 v / 2.  Each score must be total_cost of
+        # the rollout of the candidate's controls (v = U with K = 0).
         rng = np.random.default_rng(78)
         # every halving from 1 down to 1e-4, as repeated products
         halvings, lam = [], 1.0
@@ -439,16 +462,31 @@ class TestPassesAgainstReference:
             halvings.append(lam)
             lam *= 0.5
         np.testing.assert_array_equal(LINE_SEARCH_STEPS, halvings)
+        scored = 0
         for trial in range(8):
             spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
-            N, n = spec.horizon, spec.n
-            for w in line_search_stack(spec, nominal, 1e-3, 1.0):
-                X = w[:(N + 1) * n].reshape(N + 1, n)
-                U = w[(N + 1) * n:].reshape(N, spec.m)
-                want = rollout(spec.dynamics, spec.x0, U).states
-                scale = max(1.0, np.max(np.abs(want)))
-                np.testing.assert_allclose(X, want, rtol=0,
-                                           atol=1e-12 * scale)
+            lift, Nm = spec._lift, spec.horizon * spec.m
+            assert not lift.K.any()
+            w_free = _lifted_w(lift.F, np.zeros_like(nominal.controls),
+                               spec.x0, spec.dynamics._drift)
+            q = lift.Gq @ (w_free - spec._w_ref)
+            gains, _ = direction(nominal, spec, 1e-3, 50.0)
+            vs = (nominal.controls.ravel()
+                  + LINE_SEARCH_STEPS[:, None] * gains.step)
+            Zs = _arguments(spec._bar, w_free) + vs @ lift.SbT
+            scores = (_quadratic(w_free, spec) + vs @ q
+                      + 0.5 * ((vs @ lift.H0[:, :Nm]) * vs).sum(axis=1)
+                      + _barrier_cost(spec._columns, Zs, 50.0))
+            for v, got in zip(vs, scores):
+                moved = rollout(spec.dynamics, spec.x0, v.reshape(-1, spec.m))
+                if not np.isfinite(got):
+                    with pytest.raises(InfeasibleTrajectoryError):
+                        total_cost(moved, spec, 50.0)
+                    continue
+                scored += 1
+                assert got == pytest.approx(total_cost(moved, spec, 50.0),
+                                            rel=1e-12)
+        assert scored > 50
 
     def test_start_state_gains_give_the_feedback_correction(self):
         # U_1 + S dx0 is the stepped plan corrected by the feedback law of
@@ -457,9 +495,9 @@ class TestPassesAgainstReference:
         rng = np.random.default_rng(79)
         for trial in range(8):
             spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
-            gains, _ = backward_pass(nominal, spec, 1e-9)
+            gains, _ = direction(nominal, spec, 1e-9)
             k, K, _, _ = _reference_pass(spec, nominal, 1e-9, 1.0)
-            w = _flat(nominal) + gains.step
+            w = _flat(nominal) + trajectory_step(spec, gains)
             N, n, dyn = spec.horizon, spec.n, spec.dynamics
             X, U = w[:(N + 1) * n].reshape(N + 1, n), w[(N + 1) * n:].reshape(
                 N, spec.m)
@@ -505,7 +543,7 @@ class TestLiftedStep:
             m = 1 + trial % 2
             spec, nominal = random_barrier_problem(rng, m)
             other, _ = random_barrier_problem(rng, m)
-            before, _ = backward_pass(nominal, spec, 1e-3)
+            before, _ = direction(nominal, spec, 1e-3)
             drift = spec.dynamics.with_drift(
                 spec.dynamics.w + 0.01 * rng.normal(size=spec.n))
             for part in ({"dynamics": other.dynamics},
@@ -513,16 +551,17 @@ class TestLiftedStep:
                          {"x_ref": rng.normal(size=spec.n)}):
                 moved = spec.with_start(spec.x0, **part)
                 fresh = fresh_problem(spec, spec.x0, **part)
-                got, dec = backward_pass(nominal, moved, 1e-3)
-                want, dec_want = backward_pass(nominal, fresh, 1e-3)
+                got, dec = direction(nominal, moved, 1e-3)
+                want, dec_want = direction(nominal, fresh, 1e-3)
                 np.testing.assert_array_equal(got.step, want.step)
                 np.testing.assert_array_equal(got.S, want.S)
                 assert dec == dec_want
                 assert got.grad_norm == want.grad_norm
-                # the direction around a given nominal does not read the
-                # disturbance, which enters through the rollout
-                assert (np.array_equal(got.step, before.step)
-                        == (part.get("dynamics") is drift))
+                # only another A and B re-derive the lift, and with it the
+                # start-state gains
+                keeps = part.get("dynamics") is not other.dynamics
+                assert (moved._lift is spec._lift) == keeps
+                assert np.array_equal(got.S, before.S) == keeps
             moved = spec.with_start(spec.x0, dynamics=drift)
             _same_result(solve(moved, warm_start=nominal.controls),
                          solve(fresh_problem(spec, spec.x0, dynamics=drift),
@@ -530,7 +569,7 @@ class TestLiftedStep:
             # a new disturbance keeps the derived data
             assert spec.with_start(spec.x0, dynamics=drift)._lift is spec._lift
             # and the original keeps its own
-            again, _ = backward_pass(nominal, spec, 1e-3)
+            again, _ = direction(nominal, spec, 1e-3)
             np.testing.assert_array_equal(again.S, before.S)
 
     def test_solve_runs_one_backward_pass_per_iteration(self, monkeypatch):
@@ -600,8 +639,19 @@ def planner_problems():
 
 def line_search_stack(spec, traj, reg=1e-6, t_scale=1e4):
     """The 14 candidates [vec X, vec U] the line search scores from traj."""
-    gains, _ = backward_pass(traj, spec, reg, t_scale)
-    return _flat(traj) + LINE_SEARCH_STEPS[:, None] * gains.step
+    gains, _ = direction(traj, spec, reg, t_scale)
+    return _flat(traj) + LINE_SEARCH_STEPS[:, None] * trajectory_step(spec,
+                                                                      gains)
+
+
+def _barrier_args(spec, w):
+    """Running (..., N, T) and terminal (..., T') barrier arguments of w,
+    in step order (the problem's operator sorts its columns by kind)."""
+    N, T = spec.horizon, len(spec.barriers)
+    terms = spec._run.terms * N + spec._term.terms
+    order = _stacked(terms)
+    Z = np.take(_arguments(spec._bar, w), np.argsort(order), axis=-1)
+    return Z[..., :N * T].reshape(Z.shape[:-1] + (N, T)), Z[..., N * T:]
 
 
 class TestBarrierOperator:
@@ -664,14 +714,18 @@ class TestBarrierOperator:
                     assert _rel_err(Zt[j - 1], want_t) < 1e-13
 
     def test_stacked_costs_equal_single_costs_to_the_bit(self):
-        # the line search keeps costs[best] as the new cost, so a plan is
-        # the same to the bit only if the batch scores like one trajectory
+        # the line search keeps a batch row's quadratic cost and arguments
+        # and re-scores the row alone at a new sharpness, so a plan is the
+        # same to the bit only if the batch scores like one trajectory
         for spec, plan in planner_problems():
             ws = line_search_stack(spec, plan)
+            Zs = _arguments(spec._bar, ws)
             for t_scale in (1.0, 1e4):
-                costs = _costs(ws, spec, t_scale)
+                costs = _quadratic(ws, spec) + _barrier_cost(
+                    spec._columns, Zs, t_scale)
                 assert costs.shape == (14,)
-                singles = [_costs(w, spec, t_scale) for w in ws]
+                singles = [_quadratic(w, spec) + _barrier_cost(
+                    spec._columns, z, t_scale) for w, z in zip(ws, Zs)]
                 np.testing.assert_array_equal(costs, singles)
 
 
@@ -909,8 +963,10 @@ def _same_result(a, b):
     np.testing.assert_array_equal(a.trajectory.controls,
                                   b.trajectory.controls)
     assert a.info == b.info
-    np.testing.assert_array_equal(a.gains.step, b.gains.step)
-    np.testing.assert_array_equal(a.gains.S, b.gains.S)
+    assert (a.gains is None) == (b.gains is None)
+    if a.gains is not None:
+        np.testing.assert_array_equal(a.gains.step, b.gains.step)
+        np.testing.assert_array_equal(a.gains.S, b.gains.S)
 
 
 class TestSolveProperties:
@@ -946,16 +1002,51 @@ class TestSolveProperties:
         # through its feedback at lambda = 1; at a small regularization the
         # two differ only by rounding
         spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
-        gains, dec = backward_pass(nominal, spec, 1e-9, sharpness)
+        gains, dec = direction(nominal, spec, 1e-9, sharpness)
         k, K, dec_ref, grad_ref = _reference_pass(spec, nominal, 1e-9,
                                                   sharpness)
         dyn = spec.dynamics
         xs, us = closed_loop_rollout(dyn.A, dyn.B, dyn._drift, nominal.states,
                                      nominal.controls, k, K, 1.0, spec.x0)
         want = np.concatenate([xs.ravel(), us.ravel()]) - _flat(nominal)
-        assert _rel_err(gains.step, want) < 1e-8
+        assert _rel_err(trajectory_step(spec, gains), want) < 1e-8
         assert dec == pytest.approx(dec_ref, rel=1e-8)
         assert gains.grad_norm == pytest.approx(grad_ref, rel=1e-8)
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes, grows=st.booleans(),
+           sharpness=st.sampled_from((None, 1.0, 1e4)))
+    def test_a_result_describes_itself(self, seed, m, grows, sharpness):
+        # the margins and the cost reported are those of the trajectory
+        # returned, on open loops below and above _OPEN_LOOP_GROWTH_MAX,
+        # under the sharpness schedule or at a fixed sharpness
+        spec, nominal = random_barrier_problem(
+            np.random.default_rng(seed), m, growth=1e5 if grows else None)
+        assume(bool(spec._lift.K.any()) == grows)
+        cfg = (None if sharpness is None else
+               SolverConfig(barrier_t_init=sharpness, barrier_t_max=sharpness))
+        res = solve(spec, warm_start=nominal.controls, config=cfg)
+        traj, info = res.trajectory, res.info
+        Zr, Zt = _barrier_args(spec, _flat(traj))
+        margins = []
+        for Z, terms in ((Zr, spec.barriers), (Zt[None], spec.terminal_barriers)):
+            for j in _stacked(terms):
+                if terms[j].kind is BarrierKind.LOG_RANGE:
+                    z = Z[:, _stacked(terms).index(j)]
+                    margins.append((float(z.min() - terms[j].lower),
+                                    float(terms[j].upper - z.max())))
+        assert info.log_range_margins == margins
+        assert info.cost == pytest.approx(
+            total_cost(traj, spec, info.barrier_t_scale), rel=1e-12)
+        # each entry is scored at its iteration's sharpness, so only a
+        # fixed one makes the history a descent; there the plan returned
+        # is the start or beats the start's score by its own exact cost
+        hist = info.cost_history
+        if sharpness is not None:
+            assert all(b <= a for a, b in zip(hist, hist[1:]))
+            assert (np.array_equal(traj.controls, nominal.controls)
+                    or info.cost < hist[0])
+        _same_result(res, solve(spec, warm_start=nominal.controls, config=cfg))
 
     @PROPERTY_SETTINGS
     @given(seed=seeds, m=control_sizes)

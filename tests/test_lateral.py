@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cilqr_drive import SolverConfig, solve
-from cilqr_drive.ilqr import WARM_CONFIG, rollout
+from cilqr_drive.ilqr import WARM_CONFIG, rollout, total_cost
 from cilqr_drive.lateral import (
     CLIP_MARGIN,
     STEER_LIMIT_RAD,
@@ -437,6 +437,35 @@ class TestLateralPlanner:
         clean_cmd, clean_result = clean.plan(later, V_76_KMH)
         assert cmd == clean_cmd
         assert result.info == clean_result.info
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 2.0, 3.0, 5.0])
+    def test_explosive_model_at_low_speed_plans_feasibly(self, v,
+                                                         monkeypatch):
+        # below about 7 m/s the steering model's open loop explodes, so its
+        # lift takes the LQR gain and the start is a rollout of states up
+        # to about 1e20; a cold cycle, a repeated frame and a moved frame
+        # must still plan strictly inside the steer range, and each result
+        # must report its own plan's cost
+        import cilqr_drive.lateral as lateral_module
+        specs = []
+
+        def spy(spec, warm_start=None, config=None):
+            specs.append(spec)
+            return solve(spec, warm_start=warm_start, config=config)
+
+        monkeypatch.setattr(lateral_module, "solve", spy)
+        planner = LateralPlanner()
+        for state in (LateralState(0.5, 0.02), LateralState(0.5, 0.02),
+                      LateralState(0.45, 0.03)):
+            cmd, result = planner.plan(state, v)
+            spec, info = specs[-1], result.info
+            assert spec._lift.K.any()
+            assert abs(cmd.delta_rad) < STEER_LIMIT_RAD
+            assert np.abs(result.trajectory.controls).max() < STEER_LIMIT_RAD
+            assert min(min(pair) for pair in info.log_range_margins) > 0.0
+            assert info.cost == pytest.approx(
+                total_cost(result.trajectory, spec, info.barrier_t_scale),
+                rel=1e-12)
 
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

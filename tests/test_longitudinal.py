@@ -380,25 +380,29 @@ class TestPlannerWrapper:
     def test_warm_following_cycles_start_from_the_previous_plan(
             self, monkeypatch):
         # the solver takes its warm start as given: on every warm following
-        # cycle of a closed-loop run its first rollout runs the previous
-        # plan's controls bit for bit, bound-riding jerk included
+        # cycle of a closed-loop run its first iterate, which the first
+        # search direction starts from, is the previous plan's controls bit
+        # for bit, bound-riding jerk included (the following model's lift
+        # has no gain, so its parameters v are the controls)
         import cilqr_drive.ilqr as ilqr_module
         import cilqr_drive.longitudinal as longitudinal_module
         started, solved = [], []
-        real_rollout = ilqr_module.rollout
+        real_pass = ilqr_module.backward_pass
         real_solve = longitudinal_module.solve
 
-        def rollout_spy(dynamics, x0, controls):
-            started.append(np.array(controls))
-            return real_rollout(dynamics, x0, controls)
+        def pass_spy(v, *args, **kwargs):
+            started.append(np.array(v))
+            return real_pass(v, *args, **kwargs)
 
         def solve_spy(spec, warm_start=None, config=None):
+            assert not spec._lift.K.any()
             started.clear()
             result = real_solve(spec, warm_start=warm_start, config=config)
-            solved.append((warm_start, started[0], result))
+            solved.append((warm_start, started[0].reshape(spec.horizon, -1),
+                           result))
             return result
 
-        monkeypatch.setattr(ilqr_module, "rollout", rollout_spy)
+        monkeypatch.setattr(ilqr_module, "backward_pass", pass_spy)
         monkeypatch.setattr(longitudinal_module, "solve", solve_spy)
         spec = dataclasses.replace(preset_trackB_following(seed=0),
                                    duration_s=2.0, metrics_t_range=None)

@@ -539,12 +539,19 @@ class TestClosedLoopProperties:
                                                         monkeypatch):
         import cilqr_drive.lateral as lateral
         import cilqr_drive.longitudinal as longitudinal
-        margins = []
+        margins, kept = [], []
 
         def spied(real):
-            def solve(*args, **kwargs):
-                result = real(*args, **kwargs)
+            def solve(spec, warm_start=None, config=None):
+                result = real(spec, warm_start=warm_start, config=config)
                 margins.extend(result.info.log_range_margins)
+                if warm_start is not None:
+                    # a warm solve keeps its sharpness: its plan is its
+                    # start or beats the start's score by its exact cost
+                    info = result.info
+                    kept.append(np.array_equal(result.trajectory.controls,
+                                               warm_start)
+                                or info.cost < info.cost_history[0])
                 return result
             return solve
 
@@ -557,10 +564,15 @@ class TestClosedLoopProperties:
             log = run_scenario(spec, controller=controller, longitudinal=True)
             assert log.terminal_event in ("time_limit", "finish",
                                           "collision", "off_track")
-            # the emitted steering stays strictly inside +-pi/6
+            # the emitted steering stays strictly inside +-pi/6; the
+            # accelerator is finite and within the planner's clip to
+            # [-1, 1], which it may reach, and the brake within [0, 1]
             assert np.max(np.abs(log.columns["steer_cmd"])) < 1.0
+            accel, brake = log.columns["accel_cmd"], log.columns["brake_cmd"]
+            assert np.isfinite(accel).all() and np.abs(accel).max() <= 1.0
+            assert np.all((brake >= 0.0) & (brake <= 1.0))
             log.to_csv(tmp_path / f"run{i}.csv")
             csvs.append((tmp_path / f"run{i}.csv").read_bytes())
-        assert margins
+        assert margins and kept and all(kept)
         assert min(min(pair) for pair in margins) > 0.0
         assert csvs[0] == csvs[1]
