@@ -665,12 +665,12 @@ class _Lift:
                    else np.eye(Nm))
         self.Sc = (F[rows] * values[..., None]).sum(axis=0)
         self.SbT = self.Sc[:, :Nm].T @ spec._sum_rows
-        WF = np.vstack([
-            np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1)
-                      ).reshape(N * n, -1),
-            2.0 * spec.terminal_cost.Q @ F[N * n:nx],
-            np.matmul(2.0 * spec.cost.R, F[nx:].reshape(N, m, -1)
-                      ).reshape(Nm, -1)])
+        WF = np.empty_like(F)
+        np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1),
+                  out=WF[:N * n].reshape(N, n, -1))
+        np.matmul(2.0 * spec.terminal_cost.Q, F[N * n:nx], out=WF[N * n:nx])
+        np.matmul(2.0 * spec.cost.R, F[nx:].reshape(N, m, -1),
+                  out=WF[nx:].reshape(N, m, -1))
         self.H0 = self.Fv.T @ WF
         self.Gq = WF[:, :Nm].T
 
@@ -890,8 +890,7 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
 
 
 def _log_range_margins(spec: ProblemSpec, Z: np.ndarray):
-    # the log-range columns lead Z, the running ones step by step; the
-    # extreme arguments give the margins
+    # the log-range columns lead Z, the running ones step by step
     run, term = spec._run, spec._term
     k = spec.horizon * run.n_log
     Zr, z = Z[:k].reshape(spec.horizon, -1), Z[k:k + term.n_log]
@@ -928,9 +927,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     if controls.shape != (spec.horizon, spec.m):
         raise ValueError("warm start must have shape (horizon, m)")
 
-    lams = LINE_SEARCH_STEPS[:, None]
+    lams, reg = LINE_SEARCH_STEPS[:, None], cfg.regularization_init
     t_scale = cfg.barrier_t_init
-    reg = cfg.regularization_init
     N, n, lift, cols = spec.horizon, spec.n, spec._lift, spec._columns
     nx, H0 = (N + 1) * n, lift.H0[:, :N * spec.m]
     w_free = _lifted_w(lift.F, np.zeros_like(controls), spec.x0,
@@ -1003,12 +1001,14 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             break
 
     # the plan, formed once and scored exactly; the start if no step was
-    # taken or the plan's exact cost is not below the start's
+    # taken or the plan's exact cost is not below the start's score
+    J0 = (history[0] if t_scale == cfg.barrier_t_init
+          else Jq0 + _barrier_cost(cols, Z0, t_scale))
     plans = [] if v is v0 else [w_free + lift.Fv @ v]
     for w in plans + [w_free + lift.Fv @ v0 if start is None else start]:
         Z = _arguments(spec._bar, w)
         J = float(_quadratic(w, spec) + _barrier_cost(cols, Z, t_scale))
-        if J < Jq0 + _barrier_cost(cols, Z0, t_scale):
+        if J < J0:
             break
     info = SolveInfo(
         converged=converged, iterations=iterations, cost=J,
