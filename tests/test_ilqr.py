@@ -1030,9 +1030,9 @@ class TestSolveProperties:
         Zr, Zt = _barrier_args(spec, _flat(traj))
         margins = []
         for Z, terms in ((Zr, spec.barriers), (Zt[None], spec.terminal_barriers)):
-            for j in _stacked(terms):
+            for col, j in enumerate(_stacked(terms)):
                 if terms[j].kind is BarrierKind.LOG_RANGE:
-                    z = Z[:, _stacked(terms).index(j)]
+                    z = Z[:, col]
                     margins.append((float(z.min() - terms[j].lower),
                                     float(terms[j].upper - z.max())))
         assert info.log_range_margins == margins
