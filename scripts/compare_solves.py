@@ -1,7 +1,7 @@
 """Re-solve one workload's recorded solve inputs under two source trees.
 
     python3 scripts/compare_solves.py --base DIR [--head DIR] \\
-        --workload NAME [--seed N] [--chunk 50] [--repeats 5]
+        --workload NAME [--seed N]
 
 DIR is a checkout of the repository (it holds src/ and bench/); --head
 defaults to the checkout this script is in.  Each tree runs the workload
@@ -10,11 +10,11 @@ scored prefix of cold_solves) with a spy on the planners' `solve`, which
 records every solve's problem, warm start and config as plain arrays.
 Both trees then re-solve both recordings, each in its own process with its
 own `cilqr_drive`: the problems are built anew from their public fields,
-and chunks of solves are timed in turn on base and head, repeats
-alternating which goes first.  Per planner it prints how many solves
-differ in stop reason (with the transitions) or iteration count, the
-largest relative cost and control differences, and head / base for the
-sum over chunks of each chunk's minimum solve time.
+and chunks of CHUNK solves are timed in turn on base and head, REPEATS
+times, the repeats alternating which goes first.  Per planner it prints
+how many solves differ in stop reason (with the transitions) or
+iteration count, the largest relative cost and control differences, and
+head / base for the sum over chunks of each chunk's minimum solve time.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np  # noqa: E402
 WORKLOADS = ("lanekeep_turn", "follow", "cold_solves")
 SOLVERS = (("cilqr_drive.lateral", "lateral"),
            ("cilqr_drive.longitudinal", "longitudinal"))
+CHUNK, REPEATS = 50, 5
 
 
 def _plain(spec, warm_start, config) -> dict:
@@ -142,8 +143,7 @@ def _ask(conn, cmd, arg=None):
     return conn.recv()
 
 
-def compare(base: Path, head: Path, workload: str, seed: int, chunk: int,
-            repeats: int) -> None:
+def compare(base: Path, head: Path, workload: str, seed: int) -> None:
     ctx = multiprocessing.get_context("spawn")
     conns, procs = [], []
     for root in (base, head):
@@ -156,14 +156,13 @@ def compare(base: Path, head: Path, workload: str, seed: int, chunk: int,
         recorded = [(name, _ask(conn, "record", (workload, seed)))
                     for name, conn in zip(("base", "head"), conns)]
         print(f"# {workload} seed {seed}: base {base}, head {head}; "
-              f"{chunk} solves a chunk, {repeats} repeats")
+              f"{CHUNK} solves a chunk, {REPEATS} repeats")
         for name, inputs in recorded:
             by_planner = collections.defaultdict(list)
             for planner, p in inputs:
                 by_planner[planner].append(p)
             for planner, problems in sorted(by_planner.items()):
-                _report(conns, f"{planner}, recorded by {name}", problems,
-                        chunk, repeats)
+                _report(conns, f"{planner}, recorded by {name}", problems)
     finally:
         for conn in conns:
             conn.send(("stop", None))
@@ -171,16 +170,15 @@ def compare(base: Path, head: Path, workload: str, seed: int, chunk: int,
             proc.join(timeout=60)
 
 
-def _report(conns, label: str, problems: list, chunk: int,
-            repeats: int) -> None:
+def _report(conns, label: str, problems: list) -> None:
     best = np.zeros(2)
     got = [[], []]
-    for c0 in range(0, len(problems), chunk):
-        part = problems[c0:c0 + chunk]
+    for c0 in range(0, len(problems), CHUNK):
+        part = problems[c0:c0 + CHUNK]
         for conn in conns:
             _ask(conn, "build", part)
         times = np.full(2, np.inf)
-        for r in range(repeats):
+        for r in range(REPEATS):
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 elapsed, results = _ask(conns[side], "time", r == 0)
                 times[side] = min(times[side], elapsed)
@@ -211,13 +209,9 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--chunk", type=int, default=50)
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.chunk < 1 or args.repeats < 1:
-        parser.error("--chunk and --repeats must be at least 1")
     compare(args.base.resolve(), args.head.resolve(), args.workload,
-            args.seed, args.chunk, args.repeats)
+            args.seed)
     return 0
 
 

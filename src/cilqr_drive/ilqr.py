@@ -476,7 +476,7 @@ class SolveInfo:
 class SolveResult:
     trajectory: Trajectory
     info: SolveInfo
-    gains: GainSchedule | None = None   # of the last backward pass, if any
+    gains: GainSchedule | None = None   # of the last backward pass (solve)
 
 
 @dataclass
@@ -640,10 +640,10 @@ class _Lift:
     Fv is F's v block, Fu its control rows and Tv = Fu_v' Fu_v (I when
     K = 0), so reg Tv is reg I on the controls.  Row j of Sc is barrier
     row j (see ProblemSpec) as a function of [vec v; x0]; SbT sums each
-    column's rows, v part, so w_free + Fv v has w_free's barrier arguments
-    plus v SbT.  H0 is the quadratic cost's Hessian in [vec v; x0], v rows
-    only, and Gq (w - w_ref) its gradient in v.  A model that overflows
-    gives a non-finite lift, which every search direction reports.
+    column's rows, v part, so w + Fv v has w's barrier arguments plus
+    v SbT.  H0 is the quadratic cost's Hessian in [vec v; x0], v rows
+    only, and Gq (w - w_ref) its gradient in v at w.  A model that
+    overflows gives a non-finite lift, which every direction reports.
     """
 
     @np.errstate(all="ignore")
@@ -841,10 +841,10 @@ def _quadratic(w: np.ndarray, spec: ProblemSpec):
 def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
                   spec: ProblemSpec, regularization: float,
                   t_scale: float = 1.0) -> tuple[GainSchedule, float]:
-    """The search direction dv of one iteration from the iterate v, in the
-    lift's parameters (see _Lift), with barrier arguments Z (the columns
-    of ProblemSpec._bar) and q the quadratic cost's gradient at v = 0; and
-    the expected cost decrease of a full (lambda = 1) step.
+    """The search direction dv of one iteration from the iterate w + Fv v,
+    v in the lift's parameters (see _Lift), with barrier arguments Z (the
+    columns of ProblemSpec._bar) and q the quadratic cost's gradient in v
+    at w; and the expected cost decrease of a full (lambda = 1) step.
 
     With affine dynamics the iLQR step is the Newton step on the controls
     (condensing, see _Lift): (H + reg Tv) dv = -g, H the quadratic cost's
@@ -902,23 +902,26 @@ def _log_range_margins(spec: ProblemSpec, Z: np.ndarray):
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
           config: SolverConfig | None = None) -> SolveResult:
-    """Run the constrained iLQR loop in the lift's parameters v (see _Lift).
+    """Run the constrained iLQR loop in the lift's parameters (see _Lift).
 
-    Each outer iteration takes one search direction dv (backward_pass) and
-    scores v + lambda dv for the whole backtracking schedule
-    (LINE_SEARCH_STEPS) in one batch, unformed: barrier arguments
-    Z_free + v SbT and quadratic cost J_free + q'v + v'H0 v / 2, from the
-    free response (v = 0).  The longest step with a strict decrease is
-    accepted, and the log-barrier sharpness grows by BARRIER_T_GROWTH up
-    to its cap.  A failed pass or search grows the regularization by
-    REG_GROWTH; the solve stops above REG_MAX, once a near-stationary
-    iterate finds no decrease above cost_tolerance (relative), or at the
-    iteration cap.  A start (zero controls or the warm start, as given;
-    with a gain K, their rollout) outside a log range raises
-    InfeasibleTrajectoryError; then the solve never aborts.  The plan is
-    formed once, at the end, and info.cost and the margins are its own;
-    if its exact cost is not below the start's (a growing open loop's
-    rounding can cost a condensed score that), the start is returned.
+    The start (zero controls or the warm start, as given) is rolled out
+    and scored exactly; outside a log range it raises
+    InfeasibleTrajectoryError, and then the solve never aborts.  Iterates
+    are base + Fv v, the base being the start, or with a gain K the free
+    response (v = 0): a growing open loop can put the start too far off to
+    step from to the last digit.  Each outer iteration takes one search
+    direction dv (backward_pass) and scores v + lambda dv for the whole
+    backtracking schedule (LINE_SEARCH_STEPS) in one batch, unformed:
+    arguments Zb + v SbT and quadratic costs Jqb + q'v + v'H0 v / 2 from
+    the base's.  The longest step with a strict decrease is accepted, and
+    the barrier sharpness grows by BARRIER_T_GROWTH up to its cap.  A
+    failed pass or search grows the regularization by REG_GROWTH; the
+    solve stops above REG_MAX, once a near-stationary iterate finds no
+    relative decrease above cost_tolerance, or at the iteration cap.  The
+    plan is formed once, at the end; info.cost and the margins are its
+    own.  If rounding cost it the condensed score's decrease, the start is
+    returned as "plan not below the start": not converged, its score the
+    whole cost_history, gains only from a pass taken there.
     """
     cfg = config or SolverConfig()
     # a copy: no result shares memory with the caller's warm start
@@ -931,24 +934,15 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     t_scale = cfg.barrier_t_init
     N, n, lift, cols = spec.horizon, spec.n, spec._lift, spec._columns
     nx, H0 = (N + 1) * n, lift.H0[:, :N * spec.m]
-    w_free = _lifted_w(lift.F, np.zeros_like(controls), spec.x0,
-                       spec.dynamics._drift)
-    Z_free, J_free = _arguments(spec._bar, w_free), _quadratic(w_free, spec)
-    q = lift.Gq @ (w_free - spec._w_ref)
-
-    def score(vs):
-        # barrier arguments and quadratic cost of w_free + Fv v
-        return (Z_free + vs @ lift.SbT,
-                J_free + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1))
-
-    v, start = controls.ravel(), None
+    drift = spec.dynamics._drift
+    start = _lifted_w(spec.dynamics._open_loop(N), controls, spec.x0, drift)
+    Z0, Jq0 = Z, Jq = _arguments(spec._bar, start), _quadratic(start, spec)
+    base, v0, Zb, Jqb = start, np.zeros(N * spec.m), Z0, Jq0
     if lift.K.any():
-        start = _flat(rollout(spec.dynamics, spec.x0, controls))
-        v = v - (start[:nx - n].reshape(N, n) @ lift.K.T).ravel()
-        Z, Jq = _arguments(spec._bar, start), _quadratic(start, spec)
-    else:
-        Z, Jq = score(v)
-    v0, Z0, Jq0 = v, Z, Jq
+        base = _lifted_w(lift.F, np.zeros_like(controls), spec.x0, drift)
+        v0 = (controls - start[:nx - n].reshape(N, n) @ lift.K.T).ravel()
+        Zb, Jqb = _arguments(spec._bar, base), _quadratic(base, spec)
+    q, v = lift.Gq @ (base - spec._w_ref), v0
     J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
     history, converged, gains = [J], False, None
     message = "iteration cap reached"
@@ -959,6 +953,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         except BackwardPassError:
             failure = "backward pass failed at regularization cap"
         else:
+            at_start = v is v0
             # Near-stationary iterates still try a single full step, which
             # polishes the last digits; if it fails to strictly decrease
             # the cost, the solve has converged.  With an active barrier
@@ -968,7 +963,9 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             stationary = (exp_dec <= cfg.cost_tolerance * scale
                           and gains.grad_norm <= cfg.gradient_tolerance * scale)
             vs = v + (lams[:1] if stationary else lams) * gains.step
-            Zs, Jqs = score(vs)
+            # barrier arguments and quadratic cost of base + Fv vs
+            Zs = Zb + vs @ lift.SbT
+            Jqs = Jqb + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1)
             costs = Jqs + _barrier_cost(cols, Zs, t_scale)
             # NaN and infeasible (NaN or inf) candidates fail this test;
             # the steps descend, so the first hit is the longest
@@ -1000,16 +997,19 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             message = failure
             break
 
-    # the plan, formed once and scored exactly; the start if no step was
-    # taken or the plan's exact cost is not below the start's score
-    J0 = (history[0] if t_scale == cfg.barrier_t_init
-          else Jq0 + _barrier_cost(cols, Z0, t_scale))
-    plans = [] if v is v0 else [w_free + lift.Fv @ v]
-    for w in plans + [w_free + lift.Fv @ v0 if start is None else start]:
-        Z = _arguments(spec._bar, w)
-        J = float(_quadratic(w, spec) + _barrier_cost(cols, Z, t_scale))
-        if J < J0:
-            break
+    # the plan, formed once and scored exactly, or the start (see above)
+    w, Z, J = start, Z0, (history[0] if t_scale == cfg.barrier_t_init
+                          else float(Jq0 + _barrier_cost(cols, Z0, t_scale)))
+    if v is not v0:
+        plan = base + lift.Fv @ v
+        Zp = _arguments(spec._bar, plan)
+        Jp = float(_quadratic(plan, spec) + _barrier_cost(cols, Zp, t_scale))
+        if Jp < J:
+            w, Z, J = plan, Zp, Jp
+        else:
+            history, converged = history[:1], False
+            message = "plan not below the start"
+            gains = gains if at_start else None
     info = SolveInfo(
         converged=converged, iterations=iterations, cost=J,
         cost_history=history, barrier_t_scale=t_scale, regularization=reg,

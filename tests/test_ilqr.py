@@ -279,8 +279,9 @@ class TestBarriers:
 
 def direction(traj, spec, reg, t_scale=1.0):
     """backward_pass from traj, a trajectory of spec's dynamics, given as
-    solve holds an iterate: its lift parameters v and barrier arguments,
-    and the quadratic cost's gradient q at the free response."""
+    solve holds an iterate under a gain K: its lift parameters v, its
+    barrier arguments and the quadratic cost's gradient q at the free
+    response (v = 0)."""
     lift = spec._lift
     v = (traj.controls - traj.states[:-1] @ lift.K.T).ravel()
     w_free = _lifted_w(lift.F, np.zeros_like(traj.controls), spec.x0,
@@ -451,10 +452,11 @@ def _rel_err(a, b):
 
 class TestPassesAgainstReference:
     def test_condensed_scores_are_the_costs_of_rolled_out_candidates(self):
-        # solve scores v + lam dv for every lam of the backtracking
-        # schedule without forming it: arguments Z_free + v Sb', quadratic
-        # cost J_free + q'v + v'H0 v / 2.  Each score must be total_cost of
-        # the rollout of the candidate's controls (v = U with K = 0).
+        # without a gain, solve scores the start + Fv v for v = lam dv and
+        # every lam of the backtracking schedule without forming it:
+        # arguments Z0 + v Sb', quadratic cost Jq0 + q'v + v'H0 v / 2 from
+        # the start's own.  Each score must be total_cost of the rollout of
+        # the candidate's controls (U + v with K = 0).
         rng = np.random.default_rng(78)
         # every halving from 1 down to 1e-4, as repeated products
         halvings, lam = [], 1.0
@@ -467,18 +469,17 @@ class TestPassesAgainstReference:
             spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
             lift, Nm = spec._lift, spec.horizon * spec.m
             assert not lift.K.any()
-            w_free = _lifted_w(lift.F, np.zeros_like(nominal.controls),
-                               spec.x0, spec.dynamics._drift)
-            q = lift.Gq @ (w_free - spec._w_ref)
+            w = _flat(nominal)
+            q = lift.Gq @ (w - spec._w_ref)
             gains, _ = direction(nominal, spec, 1e-3, 50.0)
-            vs = (nominal.controls.ravel()
-                  + LINE_SEARCH_STEPS[:, None] * gains.step)
-            Zs = _arguments(spec._bar, w_free) + vs @ lift.SbT
-            scores = (_quadratic(w_free, spec) + vs @ q
+            vs = LINE_SEARCH_STEPS[:, None] * gains.step
+            Zs = _arguments(spec._bar, w) + vs @ lift.SbT
+            scores = (_quadratic(w, spec) + vs @ q
                       + 0.5 * ((vs @ lift.H0[:, :Nm]) * vs).sum(axis=1)
                       + _barrier_cost(spec._columns, Zs, 50.0))
             for v, got in zip(vs, scores):
-                moved = rollout(spec.dynamics, spec.x0, v.reshape(-1, spec.m))
+                moved = rollout(spec.dynamics, spec.x0, nominal.controls
+                                + v.reshape(-1, spec.m))
                 if not np.isfinite(got):
                     with pytest.raises(InfeasibleTrajectoryError):
                         total_cost(moved, spec, 50.0)
@@ -904,6 +905,24 @@ class TestSolve:
         assert not res.info.converged
         assert res.gains is None
 
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_a_plan_that_loses_its_score_returns_the_start_as_such(self, cap):
+        # with Fv zeroed every formed plan is the free response, which from
+        # zero controls is the start: the accepted steps never pay, and the
+        # result describes the start; one iteration's gains were taken
+        # there and stay, later ones were not and go
+        spec = scalar_problem()
+        spec._lift.Fv = np.zeros_like(spec._lift.Fv)
+        res = solve(spec, config=SolverConfig(max_outer_iterations=cap))
+        traj, info = res.trajectory, res.info
+        np.testing.assert_array_equal(traj.controls, np.zeros((1, 1)))
+        assert info.cost == total_cost(traj, spec, info.barrier_t_scale)
+        assert info.message == "plan not below the start"
+        assert not info.converged
+        assert info.cost_history == [total_cost(traj, spec)]
+        assert (res.gains is not None) == (info.iterations == 1)
+        assert info.iterations == (1 if cap == 1 else 2)
+
     def test_stop_messages_are_the_benchmark_stop_reasons(self, monkeypatch):
         # bench/instrument.py counts stops by message; a reworded one would
         # move its counters to stop.other without an error
@@ -1042,6 +1061,9 @@ class TestSolveProperties:
         # fixed one makes the history a descent; there the plan returned
         # is the start or beats the start's score by its own exact cost
         hist = info.cost_history
+        if info.message == "plan not below the start":
+            assert not info.converged and len(hist) == 1
+            np.testing.assert_array_equal(traj.controls, nominal.controls)
         if sharpness is not None:
             assert all(b <= a for a, b in zip(hist, hist[1:]))
             assert (np.array_equal(traj.controls, nominal.controls)

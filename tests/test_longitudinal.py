@@ -380,29 +380,27 @@ class TestPlannerWrapper:
     def test_warm_following_cycles_start_from_the_previous_plan(
             self, monkeypatch):
         # the solver takes its warm start as given: on every warm following
-        # cycle of a closed-loop run its first iterate, which the first
-        # search direction starts from, is the previous plan's controls bit
-        # for bit, bound-riding jerk included (the following model's lift
-        # has no gain, so its parameters v are the controls)
+        # cycle of a closed-loop run its first iterate, the start that the
+        # first search direction steps from, is the rollout of the previous
+        # plan's controls bit for bit, bound-riding jerk included
         import cilqr_drive.ilqr as ilqr_module
         import cilqr_drive.longitudinal as longitudinal_module
         started, solved = [], []
-        real_pass = ilqr_module.backward_pass
+        real_lifted = ilqr_module._lifted_w
         real_solve = longitudinal_module.solve
 
-        def pass_spy(v, *args, **kwargs):
+        def lifted_spy(F, v, *args):
             started.append(np.array(v))
-            return real_pass(v, *args, **kwargs)
+            return real_lifted(F, v, *args)
 
         def solve_spy(spec, warm_start=None, config=None):
-            assert not spec._lift.K.any()
             started.clear()
             result = real_solve(spec, warm_start=warm_start, config=config)
             solved.append((warm_start, started[0].reshape(spec.horizon, -1),
                            result))
             return result
 
-        monkeypatch.setattr(ilqr_module, "backward_pass", pass_spy)
+        monkeypatch.setattr(ilqr_module, "_lifted_w", lifted_spy)
         monkeypatch.setattr(longitudinal_module, "solve", solve_spy)
         spec = dataclasses.replace(preset_trackB_following(seed=0),
                                    duration_s=2.0, metrics_t_range=None)
