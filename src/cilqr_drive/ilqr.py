@@ -476,7 +476,7 @@ class SolveInfo:
 class SolveResult:
     trajectory: Trajectory
     info: SolveInfo
-    gains: GainSchedule | None = None   # of the last backward pass (solve)
+    gains: GainSchedule | None = None   # of the last backward pass (see solve)
 
 
 @dataclass

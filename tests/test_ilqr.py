@@ -907,10 +907,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("cap", [1, 40])
     def test_a_plan_that_loses_its_score_returns_the_start_as_such(self, cap):
-        # with Fv zeroed every formed plan is the free response, which from
-        # zero controls is the start: the accepted steps never pay, and the
-        # result describes the start; one iteration's gains were taken
-        # there and stay, later ones were not and go
+        # with Fv zeroed every formed plan is the base, here the start:
+        # the accepted steps never pay, and the result describes the
+        # start; one iteration's gains were taken there and stay, later
+        # ones were not and go
         spec = scalar_problem()
         spec._lift.Fv = np.zeros_like(spec._lift.Fv)
         res = solve(spec, config=SolverConfig(max_outer_iterations=cap))
