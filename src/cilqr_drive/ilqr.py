@@ -102,7 +102,6 @@ class AffineDynamics:
             if value is not None:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_open_loop_maps", {})
 
     def with_drift(self, w: np.ndarray) -> "AffineDynamics":
         """These dynamics, A, B and C shared, under another disturbance."""
@@ -117,13 +116,6 @@ class AffineDynamics:
             value.flags.writeable = False
             object.__setattr__(out, name, value)
         return out
-
-    def _open_loop(self, N: int) -> np.ndarray:
-        """The lifted map over N steps (see _lifted_map), derived once per
-        A, B and N; dynamics that with_drift copies share it."""
-        if N not in self._open_loop_maps:
-            self._open_loop_maps[N] = _lifted_map(self.A, self.B, N)
-        return self._open_loop_maps[N]
 
     @property
     def n(self) -> int:
@@ -212,10 +204,9 @@ class BarrierTerm:
 
     @functools.cached_property
     def _probe(self):
-        n, m = self.sel_x.size, self.sel_u.size
-        stack = _Stack([self], n, m)
-        own, prev, offset = _barrier_operator(stack, _Stack([], n, m), 2, n)
-        return stack, (*_gather(own + prev), offset)
+        _, own, prev, offset = _barrier_operator(
+            [self], [], 2, self.sel_x.size, self.sel_u.size)
+        return _Stack([self]), (*_gather(own + prev), offset)
 
     # -- convenience constructors -------------------------------------
 
@@ -300,27 +291,18 @@ class ProblemSpec:
         set_("x0", _state_vector(self.x0, n, "x0"))
         set_("barriers", run)
         set_("terminal_barriers", term)
-        set_("_run", _Stack(run, n, m))
-        set_("_term", _Stack(term, n, m))
-        # Every barrier column (running ones step by step, then terminal),
-        # stably sorted by kind.
-        own, prev, offset = _barrier_operator(self._run, self._term,
-                                              self.horizon, n)
-        terms = self._run.terms * int(self.horizon) + self._term.terms
-        order = np.argsort([_KIND_RANK[t.kind] for t in terms], kind="stable")
-        own, prev = own[:, order], prev[:, order]
-        set_("_columns", _Stack([terms[c] for c in order], n, m))
-        set_("_bar", (*_gather(own + prev), offset[order]))
+        columns, own, prev, offset = _barrier_operator(run, term,
+                                                       self.horizon, n, m)
+        set_("_columns", _Stack(columns))
+        set_("_bar", (*_gather(own + prev), offset))
         # The Newton system's barrier rows: each column's own part and a
         # lane-centering column's predecessor part, as separate rank-one
-        # Hessian terms (the predecessor is frozen); _cols gives a row's
-        # column, and _sum_rows' columns add up each column's rows.
+        # Hessian terms (the predecessor is frozen); _cols gives their column.
         split = np.hstack([own, prev])
         keep = np.flatnonzero(split.any(axis=0))
         keep = keep[np.argsort(keep % own.shape[1], kind="stable")]
         set_("_rows", _gather(split[:, keep]))
         set_("_cols", keep % own.shape[1])
-        set_("_sum_rows", np.eye(own.shape[1])[self._cols])
         set_("_w_ref", _reference_row(self))
         set_("_lift", _Lift(self))
 
@@ -442,10 +424,10 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         _check_count(self.max_outer_iterations, "max_outer_iterations")
-        if self.cost_tolerance <= 0.0 or self.gradient_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.regularization_init <= 0.0 or self.barrier_t_init <= 0.0:
-            raise ValueError("schedules must start from a positive value")
+        for name in ("cost_tolerance", "gradient_tolerance",
+                     "regularization_init", "barrier_t_init", "barrier_t_max"):
+            if not 0.0 < getattr(self, name) < np.inf:      # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 
@@ -462,6 +444,11 @@ WARM_CONFIG = SolverConfig(barrier_t_init=SolverConfig.barrier_t_max,
 
 @dataclass
 class SolveInfo:
+    """How a solve ended; cost and log_range_margins are the returned
+    trajectory's.  Each cost_history entry is scored at its own iteration's
+    sharpness, so under the sharpness schedule the history may rise; at a
+    fixed sharpness it does not increase."""
+
     converged: bool
     iterations: int
     cost: float
@@ -498,25 +485,13 @@ _KIND_RANK = {BarrierKind.LOG_RANGE: 0, BarrierKind.EXP_ONE_SIDED: 1,
 
 
 class _Stack:
-    """Barrier terms side by side, one column of a (..., T) block each:
-    log-range, then one-sided exponential, then lane centering, so each
-    kind is a contiguous slice; `terms` lists them in that order."""
+    """The kind table of barrier columns already sorted by kind (log-range,
+    then one-sided exponential, then lane centering, so each kind is a
+    contiguous slice): the log-range bounds and the exponential weights."""
 
-    def __init__(self, terms: Sequence[BarrierTerm], n: int, m: int) -> None:
-        self.terms = terms = sorted(terms, key=lambda t: _KIND_RANK[t.kind])
-        kinds = [t.kind for t in terms]
-        T = len(terms)
-        self.n_log = kinds.count(BarrierKind.LOG_RANGE)
-        self.n_exp = T - self.n_log
-        self.lane = slice(T - kinds.count(BarrierKind.EXP_LANE_CENTERING), T)
-        # a step's columns of the barrier operator: the selectors of x_i,
-        # of x_{i-1} and of u_i, the offsets (which a lane-centering
-        # difference cancels)
-        is_lane = np.arange(T) >= self.lane.start
-        self.x_t = np.reshape([t.sel_x for t in terms], (T, n)).T
-        self.prev_t = np.where(is_lane, -self.x_t, 0.0)
-        self.u_t = np.reshape([t.sel_u for t in terms], (T, m)).T
-        self.offset = np.where(is_lane, 0.0, [t.offset for t in terms])
+    def __init__(self, terms: Sequence[BarrierTerm]) -> None:
+        self.n_log = sum(t.kind is BarrierKind.LOG_RANGE for t in terms)
+        self.n_exp = len(terms) - self.n_log
         log, exp = terms[:self.n_log], terms[self.n_log:]
         self.lower = np.array([t.lower for t in log])
         self.upper = np.array([t.upper for t in log])
@@ -525,23 +500,29 @@ class _Stack:
         self.q2_sq = self.q2 * self.q2
 
 
-def _barrier_operator(run: _Stack, term: _Stack, N: int, n: int):
-    """The barrier operator (own, prev, offset) of a horizon-N problem: for
-    w = [vec X, vec U], w @ (own + prev) + offset holds step i's running
-    barrier arguments in columns i T .. (i+1) T - 1, then the terminal
-    ones.  prev is the lane-centering columns' predecessor part.  It is
-    the one place a barrier argument is formed."""
-    rows = (N + 1) * n + N * run.u_t.shape[0]
-    own = np.zeros((rows, N * run.offset.size + term.offset.size))
-    prev = np.zeros_like(own)
-    own[:, :N * run.offset.size] = np.vstack(
-        [np.kron(np.eye(N + 1, N), run.x_t), np.kron(np.eye(N), run.u_t)])
-    own[:n, run.lane] = 0.0             # step 0 has no predecessor
-    prev[:(N + 1) * n, :N * run.offset.size] = np.kron(np.eye(N + 1, N, 1),
-                                                       run.prev_t)
-    own[N * n:(N + 1) * n, N * run.offset.size:] = term.x_t
-    prev[(N - 1) * n:N * n, N * run.offset.size:] = term.prev_t
-    return own, prev, np.concatenate([np.tile(run.offset, N), term.offset])
+def _barrier_operator(run: Sequence[BarrierTerm],
+                      term: Sequence[BarrierTerm], N: int, n: int, m: int):
+    """The barrier columns of a horizon-N problem (every running term at
+    every step, step by step, then the terminal terms, stably sorted by
+    kind) and their operator (own, prev, offset): for w = [vec X, vec U],
+    w @ (own + prev) + offset holds their arguments, prev being the lane
+    centering's predecessor part.  It is where barrier arguments are formed."""
+    columns = [(i, t) for i in range(N) for t in run] + [(N, t) for t in term]
+    columns.sort(key=lambda c: _KIND_RANK[c[1].kind])
+    nx = (N + 1) * n
+    own = np.zeros((nx + N * m, len(columns)))
+    prev, offset = np.zeros_like(own), np.zeros(len(columns))
+    for c, (i, t) in enumerate(columns):
+        if t.kind is BarrierKind.EXP_LANE_CENTERING:
+            if i:                       # step 0 has no predecessor
+                own[i * n:(i + 1) * n, c] = t.sel_x
+                prev[(i - 1) * n:i * n, c] = -t.sel_x
+            continue
+        own[i * n:(i + 1) * n, c] = t.sel_x
+        if i < N:                       # terminal terms select no controls
+            own[nx + i * m:nx + (i + 1) * m, c] = t.sel_u
+        offset[c] = t.offset
+    return [t for _, t in columns], own, prev, offset
 
 
 def _gather(M: np.ndarray):
@@ -637,20 +618,23 @@ class _Lift:
     Riccati's below 1e3, 1e-5 off by 1e4 and useless from 1e7, while the
     LQR gain costs about 0.1 ms more for every new A and B.
 
-    Fv is F's v block, Fu its control rows and Tv = Fu_v' Fu_v (I when
-    K = 0), so reg Tv is reg I on the controls.  Row j of Sc is barrier
-    row j (see ProblemSpec) as a function of [vec v; x0]; SbT sums each
-    column's rows, v part, so w + Fv v has w's barrier arguments plus
-    v SbT.  H0 is the quadratic cost's Hessian in [vec v; x0], v rows
-    only, and Gq (w - w_ref) its gradient in v at w.  A model that
-    overflows gives a non-finite lift, which every direction reports.
+    F0 is the open loop's lifted map, which rolls out a start, and F the
+    lifted map under K: Fv is its v block, Fu its control rows and
+    Tv = Fu_v' Fu_v (I when K = 0), so reg Tv is reg I on the controls.
+    Row j of Sc is barrier row j (see ProblemSpec) as a function of
+    [vec v; x0]; SbT is the barrier operator (ProblemSpec._bar) on Fv, so
+    w + Fv v has w's barrier arguments plus v SbT.  H0 is the quadratic
+    cost's Hessian in [vec v; x0], v rows only, and Gq (w - w_ref) its
+    gradient in v at w.  A model that overflows gives a non-finite lift,
+    which every direction reports.
     """
 
     @np.errstate(all="ignore")
     def __init__(self, spec: "ProblemSpec") -> None:
         N, n, m = spec.horizon, spec.n, spec.m
         A, B = spec.dynamics.A, spec.dynamics.B
-        F, self.K = spec.dynamics._open_loop(N), np.zeros((m, n))
+        F = self.F0 = _lifted_map(A, B, N)
+        self.K = np.zeros((m, n))
         if np.abs(F).max() > _OPEN_LOOP_GROWTH_MAX:
             try:
                 self.K = _lqr_gain(A, B, spec.cost.Q, spec.cost.R, N)
@@ -659,12 +643,14 @@ class _Lift:
             F = _lifted_map(A, B, N, self.K)
         self.F = F
         nx, Nm = (N + 1) * n, N * m
-        rows, values = spec._rows
         self.Fv, self.Fu = F[:, :Nm], F[nx:]
         self.Tv = (self.Fu[:, :Nm].T @ self.Fu[:, :Nm] if self.K.any()
                    else np.eye(Nm))
+        rows, values = spec._rows
         self.Sc = (F[rows] * values[..., None]).sum(axis=0)
-        self.SbT = self.Sc[:, :Nm].T @ spec._sum_rows
+        rows, values, _ = spec._bar
+        self.SbT = np.ascontiguousarray(
+            (self.Fv[rows] * values[..., None]).sum(axis=0).T)
         WF = np.empty_like(F)
         np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1),
                   out=WF[:N * n].reshape(N, n, -1))
@@ -806,7 +792,8 @@ def rollout(dynamics: AffineDynamics, x0: np.ndarray,
     if controls.shape[1] != dynamics.m:
         raise ValueError("controls width must match the control dimension")
     N, n = controls.shape[0], dynamics.n
-    w = _lifted_w(dynamics._open_loop(N), controls, x0, dynamics._drift)
+    w = _lifted_w(_lifted_map(dynamics.A, dynamics.B, N), controls, x0,
+                  dynamics._drift)
     return Trajectory(w[:(N + 1) * n].reshape(N + 1, n), controls)
 
 
@@ -890,14 +877,14 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
 
 
 def _log_range_margins(spec: ProblemSpec, Z: np.ndarray):
-    # the log-range columns lead Z, the running ones step by step
-    run, term = spec._run, spec._term
-    k = spec.horizon * run.n_log
-    Zr, z = Z[:k].reshape(spec.horizon, -1), Z[k:k + term.n_log]
-    pairs = list(zip((Zr.min(axis=0) - run.lower).tolist(),
-                     (run.upper - Zr.max(axis=0)).tolist()))
-    return pairs + list(zip((z - term.lower).tolist(),
-                            (term.upper - z).tolist()))
+    # the log-range columns lead Z: r running ones per step, then terminal
+    cols, N = spec._columns, spec.horizon
+    r = [t.kind for t in spec.barriers].count(BarrierKind.LOG_RANGE)
+    Zr, z = Z[:N * r].reshape(N, r), Z[N * r:cols.n_log]
+    pairs = list(zip((Zr.min(axis=0) - cols.lower[:r]).tolist(),
+                     (cols.upper[:r] - Zr.max(axis=0)).tolist()))
+    return pairs + list(zip((z - cols.lower[N * r:]).tolist(),
+                            (cols.upper[N * r:] - z).tolist()))
 
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
@@ -929,13 +916,15 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 else np.array(warm_start, dtype=float))
     if controls.shape != (spec.horizon, spec.m):
         raise ValueError("warm start must have shape (horizon, m)")
+    if not np.isfinite(controls).all():
+        raise ValueError("warm start contains non-finite entries")
 
     lams, reg = LINE_SEARCH_STEPS[:, None], cfg.regularization_init
     t_scale = cfg.barrier_t_init
     N, n, lift, cols = spec.horizon, spec.n, spec._lift, spec._columns
     nx, H0 = (N + 1) * n, lift.H0[:, :N * spec.m]
     drift = spec.dynamics._drift
-    start = _lifted_w(spec.dynamics._open_loop(N), controls, spec.x0, drift)
+    start = _lifted_w(lift.F0, controls, spec.x0, drift)
     Z0, Jq0 = Z, Jq = _arguments(spec._bar, start), _quadratic(start, spec)
     base, v0, Zb, Jqb = start, np.zeros(N * spec.m), Z0, Jq0
     if lift.K.any():

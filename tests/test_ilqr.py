@@ -649,7 +649,9 @@ def _barrier_args(spec, w):
     """Running (..., N, T) and terminal (..., T') barrier arguments of w,
     in step order (the problem's operator sorts its columns by kind)."""
     N, T = spec.horizon, len(spec.barriers)
-    terms = spec._run.terms * N + spec._term.terms
+    run, term = spec.barriers, spec.terminal_barriers
+    terms = ([run[j] for j in _stacked(run)] * N
+             + [term[j] for j in _stacked(term)])
     order = _stacked(terms)
     Z = np.take(_arguments(spec._bar, w), np.argsort(order), axis=-1)
     return Z[..., :N * T].reshape(Z.shape[:-1] + (N, T)), Z[..., N * T:]
@@ -962,6 +964,20 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(spec, warm_start=np.zeros((4, 1)))
 
+    def test_non_finite_warm_start_rejected(self):
+        # a NaN or inf control used to run to cost NaN and report a failed
+        # backward pass; it is rejected like a non-finite start state
+        tuning = LateralTuning()
+        dyn = build_lateral_dynamics(VehicleParams(), 20.0, tuning.dt)
+        spec = build_lateral_problem(LateralState(delta_lat=0.4, theta=0.02),
+                                     dyn, tuning)
+        for bad in (math.nan, math.inf, -math.inf):
+            warm = np.zeros((spec.horizon, spec.m))
+            warm[3, 0] = bad
+            for config in (None, WARM_CONFIG):
+                with pytest.raises(ValueError, match="warm start"):
+                    solve(spec, warm_start=warm, config=config)
+
 
 def _failing_pass(*args, **kwargs):
     raise BackwardPassError("forced")
@@ -1129,6 +1145,17 @@ class TestValidation:
             SolverConfig(gradient_tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(barrier_t_init=10.0, barrier_t_max=5.0)
+
+    def test_solver_config_rejects_non_finite_fields(self):
+        # NaN fails no order check, so a NaN sharpness cap used to stop the
+        # schedule at its start and a NaN tolerance never to converge
+        for name in ("cost_tolerance", "gradient_tolerance",
+                     "regularization_init", "barrier_t_init", "barrier_t_max"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(**{name: bad})
+                with pytest.raises(ValueError, match=name):
+                    dataclasses.replace(WARM_CONFIG, **{name: bad})
 
     def test_solver_config_is_frozen(self):
         # a field set after construction would skip the checks above

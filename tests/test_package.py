@@ -4,14 +4,21 @@ import ast
 import fnmatch
 import importlib
 import importlib.util
+import os
 import re
 import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cilqr_drive import ilqr
 from cilqr_drive.config import _REGISTRY
+from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
+                                 build_lateral_dynamics, build_lateral_problem)
+from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
+                                      LongTuning, build_following_problem)
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -46,6 +53,42 @@ def test_benchmark_hooks_resolve(monkeypatch):
                             "total_cost", None)):
         missing.append(("cilqr_drive.ilqr", "total_cost"))
     assert missing == []
+
+
+def test_compare_solves_rebuilds_a_recorded_solve_to_the_bit(monkeypatch):
+    """scripts/compare_solves.py records a solve's inputs as plain arrays
+    (_plain) and rebuilds them (_build); the rebuilt solve must equal the
+    recorded one bit for bit, or the script would report differences that
+    no tree made.  Both steering branches and the following problem, cold
+    and warm; no worker process is started."""
+    path = ROOT / "scripts" / "compare_solves.py"
+    module_spec = importlib.util.spec_from_file_location("compare_solves",
+                                                         path)
+    compare = importlib.util.module_from_spec(module_spec)
+    # it pins the BLAS thread counts in os.environ when it loads
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    module_spec.loader.exec_module(compare)
+    tuning = LateralTuning()
+    dyn = build_lateral_dynamics(VehicleParams(), 20.0, tuning.dt)
+    problems = [build_lateral_problem(LateralState(delta_lat=offset,
+                                                   theta=0.02), dyn, tuning)
+                for offset in (0.4, -0.3)]
+    problems.append(build_following_problem(
+        LongitudinalState(D=30.0, v=20.0, a=0.3),
+        LeadMeasurement(v_l=18.0, D=30.0), LongTuning()))
+    for spec in problems:
+        plan = ilqr.solve(spec).trajectory.controls
+        moved = spec.with_start(spec.x0 + 0.01)
+        for problem, warm, config in ((spec, None, None),
+                                      (moved, plan, ilqr.WARM_CONFIG)):
+            want = ilqr.solve(problem, warm_start=warm, config=config)
+            got = ilqr.solve(*compare._build(
+                ilqr, compare._plain(problem, warm, config)))
+            assert got.info == want.info
+            for a, b in ((got.trajectory.states, want.trajectory.states),
+                         (got.trajectory.controls,
+                          want.trajectory.controls)):
+                np.testing.assert_array_equal(a, b)
 
 
 def _trees(*dirs: str) -> dict[Path, ast.Module]:
