@@ -416,7 +416,7 @@ class GainSchedule:
 @dataclass(frozen=True)
 class SolverConfig:
     max_outer_iterations: int = 40
-    cost_tolerance: float = 1e-4      # relative |dJ| convergence threshold
+    cost_tolerance: float = 1e-4      # relative expected-decrease threshold
     gradient_tolerance: float = 1e-5  # relative control-gradient threshold
     regularization_init: float = 1e-6
     barrier_t_init: float = 1.0
@@ -436,8 +436,8 @@ class SolverConfig:
 # iteration (Diehl, Bock & Schloeder, SIAM J. Control Optim. 2005).  The
 # carried-over plan is already near stationary at the final barrier
 # sharpness, so the solve starts there (re-walking the schedule would hand
-# a bound-riding control an enormous soft-barrier gradient) and takes one
-# Newton step, with a gradient tolerance of 1e-3.
+# a bound-riding control an enormous soft-barrier gradient) and takes at
+# most one Newton step, none from a plan stationary at gradient tol 1e-3.
 WARM_CONFIG = SolverConfig(barrier_t_init=SolverConfig.barrier_t_max,
                            max_outer_iterations=1, gradient_tolerance=1e-3)
 
@@ -897,14 +897,16 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     are base + Fv v, the base being the start, or with a gain K the free
     response (v = 0): a growing open loop can put the start too far off to
     step from to the last digit.  Each outer iteration takes one search
-    direction dv (backward_pass) and scores v + lambda dv for the whole
+    direction dv (backward_pass); if its expected decrease and largest
+    stage gradient are within cost_tolerance and gradient_tolerance
+    (relative to max(1, |J|)) the iterate is stationary and the solve has
+    converged.  Otherwise it scores v + lambda dv for the whole
     backtracking schedule (LINE_SEARCH_STEPS) in one batch, unformed:
     arguments Zb + v SbT and quadratic costs Jqb + q'v + v'H0 v / 2 from
     the base's.  The longest step with a strict decrease is accepted, and
     the barrier sharpness grows by BARRIER_T_GROWTH up to its cap.  A
     failed pass or search grows the regularization by REG_GROWTH; the
-    solve stops above REG_MAX, once a near-stationary iterate finds no
-    relative decrease above cost_tolerance, or at the iteration cap.  The
+    solve stops at a stationary iterate, above REG_MAX or at the cap.  The
     plan is formed once, at the end; info.cost and the margins are its
     own.  If rounding cost it the condensed score's decrease, the start is
     returned as "plan not below the start": not converged, its score the
@@ -943,15 +945,15 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             failure = "backward pass failed at regularization cap"
         else:
             at_start = v is v0
-            # Near-stationary iterates still try a single full step, which
-            # polishes the last digits; if it fails to strictly decrease
-            # the cost, the solve has converged.  With an active barrier
-            # the Hessian blows up and the Newton decrement alone can look
-            # tiny, so the control gradient must be small too.
+            # With an active barrier the Hessian blows up and the Newton
+            # decrement alone can look tiny, so the control gradient must
+            # be small too.
             scale = max(1.0, abs(J))
-            stationary = (exp_dec <= cfg.cost_tolerance * scale
-                          and gains.grad_norm <= cfg.gradient_tolerance * scale)
-            vs = v + (lams[:1] if stationary else lams) * gains.step
+            if (exp_dec <= cfg.cost_tolerance * scale
+                    and gains.grad_norm <= cfg.gradient_tolerance * scale):
+                converged, message = True, "stationary"
+                break
+            vs = v + lams * gains.step
             # barrier arguments and quadratic cost of base + Fv vs
             Zs = Zb + vs @ lift.SbT
             Jqs = Jqb + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1)
@@ -961,25 +963,13 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             better = np.flatnonzero(costs < J)
             if better.size:
                 k = better[0]
-                v, Z, Jq = vs[k], Zs[k], Jqs[k]
-                dJ, J = J - costs[k], float(costs[k])
+                v, Z, Jq, J = vs[k], Zs[k], Jqs[k], float(costs[k])
                 history.append(J)
                 reg = max(reg / REG_GROWTH, cfg.regularization_init)
-                # a sub-tolerance step is convergence only from a
-                # near-stationary iterate: damped steps far from it can
-                # decrease the cost by little without being done
-                if stationary and dJ <= cfg.cost_tolerance * scale:
-                    converged = True
-                    message = "cost decrease below tolerance"
-                    break
                 if t_scale < cfg.barrier_t_max:
                     t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
                     J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
                 continue
-            if stationary:
-                converged = True
-                message = "stationary"
-                break
             failure = "line search stalled at regularization cap"
         reg *= REG_GROWTH
         if reg > REG_MAX:

@@ -939,7 +939,6 @@ class TestSolve:
         spec = scalar_problem()
         optimum = solve(spec).trajectory.controls
         messages = [
-            solve(spec).info.message,
             solve(spec, warm_start=optimum).info.message,
             solve(spec, config=SolverConfig(max_outer_iterations=1)).info.message,
         ]
@@ -956,8 +955,11 @@ class TestSolve:
         with monkeypatch.context() as patch:
             patch.setattr(ilqr_module, "backward_pass", _failing_pass)
             messages.append(solve(spec).info.message)
-        assert len(set(messages)) == 5
-        assert set(messages) == set(instrument.STOP_REASONS)
+        # a solve converges only at a stationary iterate; the benchmark
+        # still names the retired cost-decrease stop
+        assert len(set(messages)) == 4
+        assert set(messages) == (set(instrument.STOP_REASONS)
+                                 - {"cost decrease below tolerance"})
 
     def test_bad_warm_start_shape_rejected(self):
         spec = scalar_problem()
