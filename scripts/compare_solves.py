@@ -13,8 +13,10 @@ own `cilqr_drive`: the problems are built anew from their public fields,
 and chunks of CHUNK solves are timed in turn on base and head, REPEATS
 times, the repeats alternating which goes first.  Per planner it prints
 how many solves differ in stop reason (with the transitions) or
-iteration count, the largest relative cost and control differences, and
-head / base for the sum over chunks of each chunk's minimum solve time.
+iteration count, the largest relative cost and control differences (over
+the whole plan, and over its first control, the only one a planner
+applies), and head / base for the sum over chunks of each chunk's minimum
+solve time.
 """
 
 from __future__ import annotations
@@ -186,17 +188,19 @@ def _report(conns, label: str, problems: list) -> None:
                     got[side].extend(results)
         best += times
     stops = collections.Counter()
-    iters = cost_rel = ctrl = 0.0
+    iters = cost_rel = ctrl = first = 0.0
     for (ma, ia, ca, ua), (mb, ib, cb, ub) in zip(*got):
         if ma != mb:
             stops[(ma, mb)] += 1
         iters += ia != ib
         cost_rel = max(cost_rel, abs(cb - ca) / max(abs(ca), 1e-300))
         ctrl = max(ctrl, float(np.max(np.abs(ub - ua))))
+        first = max(first, float(np.max(np.abs(ub[0] - ua[0]))))
     print(f"{label}: {len(problems)} solves; stop reasons differ on "
           f"{sum(stops.values())}, iterations on {int(iters)}; largest "
           f"relative cost difference {cost_rel:.3g}, control difference "
-          f"{ctrl:.3g}; solve time head / base {best[1] / best[0]:.3f} "
+          f"{ctrl:.3g} (first control {first:.3g}); solve time head / base "
+          f"{best[1] / best[0]:.3f} "
           f"({best[1]:.3f} / {best[0]:.3f} s)")
     for (ma, mb), count in stops.most_common():
         print(f"    {count:5d}  {ma!r} -> {mb!r}")

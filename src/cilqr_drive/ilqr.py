@@ -191,8 +191,13 @@ class BarrierTerm:
     def __post_init__(self) -> None:
         for name in ("sel_x", "sel_u"):
             sel = np.array(getattr(self, name), dtype=float).ravel()
+            if not np.isfinite(sel).all():
+                raise ValueError(f"{name} contains non-finite entries")
             sel.flags.writeable = False
             object.__setattr__(self, name, sel)
+        for name in ("offset", "lower", "upper", "q1", "q2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kind is BarrierKind.LOG_RANGE:
             if not self.lower < self.upper:
                 raise ValueError("LOG_RANGE requires lower < upper")
@@ -741,7 +746,9 @@ def _barrier_slopes(stack: _Stack, Z: np.ndarray, t_scale: float):
         g1[..., :stack.n_log] = -inv_t * (1.0 / a - 1.0 / b)
         g2[..., :stack.n_log] = inv_t * (1.0 / a ** 2 + 1.0 / b ** 2)
     if stack.n_exp:
-        e = _exp_values(stack, Z)
+        # past the exponent cap the value is flat: zero slopes there
+        e = _exp_values(stack, Z) * (stack.q2 * Z[..., stack.n_log:]
+                                     < _EXP_ARG_MAX)
         g1[..., stack.n_log:] = stack.q2 * e
         g2[..., stack.n_log:] = stack.q2_sq * e
     return g1, g2

@@ -272,6 +272,47 @@ class TestBarriers:
         with pytest.raises(ValueError):
             BarrierTerm.exp_one_sided(1, 1, control_index=0, q1=-1.0)
 
+    def test_non_finite_fields_rejected(self):
+        # an infinite log-range side makes the barrier cost -inf, and a
+        # NaN or inf exponential parameter a non-finite Newton system
+        fields = {"offset": 0.0, "lower": -1.0, "upper": 1.0, "q1": 1.0,
+                  "q2": 1.0}
+        for kind in (BarrierKind.LOG_RANGE, BarrierKind.EXP_ONE_SIDED):
+            for name in fields:
+                for bad in (math.nan, math.inf, -math.inf):
+                    with pytest.raises(ValueError, match=name):
+                        BarrierTerm(kind, [1.0], [0.0],
+                                    **{**fields, name: bad})
+            for name in ("sel_x", "sel_u"):
+                sel = {"sel_x": [1.0], "sel_u": [0.0], name: [math.nan]}
+                with pytest.raises(ValueError, match=name):
+                    BarrierTerm(kind, **sel, **fields)
+
+    def test_slopes_vanish_where_the_exponent_is_capped(self):
+        # past the exponent cap the value is flat, so the derivatives are
+        # zero, as central differences of the value say
+        n, m = 2, 1
+        terms = [BarrierTerm.exp_one_sided(n, m, state_index=1, offset=0.5,
+                                           q1=0.3, q2=20.0),
+                 BarrierTerm.exp_one_sided(n, m, control_index=0, coeff=-1.0,
+                                           q2=30.0),
+                 BarrierTerm.lane_centering(n, m, state_index=0,
+                                            branch_positive=True, rate=50.0)]
+        x, u, prev = np.array([2.0, 3.0]), np.array([-2.0]), np.zeros(n)
+        for term in terms:
+            d = barrier_value_and_derivatives(term, x, u, prev_x=prev)
+            assert d.value == pytest.approx(term.q1 * math.exp(45.0))
+            for part in (d.grad_x, d.grad_u, d.hess_xx, d.hess_uu, d.hess_ux):
+                assert not part.any()
+
+            def f(zvec):
+                return barrier_value_and_derivatives(
+                    term, zvec[:n], zvec[n:], prev_x=prev).value
+
+            z0 = np.concatenate([x, u])
+            np.testing.assert_array_equal(central_diff_grad(f, z0), 0.0)
+            np.testing.assert_array_equal(central_diff_hess(f, z0), 0.0)
+
 
 # ---------------------------------------------------------------------------
 # backward / forward passes
@@ -960,6 +1001,20 @@ class TestSolve:
         assert len(set(messages)) == 4
         assert set(messages) == (set(instrument.STOP_REASONS)
                                  - {"cost decrease below tolerance"})
+
+    def test_stationary_warm_start_is_returned_unchanged(self):
+        # a solve ends at its first stationary iterate, before any search:
+        # a cold plan re-solved as the warm start is returned to the bit,
+        # with the gains of the pass taken there (the steering planner
+        # re-aims its next warm start with them)
+        for spec, plan in planner_problems()[:2]:
+            res = solve(spec, warm_start=plan.controls, config=WARM_CONFIG)
+            np.testing.assert_array_equal(res.trajectory.controls,
+                                          plan.controls)
+            assert res.info.message == "stationary"
+            assert res.info.converged
+            assert res.info.iterations == 1
+            assert res.gains is not None
 
     def test_bad_warm_start_shape_rejected(self):
         spec = scalar_problem()
