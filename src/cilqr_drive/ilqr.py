@@ -942,7 +942,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         Zb, Jqb = _arguments(spec._bar, base), _quadratic(base, spec)
     q, v = lift.Gq @ (base - spec._w_ref), v0
     J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
-    history, converged, gains = [J], False, None
+    history, gains = [J], None
     message = "iteration cap reached"
 
     for iterations in range(1, cfg.max_outer_iterations + 1):
@@ -958,7 +958,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             scale = max(1.0, abs(J))
             if (exp_dec <= cfg.cost_tolerance * scale
                     and gains.grad_norm <= cfg.gradient_tolerance * scale):
-                converged, message = True, "stationary"
+                message = "stationary"
                 break
             vs = v + lams * gains.step
             # barrier arguments and quadratic cost of base + Fv vs
@@ -993,11 +993,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         if Jp < J:
             w, Z, J = plan, Zp, Jp
         else:
-            history, converged = history[:1], False
+            history = history[:1]
             message = "plan not below the start"
             gains = gains if at_start else None
     info = SolveInfo(
-        converged=converged, iterations=iterations, cost=J,
+        converged=message == "stationary", iterations=iterations, cost=J,
         cost_history=history, barrier_t_scale=t_scale, regularization=reg,
         log_range_margins=_log_range_margins(spec, Z), message=message)
     traj = Trajectory(w[:nx].reshape(N + 1, n), w[nx:].reshape(N, spec.m))
