@@ -16,7 +16,9 @@ how many solves differ in stop reason (with the transitions) or
 iteration count, the largest relative cost and control differences (over
 the whole plan, and over its first control, the only one a planner
 applies), and head / base for the sum over chunks of each chunk's minimum
-solve time.
+solve time.  A second line says which side is cheaper: how many solves
+cost less and more on head, and the median and extremes of the signed
+relative cost difference (head - base) / |base|.
 """
 
 from __future__ import annotations
@@ -188,20 +190,26 @@ def _report(conns, label: str, problems: list) -> None:
                     got[side].extend(results)
         best += times
     stops = collections.Counter()
-    iters = cost_rel = ctrl = first = 0.0
+    iters = ctrl = first = 0.0
+    signed = []
     for (ma, ia, ca, ua), (mb, ib, cb, ub) in zip(*got):
         if ma != mb:
             stops[(ma, mb)] += 1
         iters += ia != ib
-        cost_rel = max(cost_rel, abs(cb - ca) / max(abs(ca), 1e-300))
+        signed.append((cb - ca) / max(abs(ca), 1e-300))
         ctrl = max(ctrl, float(np.max(np.abs(ub - ua))))
         first = max(first, float(np.max(np.abs(ub[0] - ua[0]))))
+    signed = np.array(signed)
     print(f"{label}: {len(problems)} solves; stop reasons differ on "
           f"{sum(stops.values())}, iterations on {int(iters)}; largest "
-          f"relative cost difference {cost_rel:.3g}, control difference "
-          f"{ctrl:.3g} (first control {first:.3g}); solve time head / base "
-          f"{best[1] / best[0]:.3f} "
+          f"relative cost difference {np.abs(signed).max():.3g}, control "
+          f"difference {ctrl:.3g} (first control {first:.3g}); solve time "
+          f"head / base {best[1] / best[0]:.3f} "
           f"({best[1]:.3f} / {best[0]:.3f} s)")
+    print(f"    head cost lower on {int((signed < 0).sum())}, higher on "
+          f"{int((signed > 0).sum())}; signed relative difference median "
+          f"{np.median(signed):.3g}, min {signed.min():.3g}, max "
+          f"{signed.max():.3g}")
     for (ma, mb), count in stops.most_common():
         print(f"    {count:5d}  {ma!r} -> {mb!r}")
 

@@ -169,10 +169,10 @@ class BarrierTerm:
 
     LOG_RANGE:          -(1 / t_scale) * [ln(z - lower) + ln(upper - z)]
     EXP_ONE_SIDED:      q1 * exp(q2 * z)
-    EXP_LANE_CENTERING: q1 * exp(q2 * (z_i - z_{i-1})), the predecessor
-                        value taken from the nominal trajectory (frozen
-                        per backward pass); the selector's sign sets the
-                        direction it rewards.
+    EXP_LANE_CENTERING: q1 * exp(q2 * (z_i - z_{i-1})), a function of
+                        both steps' states (its predecessor is frozen
+                        only in barrier_value_and_derivatives); the
+                        selector's sign sets the direction it rewards.
 
     t_scale is the solver's barrier sharpness, one for every term.  Terms
     are immutable (frozen fields, read-only selectors), so problems and
@@ -209,9 +209,9 @@ class BarrierTerm:
 
     @functools.cached_property
     def _probe(self):
-        _, own, prev, offset = _barrier_operator(
+        _, M, offset = _barrier_operator(
             [self], [], 2, self.sel_x.size, self.sel_u.size)
-        return _Stack([self]), (*_gather(own + prev), offset)
+        return _Stack([self]), (*_gather(M), offset)
 
     # -- convenience constructors -------------------------------------
 
@@ -265,8 +265,8 @@ class ProblemSpec:
     step.  Running barriers apply at steps 0..N-1; terminal barriers act
     on x_N only.  A problem is frozen: it is validated once, when it is
     built, and derives once what every solve reads from it (the stacked
-    barriers, their operator and the Newton system's barrier rows, and the
-    lifted map of the dynamics with what it gives the Newton system).
+    barriers and their operator, and the lifted map of the dynamics with
+    what it gives the Newton system).
     """
 
     dynamics: AffineDynamics
@@ -296,18 +296,9 @@ class ProblemSpec:
         set_("x0", _state_vector(self.x0, n, "x0"))
         set_("barriers", run)
         set_("terminal_barriers", term)
-        columns, own, prev, offset = _barrier_operator(run, term,
-                                                       self.horizon, n, m)
+        columns, M, offset = _barrier_operator(run, term, self.horizon, n, m)
         set_("_columns", _Stack(columns))
-        set_("_bar", (*_gather(own + prev), offset))
-        # The Newton system's barrier rows: each column's own part and a
-        # lane-centering column's predecessor part, as separate rank-one
-        # Hessian terms (the predecessor is frozen); _cols gives their column.
-        split = np.hstack([own, prev])
-        keep = np.flatnonzero(split.any(axis=0))
-        keep = keep[np.argsort(keep % own.shape[1], kind="stable")]
-        set_("_rows", _gather(split[:, keep]))
-        set_("_cols", keep % own.shape[1])
+        set_("_bar", (*_gather(M), offset))
         set_("_w_ref", _reference_row(self))
         set_("_lift", _Lift(self))
 
@@ -509,25 +500,25 @@ def _barrier_operator(run: Sequence[BarrierTerm],
                       term: Sequence[BarrierTerm], N: int, n: int, m: int):
     """The barrier columns of a horizon-N problem (every running term at
     every step, step by step, then the terminal terms, stably sorted by
-    kind) and their operator (own, prev, offset): for w = [vec X, vec U],
-    w @ (own + prev) + offset holds their arguments, prev being the lane
-    centering's predecessor part.  It is where barrier arguments are formed."""
+    kind) and their operator (M, offset): for w = [vec X, vec U],
+    w @ M + offset holds their arguments, a lane-centering column holding
+    the selector at its step and its negative at the step before.  It is
+    where barrier arguments are formed."""
     columns = [(i, t) for i in range(N) for t in run] + [(N, t) for t in term]
     columns.sort(key=lambda c: _KIND_RANK[c[1].kind])
     nx = (N + 1) * n
-    own = np.zeros((nx + N * m, len(columns)))
-    prev, offset = np.zeros_like(own), np.zeros(len(columns))
+    M, offset = np.zeros((nx + N * m, len(columns))), np.zeros(len(columns))
     for c, (i, t) in enumerate(columns):
         if t.kind is BarrierKind.EXP_LANE_CENTERING:
             if i:                       # step 0 has no predecessor
-                own[i * n:(i + 1) * n, c] = t.sel_x
-                prev[(i - 1) * n:i * n, c] = -t.sel_x
+                M[i * n:(i + 1) * n, c] = t.sel_x
+                M[(i - 1) * n:i * n, c] = -t.sel_x
             continue
-        own[i * n:(i + 1) * n, c] = t.sel_x
+        M[i * n:(i + 1) * n, c] = t.sel_x
         if i < N:                       # terminal terms select no controls
-            own[nx + i * m:nx + (i + 1) * m, c] = t.sel_u
+            M[nx + i * m:nx + (i + 1) * m, c] = t.sel_u
         offset[c] = t.offset
-    return [t for _, t in columns], own, prev, offset
+    return [t for _, t in columns], M, offset
 
 
 def _gather(M: np.ndarray):
@@ -626,12 +617,12 @@ class _Lift:
     F0 is the open loop's lifted map, which rolls out a start, and F the
     lifted map under K: Fv is its v block, Fu its control rows and
     Tv = Fu_v' Fu_v (I when K = 0), so reg Tv is reg I on the controls.
-    Row j of Sc is barrier row j (see ProblemSpec) as a function of
-    [vec v; x0]; SbT is the barrier operator (ProblemSpec._bar) on Fv, so
-    w + Fv v has w's barrier arguments plus v SbT.  H0 is the quadratic
-    cost's Hessian in [vec v; x0], v rows only, and Gq (w - w_ref) its
-    gradient in v at w.  A model that overflows gives a non-finite lift,
-    which every direction reports.
+    Row j of Sb is barrier column j (ProblemSpec._bar) as a function of
+    [vec v; x0], and SbT its v part transposed, so w + Fv v has w's
+    barrier arguments plus v SbT.  H0 is the quadratic cost's Hessian in
+    [vec v; x0], v rows only, and Gq (w - w_ref) its gradient in v at w.
+    A model that overflows gives a non-finite lift, which every direction
+    reports.
     """
 
     @np.errstate(all="ignore")
@@ -651,11 +642,9 @@ class _Lift:
         self.Fv, self.Fu = F[:, :Nm], F[nx:]
         self.Tv = (self.Fu[:, :Nm].T @ self.Fu[:, :Nm] if self.K.any()
                    else np.eye(Nm))
-        rows, values = spec._rows
-        self.Sc = (F[rows] * values[..., None]).sum(axis=0)
         rows, values, _ = spec._bar
-        self.SbT = np.ascontiguousarray(
-            (self.Fv[rows] * values[..., None]).sum(axis=0).T)
+        self.Sb = (F[rows] * values[..., None]).sum(axis=0)
+        self.SbT = np.ascontiguousarray(self.Sb[:, :Nm].T)
         WF = np.empty_like(F)
         np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1),
                   out=WF[:N * n].reshape(N, n, -1))
@@ -842,8 +831,8 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
 
     With affine dynamics the iLQR step is the Newton step on the controls
     (condensing, see _Lift): (H + reg Tv) dv = -g, H the quadratic cost's
-    fixed part plus the barrier rows' Sc' diag(g2) Sc, g = q + H0 v +
-    Sc' g1, and reg Tv is reg I on the controls.  H + reg Tv is factored
+    fixed part plus the barrier columns' Sb' diag(g2) Sb, g = q + H0 v +
+    Sb' g1, and reg Tv is reg I on the controls.  H + reg Tv is factored
     last stage first, the elimination order of the Riccati recursion, so
     L_ii y_i (L y = g) is stage i's control gradient with every later
     stage eliminated, Riccati's Q_u.  The same system gives the plan's
@@ -854,12 +843,10 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
     """
     N, m, lift = spec.horizon, spec.m, spec._lift
     Nm = N * m
-    g1, g2 = (np.take(g, spec._cols)
-              for g in _barrier_slopes(spec._columns, Z, t_scale))
-    Scv = lift.Sc[:, :Nm]
+    g1, g2 = _barrier_slopes(spec._columns, Z, t_scale)
     # v rows of the Hessian in [vec v; x0], then the gradient
-    H = lift.H0 + (Scv.T * g2) @ lift.Sc
-    g = q + lift.H0[:, :Nm] @ v + Scv.T @ g1
+    H = lift.H0 + (lift.SbT * g2) @ lift.Sb
+    g = q + lift.H0[:, :Nm] @ v + lift.SbT @ g1
 
     # last stage first; Y = (H + reg Tv)^-1 [g, dg/dx0]
     H[:, :Nm] += regularization * lift.Tv

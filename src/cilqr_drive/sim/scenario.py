@@ -47,6 +47,9 @@ class LeadSpec:
     period_s: float = 20.0
 
     def __post_init__(self) -> None:
+        for name in ("initial_gap", "base_speed", "amplitude", "period_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.initial_gap <= 0.0:
             raise ValueError("initial_gap must be positive")
         if self.base_speed <= 0.0 or self.base_speed <= abs(self.amplitude):
@@ -91,6 +94,11 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.track not in TRACKS:
             raise ValueError(f"unknown track preset: {self.track!r}")
+        for name in ("duration_s", "laps", "cruise_speed", "start_s",
+                     "start_delta", "start_theta", "start_v"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if (self.duration_s is None) == (self.laps is None):
             raise ValueError("set exactly one of duration_s or laps")
         if self.duration_s is not None and self.duration_s <= 0.0:

@@ -9,6 +9,7 @@ the caller's generator so scenario runs stay reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ class NoiseConfig:
     sigma_lane: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("sigma_theta", "sigma_delta", "sigma_lane"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if min(self.sigma_theta, self.sigma_delta, self.sigma_lane) < 0.0:
             raise ValueError("noise levels must be nonnegative")
 

@@ -227,15 +227,16 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
 
     X (N+1, n) and U (N, m) are the nominal; As[i], Bs[i] the dynamics of
     step i.  running and terminal are lists of dicts with the barrier
-    fields (kind, sel_x, sel_u, offset, lower, upper, q1, q2).
-    A lane-centering term acts on z_i = s.x_i - s.x_{i-1} (z_0 = 0)
-    with the predecessor frozen: step i collects the own-step derivative
-    of term i and the successor derivative of term i+1 (the terminal term
-    for i = N-1).  The gains use Q_uu + reg I; the value update uses the
-    unregularized Q_uu: V_x = Q_x - K' Q_uu k, V_xx = Q_xx - K' Q_uu K.
-    Returns k (N, m), K (N, m, n), the expected decrease of a full step
-    and the largest |Q_u| entry.
+    fields (kind, sel_x, sel_u, offset, lower, upper, q1, q2); each term
+    acts on one step, so lane-centering terms, which couple two steps,
+    are refused (newton_step_reference takes them).  The gains use
+    Q_uu + reg I; the value update uses the unregularized Q_uu:
+    V_x = Q_x - K' Q_uu k, V_xx = Q_xx - K' Q_uu K.  Returns k (N, m),
+    K (N, m, n), the expected decrease of a full step and the largest
+    |Q_u| entry.
     """
+    assert all(t["kind"] != "exp_lane_centering"
+               for t in list(running) + list(terminal)), "one-step terms only"
     X = np.asarray(X, float)
     U = np.asarray(U, float)
     N, m = U.shape
@@ -243,10 +244,6 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
 
     def z_of(term, i, x_rows):
         z = float(term["sel_x"] @ x_rows[i] + term["offset"])
-        if term["kind"] == "exp_lane_centering":
-            zp = (float(term["sel_x"] @ x_rows[i - 1] + term["offset"])
-                  if i > 0 else z)
-            return z - zp
         return z + float(term["sel_u"] @ U[i]) if i < N else z
 
     def slopes(term, z):
@@ -263,25 +260,11 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
         for term in running:
             sx, su = term["sel_x"], term["sel_u"]
             g1, g2 = slopes(term, z_of(term, i, X))
-            if term["kind"] == "exp_lane_centering":
-                gx = gx + g1 * sx
-                hxx = hxx + g2 * np.outer(sx, sx)
-                if i + 1 < N:
-                    n1, n2 = slopes(term, z_of(term, i + 1, X))
-                    gx = gx - n1 * sx
-                    hxx = hxx + n2 * np.outer(sx, sx)
-            else:
-                gx = gx + g1 * sx
-                gu = gu + g1 * su
-                hxx = hxx + g2 * np.outer(sx, sx)
-                huu = huu + g2 * np.outer(su, su)
-                hux = hux + g2 * np.outer(su, sx)
-        if i == N - 1:
-            for term in terminal:
-                if term["kind"] == "exp_lane_centering":
-                    g1, g2 = slopes(term, z_of(term, N, X))
-                    gx = gx - g1 * term["sel_x"]
-                    hxx = hxx + g2 * np.outer(term["sel_x"], term["sel_x"])
+            gx = gx + g1 * sx
+            gu = gu + g1 * su
+            hxx = hxx + g2 * np.outer(sx, sx)
+            huu = huu + g2 * np.outer(su, su)
+            hux = hux + g2 * np.outer(su, sx)
         lx.append(gx)
         lu.append(gu)
         lxx.append(hxx)
@@ -316,6 +299,86 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
         decrease -= float(k[i] @ Qu + 0.5 * k[i] @ Quu @ k[i])
         grad_norm = max(grad_norm, float(np.max(np.abs(Qu))))
     return k, K, decrease, grad_norm
+
+
+def newton_step_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref, running,
+                          terminal, reg, t_scale=1.0):
+    """Dense Newton step of the barrier-augmented cost in the controls.
+
+    X (N+1, n) and U (N, m) are the nominal, a trajectory of
+    x' = A x + B u + d; running and terminal are barrier dicts as for
+    riccati_backward_reference, lane-centering terms included.  The
+    states' response to a unit impulse in each control and each start
+    state entry is rolled out step by step, and every barrier argument's
+    response is barrier_arguments_reference of it, offsets zeroed.  From
+    these the cost's gradient g and Hessian H in vec U, and dg/dx0, are
+    summed term by term.  Returns the step -(H + reg I)^-1 g (N, m), the
+    start-state gains -(H + reg I)^-1 dg/dx0 (N, m, n), the model
+    decrease -(g.step + step' H step / 2) with the unregularized H, and
+    the largest entry of a stage gradient g_i - H_i,>i (H_>i,>i + reg I)^-1
+    g_>i, stage i's gradient with every later stage eliminated.
+    """
+    X = np.asarray(X, float)
+    U = np.asarray(U, float)
+    N, m = U.shape
+    n = X.shape[1]
+    Nm = N * m
+
+    def response(x0, controls):
+        xs = np.empty((N + 1, n))
+        xs[0] = x0
+        for i in range(N):
+            xs[i + 1] = A @ xs[i] + B @ controls[i]
+        return xs
+
+    # unit impulses in vec U, then in x0: (states, controls) each
+    impulses = []
+    for j in range(Nm + n):
+        e = np.zeros(Nm + n)
+        e[j] = 1.0
+        us = e[:Nm].reshape(N, m)
+        impulses.append((response(e[Nm:], us), us))
+    Sx = np.stack([xs for xs, _ in impulses], axis=-1)     # (N+1, n, Nm+n)
+    Su = np.stack([us for _, us in impulses], axis=-1)     # (N, m, Nm+n)
+
+    def arguments(xs, us, terms=(running, terminal)):
+        run, term = barrier_arguments_reference(xs, us, *terms)
+        return np.concatenate([run.ravel(), term])
+
+    linear = tuple([dict(t, offset=0.0) for t in ts]
+                   for ts in (running, terminal))
+    terms = [t for _ in range(N) for t in running] + list(terminal)
+    z = arguments(X, U)
+    Jz = np.column_stack([arguments(xs, us, linear)
+                          for xs, us in impulses])          # (terms, Nm+n)
+
+    grad = np.zeros(Nm + n)
+    hess = np.zeros((Nm + n, Nm + n))
+    for i in range(N + 1):
+        W, ref = (Qf, xf_ref) if i == N else (Q, x_ref)
+        grad += 2.0 * Sx[i].T @ W @ (X[i] - ref)
+        hess += 2.0 * Sx[i].T @ W @ Sx[i]
+    for i in range(N):
+        grad += 2.0 * Su[i].T @ R @ U[i]
+        hess += 2.0 * Su[i].T @ R @ Su[i]
+    for t, zc, row in zip(terms, z, Jz):
+        g1, g2 = barrier_slopes(t["kind"], zc, t["lower"], t["upper"],
+                                t["q1"], t["q2"], t_scale)
+        grad += g1 * row
+        hess += g2 * np.outer(row, row)
+
+    g, H = grad[:Nm], hess[:Nm, :Nm]
+    Hr = H + reg * np.eye(Nm)
+    step = -np.linalg.solve(Hr, g)
+    gains = -np.linalg.solve(Hr, hess[:Nm, Nm:])
+    decrease = -float(g @ step + 0.5 * step @ H @ step)
+    grad_norm = 0.0
+    for i in range(N):
+        own, later = slice(i * m, (i + 1) * m), slice((i + 1) * m, Nm)
+        gi = g[own] - H[own, later] @ np.linalg.solve(Hr[later, later],
+                                                     g[later])
+        grad_norm = max(grad_norm, float(np.max(np.abs(gi))))
+    return step.reshape(N, m), gains.reshape(N, m, n), decrease, grad_norm
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
 from oracles import (affine_step, barrier_arguments_reference,
                      central_diff_grad, central_diff_hess, closed_loop_rollout,
                      grid_minimize, lqr_dp_gains, lqr_dp_solve,
-                     riccati_backward_reference)
+                     newton_step_reference, riccati_backward_reference)
 
 # Frozen from independent evaluation of the stated formulas.
 LOG_RANGE_AT_ZERO_PI6 = 1.2940591667573098      # -2 ln(pi/6)
@@ -409,12 +409,14 @@ class TestPasses:
         assert total_cost(stepped, spec) == pytest.approx(1.5, abs=1e-12)
 
 
-def random_barrier_problem(rng, m, growth=None):
+def random_barrier_problem(rng, m, growth=None, lane_centering=True):
     """Random problem with every barrier kind, feasible at its rollout.
 
     Returns the problem and a nominal trajectory rolled out from small
     random controls.  Log-range bounds straddle the nominal with a margin.
     A's spectral radius is at most 1.02, or growth ** (1 / N) if given.
+    Without lane_centering the same draw keeps only its one-step terms,
+    on which the per-step Riccati pass is the exact Newton step.
     """
     n, N = 4, int(rng.integers(5, 31))
     A = rng.normal(size=(n, n)) * 0.3 + np.eye(n) * 0.9
@@ -460,6 +462,10 @@ def random_barrier_problem(rng, m, growth=None):
                                    weight=0.7, rate=1.3),
         BarrierTerm.log_range(n, m, lower=lo_x, upper=hi_x, state_index=2),
     ]
+    if not lane_centering:
+        running, terminal = (
+            [t for t in terms if t.kind is not BarrierKind.EXP_LANE_CENTERING]
+            for terms in (running, terminal))
     spec = ProblemSpec(dynamics=dynamics, horizon=N, cost=cost,
                        terminal_cost=final, x0=x0, barriers=running,
                        terminal_barriers=terminal)
@@ -533,10 +539,11 @@ class TestPassesAgainstReference:
     def test_start_state_gains_give_the_feedback_correction(self):
         # U_1 + S dx0 is the stepped plan corrected by the feedback law of
         # the pass, u_i = U_1,i + K_i (x_i - X_1,i) rolled out from a moved
-        # start state
+        # start state (one-step terms only; see test_step_is_the_newton_step)
         rng = np.random.default_rng(79)
         for trial in range(8):
-            spec, nominal = random_barrier_problem(rng, 1 + trial % 2)
+            spec, nominal = random_barrier_problem(rng, 1 + trial % 2,
+                                                   lane_centering=False)
             gains, _ = direction(nominal, spec, 1e-9)
             k, K, _, _ = _reference_pass(spec, nominal, 1e-9, 1.0)
             w = _flat(nominal) + trajectory_step(spec, gains)
@@ -1090,10 +1097,12 @@ class TestSolveProperties:
     @given(seed=seeds, m=control_sizes,
            sharpness=st.sampled_from((1.0, 50.0, 1e4)))
     def test_step_is_the_riccati_step(self, seed, m, sharpness):
-        # the condensed Newton step is the per-step Riccati pass rolled out
+        # without lane centering, whose terms couple two steps, the
+        # condensed Newton step is the per-step Riccati pass rolled out
         # through its feedback at lambda = 1; at a small regularization the
         # two differ only by rounding
-        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m,
+                                               lane_centering=False)
         gains, dec = direction(nominal, spec, 1e-9, sharpness)
         k, K, dec_ref, grad_ref = _reference_pass(spec, nominal, 1e-9,
                                                   sharpness)
@@ -1102,6 +1111,27 @@ class TestSolveProperties:
                                      nominal.controls, k, K, 1.0, spec.x0)
         want = np.concatenate([xs.ravel(), us.ravel()]) - _flat(nominal)
         assert _rel_err(trajectory_step(spec, gains), want) < 1e-8
+        assert dec == pytest.approx(dec_ref, rel=1e-8)
+        assert gains.grad_norm == pytest.approx(grad_ref, rel=1e-8)
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes,
+           sharpness=st.sampled_from((1.0, 50.0, 1e4)))
+    def test_step_is_the_newton_step(self, seed, m, sharpness):
+        # with every barrier kind, lane centering's two-step terms too, the
+        # condensed step, its start-state gains, expected decrease and
+        # largest stage gradient are those of the dense Newton system in
+        # the controls
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        gains, dec = direction(nominal, spec, 1e-9, sharpness)
+        dyn, nx = spec.dynamics, (spec.horizon + 1) * spec.n
+        step, S, dec_ref, grad_ref = newton_step_reference(
+            nominal.states, nominal.controls, dyn.A, dyn.B, spec.cost.Q,
+            spec.cost.R, spec.cost.x_ref, spec.terminal_cost.Q,
+            spec.terminal_cost.x_ref, _plain_terms(spec.barriers),
+            _plain_terms(spec.terminal_barriers), 1e-9, sharpness)
+        assert _rel_err(trajectory_step(spec, gains)[nx:], step.ravel()) < 1e-8
+        assert _rel_err(gains.S, S) < 1e-8
         assert dec == pytest.approx(dec_ref, rel=1e-8)
         assert gains.grad_norm == pytest.approx(grad_ref, rel=1e-8)
 

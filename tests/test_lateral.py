@@ -25,8 +25,7 @@ from cilqr_drive.lateral import (
     build_lateral_problem,
 )
 
-from oracles import (affine_step, closed_loop_rollout, lqr_dp_solve,
-                     riccati_backward_reference)
+from oracles import affine_step, lqr_dp_solve, newton_step_reference
 
 V_76_KMH = 76.0 / 3.6  # 21.111... m/s
 DT = 0.05
@@ -388,9 +387,8 @@ class TestLateralPlanner:
     def test_re_aimed_warm_start_is_the_feedback_correction(self,
                                                            monkeypatch):
         # Under unchanged dynamics, U + S dx0 is the previous plan corrected
-        # by the feedback law of its last Riccati pass, u_i = U_i + K_i
-        # (x_i - X_i) rolled out from the new state.  A one-step warm solve
-        # makes that pass around the rollout of its warm start.
+        # by the start-state gains of its last Newton system, which a
+        # one-step warm solve forms around the rollout of its warm start.
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         state = LateralState(0.5, 0.01)
@@ -400,23 +398,22 @@ class TestLateralPlanner:
                      V_76_KMH)
         spec, warm_start, config, prev = seen[1]
         assert config is WARM_CONFIG and prev.info.iterations == 1
-        dyn, N = spec.dynamics, spec.horizon
+        dyn = spec.dynamics
         nominal = rollout(dyn, spec.x0, warm_start)
         def plain(terms):
             return [dict(kind=t.kind.value, sel_x=t.sel_x, sel_u=t.sel_u,
                          offset=t.offset, lower=t.lower, upper=t.upper,
                          q1=t.q1, q2=t.q2) for t in terms]
 
-        k, K, _, _ = riccati_backward_reference(
-            nominal.states, nominal.controls, [dyn.A] * N, [dyn.B] * N,
-            spec.cost.Q, spec.cost.R, spec.cost.x_ref, spec.terminal_cost.Q,
+        _, S, _, _ = newton_step_reference(
+            nominal.states, nominal.controls, dyn.A, dyn.B, spec.cost.Q,
+            spec.cost.R, spec.cost.x_ref, spec.terminal_cost.Q,
             spec.terminal_cost.x_ref, plain(spec.barriers),
             plain(spec.terminal_barriers), WARM_CONFIG.regularization_init,
             WARM_CONFIG.barrier_t_init)
         moved = seen[2][0]
         X, U = prev.trajectory.states, prev.trajectory.controls
-        _, corrected = closed_loop_rollout(dyn.A, dyn.B, dyn._drift, X, U,
-                                           k, K, 0.0, moved.x0)
+        corrected = U + S @ (moved.x0 - X[0])
         got = U + prev.gains.S @ (moved.x0 - X[0])
         assert np.max(np.abs(corrected - U)) > 1e-3
         assert (np.max(np.abs(got - corrected))

@@ -384,6 +384,24 @@ class TestRunScenario:
         ScenarioSpec(track="straight", duration_s=1.0, lead=lead,
                      metrics_t_range=(0.9, 9.0))
 
+    def test_non_finite_inputs_rejected_naming_the_field(self):
+        # refused at construction, not mid-run with an unrelated error
+        # (an OverflowError, a NaN-to-int conversion, a non-finite PI,
+        # plant or lateral state, a ZeroDivisionError)
+        cases = [(ScenarioSpec, {"track": "straight", "duration_s": 1.0},
+                  ("duration_s", "cruise_speed", "start_s", "start_delta",
+                   "start_theta", "start_v")),
+                 (ScenarioSpec, {"track": "trackA", "laps": 1.0}, ("laps",)),
+                 (LeadSpec, {}, ("initial_gap", "base_speed", "amplitude",
+                                 "period_s")),
+                 (NoiseConfig, {}, ("sigma_theta", "sigma_delta",
+                                    "sigma_lane"))]
+        for cls, base, names in cases:
+            for name in names:
+                for bad in (math.nan, math.inf, -math.inf):
+                    with pytest.raises(ValueError, match=f"{name} must be finite"):
+                        cls(**{**base, name: bad})
+
     def test_unknown_track_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown track preset: 'moon'"):
             ScenarioSpec(track="moon", duration_s=1.0)
