@@ -76,41 +76,37 @@ class AffineDynamics:
     C: np.ndarray | None = None
     w: np.ndarray | None = None
 
+    # C @ w of finite C and w can only overflow; "drift" reports that
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self) -> None:
-        A = np.array(self.A, dtype=float)
-        B = np.array(self.B, dtype=float)
+        A = _finite(np.array(self.A, dtype=float), "A")
+        B = _finite(np.array(self.B, dtype=float), "B")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be a square matrix")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError("B must have the same row count as A")
         if (self.C is None) != (self.w is None):
             raise ValueError("C and w must be supplied together")
-        C = w = None
+        C, w, drift = None, None, np.zeros(A.shape[0])
         if self.C is not None:
-            C = np.array(self.C, dtype=float)
-            w = np.array(self.w, dtype=float).ravel()
+            C = _finite(np.array(self.C, dtype=float), "C")
+            w = _finite(np.array(self.w, dtype=float).ravel(), "w")
             if C.shape != (A.shape[0], w.size):
                 raise ValueError("C must be n x len(w)")
-            drift = C @ w
-        else:
-            drift = np.zeros(A.shape[0])
-        for name, value in (("A", A), ("B", B), ("drift", drift)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} contains non-finite entries")
+            drift = _finite(C @ w, "drift")
         for name, value in (("A", A), ("B", B), ("C", C), ("w", w),
                             ("_drift", drift)):
             if value is not None:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def with_drift(self, w: np.ndarray) -> "AffineDynamics":
         """These dynamics, A, B and C shared, under another disturbance."""
-        w = np.array(w, dtype=float).ravel()
+        w = _finite(np.array(w, dtype=float).ravel(), "w")
         if self.C is None or w.shape != self.w.shape:
             raise ValueError("w must keep its size")
-        drift = self.C @ w
-        if not np.isfinite(drift).all():
-            raise ValueError("drift contains non-finite entries")
+        drift = _finite(self.C @ w, "drift")
         out = copy.copy(self)
         for name, value in (("w", w), ("_drift", drift)):
             value.flags.writeable = False
@@ -148,8 +144,7 @@ class QuadraticCost:
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("R must be square")
         for name, value in (("Q", Q), ("R", R), ("x_ref", x_ref)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} contains non-finite entries")
+            _finite(value, name)
         if not np.allclose(Q, Q.T, atol=1e-10):
             raise ValueError("Q must be symmetric")
         if not np.allclose(R, R.T, atol=1e-10):
@@ -190,9 +185,8 @@ class BarrierTerm:
 
     def __post_init__(self) -> None:
         for name in ("sel_x", "sel_u"):
-            sel = np.array(getattr(self, name), dtype=float).ravel()
-            if not np.isfinite(sel).all():
-                raise ValueError(f"{name} contains non-finite entries")
+            sel = _finite(np.array(getattr(self, name), dtype=float).ravel(),
+                          name)
             sel.flags.writeable = False
             object.__setattr__(self, name, sel)
         for name in ("offset", "lower", "upper", "q1", "q2"):
@@ -211,7 +205,7 @@ class BarrierTerm:
     def _probe(self):
         _, M, offset = _barrier_operator(
             [self], [], 2, self.sel_x.size, self.sel_u.size)
-        return _Stack([self]), (*_gather(M), offset)
+        return _Stack([self]), (M, offset)
 
     # -- convenience constructors -------------------------------------
 
@@ -298,7 +292,7 @@ class ProblemSpec:
         set_("terminal_barriers", term)
         columns, M, offset = _barrier_operator(run, term, self.horizon, n, m)
         set_("_columns", _Stack(columns))
-        set_("_bar", (*_gather(M), offset))
+        set_("_bar", (M, offset))
         set_("_w_ref", _reference_row(self))
         set_("_lift", _Lift(self))
 
@@ -358,10 +352,16 @@ def _state_vector(value, n: int, name: str) -> np.ndarray:
     out = np.array(value, dtype=float).ravel()
     if out.size != n:
         raise ValueError(f"{name} size must match the state dimension")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    _finite(out, name)
     out.flags.writeable = False
     return out
+
+
+def _finite(value: np.ndarray, name: str) -> np.ndarray:
+    """value, after a check that every entry is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return value
 
 
 def _check_count(value, name: str) -> None:
@@ -392,21 +392,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.controls.shape[0]
-
-
-@dataclass
-class GainSchedule:
-    """A backward pass's full step dv in the lift's parameters (see _Lift),
-    the stepped controls' first-order change S (N, m, n) per unit change
-    of the start state, and the largest stage gradient grad_norm.  Near
-    active barriers the expected decrease alone is a poor stationarity
-    measure (the barrier Hessian crushes the Newton step), so convergence
-    tests pair it with this gradient norm.
-    """
-
-    step: np.ndarray
-    S: np.ndarray
-    grad_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -459,7 +444,7 @@ class SolveInfo:
 class SolveResult:
     trajectory: Trajectory
     info: SolveInfo
-    gains: GainSchedule | None = None   # of the last backward pass (see solve)
+    gains: np.ndarray | None = None     # S of backward_pass (see solve)
 
 
 @dataclass
@@ -519,22 +504,6 @@ def _barrier_operator(run: Sequence[BarrierTerm],
             M[nx + i * m:nx + (i + 1) * m, c] = t.sel_u
         offset[c] = t.offset
     return [t for _, t in columns], M, offset
-
-
-def _gather(M: np.ndarray):
-    """The nonzeros of M column by column, as (rows, values), both
-    (k, columns): row 0 and value 0 pad every column to the longest one's
-    k nonzeros.  The sum over j of w[..., rows[j]] * values[j] is then
-    w @ M without the products with zeros."""
-    nonzero = M != 0.0
-    counts = nonzero.sum(axis=0)
-    cols, rows = np.nonzero(nonzero.T)      # column by column, rows ascending
-    slot = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = (max(int(counts.max(initial=0)), 1), M.shape[1])
-    index, values = np.zeros(shape, dtype=np.intp), np.zeros(shape)
-    index[slot, cols] = rows
-    values[slot, cols] = M[rows, cols]
-    return index, values
 
 
 @functools.lru_cache(maxsize=None)
@@ -617,10 +586,11 @@ class _Lift:
     F0 is the open loop's lifted map, which rolls out a start, and F the
     lifted map under K: Fv is its v block, Fu its control rows and
     Tv = Fu_v' Fu_v (I when K = 0), so reg Tv is reg I on the controls.
-    Row j of Sb is barrier column j (ProblemSpec._bar) as a function of
-    [vec v; x0], and SbT its v part transposed, so w + Fv v has w's
-    barrier arguments plus v SbT.  H0 is the quadratic cost's Hessian in
-    [vec v; x0], v rows only, and Gq (w - w_ref) its gradient in v at w.
+    Sb = M' F for the barrier operator M (ProblemSpec._bar): its row j is
+    barrier column j as a function of [vec v; x0], and SbT its v part
+    transposed, so w + Fv v has w's barrier arguments plus v SbT.  H0 is
+    the quadratic cost's Hessian in [vec v; x0], v rows only, and
+    Gq (w - w_ref) its gradient in v at w.
     A model that overflows gives a non-finite lift, which every direction
     reports.
     """
@@ -642,8 +612,7 @@ class _Lift:
         self.Fv, self.Fu = F[:, :Nm], F[nx:]
         self.Tv = (self.Fu[:, :Nm].T @ self.Fu[:, :Nm] if self.K.any()
                    else np.eye(Nm))
-        rows, values, _ = spec._bar
-        self.Sb = (F[rows] * values[..., None]).sum(axis=0)
+        self.Sb = spec._bar[0].T @ F
         self.SbT = np.ascontiguousarray(self.Sb[:, :Nm].T)
         WF = np.empty_like(F)
         np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1),
@@ -674,13 +643,8 @@ def _flat(traj: Trajectory) -> np.ndarray:
 
 
 def _arguments(bar, w: np.ndarray) -> np.ndarray:
-    """The barrier arguments of w, or of each row of a stack, under the
-    gathered barrier operator bar = (rows, values, offset)."""
-    rows, values, offset = bar
-    Z = np.take(w, rows[0], axis=-1) * values[0]
-    for r, v in zip(rows[1:], values[1:]):
-        Z += np.take(w, r, axis=-1) * v
-    return Z + offset
+    """w @ M + offset for bar = (M, offset): the barrier arguments of w."""
+    return w @ bar[0] + bar[1]
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +787,16 @@ def _quadratic(w: np.ndarray, spec: ProblemSpec):
 
 def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
                   spec: ProblemSpec, regularization: float,
-                  t_scale: float = 1.0) -> tuple[GainSchedule, float]:
-    """The search direction dv of one iteration from the iterate w + Fv v,
-    v in the lift's parameters (see _Lift), with barrier arguments Z (the
-    columns of ProblemSpec._bar) and q the quadratic cost's gradient in v
-    at w; and the expected cost decrease of a full (lambda = 1) step.
+                  t_scale: float = 1.0):
+    """One iteration's Newton system at the iterate w + Fv v, v in the
+    lift's parameters (see _Lift), with barrier arguments Z (the columns of
+    ProblemSpec._bar) and q the quadratic cost's gradient in v at w.  It
+    returns (step, S, grad_norm, expected_decrease): the search direction
+    dv, the stepped controls' first-order change S (N, m, n) per unit change
+    of the start state, the largest stage gradient and the expected cost
+    decrease of a full (lambda = 1) step.  Near active barriers that
+    decrease alone is a poor stationarity measure (the barrier Hessian
+    crushes the Newton step), so convergence tests pair it with grad_norm.
 
     With affine dynamics the iLQR step is the Newton step on the controls
     (condensing, see _Lift): (H + reg Tv) dv = -g, H the quadratic cost's
@@ -865,8 +834,7 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
         raise BackwardPassError("non-finite step")
     dU = lift.Fu[:, :Nm] @ dv
     expected_decrease = 0.5 * float((y * y).sum() + regularization * dU @ dU)
-    return (GainSchedule(dv, S.reshape(N, m, -1),
-                         float(np.abs(stage_grad).max())),
+    return (dv, S.reshape(N, m, -1), float(np.abs(stage_grad).max()),
             expected_decrease)
 
 
@@ -912,8 +880,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 else np.array(warm_start, dtype=float))
     if controls.shape != (spec.horizon, spec.m):
         raise ValueError("warm start must have shape (horizon, m)")
-    if not np.isfinite(controls).all():
-        raise ValueError("warm start contains non-finite entries")
+    _finite(controls, "warm start")
 
     lams, reg = LINE_SEARCH_STEPS[:, None], cfg.regularization_init
     t_scale = cfg.barrier_t_init
@@ -934,7 +901,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
 
     for iterations in range(1, cfg.max_outer_iterations + 1):
         try:
-            gains, exp_dec = backward_pass(v, Z, q, spec, reg, t_scale)
+            step, gains, grad_norm, exp_dec = backward_pass(v, Z, q, spec,
+                                                            reg, t_scale)
         except BackwardPassError:
             failure = "backward pass failed at regularization cap"
         else:
@@ -944,10 +912,10 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             # be small too.
             scale = max(1.0, abs(J))
             if (exp_dec <= cfg.cost_tolerance * scale
-                    and gains.grad_norm <= cfg.gradient_tolerance * scale):
+                    and grad_norm <= cfg.gradient_tolerance * scale):
                 message = "stationary"
                 break
-            vs = v + lams * gains.step
+            vs = v + lams * step
             # barrier arguments and quadratic cost of base + Fv vs
             Zs = Zb + vs @ lift.SbT
             Jqs = Jqb + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1)

@@ -106,6 +106,9 @@ class VpcConfig:
     frame_window: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("lookahead_L", "k_vpc", "frame_window"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lookahead_L <= 0.0:
             raise ValueError("lookahead_L must be positive")
         if self.frame_window < 1:

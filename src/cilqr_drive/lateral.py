@@ -47,7 +47,10 @@ class VehicleParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "c_alpha_f", "c_alpha_r", "l_f", "l_r", "i_z"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -199,7 +202,7 @@ class LateralPlanner:
             warm, config = prev.trajectory.controls, WARM_CONFIG
             if (prev.gains is not None
                     and not np.array_equal(spec.x0, prev.trajectory.states[0])):
-                warm = prev.trajectory.controls + prev.gains.S @ (
+                warm = prev.trajectory.controls + prev.gains @ (
                     spec.x0 - prev.trajectory.states[0])
                 np.clip(warm, -_WARM_STEER_MAX, _WARM_STEER_MAX, out=warm)
         self._prev = result = solve(spec, warm_start=warm, config=config)

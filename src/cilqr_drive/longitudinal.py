@@ -105,6 +105,12 @@ class LongTuning:
     d_floor: float = 2.0           # full brake at or below, m
 
     def __post_init__(self) -> None:
+        for name in ("dt", "d_ref", "r", "jerk_limit", "accel_limit",
+                     "d_critical", "d_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(q) for q in self.q_diag):
+            raise ValueError("q_diag must be finite")
         if self.d_floor <= 0.0 or self.d_critical <= self.d_floor:
             raise ValueError("need 0 < d_floor < d_critical")
         if self.d_critical >= self.d_ref:

@@ -10,6 +10,7 @@ the caller's generator so scenario runs stay reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,6 +50,15 @@ class SimRates:
     actuation_latency_us: int = 6660
 
     def __post_init__(self) -> None:
+        for name in ("plant_us", "perception_us", "vpc_us", "planner_us",
+                     "perception_latency_us", "actuation_latency_us"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            try:
+                operator.index(value)           # numpy integers pass
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         periods = (self.plant_us, self.perception_us, self.vpc_us,
                    self.planner_us)
         if min(periods) <= 0:

@@ -340,7 +340,7 @@ class TestLateralPlanner:
         planner.plan(LateralState(0.45, 0.012, delta_lat_rate=-0.1), 20.0)
         spec, warm = seen[2][:2]
         prev = seen[1][3]
-        expected = prev.trajectory.controls + prev.gains.S @ (
+        expected = prev.trajectory.controls + prev.gains @ (
             spec.x0 - prev.trajectory.states[0])
         np.testing.assert_array_equal(warm, expected)
         assert not np.array_equal(warm, prev.trajectory.controls)
@@ -366,7 +366,7 @@ class TestLateralPlanner:
         _, result = planner.plan(jump, V_76_KMH)
         spec, warm = seen[1][:2]
         prev = seen[0][3].trajectory
-        raw = prev.controls + seen[0][3].gains.S @ (spec.x0 - prev.states[0])
+        raw = prev.controls + seen[0][3].gains @ (spec.x0 - prev.states[0])
         assert np.max(np.abs(raw)) > STEER_LIMIT_RAD
         inside = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
         np.testing.assert_array_equal(warm, np.clip(raw, -inside, inside))
@@ -414,7 +414,7 @@ class TestLateralPlanner:
         moved = seen[2][0]
         X, U = prev.trajectory.states, prev.trajectory.controls
         corrected = U + S @ (moved.x0 - X[0])
-        got = U + prev.gains.S @ (moved.x0 - X[0])
+        got = U + prev.gains @ (moved.x0 - X[0])
         assert np.max(np.abs(corrected - U)) > 1e-3
         assert (np.max(np.abs(got - corrected))
                 < 1e-8 * np.max(np.abs(corrected - U)))

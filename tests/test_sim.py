@@ -25,6 +25,8 @@ from cilqr_drive.sim import (
     run_scenario,
     step_plant,
 )
+from cilqr_drive.lanes import VpcConfig
+from cilqr_drive.lateral import VehicleParams
 from cilqr_drive.longitudinal import LongTuning
 from cilqr_drive.sim.scenario import CONTROLLERS, CSV_COLUMNS
 from cilqr_drive.sim.track import TRACKS
@@ -387,7 +389,11 @@ class TestRunScenario:
     def test_non_finite_inputs_rejected_naming_the_field(self):
         # refused at construction, not mid-run with an unrelated error
         # (an OverflowError, a NaN-to-int conversion, a non-finite PI,
-        # plant or lateral state, a ZeroDivisionError)
+        # plant or lateral state, a ZeroDivisionError, "A contains
+        # non-finite entries") or none (an infinite mass drives off the
+        # track, an infinite look-ahead zeroes the preview correction)
+        rates = ("plant_us", "perception_us", "vpc_us", "planner_us",
+                 "perception_latency_us", "actuation_latency_us")
         cases = [(ScenarioSpec, {"track": "straight", "duration_s": 1.0},
                   ("duration_s", "cruise_speed", "start_s", "start_delta",
                    "start_theta", "start_v")),
@@ -395,12 +401,25 @@ class TestRunScenario:
                  (LeadSpec, {}, ("initial_gap", "base_speed", "amplitude",
                                  "period_s")),
                  (NoiseConfig, {}, ("sigma_theta", "sigma_delta",
-                                    "sigma_lane"))]
+                                    "sigma_lane")),
+                 (SimRates, {}, rates),
+                 (VehicleParams, {}, ("m", "c_alpha_f", "c_alpha_r", "l_f",
+                                      "l_r", "i_z")),
+                 (VpcConfig, {}, ("lookahead_L", "k_vpc", "frame_window")),
+                 (LongTuning, {}, ("dt", "d_ref", "r", "jerk_limit",
+                                   "accel_limit", "d_critical", "d_floor"))]
         for cls, base, names in cases:
             for name in names:
                 for bad in (math.nan, math.inf, -math.inf):
                     with pytest.raises(ValueError, match=f"{name} must be finite"):
                         cls(**{**base, name: bad})
+        for bad in ((math.nan, 1.0, 2.0), (20.0, math.inf, 1.0)):
+            with pytest.raises(ValueError, match="q_diag must be finite"):
+                LongTuning(q_diag=bad)
+        # the loop's clock counts whole microseconds
+        for name in rates:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimRates(**{name: 2.5})
 
     def test_unknown_track_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown track preset: 'moon'"):
