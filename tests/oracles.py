@@ -301,9 +301,9 @@ def riccati_backward_reference(X, U, As, Bs, Q, R, x_ref, Qf, xf_ref,
     return k, K, decrease, grad_norm
 
 
-def newton_step_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref, running,
-                          terminal, reg, t_scale=1.0):
-    """Dense Newton step of the barrier-augmented cost in the controls.
+def newton_system_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref, running,
+                            terminal, t_scale=1.0):
+    """Dense Newton system of the barrier-augmented cost in the controls.
 
     X (N+1, n) and U (N, m) are the nominal, a trajectory of
     x' = A x + B u + d; running and terminal are barrier dicts as for
@@ -311,12 +311,8 @@ def newton_step_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref, running,
     states' response to a unit impulse in each control and each start
     state entry is rolled out step by step, and every barrier argument's
     response is barrier_arguments_reference of it, offsets zeroed.  From
-    these the cost's gradient g and Hessian H in vec U, and dg/dx0, are
-    summed term by term.  Returns the step -(H + reg I)^-1 g (N, m), the
-    start-state gains -(H + reg I)^-1 dg/dx0 (N, m, n), the model
-    decrease -(g.step + step' H step / 2) with the unregularized H, and
-    the largest entry of a stage gradient g_i - H_i,>i (H_>i,>i + reg I)^-1
-    g_>i, stage i's gradient with every later stage eliminated.
+    these the cost's gradient g (N m,) and Hessian H (N m, N m) in vec U,
+    and dg/dx0 (N m, n), are summed term by term and returned.
     """
     X = np.asarray(X, float)
     U = np.asarray(U, float)
@@ -367,10 +363,26 @@ def newton_step_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref, running,
         grad += g1 * row
         hess += g2 * np.outer(row, row)
 
-    g, H = grad[:Nm], hess[:Nm, :Nm]
+    return grad[:Nm], hess[:Nm, :Nm], hess[:Nm, Nm:]
+
+
+def newton_step_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref, running,
+                          terminal, reg, t_scale=1.0):
+    """Dense Newton step of newton_system_reference's system.
+
+    Returns the step -(H + reg I)^-1 g (N, m), the start-state gains
+    -(H + reg I)^-1 dg/dx0 (N, m, n), the model decrease
+    -(g.step + step' H step / 2) with the unregularized H, and the largest
+    entry of a stage gradient g_i - H_i,>i (H_>i,>i + reg I)^-1 g_>i,
+    stage i's gradient with every later stage eliminated.
+    """
+    N, m = np.shape(U)
+    n, Nm = np.shape(X)[1], N * m
+    g, H, G = newton_system_reference(X, U, A, B, Q, R, x_ref, Qf, xf_ref,
+                                      running, terminal, t_scale)
     Hr = H + reg * np.eye(Nm)
     step = -np.linalg.solve(Hr, g)
-    gains = -np.linalg.solve(Hr, hess[:Nm, Nm:])
+    gains = -np.linalg.solve(Hr, G)
     decrease = -float(g @ step + 0.5 * step @ H @ step)
     grad_norm = 0.0
     for i in range(N):

@@ -28,8 +28,8 @@ from cilqr_drive.ilqr import (
     total_cost,
 )
 from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _arguments,
-                               _barrier_cost, _barrier_slopes, _flat,
-                               _lifted_map, _lifted_w, _quadratic)
+                               _barrier_cost, _flat, _lifted_map, _lifted_w,
+                               _quadratic)
 from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
                                  build_lateral_dynamics, build_lateral_problem)
 from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
@@ -37,7 +37,8 @@ from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
 from oracles import (affine_step, barrier_arguments_reference,
                      central_diff_grad, central_diff_hess, closed_loop_rollout,
                      grid_minimize, lqr_dp_gains, lqr_dp_solve,
-                     newton_step_reference, riccati_backward_reference)
+                     newton_step_reference, newton_system_reference,
+                     riccati_backward_reference)
 
 # Frozen from independent evaluation of the stated formulas.
 LOG_RANGE_AT_ZERO_PI6 = 1.2940591667573098      # -2 ln(pi/6)
@@ -332,20 +333,6 @@ def direction(traj, spec, reg, t_scale=1.0):
                          t_scale)
 
 
-def step_tolerance(traj, spec, t_scale):
-    """The relative error allowed between a step (or start-state gains)
-    from traj, a trajectory of spec's dynamics, and its reference: 1e-8
-    plus 1e-15 times the condition number of the Newton system
-    backward_pass factors there.  Rounding in forming either system moves
-    a step by about 1e-16 times that number (measured up to 7e-17 times
-    it), which a steep exponential barrier can push past 1e11."""
-    lift, Nm = spec._lift, spec.horizon * spec.m
-    _, g2 = _barrier_slopes(spec._columns, _arguments(spec._bar, _flat(traj)),
-                            t_scale)
-    H = (lift.H0 + (lift.SbT * g2) @ lift.Sb)[:, :Nm]
-    return 1e-8 + 1e-15 * np.linalg.cond(H)
-
-
 def trajectory_step(spec, step):
     """The step [vec dX, vec dU] of a direction dv in the lift's v."""
     return spec._lift.Fv @ step
@@ -509,6 +496,15 @@ def _plain_terms(terms):
 def _rel_err(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))
                  / max(np.max(np.abs(np.asarray(b))), 1e-300))
+
+
+def _backward_err(H, x, b):
+    """Normwise backward error of x (one column or several) as a solution
+    of H x = -b: the smallest e for which x solves (H + dH) x = -(b + db)
+    exactly with |dH| <= e |H| and |db| <= e |b| (infinity norms)."""
+    x, b = np.reshape(x, (len(H), -1)), np.reshape(b, (len(H), -1))
+    norm = lambda a: np.linalg.norm(a, np.inf)
+    return float(norm(H @ x + b) / (norm(H) * norm(x) + norm(b)))
 
 
 class TestPassesAgainstReference:
@@ -1108,12 +1104,11 @@ class TestSolveProperties:
     @PROPERTY_SETTINGS
     @given(seed=seeds, m=control_sizes,
            sharpness=st.sampled_from((1.0, 50.0, 1e4)))
-    @example(seed=715237, m=1, sharpness=1.0)       # condition number 1e12
     def test_step_is_the_riccati_step(self, seed, m, sharpness):
         # without lane centering, whose terms couple two steps, the
         # condensed Newton step is the per-step Riccati pass rolled out
         # through its feedback at lambda = 1; at a small regularization the
-        # two differ only by rounding (step_tolerance)
+        # two differ only by rounding
         spec, nominal = random_barrier_problem(np.random.default_rng(seed), m,
                                                lane_centering=False)
         step, _, grad_norm, dec = direction(nominal, spec, 1e-9, sharpness)
@@ -1123,8 +1118,7 @@ class TestSolveProperties:
         xs, us = closed_loop_rollout(dyn.A, dyn.B, dyn._drift, nominal.states,
                                      nominal.controls, k, K, 1.0, spec.x0)
         want = np.concatenate([xs.ravel(), us.ravel()]) - _flat(nominal)
-        tol = step_tolerance(nominal, spec, sharpness)
-        assert _rel_err(trajectory_step(spec, step), want) < tol
+        assert _rel_err(trajectory_step(spec, step), want) < 1e-8
         assert dec == pytest.approx(dec_ref, rel=1e-8)
         assert grad_norm == pytest.approx(grad_ref, rel=1e-8)
 
@@ -1134,20 +1128,24 @@ class TestSolveProperties:
     @example(seed=715237, m=1, sharpness=1.0)       # condition number 9e11
     def test_step_is_the_newton_step(self, seed, m, sharpness):
         # with every barrier kind, lane centering's two-step terms too, the
-        # condensed step, its start-state gains, expected decrease and
-        # largest stage gradient are those of the dense Newton system in
-        # the controls, the step and gains to step_tolerance
+        # condensed step and its start-state gains solve the dense Newton
+        # system in the controls to rounding, whatever its condition
+        # number (at the example's, the two solutions differ by 6e-5), and
+        # the expected decrease and largest stage gradient are the system's
         spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
         dv, gains, grad_norm, dec = direction(nominal, spec, 1e-9, sharpness)
         dyn, nx = spec.dynamics, (spec.horizon + 1) * spec.n
-        step, S, dec_ref, grad_ref = newton_step_reference(
-            nominal.states, nominal.controls, dyn.A, dyn.B, spec.cost.Q,
-            spec.cost.R, spec.cost.x_ref, spec.terminal_cost.Q,
-            spec.terminal_cost.x_ref, _plain_terms(spec.barriers),
-            _plain_terms(spec.terminal_barriers), 1e-9, sharpness)
-        tol = step_tolerance(nominal, spec, sharpness)
-        assert _rel_err(trajectory_step(spec, dv)[nx:], step.ravel()) < tol
-        assert _rel_err(gains, S) < tol
+        problem = (nominal.states, nominal.controls, dyn.A, dyn.B,
+                   spec.cost.Q, spec.cost.R, spec.cost.x_ref,
+                   spec.terminal_cost.Q, spec.terminal_cost.x_ref,
+                   _plain_terms(spec.barriers),
+                   _plain_terms(spec.terminal_barriers))
+        g, H, dg_dx0 = newton_system_reference(*problem, sharpness)
+        _, _, dec_ref, grad_ref = newton_step_reference(*problem, 1e-9,
+                                                        sharpness)
+        H = H + 1e-9 * np.eye(len(g))
+        assert _backward_err(H, trajectory_step(spec, dv)[nx:], g) < 1e-13
+        assert _backward_err(H, gains, dg_dx0) < 1e-13
         assert dec == pytest.approx(dec_ref, rel=1e-8)
         assert grad_norm == pytest.approx(grad_ref, rel=1e-8)
 

@@ -402,7 +402,6 @@ class TestRunScenario:
                                  "period_s")),
                  (NoiseConfig, {}, ("sigma_theta", "sigma_delta",
                                     "sigma_lane")),
-                 (SimRates, {}, rates),
                  (VehicleParams, {}, ("m", "c_alpha_f", "c_alpha_r", "l_f",
                                       "l_r", "i_z")),
                  (VpcConfig, {}, ("lookahead_L", "k_vpc", "frame_window")),
@@ -418,8 +417,10 @@ class TestRunScenario:
                 LongTuning(q_diag=bad)
         # the loop's clock counts whole microseconds
         for name in rates:
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                SimRates(**{name: 2.5})
+            for bad in (math.nan, math.inf, -math.inf, 2.5):
+                with pytest.raises(ValueError,
+                                   match=f"{name} must be an integer"):
+                    SimRates(**{name: bad})
 
     def test_unknown_track_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown track preset: 'moon'"):
