@@ -32,6 +32,7 @@ STEER_LIMIT_RAD = math.pi / 6.0
 CLIP_MARGIN = 1e-7      # share of the steer range the warm-start clip leaves
 _WARM_STEER_MAX = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
 V_MIN = 1.0             # m/s; the model coefficients divide by v
+MODEL_SPEED_RTOL = 5e-3  # relative speed change a warm cycle's model absorbs
 
 
 @dataclass
@@ -89,6 +90,13 @@ class LateralTuning:
     r: float = 1.0
     centering_weight: float = 1.0  # lane-centering exponential scale
     centering_rate: float = 1.0    # lane-centering exponent per meter
+
+    def __post_init__(self) -> None:
+        for name in ("dt", "r", "centering_weight", "centering_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not all(math.isfinite(q) for q in self.q_diag):
+            raise ValueError("q_diag must be finite")
 
 
 def build_lateral_dynamics(params: VehicleParams, v: float,
@@ -158,8 +166,12 @@ class LateralPlanner:
     CLIP_MARGIN of the range inside, close enough to leave bound-riding
     optima (down to 5e-7 of the range inside) in place.  The problem for
     each lane-centering branch is built and validated once; every cycle
-    re-aims it at the new state, and at the speed when that changed, so a
-    steady speed keeps the problem's derived dynamics data.
+    re-aims it at the new state.  A warm cycle keeps the branch's model
+    while the speed stays within MODEL_SPEED_RTOL of the speed that model
+    was derived at, and re-derives it at the exact speed beyond that; a
+    cold cycle always plans with the model of its exact speed, so it stays
+    a function of its state and speed alone.  Keeping the anchor at the
+    model's own speed stops the model from creeping away from the plant.
     """
 
     def __init__(self, params: VehicleParams | None = None,
@@ -168,7 +180,7 @@ class LateralPlanner:
         self.tuning = tuning or LateralTuning()
         self._prev: SolveResult | None = None
         dynamics = build_lateral_dynamics(self.params, V_MIN, self.tuning.dt)
-        # per branch: the speed it was last re-aimed at, and that problem
+        # per branch: the speed its model was derived at, and that problem
         self._problems = {
             branch: (V_MIN, build_lateral_problem(
                 LateralState(delta_lat=1.0 if branch else -1.0, theta=0.0),
@@ -191,11 +203,15 @@ class LateralPlanner:
         # the branch rule of build_lateral_problem: offsets >= 0 are positive
         branch = state.delta_lat >= 0.0
         speed, problem = self._problems[branch]
-        dynamics = (None if v_eff == speed else
-                    build_lateral_dynamics(self.params, v_eff, self.tuning.dt))
-        spec = problem.with_start(state.as_vector(), dynamics=dynamics)
-        self._problems[branch] = (v_eff, spec)
         prev, warm, config = self._prev, None, None
+        dynamics = None
+        if v_eff != speed and (prev is None or abs(v_eff - speed)
+                               > MODEL_SPEED_RTOL * speed):
+            speed = v_eff
+            dynamics = build_lateral_dynamics(self.params, speed,
+                                              self.tuning.dt)
+        spec = problem.with_start(state.as_vector(), dynamics=dynamics)
+        self._problems[branch] = (speed, spec)
         if prev is not None:
             # the replan period is much shorter than the prediction step,
             # so the previous optimum is reused unshifted

@@ -15,6 +15,7 @@ from cilqr_drive import SolverConfig, solve
 from cilqr_drive.ilqr import WARM_CONFIG, rollout, total_cost
 from cilqr_drive.lateral import (
     CLIP_MARGIN,
+    MODEL_SPEED_RTOL,
     STEER_LIMIT_RAD,
     LateralPlanner,
     LateralState,
@@ -24,6 +25,7 @@ from cilqr_drive.lateral import (
     build_lateral_dynamics,
     build_lateral_problem,
 )
+from cilqr_drive.sim import preset_trackB_following, run_scenario
 
 from oracles import affine_step, lqr_dp_solve, newton_step_reference
 
@@ -463,6 +465,105 @@ class TestLateralPlanner:
             assert info.cost == pytest.approx(
                 total_cost(result.trajectory, spec, info.barrier_t_scale),
                 rel=1e-12)
+
+    @staticmethod
+    def _model_speed(planner, spec):
+        """The speed the planner derived spec's model at, checked against
+        a model built fresh at that speed."""
+        speed = next(s for s, p in planner._problems.values() if p is spec)
+        fresh = build_lateral_dynamics(planner.params, speed,
+                                       planner.tuning.dt)
+        np.testing.assert_array_equal(spec.dynamics.A, fresh.A)
+        return speed
+
+    def _plan_models(self, planner, cycles):
+        """Plan each (state, v); return each cycle's model speed and lift."""
+        out = []
+        for state, v in cycles:
+            planner.plan(state, v)
+            spec = planner._problems[state.delta_lat >= 0.0][1]
+            out.append((self._model_speed(planner, spec), spec._lift))
+        return out
+
+    def test_warm_cycle_keeps_the_model_within_the_speed_tolerance(self):
+        # within MODEL_SPEED_RTOL of 20 m/s the warm cycle keeps the derived
+        # model; beyond it, the model is re-derived at the exact speed
+        v_in = 20.0 * (1.0 + 0.9 * MODEL_SPEED_RTOL)
+        v_out = 20.0 * (1.0 + 1.1 * MODEL_SPEED_RTOL)
+        (s0, lift0), (s1, lift1), (s2, lift2) = self._plan_models(
+            LateralPlanner(), [(LateralState(0.5, 0.01), 20.0),
+                               (LateralState(0.48, 0.01), v_in),
+                               (LateralState(0.46, 0.01), v_out)])
+        assert (s0, s1, s2) == (20.0, 20.0, v_out)
+        assert lift1 is lift0 and lift2 is not lift0
+
+    @pytest.mark.parametrize("v0", [3.0, V_76_KMH])
+    def test_model_speed_does_not_creep_with_the_plant(self, v0):
+        # speeds stepping 0.3 % each: the first step keeps the model of v0;
+        # the second is 0.6 % from v0 and re-derives, although it is only
+        # 0.3 % from the speed before
+        state = LateralState(0.5, 0.01)
+        speeds = [v0, v0 * 1.003, v0 * 1.003 ** 2]
+        (s0, lift0), (s1, lift1), (s2, lift2) = self._plan_models(
+            LateralPlanner(), [(state, v) for v in speeds])
+        assert (s0, s1, s2) == (v0, v0, speeds[2])
+        assert lift1 is lift0 and lift2 is not lift0
+
+    def test_cold_cycle_after_a_kept_model_equals_fresh_solve(self):
+        # a warm cycle keeps the model of 20 m/s at 20.06 m/s; after reset,
+        # a cold cycle at 20.06 m/s plans with that speed's own model
+        planner = LateralPlanner()
+        (_, lift0), (speed, lift1) = self._plan_models(
+            planner, [(LateralState(0.5, 0.01), 20.0),
+                      (LateralState(0.48, 0.012), 20.06)])
+        assert speed == 20.0 and lift1 is lift0
+        planner.reset()
+        state = LateralState(0.46, 0.015, delta_lat_rate=-0.05)
+        cmd, result = planner.plan(state, 20.06)
+        fresh_cmd, fresh = LateralPlanner().plan(state, 20.06)
+        dyn = build_lateral_dynamics(planner.params, 20.06, planner.tuning.dt)
+        ref = solve(build_lateral_problem(state, dyn, planner.tuning))
+        assert cmd == fresh_cmd
+        assert cmd.delta_rad == ref.trajectory.controls[0, 0]
+        for other in (fresh, ref):
+            np.testing.assert_array_equal(result.trajectory.states,
+                                          other.trajectory.states)
+            np.testing.assert_array_equal(result.trajectory.controls,
+                                          other.trajectory.controls)
+            assert result.info.cost == other.info.cost
+
+    def test_following_loop_plans_within_the_speed_tolerance(self,
+                                                             monkeypatch):
+        # the car-following preset's first seconds: the ego's speed moves
+        # every planner cycle, by several tolerances in all
+        import cilqr_drive.lateral as lateral_module
+        calls, seen = [], []
+        real_plan, real_solve = LateralPlanner.plan, lateral_module.solve
+
+        def plan(planner, state, v):
+            calls.append((planner, max(v, V_MIN)))
+            return real_plan(planner, state, v)
+
+        def spy(spec, warm_start=None, config=None):
+            planner, v = calls[-1]
+            seen.append((config, self._model_speed(planner, spec), v))
+            return real_solve(spec, warm_start=warm_start, config=config)
+
+        monkeypatch.setattr(LateralPlanner, "plan", plan)
+        monkeypatch.setattr(lateral_module, "solve", spy)
+        run_scenario(dataclasses.replace(preset_trackB_following(0),
+                                         duration_s=4.0,
+                                         metrics_t_range=None),
+                     longitudinal=True)
+        assert len(seen) == len(calls) > 500
+        (config, model, v), warm = seen[0], seen[1:]
+        assert config is None and model == v
+        for config, model, v in warm:
+            assert config is WARM_CONFIG
+            assert abs(v - model) <= MODEL_SPEED_RTOL * model
+        speeds = {v for _, _, v in seen}
+        assert max(speeds) - min(speeds) > 4 * MODEL_SPEED_RTOL * max(speeds)
+        assert 4 < len({model for _, model, _ in seen}) < len(speeds) // 10
 
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

@@ -26,7 +26,7 @@ from cilqr_drive.sim import (
     step_plant,
 )
 from cilqr_drive.lanes import VpcConfig
-from cilqr_drive.lateral import VehicleParams
+from cilqr_drive.lateral import LateralTuning, VehicleParams
 from cilqr_drive.longitudinal import LongTuning
 from cilqr_drive.sim.scenario import CONTROLLERS, CSV_COLUMNS
 from cilqr_drive.sim.track import TRACKS
@@ -405,6 +405,8 @@ class TestRunScenario:
                  (VehicleParams, {}, ("m", "c_alpha_f", "c_alpha_r", "l_f",
                                       "l_r", "i_z")),
                  (VpcConfig, {}, ("lookahead_L", "k_vpc", "frame_window")),
+                 (LateralTuning, {}, ("dt", "r", "centering_weight",
+                                      "centering_rate")),
                  (LongTuning, {}, ("dt", "d_ref", "r", "jerk_limit",
                                    "accel_limit", "d_critical", "d_floor"))]
         for cls, base, names in cases:
@@ -412,9 +414,11 @@ class TestRunScenario:
                 for bad in (math.nan, math.inf, -math.inf):
                     with pytest.raises(ValueError, match=f"{name} must be finite"):
                         cls(**{**base, name: bad})
-        for bad in ((math.nan, 1.0, 2.0), (20.0, math.inf, 1.0)):
-            with pytest.raises(ValueError, match="q_diag must be finite"):
-                LongTuning(q_diag=bad)
+        for cls in (LateralTuning, LongTuning):
+            for bad in ((math.nan, 1.0, 2.0), (20.0, math.inf, 1.0),
+                        (20.0, 1.0, -math.inf)):
+                with pytest.raises(ValueError, match="q_diag must be finite"):
+                    cls(q_diag=bad)
         # the loop's clock counts whole microseconds
         for name in rates:
             for bad in (math.nan, math.inf, -math.inf, 2.5):
