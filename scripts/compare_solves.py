@@ -11,7 +11,9 @@ records every solve's problem, warm start and config as plain arrays.
 Both trees then re-solve both recordings, each in its own process with its
 own `cilqr_drive`: the problems are built anew from their public fields,
 and chunks of CHUNK solves are timed in turn on base and head, REPEATS
-times, the repeats alternating which goes first.  Per planner it prints
+times, the repeats alternating which goes first.  Each repeat solves a
+chunk built anew, untimed, so no timed solve is answered from solve's memo
+of an earlier repeat.  Per planner it prints
 how many solves differ in stop reason (with the transitions) or
 iteration count, the largest relative cost and control differences (over
 the whole plan, and over its first control, the only one a planner
@@ -117,27 +119,33 @@ def _build(ilqr, p: dict):
     return spec, p["warm_start"], config
 
 
+def _timed(ilqr, plain: list, keep: bool):
+    """The wall time of solving a chunk of recordings, built anew (untimed)
+    so that every solve computes, and the results if keep."""
+    chunk = [_build(ilqr, p) for p in plain]
+    t0 = time.perf_counter()
+    results = [ilqr.solve(s, warm_start=w, config=c) for s, w, c in chunk]
+    elapsed = time.perf_counter() - t0
+    return elapsed, ([(r.info.message, r.info.iterations, r.info.cost,
+                       r.trajectory.controls) for r in results]
+                     if keep else None)
+
+
 def _worker(root: str, conn) -> None:
-    """Serve one tree: record a workload, build a chunk, time a chunk."""
+    """Serve one tree: record a workload, load a chunk, time a chunk."""
     sys.path[:0] = [str(Path(root) / "bench"), str(Path(root) / "src")]
     bench = importlib.import_module("run")
     ilqr = importlib.import_module("cilqr_drive.ilqr")
-    chunk = []
+    plain = []
     while True:
         cmd, arg = conn.recv()
         if cmd == "record":
             conn.send(_record(bench, *arg))
-        elif cmd == "build":
-            chunk = [_build(ilqr, p) for p in arg]
+        elif cmd == "load":
+            plain = arg
             conn.send(None)
         elif cmd == "time":
-            t0 = time.perf_counter()
-            results = [ilqr.solve(s, warm_start=w, config=c)
-                       for s, w, c in chunk]
-            elapsed = time.perf_counter() - t0
-            conn.send((elapsed, [(r.info.message, r.info.iterations,
-                                  r.info.cost, r.trajectory.controls)
-                                 for r in results] if arg else None))
+            conn.send(_timed(ilqr, plain, arg))
         else:
             return
 
@@ -180,7 +188,7 @@ def _report(conns, label: str, problems: list) -> None:
     for c0 in range(0, len(problems), CHUNK):
         part = problems[c0:c0 + CHUNK]
         for conn in conns:
-            _ask(conn, "build", part)
+            _ask(conn, "load", part)
         times = np.full(2, np.inf)
         for r in range(REPEATS):
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):

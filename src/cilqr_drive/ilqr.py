@@ -592,7 +592,7 @@ class _Lift:
     the quadratic cost's Hessian in [vec v; x0], v rows only, and
     Gq (w - w_ref) its gradient in v at w.
     A model that overflows gives a non-finite lift, which every direction
-    reports.
+    reports.  memo holds the last solve under this lift (see solve).
     """
 
     @np.errstate(all="ignore")
@@ -622,6 +622,7 @@ class _Lift:
                   out=WF[nx:].reshape(N, m, -1))
         self.H0 = self.Fv.T @ WF
         self.Gq = WF[:, :Nm].T
+        self.memo = None
 
 
 def _lifted_w(F: np.ndarray, v: np.ndarray, x0: np.ndarray,
@@ -873,6 +874,16 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     own.  If rounding cost it the condensed score's decrease, the start is
     returned as "plan not below the start": not converged, its score the
     whole cost_history, gains only from a pass taken there.
+
+    A solve is deterministic, so a call that repeats the last solve under
+    the same lift (a problem and the with_start copies that keep it, such
+    as a planner's re-posed problem) returns a copy of that result without
+    recomputing.  The lift stands for A, B, the horizon, the costs' Q and
+    R and the barriers; the memo's key is the rest of what a solve reads,
+    bit for bit: x0, the drift, the reference, the start controls, and the
+    config's field values and types.  A solve that raises stores nothing.
+    No result shares memory with the warm start, another result or the
+    memo.
     """
     cfg = config or SolverConfig()
     # a copy: no result shares memory with the caller's warm start
@@ -881,6 +892,12 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     if controls.shape != (spec.horizon, spec.m):
         raise ValueError("warm start must have shape (horizon, m)")
     _finite(controls, "warm start")
+    key = (cfg, tuple(map(type, vars(cfg).values())), spec.x0.tobytes(),
+           spec.dynamics._drift.tobytes(), spec._w_ref.tobytes(),
+           controls.tobytes())
+    memo = spec._lift.memo
+    if memo is not None and memo[0] == key:
+        return _copied(memo[1])
 
     lams, reg = LINE_SEARCH_STEPS[:, None], cfg.regularization_init
     t_scale = cfg.barrier_t_init
@@ -956,4 +973,16 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         cost_history=history, barrier_t_scale=t_scale, regularization=reg,
         log_range_margins=_log_range_margins(spec, Z), message=message)
     traj = Trajectory(w[:nx].reshape(N + 1, n), w[nx:].reshape(N, spec.m))
-    return SolveResult(traj, info, gains)
+    result = SolveResult(traj, info, gains)
+    lift.memo = (key, _copied(result))
+    return result
+
+
+def _copied(res: SolveResult) -> SolveResult:
+    """res with arrays and lists of its own."""
+    traj, info = res.trajectory, res.info
+    info = SolveInfo(**{**vars(info),
+                        "cost_history": list(info.cost_history),
+                        "log_range_margins": list(info.log_range_margins)})
+    return SolveResult(Trajectory(traj.states.copy(), traj.controls.copy()),
+                       info, None if res.gains is None else res.gains.copy())

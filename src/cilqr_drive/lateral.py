@@ -159,9 +159,11 @@ class LateralPlanner:
     The first cycle solves on the solver defaults, which walk the barrier
     sharpness schedule; warm-started cycles solve with WARM_CONFIG, one
     real-time iteration from the previous plan.  A repeated perception
-    frame starts from the previous controls; a new one from the previous
-    plan re-aimed at the new state by its start-state gains, U + S dx0,
-    which saves about one Newton step.
+    frame starts from the previous controls; after a solve that returned
+    its own warm start, that re-poses the previous solve bit for bit, and
+    solve answers it from its memo without recomputing.  A new frame
+    starts from the previous plan re-aimed at the new state by its
+    start-state gains, U + S dx0, which saves about one Newton step.
     That can cross the steer bound after a large jump, so it is clipped
     CLIP_MARGIN of the range inside, close enough to leave bound-riding
     optima (down to 5e-7 of the range inside) in place.  The problem for

@@ -1,4 +1,5 @@
 """Core solver tests: rollout, costs, barriers, passes, and solve()."""
+import copy
 import dataclasses
 import importlib.util
 import math
@@ -916,7 +917,8 @@ class TestSolve:
         solved = [(optimum, solve(spec, warm_start=optimum)),
                   (zeros, solve(spec, warm_start=zeros))]
         monkeypatch.setattr(ilqr_module, "backward_pass", _failing_pass)
-        solved.append((optimum, solve(spec, warm_start=optimum)))
+        # a fresh problem, so that solve's memo cannot answer the call
+        solved.append((optimum, solve(scalar_problem(), warm_start=optimum)))
         assert solved[-1][1].gains is None
         np.testing.assert_array_equal(solved[0][1].trajectory.controls,
                                       optimum)
@@ -1008,10 +1010,12 @@ class TestSolve:
         with monkeypatch.context() as patch:
             # every search direction climbs
             patch.setattr(ilqr_module, "backward_pass", climbing)
-            messages.append(solve(spec).info.message)
+            messages.append(solve(scalar_problem()).info.message)
         with monkeypatch.context() as patch:
+            # a fresh problem: solve would answer a re-posed one from its
+            # memo, without calling the patched pass
             patch.setattr(ilqr_module, "backward_pass", _failing_pass)
-            messages.append(solve(spec).info.message)
+            messages.append(solve(scalar_problem()).info.message)
         # a solve converges only at a stationary iterate; the benchmark
         # still names the retired cost-decrease stop
         assert len(set(messages)) == 4
@@ -1050,6 +1054,147 @@ class TestSolve:
             for config in (None, WARM_CONFIG):
                 with pytest.raises(ValueError, match="warm start"):
                     solve(spec, warm_start=warm, config=config)
+
+
+class TestSolveMemo:
+    """solve answers a call that re-poses its last solve under the same
+    lift from a memo, with a copy of that result."""
+
+    @staticmethod
+    def _spy_passes(monkeypatch):
+        import cilqr_drive.ilqr as ilqr_module
+        calls, real = [], ilqr_module.backward_pass
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ilqr_module, "backward_pass", counting)
+        return calls
+
+    def test_identical_call_is_answered_without_a_backward_pass(
+            self, monkeypatch):
+        calls = self._spy_passes(monkeypatch)
+        for spec, plan in planner_problems():
+            for warm, config in ((None, None), (plan.controls, WARM_CONFIG),
+                                 (plan.controls * 0.9, None)):
+                first = solve(spec, warm_start=warm, config=config)
+                calls.clear()
+                second = solve(spec, warm_start=warm, config=config)
+                assert calls == []
+                _same_result(second, first)
+                # repr tells every float's bits and every field's type
+                assert repr(second.info) == repr(first.info)
+
+    def test_hit_shares_no_memory(self):
+        for spec, plan in planner_problems():
+            warm = plan.controls.copy()
+            results = [solve(spec, warm_start=warm, config=WARM_CONFIG)
+                       for _ in range(3)]
+            for i, res in enumerate(results):
+                mine = [res.trajectory.states, res.trajectory.controls,
+                        res.gains]
+                for other in results[:i]:
+                    for a in mine:
+                        for b in (other.trajectory.states,
+                                  other.trajectory.controls, other.gains):
+                            assert not np.shares_memory(a, b)
+                    assert res.info.cost_history is not other.info.cost_history
+                    assert (res.info.log_range_margins
+                            is not other.info.log_range_margins)
+                for a in mine:
+                    assert not np.shares_memory(a, warm)
+
+    def test_writing_into_a_result_leaves_a_later_hit_unchanged(self):
+        spec, plan = planner_problems()[0]
+        want = solve(spec, warm_start=plan.controls)
+        expected = copy.deepcopy(want)
+        for res in (want, solve(spec, warm_start=plan.controls)):
+            res.trajectory.states[:] = np.nan
+            res.trajectory.controls[:] = np.nan
+            res.gains[:] = np.nan
+            res.info.cost = np.nan
+            res.info.cost_history.append(np.nan)
+            res.info.log_range_margins.clear()
+            _same_result(solve(spec, warm_start=plan.controls), expected)
+
+    @pytest.mark.parametrize("change", ["x0", "warm start", "config",
+                                        "config field type", "drift",
+                                        "reference", "A"])
+    def test_any_changed_input_recomputes(self, change, monkeypatch):
+        # the following problem: it has a drift; each change is one bit
+        spec, plan = planner_problems()[2]
+        warm, config = plan.controls, WARM_CONFIG
+        dyn = spec.dynamics
+
+        def nudged(a):
+            out = np.array(a, dtype=float)
+            out.flat[0] = np.nextafter(out.flat[0], np.inf)
+            return out
+
+        solve(spec, warm_start=warm, config=config)
+        if change == "x0":
+            spec = spec.with_start(nudged(spec.x0))
+        elif change == "warm start":
+            warm = nudged(warm)
+        elif change == "config":
+            config = dataclasses.replace(config, cost_tolerance=2e-4)
+        elif change == "config field type":
+            # the same values; a solve that keeps its start would report
+            # barrier_t_init as given, an int
+            config = dataclasses.replace(
+                config, barrier_t_init=int(config.barrier_t_init))
+        elif change == "drift":
+            # solve reads C w: the lead speed's entry of w moves it
+            dyn = dyn.with_drift(dyn.w + [0.0, 1e-9, 0.0])
+            assert not np.array_equal(dyn._drift, spec.dynamics._drift)
+            spec = spec.with_start(spec.x0, dynamics=dyn)
+        elif change == "reference":
+            spec = spec.with_start(spec.x0, x_ref=nudged(spec.cost.x_ref))
+        else:
+            dyn = AffineDynamics(A=nudged(dyn.A), B=dyn.B, C=dyn.C, w=dyn.w)
+            spec = spec.with_start(spec.x0, dynamics=dyn)
+        fresh = fresh_problem(spec, spec.x0, dynamics=spec.dynamics,
+                              x_ref=spec.cost.x_ref)
+        calls = self._spy_passes(monkeypatch)
+        res = solve(spec, warm_start=warm, config=config)
+        assert calls
+        want = solve(fresh, warm_start=warm, config=config)
+        _same_result(res, want)
+        assert repr(res.info) == repr(want.info)
+
+    def test_alternating_problems_keep_their_entries(self, monkeypatch):
+        # two skeletons, as the steering and following planners alternate
+        problems = planner_problems()[1:]
+        firsts = [solve(spec, warm_start=plan.controls, config=WARM_CONFIG)
+                  for spec, plan in problems]
+        calls = self._spy_passes(monkeypatch)
+        for _ in range(2):
+            for (spec, plan), first in zip(problems, firsts):
+                _same_result(solve(spec, warm_start=plan.controls,
+                                   config=WARM_CONFIG), first)
+        assert calls == []
+
+    def test_invalid_warm_starts_raise_on_a_repeat(self, monkeypatch):
+        spec, plan = planner_problems()[0]
+        first = solve(spec, warm_start=plan.controls)
+        bad = plan.controls.copy()
+        bad[3, 0] = np.nan
+        term = BarrierTerm.log_range(1, 1, lower=-0.1, upper=0.1,
+                                     control_index=0)
+        bounded = scalar_problem(barriers=[term])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="shape"):
+                solve(spec, warm_start=plan.controls[:-1])
+            with pytest.raises(ValueError, match="warm start"):
+                solve(spec, warm_start=bad)
+            with pytest.raises(InfeasibleTrajectoryError):
+                solve(bounded, warm_start=[[5.0]])
+        # a solve that raised stored nothing: the memo still holds the last
+        # solve that returned
+        calls = self._spy_passes(monkeypatch)
+        _same_result(solve(spec, warm_start=plan.controls), first)
+        assert calls == []
 
 
 def _failing_pass(*args, **kwargs):
@@ -1190,9 +1335,12 @@ class TestSolveProperties:
     @PROPERTY_SETTINGS
     @given(seed=seeds, m=control_sizes)
     def test_repeat_solves_are_bit_identical(self, seed, m):
+        # the repeat is on the problem built anew, so that it computes
+        # rather than being answered from the memo
         spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
         _same_result(solve(spec, warm_start=nominal.controls),
-                     solve(spec, warm_start=nominal.controls))
+                     solve(fresh_problem(spec, spec.x0),
+                           warm_start=nominal.controls))
 
     @PROPERTY_SETTINGS
     @given(seed=seeds, m=control_sizes)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cilqr_drive import SolverConfig, solve
-from cilqr_drive.ilqr import WARM_CONFIG, rollout, total_cost
+from cilqr_drive.ilqr import ProblemSpec, WARM_CONFIG, rollout, total_cost
 from cilqr_drive.lateral import (
     CLIP_MARGIN,
     MODEL_SPEED_RTOL,
@@ -564,6 +564,54 @@ class TestLateralPlanner:
         speeds = {v for _, _, v in seen}
         assert max(speeds) - min(speeds) > 4 * MODEL_SPEED_RTOL * max(speeds)
         assert 4 < len({model for _, model, _ in seen}) < len(speeds) // 10
+
+    def test_repeated_frame_after_a_kept_plan_runs_no_backward_pass(
+            self, monkeypatch):
+        # perception delivers a frame every fourth planner cycle or so; a
+        # repeated frame after a solve that kept its warm start re-poses
+        # that solve, and solve answers it from its memo
+        import cilqr_drive.ilqr as ilqr_module
+        import cilqr_drive.lateral as lateral_module
+        real_pass, real_solve = ilqr_module.backward_pass, lateral_module.solve
+        passes = []
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return real_pass(*args, **kwargs)
+
+        def on_a_fresh_problem(spec, warm_start=None, config=None):
+            rebuilt = ProblemSpec(
+                dynamics=spec.dynamics, horizon=spec.horizon, cost=spec.cost,
+                terminal_cost=spec.terminal_cost, x0=spec.x0,
+                barriers=spec.barriers,
+                terminal_barriers=spec.terminal_barriers)
+            return real_solve(rebuilt, warm_start=warm_start, config=config)
+
+        monkeypatch.setattr(ilqr_module, "backward_pass", counting)
+        dyn = build_lateral_dynamics(VehicleParams(), V_76_KMH, DT)
+        x = np.array([0.5, 0.0, 0.0, 0.0])
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
+        frames, commands, answered = [], [], []
+        kept = False        # the last solve returned its warm start
+        for cycle in range(48):
+            if cycle % 4 == 0 and commands:
+                x = affine_step(dyn, x, np.array([commands[-1].delta_rad]))
+            frames.append(LateralState(x[0], x[2], delta_lat_rate=x[1],
+                                       theta_rate=x[3]))
+            before = len(passes)
+            cmd, result = planner.plan(frames[-1], V_76_KMH)
+            commands.append(cmd)
+            answered.append(len(passes) == before)
+            assert answered[-1] == (cycle % 4 != 0 and kept)
+            warm = seen[-1][1]
+            kept = warm is not None and np.array_equal(
+                result.trajectory.controls, warm)
+        assert sum(answered) >= 24
+        monkeypatch.setattr(lateral_module, "solve", on_a_fresh_problem)
+        planner = LateralPlanner()
+        for frame, cmd in zip(frames, commands):
+            assert planner.plan(frame, V_76_KMH)[0] == cmd
 
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

@@ -55,19 +55,25 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert missing == []
 
 
-def test_compare_solves_rebuilds_a_recorded_solve_to_the_bit(monkeypatch):
+@pytest.fixture
+def compare(monkeypatch):
+    """scripts/compare_solves.py, loaded without starting a worker."""
+    path = ROOT / "scripts" / "compare_solves.py"
+    module_spec = importlib.util.spec_from_file_location("compare_solves",
+                                                         path)
+    module = importlib.util.module_from_spec(module_spec)
+    # it pins the BLAS thread counts in os.environ when it loads
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    module_spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_solves_rebuilds_a_recorded_solve_to_the_bit(compare):
     """scripts/compare_solves.py records a solve's inputs as plain arrays
     (_plain) and rebuilds them (_build); the rebuilt solve must equal the
     recorded one bit for bit, or the script would report differences that
     no tree made.  Both steering branches and the following problem, cold
     and warm; no worker process is started."""
-    path = ROOT / "scripts" / "compare_solves.py"
-    module_spec = importlib.util.spec_from_file_location("compare_solves",
-                                                         path)
-    compare = importlib.util.module_from_spec(module_spec)
-    # it pins the BLAS thread counts in os.environ when it loads
-    monkeypatch.setattr(os, "environ", dict(os.environ))
-    module_spec.loader.exec_module(compare)
     tuning = LateralTuning()
     dyn = build_lateral_dynamics(VehicleParams(), 20.0, tuning.dt)
     problems = [build_lateral_problem(LateralState(delta_lat=offset,
@@ -89,6 +95,29 @@ def test_compare_solves_rebuilds_a_recorded_solve_to_the_bit(monkeypatch):
                          (got.trajectory.controls,
                           want.trajectory.controls)):
                 np.testing.assert_array_equal(a, b)
+
+
+def test_compare_solves_times_solves_that_compute(compare, monkeypatch):
+    """Every timed repeat of a chunk runs its solves: none is answered from
+    solve's memo of the repeat before, which would time a copy."""
+    tuning = LateralTuning()
+    spec = build_lateral_problem(
+        LateralState(delta_lat=0.4, theta=0.02),
+        build_lateral_dynamics(VehicleParams(), 20.0, tuning.dt), tuning)
+    plan = ilqr.solve(spec).trajectory.controls
+    plain = [compare._plain(spec, None, None),
+             compare._plain(spec, plan, ilqr.WARM_CONFIG)]
+    calls, real = [], ilqr.backward_pass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ilqr, "backward_pass", counting)
+    for keep in (True, False, False):
+        before = len(calls)
+        compare._timed(ilqr, plain, keep)
+        assert len(calls) - before >= len(plain)
 
 
 def _trees(*dirs: str) -> dict[Path, ast.Module]:
