@@ -374,18 +374,21 @@ def _check_count(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """States (N+1, n) and controls (N, m); consistent after rollout."""
+    """States (N+1, n) and controls (N, m); consistent after rollout.
+    Frozen, holding read-only views: the caller's arrays stay writable."""
 
     states: np.ndarray
     controls: np.ndarray
 
     def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=float)
-        self.controls = np.asarray(self.controls, dtype=float)
-        if self.states.ndim != 2 or self.controls.ndim != 2:
-            raise ValueError("states and controls must be 2-d arrays")
+        for name in ("states", "controls"):
+            value = np.asarray(getattr(self, name), dtype=float).view()
+            if value.ndim != 2:
+                raise ValueError("states and controls must be 2-d arrays")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if self.states.shape[0] != self.controls.shape[0] + 1:
             raise ValueError("states must hold exactly one more row than controls")
 
@@ -404,11 +407,15 @@ class SolverConfig:
     barrier_t_max: float = 1e4
 
     def __post_init__(self) -> None:
+        # stored as int and floats, so configs that compare equal solve alike
         _check_count(self.max_outer_iterations, "max_outer_iterations")
+        object.__setattr__(self, "max_outer_iterations",
+                           operator.index(self.max_outer_iterations))
         for name in ("cost_tolerance", "gradient_tolerance",
                      "regularization_init", "barrier_t_init", "barrier_t_max"):
             if not 0.0 < getattr(self, name) < np.inf:      # NaN fails too
                 raise ValueError(f"{name} must be positive and finite")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 
@@ -423,7 +430,7 @@ WARM_CONFIG = SolverConfig(barrier_t_init=SolverConfig.barrier_t_max,
                            max_outer_iterations=1, gradient_tolerance=1e-3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveInfo:
     """How a solve ended; cost and log_range_margins are the returned
     trajectory's.  Each cost_history entry is scored at its own iteration's
@@ -433,14 +440,14 @@ class SolveInfo:
     converged: bool
     iterations: int
     cost: float
-    cost_history: list[float]
+    cost_history: tuple[float, ...]
     barrier_t_scale: float
     regularization: float
-    log_range_margins: list[tuple[float, float]]
+    log_range_margins: tuple[tuple[float, float], ...]
     message: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     trajectory: Trajectory
     info: SolveInfo
@@ -592,7 +599,8 @@ class _Lift:
     the quadratic cost's Hessian in [vec v; x0], v rows only, and
     Gq (w - w_ref) its gradient in v at w.
     A model that overflows gives a non-finite lift, which every direction
-    reports.  memo holds the last solve under this lift (see solve).
+    reports.  memo holds the last result solved under this lift with its
+    key, and a repeat of that solve returns the result itself (see solve).
     """
 
     @np.errstate(all="ignore")
@@ -844,10 +852,10 @@ def _log_range_margins(spec: ProblemSpec, Z: np.ndarray):
     cols, N = spec._columns, spec.horizon
     r = [t.kind for t in spec.barriers].count(BarrierKind.LOG_RANGE)
     Zr, z = Z[:N * r].reshape(N, r), Z[N * r:cols.n_log]
-    pairs = list(zip((Zr.min(axis=0) - cols.lower[:r]).tolist(),
-                     (cols.upper[:r] - Zr.max(axis=0)).tolist()))
-    return pairs + list(zip((z - cols.lower[N * r:]).tolist(),
-                            (cols.upper[N * r:] - z).tolist()))
+    pairs = zip((Zr.min(axis=0) - cols.lower[:r]).tolist(),
+                (cols.upper[:r] - Zr.max(axis=0)).tolist())
+    return (*pairs, *zip((z - cols.lower[N * r:]).tolist(),
+                         (cols.upper[N * r:] - z).tolist()))
 
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
@@ -875,29 +883,28 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     returned as "plan not below the start": not converged, its score the
     whole cost_history, gains only from a pass taken there.
 
-    A solve is deterministic, so a call that repeats the last solve under
-    the same lift (a problem and the with_start copies that keep it, such
-    as a planner's re-posed problem) returns a copy of that result without
+    A result is immutable (frozen, its arrays read-only) and formed from
+    a fresh rollout, so it shares no memory with the warm start.  A solve
+    is deterministic, so a call that repeats the last solve under the same
+    lift (a problem and the with_start copies that keep it, such as a
+    planner's re-posed problem) returns that same result without
     recomputing.  The lift stands for A, B, the horizon, the costs' Q and
     R and the barriers; the memo's key is the rest of what a solve reads,
     bit for bit: x0, the drift, the reference, the start controls, and the
-    config's field values and types.  A solve that raises stores nothing.
-    No result shares memory with the warm start, another result or the
-    memo.
+    config (its fields are stored as int and floats, so equal configs
+    solve alike).  A solve that raises stores nothing.
     """
     cfg = config or SolverConfig()
-    # a copy: no result shares memory with the caller's warm start
     controls = (np.zeros((spec.horizon, spec.m)) if warm_start is None
-                else np.array(warm_start, dtype=float))
+                else np.asarray(warm_start, dtype=float))
     if controls.shape != (spec.horizon, spec.m):
         raise ValueError("warm start must have shape (horizon, m)")
     _finite(controls, "warm start")
-    key = (cfg, tuple(map(type, vars(cfg).values())), spec.x0.tobytes(),
-           spec.dynamics._drift.tobytes(), spec._w_ref.tobytes(),
-           controls.tobytes())
+    key = (cfg, spec.x0.tobytes(), spec.dynamics._drift.tobytes(),
+           spec._w_ref.tobytes(), controls.tobytes())
     memo = spec._lift.memo
     if memo is not None and memo[0] == key:
-        return _copied(memo[1])
+        return memo[1]
 
     lams, reg = LINE_SEARCH_STEPS[:, None], cfg.regularization_init
     t_scale = cfg.barrier_t_init
@@ -970,19 +977,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             gains = gains if at_start else None
     info = SolveInfo(
         converged=message == "stationary", iterations=iterations, cost=J,
-        cost_history=history, barrier_t_scale=t_scale, regularization=reg,
-        log_range_margins=_log_range_margins(spec, Z), message=message)
+        cost_history=tuple(history), barrier_t_scale=t_scale,
+        regularization=reg, log_range_margins=_log_range_margins(spec, Z),
+        message=message)
+    if gains is not None:
+        gains.flags.writeable = False
     traj = Trajectory(w[:nx].reshape(N + 1, n), w[nx:].reshape(N, spec.m))
-    result = SolveResult(traj, info, gains)
-    lift.memo = (key, _copied(result))
-    return result
-
-
-def _copied(res: SolveResult) -> SolveResult:
-    """res with arrays and lists of its own."""
-    traj, info = res.trajectory, res.info
-    info = SolveInfo(**{**vars(info),
-                        "cost_history": list(info.cost_history),
-                        "log_range_margins": list(info.log_range_margins)})
-    return SolveResult(Trajectory(traj.states.copy(), traj.controls.copy()),
-                       info, None if res.gains is None else res.gains.copy())
+    lift.memo = (key, SolveResult(traj, info, gains))
+    return lift.memo[1]

@@ -11,6 +11,7 @@ command.  Curvature is signed positive for left turns.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -109,6 +110,11 @@ class VpcConfig:
         for name in ("lookahead_L", "k_vpc", "frame_window"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        try:
+            # numpy integers pass; stored as an int, which deque requires
+            self.frame_window = operator.index(self.frame_window)
+        except TypeError:
+            raise ValueError("frame_window must be an integer") from None
         if self.lookahead_L <= 0.0:
             raise ValueError("lookahead_L must be positive")
         if self.frame_window < 1:

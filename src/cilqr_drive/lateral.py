@@ -25,6 +25,7 @@ from .ilqr import (
     QuadraticCost,
     SolveResult,
     WARM_CONFIG,
+    _check_count,
     solve,
 )
 
@@ -92,11 +93,20 @@ class LateralTuning:
     centering_rate: float = 1.0    # lane-centering exponent per meter
 
     def __post_init__(self) -> None:
+        # the lateral.* config rows' ranges, each error naming its field
+        _check_count(self.horizon, "horizon")
         for name in ("dt", "r", "centering_weight", "centering_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("dt", "r", "centering_weight"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be strictly positive")
         if not all(math.isfinite(q) for q in self.q_diag):
             raise ValueError("q_diag must be finite")
+        if self.centering_rate < 0.0:
+            raise ValueError("centering_rate must be nonnegative")
+        if len(self.q_diag) != 4 or min(self.q_diag) < 0.0:
+            raise ValueError("q_diag must hold 4 nonnegative entries")
 
 
 def build_lateral_dynamics(params: VehicleParams, v: float,
@@ -194,11 +204,7 @@ class LateralPlanner:
 
     def plan(self, state: LateralState, v: float
              ) -> tuple[SteerCommand, SolveResult]:
-        """Plan one steering command at speed v (clamped below at V_MIN).
-
-        The returned result is the one the planner keeps for its next warm
-        start: read it, do not write it.
-        """
+        """Plan one steering command at speed v (clamped below at V_MIN)."""
         if not math.isfinite(v):
             raise ValueError("lateral speed must be finite")
         v_eff = max(v, V_MIN)

@@ -26,6 +26,7 @@ from .ilqr import (
     QuadraticCost,
     SolveResult,
     WARM_CONFIG,
+    _check_count,
     solve,
 )
 
@@ -82,6 +83,8 @@ class PiState:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.v_r) and math.isfinite(self.integral)):
             raise ValueError("PI state must be finite")
+        if not math.isfinite(self.period):
+            raise ValueError("period must be finite")
         if self.period <= 0.0:
             raise ValueError("period must be positive")
 
@@ -105,13 +108,19 @@ class LongTuning:
     d_floor: float = 2.0           # full brake at or below, m
 
     def __post_init__(self) -> None:
+        # the longitudinal.* config rows' ranges, each error naming its field
+        _check_count(self.horizon, "horizon")
         for name in ("dt", "d_ref", "r", "jerk_limit", "accel_limit",
                      "d_critical", "d_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be strictly positive")
         if not all(math.isfinite(q) for q in self.q_diag):
             raise ValueError("q_diag must be finite")
-        if self.d_floor <= 0.0 or self.d_critical <= self.d_floor:
+        if len(self.q_diag) != 3 or min(self.q_diag) < 0.0:
+            raise ValueError("q_diag must hold 3 nonnegative entries")
+        if self.d_critical <= self.d_floor:
             raise ValueError("need 0 < d_floor < d_critical")
         if self.d_critical >= self.d_ref:
             raise ValueError("critical distance must sit below the reference")
@@ -238,11 +247,7 @@ class LongitudinalPlanner:
     def plan(self, v: float, lead: LeadMeasurement | None
              ) -> tuple[LongCommand, SolveResult | None]:
         """Plan one accel/brake command; the result is None on a cruise
-        cycle, and `following` tells the mode.
-
-        The returned result is the one the planner keeps for its next warm
-        start: read it, do not write it.
-        """
+        cycle, and `following` tells the mode."""
         # checked before the speed enters the acceleration estimate, which
         # a rejected speed would otherwise poison for good
         if not math.isfinite(v):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,8 +15,9 @@ from cilqr_drive.cli import (_execute, main, replay_lateral_timing,
 from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_float,
                                 _as_int, _nonneg, _positive, load_run_config)
 from cilqr_drive.lanes import VpcEstimator
-from cilqr_drive.lateral import LateralPlanner
-from cilqr_drive.longitudinal import ACCEL_TAU, LongitudinalPlanner
+from cilqr_drive.lateral import LateralPlanner, LateralTuning
+from cilqr_drive.longitudinal import (ACCEL_TAU, LongitudinalPlanner,
+                                      LongTuning)
 from cilqr_drive.sim import (LeadSpec, compute_metrics, preset_straight_smoke,
                              preset_trackA_lane_keeping,
                              preset_trackB_following, run_scenario)
@@ -127,6 +129,11 @@ def _edge_values():
 
 
 EDGE_VALUES = _edge_values()
+
+# each planner tuning row with a range check
+TUNING_ROWS = [key for key, (section, _, _, check) in _REGISTRY.items()
+               if section in ("lateral", "long")
+               and check in (_positive, _nonneg)]
 
 
 class TestLoadRunConfig:
@@ -297,6 +304,32 @@ class TestLoadRunConfig:
                             period=cfg.spec.rates.planner_us * 1e-6,
                             tuning=cfg.long_tuning)
         VpcEstimator(cfg.vpc)
+
+    @pytest.mark.parametrize("key", TUNING_ROWS)
+    def test_tuning_rejects_what_its_row_rejects_naming_the_field(self, key):
+        # the boundary value the row rejects (0 for a positive key, the
+        # largest negative float for a nonnegative one), passed straight to
+        # the dataclass: refused there, not when a planner builds its
+        # problem with an error that names an internal
+        section, name, cast, check = _REGISTRY[key]
+        cls = {"lateral": LateralTuning, "long": LongTuning}[section]
+        bad = cast("0") if check is _positive else -math.ulp(0.0)
+        with pytest.raises(ValueError):
+            check(bad)
+        if isinstance(name, tuple):
+            name, index = name
+            entries = list(getattr(cls(), name))
+            entries[index] = bad
+            bad = tuple(entries)
+        with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
+            cls(**{name: bad})
+
+    @pytest.mark.parametrize("cls", [LateralTuning, LongTuning])
+    def test_tuning_rejects_a_q_diag_of_another_length(self, cls):
+        n = len(cls().q_diag)
+        for q_diag in ((1.0,) * (n - 1), (1.0,) * (n + 1)):
+            with pytest.raises(ValueError, match=f"q_diag must hold {n} "):
+                cls(q_diag=q_diag)
 
     @pytest.mark.parametrize("text, line, message", CROSS_FIELD)
     def test_cross_field_error_is_pinned(self, tmp_path, text, line,

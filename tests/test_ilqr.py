@@ -871,8 +871,8 @@ class TestSolve:
         res = solve(spec)
         u = res.trajectory.controls[:, 0]
         x_N = res.trajectory.states[-1, 1]
-        assert res.info.log_range_margins == [
-            (u.min() + 1.0, 1.0 - u.max()), (x_N + 1.0, 2.0 - x_N)]
+        assert res.info.log_range_margins == (
+            (u.min() + 1.0, 1.0 - u.max()), (x_N + 1.0, 2.0 - x_N))
 
     def test_monotone_descent_at_fixed_sharpness(self):
         rng = np.random.default_rng(5)
@@ -980,7 +980,7 @@ class TestSolve:
         assert info.cost == total_cost(traj, spec, info.barrier_t_scale)
         assert info.message == "plan not below the start"
         assert not info.converged
-        assert info.cost_history == [total_cost(traj, spec)]
+        assert info.cost_history == (total_cost(traj, spec),)
         assert (res.gains is not None) == (info.iterations == 1)
         assert info.iterations == (1 if cap == 1 else 2)
 
@@ -1058,7 +1058,7 @@ class TestSolve:
 
 class TestSolveMemo:
     """solve answers a call that re-poses its last solve under the same
-    lift from a memo, with a copy of that result."""
+    lift from a memo, with that result itself: results are immutable."""
 
     @staticmethod
     def _spy_passes(monkeypatch):
@@ -1086,41 +1086,62 @@ class TestSolveMemo:
                 # repr tells every float's bits and every field's type
                 assert repr(second.info) == repr(first.info)
 
-    def test_hit_shares_no_memory(self):
+    def test_hit_returns_the_stored_result(self):
         for spec, plan in planner_problems():
             warm = plan.controls.copy()
-            results = [solve(spec, warm_start=warm, config=WARM_CONFIG)
-                       for _ in range(3)]
-            for i, res in enumerate(results):
-                mine = [res.trajectory.states, res.trajectory.controls,
-                        res.gains]
-                for other in results[:i]:
-                    for a in mine:
-                        for b in (other.trajectory.states,
-                                  other.trajectory.controls, other.gains):
-                            assert not np.shares_memory(a, b)
-                    assert res.info.cost_history is not other.info.cost_history
-                    assert (res.info.log_range_margins
-                            is not other.info.log_range_margins)
-                for a in mine:
-                    assert not np.shares_memory(a, warm)
+            first = solve(spec, warm_start=warm, config=WARM_CONFIG)
+            for _ in range(2):
+                assert solve(spec, warm_start=warm, config=WARM_CONFIG) is first
+            # the caller's warm start stays theirs, and writable
+            assert warm.flags.writeable
+            for a in (first.trajectory.states, first.trajectory.controls,
+                      first.gains):
+                assert not np.shares_memory(a, warm)
 
-    def test_writing_into_a_result_leaves_a_later_hit_unchanged(self):
+    def test_every_write_into_a_result_raises(self):
         spec, plan = planner_problems()[0]
         want = solve(spec, warm_start=plan.controls)
         expected = copy.deepcopy(want)
-        for res in (want, solve(spec, warm_start=plan.controls)):
-            res.trajectory.states[:] = np.nan
-            res.trajectory.controls[:] = np.nan
-            res.gains[:] = np.nan
-            res.info.cost = np.nan
-            res.info.cost_history.append(np.nan)
-            res.info.log_range_margins.clear()
-            _same_result(solve(spec, warm_start=plan.controls), expected)
+        traj, info = want.trajectory, want.info
+        for array in (traj.states, traj.controls, want.gains):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            info.cost = np.nan
+        with pytest.raises(AttributeError):
+            info.cost_history.append(np.nan)
+        with pytest.raises(AttributeError):
+            info.log_range_margins.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.controls = np.zeros_like(plan.controls)
+        _same_result(solve(spec, warm_start=plan.controls), expected)
+
+    def test_configs_differing_in_field_types_solve_alike(self, monkeypatch):
+        # the same values as int, numpy and Python numbers: stored as an
+        # int and floats, so a hit reports what a fresh solve under either
+        # config reports (WARM_CONFIG keeps its start sharpness, which a
+        # solve reports as given)
+        spec, plan = planner_problems()[2]
+        config = WARM_CONFIG
+        other = dataclasses.replace(
+            config, max_outer_iterations=np.int64(1),
+            barrier_t_init=int(config.barrier_t_init),
+            cost_tolerance=np.float64(config.cost_tolerance))
+        assert other == config
+        assert ([type(v) for v in vars(other).values()]
+                == [type(v) for v in vars(config).values()])
+        first = solve(spec, warm_start=plan.controls, config=config)
+        calls = self._spy_passes(monkeypatch)
+        assert solve(spec, warm_start=plan.controls, config=other) is first
+        assert calls == []
+        fresh = fresh_problem(spec, spec.x0, dynamics=spec.dynamics,
+                              x_ref=spec.cost.x_ref)
+        want = solve(fresh, warm_start=plan.controls, config=other)
+        _same_result(first, want)
+        assert repr(first.info) == repr(want.info)
 
     @pytest.mark.parametrize("change", ["x0", "warm start", "config",
-                                        "config field type", "drift",
-                                        "reference", "A"])
+                                        "drift", "reference", "A"])
     def test_any_changed_input_recomputes(self, change, monkeypatch):
         # the following problem: it has a drift; each change is one bit
         spec, plan = planner_problems()[2]
@@ -1139,11 +1160,6 @@ class TestSolveMemo:
             warm = nudged(warm)
         elif change == "config":
             config = dataclasses.replace(config, cost_tolerance=2e-4)
-        elif change == "config field type":
-            # the same values; a solve that keeps its start would report
-            # barrier_t_init as given, an int
-            config = dataclasses.replace(
-                config, barrier_t_init=int(config.barrier_t_init))
         elif change == "drift":
             # solve reads C w: the lead speed's entry of w moves it
             dyn = dyn.with_drift(dyn.w + [0.0, 1e-9, 0.0])
@@ -1316,7 +1332,7 @@ class TestSolveProperties:
                     z = Z[:, col]
                     margins.append((float(z.min() - terms[j].lower),
                                     float(terms[j].upper - z.max())))
-        assert info.log_range_margins == margins
+        assert info.log_range_margins == tuple(margins)
         assert info.cost == pytest.approx(
             total_cost(traj, spec, info.barrier_t_scale), rel=1e-12)
         # each entry is scored at its iteration's sharpness, so only a

@@ -324,6 +324,15 @@ class TestVpcEstimator:
             est.observe(straight_map(ts=float(i)))
         assert est.correction().delta_shift == 0.0
 
+    def test_non_integer_window_rejected_naming_the_field(self):
+        # deque used to refuse it with "an integer is required"
+        for bad in (2.5, 8.0):
+            with pytest.raises(ValueError,
+                               match="frame_window must be an integer"):
+                VpcConfig(frame_window=bad)
+        assert VpcEstimator(VpcConfig(frame_window=np.int64(3))).correction(
+            0.2).delta_p == 0.2
+
     def test_deterministic_given_same_frames(self):
         rng = np.random.default_rng(3)
         frames = [circle_map(100.0, noise=0.05, rng=rng, ts=float(i))

@@ -27,7 +27,7 @@ from cilqr_drive.sim import (
 )
 from cilqr_drive.lanes import VpcConfig
 from cilqr_drive.lateral import LateralTuning, VehicleParams
-from cilqr_drive.longitudinal import LongTuning
+from cilqr_drive.longitudinal import LongitudinalPlanner, LongTuning, PiState
 from cilqr_drive.sim.scenario import CONTROLLERS, CSV_COLUMNS
 from cilqr_drive.sim.track import TRACKS
 
@@ -408,7 +408,10 @@ class TestRunScenario:
                  (LateralTuning, {}, ("dt", "r", "centering_weight",
                                       "centering_rate")),
                  (LongTuning, {}, ("dt", "d_ref", "r", "jerk_limit",
-                                   "accel_limit", "d_critical", "d_floor"))]
+                                   "accel_limit", "d_critical", "d_floor")),
+                 # a NaN period used to plan accel_cmd NaN every cruise cycle
+                 (PiState, {"v_r": 20.0}, ("period",)),
+                 (LongitudinalPlanner, {"cruise_speed": 20.0}, ("period",))]
         for cls, base, names in cases:
             for name in names:
                 for bad in (math.nan, math.inf, -math.inf):
