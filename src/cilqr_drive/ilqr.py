@@ -202,10 +202,12 @@ class BarrierTerm:
             raise ValueError("lane-centering barrier selects states only")
 
     @functools.cached_property
-    def _probe(self):
-        _, M, offset = _barrier_operator(
-            [self], [], 2, self.sel_x.size, self.sel_u.size)
-        return _Stack([self]), (M, offset)
+    def _probe(self) -> "_Columns":
+        """This term as the one column of a one-step problem: running at
+        step 0, or, for lane centering, terminal at step 1 after step 0."""
+        lane = self.kind is BarrierKind.EXP_LANE_CENTERING
+        run, term = ((), (self,)) if lane else ((self,), ())
+        return _Columns(run, term, 1, self.sel_x.size, self.sel_u.size)
 
     # -- convenience constructors -------------------------------------
 
@@ -258,9 +260,9 @@ class ProblemSpec:
     `dynamics` is one time-invariant AffineDynamics applied at every
     step.  Running barriers apply at steps 0..N-1; terminal barriers act
     on x_N only.  A problem is frozen: it is validated once, when it is
-    built, and derives once what every solve reads from it (the stacked
-    barriers and their operator, and the lifted map of the dynamics with
-    what it gives the Newton system).
+    built, and derives once what every solve reads from it (its barrier
+    columns, and the lifted map of the dynamics with what it gives the
+    Newton system).
     """
 
     dynamics: AffineDynamics
@@ -290,9 +292,7 @@ class ProblemSpec:
         set_("x0", _state_vector(self.x0, n, "x0"))
         set_("barriers", run)
         set_("terminal_barriers", term)
-        columns, M, offset = _barrier_operator(run, term, self.horizon, n, m)
-        set_("_columns", _Stack(columns))
-        set_("_bar", (M, offset))
+        set_("_columns", _Columns(run, term, self.horizon, n, m))
         set_("_w_ref", _reference_row(self))
         set_("_lift", _Lift(self))
 
@@ -377,14 +377,15 @@ def _check_count(value, name: str) -> None:
 @dataclass(frozen=True)
 class Trajectory:
     """States (N+1, n) and controls (N, m); consistent after rollout.
-    Frozen, holding read-only views: the caller's arrays stay writable."""
+    Frozen, holding read-only copies: the caller's arrays stay writable,
+    and writing into them leaves the trajectory as it was."""
 
     states: np.ndarray
     controls: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("states", "controls"):
-            value = np.asarray(getattr(self, name), dtype=float).view()
+            value = np.array(getattr(self, name), dtype=float)
             if value.ndim != 2:
                 raise ValueError("states and controls must be 2-d arrays")
             value.flags.writeable = False
@@ -465,52 +466,108 @@ class BarrierDerivatives:
 
 
 # ---------------------------------------------------------------------------
-# Stacked barrier terms.
+# Barrier columns.
 # ---------------------------------------------------------------------------
 
-_KIND_RANK = {BarrierKind.LOG_RANGE: 0, BarrierKind.EXP_ONE_SIDED: 1,
-              BarrierKind.EXP_LANE_CENTERING: 2}
+class _Columns:
+    """The barrier columns of a horizon-N problem, the one reader of their
+    layout: every running term at every step, step by step, then the
+    terminal terms, stably sorted by kind in BarrierKind's order, so the
+    n_log log-range columns lead, n_run_log running ones per step, then
+    the terminal ones.  w @ M + offset holds the arguments of w = [vec X,
+    vec U], a lane-centering column holding the selector at its step and
+    its negative at the step before; the kind table holds the log-range
+    bounds and the exponential weights.  The methods read arguments Z
+    (..., columns), one trajectory's or a stack's."""
 
-
-class _Stack:
-    """The kind table of barrier columns already sorted by kind (log-range,
-    then one-sided exponential, then lane centering, so each kind is a
-    contiguous slice): the log-range bounds and the exponential weights."""
-
-    def __init__(self, terms: Sequence[BarrierTerm]) -> None:
-        self.n_log = sum(t.kind is BarrierKind.LOG_RANGE for t in terms)
-        self.n_exp = len(terms) - self.n_log
-        log, exp = terms[:self.n_log], terms[self.n_log:]
-        self.lower = np.array([t.lower for t in log])
-        self.upper = np.array([t.upper for t in log])
-        self.q1 = np.array([t.q1 for t in exp])
-        self.q2 = np.array([t.q2 for t in exp])
+    def __init__(self, run: Sequence[BarrierTerm], term: Sequence[BarrierTerm],
+                 N: int, n: int, m: int) -> None:
+        rank = list(BarrierKind)
+        columns = [(i, t) for i in range(N) for t in run] + [(N, t) for t in term]
+        columns.sort(key=lambda c: rank.index(c[1].kind))
+        nx = (N + 1) * n
+        M, offset = np.zeros((nx + N * m, len(columns))), np.zeros(len(columns))
+        for c, (i, t) in enumerate(columns):
+            if t.kind is BarrierKind.EXP_LANE_CENTERING:
+                if i:                       # step 0 has no predecessor
+                    M[i * n:(i + 1) * n, c] = t.sel_x
+                    M[(i - 1) * n:i * n, c] = -t.sel_x
+                continue
+            M[i * n:(i + 1) * n, c] = t.sel_x
+            if i < N:                       # terminal terms select no controls
+                M[nx + i * m:nx + (i + 1) * m, c] = t.sel_u
+            offset[c] = t.offset
+        self.M, self.offset = M, offset
+        self.n_log = sum(t.kind is BarrierKind.LOG_RANGE for _, t in columns)
+        self.n_run_log = [t.kind for t in run].count(BarrierKind.LOG_RANGE)
+        self.N = N
+        log, exp = columns[:self.n_log], columns[self.n_log:]
+        self.lower = np.array([t.lower for _, t in log])
+        self.upper = np.array([t.upper for _, t in log])
+        self.q1 = np.array([t.q1 for _, t in exp])
+        self.q2 = np.array([t.q2 for _, t in exp])
         self.q2_sq = self.q2 * self.q2
 
+    def arguments(self, w: np.ndarray) -> np.ndarray:
+        """The barrier arguments of w, or of each row of a stack."""
+        return w @ self.M + self.offset
 
-def _barrier_operator(run: Sequence[BarrierTerm],
-                      term: Sequence[BarrierTerm], N: int, n: int, m: int):
-    """The barrier columns of a horizon-N problem (every running term at
-    every step, step by step, then the terminal terms, stably sorted by
-    kind) and their operator (M, offset): for w = [vec X, vec U],
-    w @ M + offset holds their arguments, a lane-centering column holding
-    the selector at its step and its negative at the step before.  It is
-    where barrier arguments are formed."""
-    columns = [(i, t) for i in range(N) for t in run] + [(N, t) for t in term]
-    columns.sort(key=lambda c: _KIND_RANK[c[1].kind])
-    nx = (N + 1) * n
-    M, offset = np.zeros((nx + N * m, len(columns))), np.zeros(len(columns))
-    for c, (i, t) in enumerate(columns):
-        if t.kind is BarrierKind.EXP_LANE_CENTERING:
-            if i:                       # step 0 has no predecessor
-                M[i * n:(i + 1) * n, c] = t.sel_x
-                M[(i - 1) * n:i * n, c] = -t.sel_x
-            continue
-        M[i * n:(i + 1) * n, c] = t.sel_x
-        if i < N:                       # terminal terms select no controls
-            M[nx + i * m:nx + (i + 1) * m, c] = t.sel_u
-        offset[c] = t.offset
-    return [t for _, t in columns], M, offset
+    def _log_range(self, Z: np.ndarray, t_scale: float, strict: bool):
+        Zl = Z[..., :self.n_log]
+        a = Zl - self.lower
+        b = self.upper - Zl
+        # fmin skips NaN arguments, which count as no violation
+        if strict and np.fmin.reduce(np.fmin(a, b), axis=None) <= 0.0:
+            bad = ((a <= 0.0) | (b <= 0.0)).reshape(-1, self.n_log).any(axis=0)
+            col = int(np.flatnonzero(bad)[0])
+            raise InfeasibleTrajectoryError(
+                f"log-range argument outside ({float(self.lower[col])}, "
+                f"{float(self.upper[col])})")
+        return a, b, 1.0 / t_scale
+
+    def _exp(self, Z: np.ndarray) -> np.ndarray:
+        return self.q1 * np.exp(np.minimum(self.q2 * Z[..., self.n_log:],
+                                           _EXP_ARG_MAX))
+
+    def cost(self, Z: np.ndarray, t_scale: float, strict: bool = False):
+        """The log-range columns' values plus the exponential columns',
+        summed over columns.  A log-range argument outside its open interval
+        raises InfeasibleTrajectoryError when strict, else gives NaN or inf."""
+        J = 0.0
+        if self.n_log:
+            a, b, inv_t = self._log_range(Z, t_scale, strict)
+            with (contextlib.nullcontext() if strict else
+                  np.errstate(divide="ignore", invalid="ignore")):
+                J = (-inv_t * (np.log(a) + np.log(b))).sum(axis=-1)
+        if self.q1.size:
+            J = J + self._exp(Z).sum(axis=-1)
+        return J
+
+    def slopes(self, Z: np.ndarray, t_scale: float):
+        """First and second derivatives w.r.t. z of every column of Z."""
+        g1 = np.empty_like(Z)
+        g2 = np.empty_like(Z)
+        if self.n_log:
+            a, b, inv_t = self._log_range(Z, t_scale, strict=True)
+            g1[..., :self.n_log] = -inv_t * (1.0 / a - 1.0 / b)
+            g2[..., :self.n_log] = inv_t * (1.0 / a ** 2 + 1.0 / b ** 2)
+        if self.q1.size:
+            # past the exponent cap the value is flat: zero slopes there
+            e = self._exp(Z) * (self.q2 * Z[..., self.n_log:] < _EXP_ARG_MAX)
+            g1[..., self.n_log:] = self.q2 * e
+            g2[..., self.n_log:] = self.q2_sq * e
+        return g1, g2
+
+    def margins(self, Z: np.ndarray):
+        """(lower, upper) margin of each log-range term in one trajectory's
+        arguments Z: each running term's smallest over its steps, then each
+        terminal term's."""
+        N, r, lo, hi = self.N, self.n_run_log, self.lower, self.upper
+        Zr, z = Z[:N * r].reshape(N, r), Z[N * r:self.n_log]
+        pairs = zip((Zr.min(axis=0) - lo[:r]).tolist(),
+                    (hi[:r] - Zr.max(axis=0)).tolist())
+        return (*pairs, *zip((z - lo[N * r:]).tolist(),
+                             (hi[N * r:] - z).tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -593,7 +650,7 @@ class _Lift:
     F0 is the open loop's lifted map, which rolls out a start, and F the
     lifted map under K: Fv is its v block, Fu its control rows and
     Tv = Fu_v' Fu_v (I when K = 0), so reg Tv is reg I on the controls.
-    Sb = M' F for the barrier operator M (ProblemSpec._bar): its row j is
+    Sb = M' F for the barrier columns' M (ProblemSpec._columns): its row j is
     barrier column j as a function of [vec v; x0], and SbT its v part
     transposed, so w + Fv v has w's barrier arguments plus v SbT.  H0 is
     the quadratic cost's Hessian in [vec v; x0], v rows only, and
@@ -620,7 +677,7 @@ class _Lift:
         self.Fv, self.Fu = F[:, :Nm], F[nx:]
         self.Tv = (self.Fu[:, :Nm].T @ self.Fu[:, :Nm] if self.K.any()
                    else np.eye(Nm))
-        self.Sb = spec._bar[0].T @ F
+        self.Sb = spec._columns.M.T @ F
         self.SbT = np.ascontiguousarray(self.Sb[:, :Nm].T)
         WF = np.empty_like(F)
         np.matmul(2.0 * spec.cost.Q, F[:N * n].reshape(N, n, -1),
@@ -651,71 +708,6 @@ def _flat(traj: Trajectory) -> np.ndarray:
     return np.concatenate((traj.states.ravel(), traj.controls.ravel()))
 
 
-def _arguments(bar, w: np.ndarray) -> np.ndarray:
-    """w @ M + offset for bar = (M, offset): the barrier arguments of w."""
-    return w @ bar[0] + bar[1]
-
-
-# ---------------------------------------------------------------------------
-# Barrier profiles: value, first and second derivative w.r.t. z.
-# ---------------------------------------------------------------------------
-
-def _log_range_args(stack: _Stack, Z: np.ndarray, t_scale: float,
-                    strict: bool):
-    Zl = Z[..., :stack.n_log]
-    a = Zl - stack.lower
-    b = stack.upper - Zl
-    # fmin skips NaN arguments, which count as no violation
-    if strict and np.fmin.reduce(np.fmin(a, b), axis=None) <= 0.0:
-        bad = ((a <= 0.0) | (b <= 0.0)).reshape(-1, stack.n_log).any(axis=0)
-        col = int(np.flatnonzero(bad)[0])
-        raise InfeasibleTrajectoryError(
-            f"log-range argument outside ({float(stack.lower[col])}, "
-            f"{float(stack.upper[col])})")
-    return a, b, 1.0 / t_scale
-
-
-def _exp_values(stack: _Stack, Z: np.ndarray) -> np.ndarray:
-    return stack.q1 * np.exp(np.minimum(stack.q2 * Z[..., stack.n_log:],
-                                        _EXP_ARG_MAX))
-
-
-def _barrier_cost(stack: _Stack, Z: np.ndarray, t_scale: float,
-                  strict: bool = False):
-    """The barrier cost of arguments Z (..., columns): the log-range
-    columns' values plus the exponential columns', summed over columns.
-
-    A log-range argument outside its open interval raises
-    InfeasibleTrajectoryError when strict and gives NaN or inf otherwise.
-    """
-    J = 0.0
-    if stack.n_log:
-        a, b, inv_t = _log_range_args(stack, Z, t_scale, strict)
-        with (contextlib.nullcontext() if strict else
-              np.errstate(divide="ignore", invalid="ignore")):
-            J = (-inv_t * (np.log(a) + np.log(b))).sum(axis=-1)
-    if stack.n_exp:
-        J = J + _exp_values(stack, Z).sum(axis=-1)
-    return J
-
-
-def _barrier_slopes(stack: _Stack, Z: np.ndarray, t_scale: float):
-    """First and second derivatives w.r.t. z of every column of Z."""
-    g1 = np.empty_like(Z)
-    g2 = np.empty_like(Z)
-    if stack.n_log:
-        a, b, inv_t = _log_range_args(stack, Z, t_scale, strict=True)
-        g1[..., :stack.n_log] = -inv_t * (1.0 / a - 1.0 / b)
-        g2[..., :stack.n_log] = inv_t * (1.0 / a ** 2 + 1.0 / b ** 2)
-    if stack.n_exp:
-        # past the exponent cap the value is flat: zero slopes there
-        e = _exp_values(stack, Z) * (stack.q2 * Z[..., stack.n_log:]
-                                     < _EXP_ARG_MAX)
-        g1[..., stack.n_log:] = stack.q2 * e
-        g2[..., stack.n_log:] = stack.q2_sq * e
-    return g1, g2
-
-
 def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
                                   u: np.ndarray, prev_x: np.ndarray | None = None,
                                   t_scale: float = 1.0) -> BarrierDerivatives:
@@ -728,13 +720,13 @@ def barrier_value_and_derivatives(term: BarrierTerm, x: np.ndarray,
     lane = term.kind is BarrierKind.EXP_LANE_CENTERING
     if lane and prev_x is None:
         raise ValueError("lane-centering barrier needs prev_x")
-    # step 1 of a two-step trajectory whose step 0 is the predecessor
-    stack, bar = term._probe
+    # a one-step trajectory whose step 0 is the predecessor (see _probe)
+    cols = term._probe
     w = np.concatenate([np.asarray(v, dtype=float).ravel()
-                        for v in (prev_x if lane else x, x, x, u, u)])
-    Z = _arguments(bar, w)[1:]
-    value = _barrier_cost(stack, Z, t_scale, strict=True)
-    g1, g2 = (float(g[0]) for g in _barrier_slopes(stack, Z, t_scale))
+                        for v in (prev_x if lane else x, x, u)])
+    Z = cols.arguments(w)
+    value = cols.cost(Z, t_scale, strict=True)
+    g1, g2 = (float(g[0]) for g in cols.slopes(Z, t_scale))
     gx = g1 * term.sel_x
     gu = g1 * term.sel_u
     hxx = g2 * np.outer(term.sel_x, term.sel_x)
@@ -775,9 +767,9 @@ def total_cost(traj: Trajectory, spec: ProblemSpec, t_scale: float = 1.0) -> flo
     if (traj.horizon != spec.horizon or traj.states.shape[1] != spec.n
             or traj.controls.shape[1] != spec.m):
         raise ValueError("trajectory shape does not match the problem")
-    w = _flat(traj)
-    return float(_quadratic(w, spec) + _barrier_cost(
-        spec._columns, _arguments(spec._bar, w), t_scale, strict=True))
+    w, cols = _flat(traj), spec._columns
+    return float(_quadratic(w, spec)
+                 + cols.cost(cols.arguments(w), t_scale, strict=True))
 
 
 def _quadratic(w: np.ndarray, spec: ProblemSpec):
@@ -799,7 +791,7 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
                   t_scale: float = 1.0):
     """One iteration's Newton system at the iterate w + Fv v, v in the
     lift's parameters (see _Lift), with barrier arguments Z (the columns of
-    ProblemSpec._bar) and q the quadratic cost's gradient in v at w.  It
+    ProblemSpec._columns) and q the quadratic cost's gradient in v at w.  It
     returns (step, S, grad_norm, expected_decrease): the search direction
     dv, the stepped controls' first-order change S (N, m, n) per unit change
     of the start state, the largest stage gradient and the expected cost
@@ -821,7 +813,7 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
     """
     N, m, lift = spec.horizon, spec.m, spec._lift
     Nm = N * m
-    g1, g2 = _barrier_slopes(spec._columns, Z, t_scale)
+    g1, g2 = spec._columns.slopes(Z, t_scale)
     # v rows of the Hessian in [vec v; x0], then the gradient
     H = lift.H0 + (lift.SbT * g2) @ lift.Sb
     g = q + lift.H0[:, :Nm] @ v + lift.SbT @ g1
@@ -845,17 +837,6 @@ def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
     expected_decrease = 0.5 * float((y * y).sum() + regularization * dU @ dU)
     return (dv, S.reshape(N, m, -1), float(np.abs(stage_grad).max()),
             expected_decrease)
-
-
-def _log_range_margins(spec: ProblemSpec, Z: np.ndarray):
-    # the log-range columns lead Z: r running ones per step, then terminal
-    cols, N = spec._columns, spec.horizon
-    r = [t.kind for t in spec.barriers].count(BarrierKind.LOG_RANGE)
-    Zr, z = Z[:N * r].reshape(N, r), Z[N * r:cols.n_log]
-    pairs = zip((Zr.min(axis=0) - cols.lower[:r]).tolist(),
-                (cols.upper[:r] - Zr.max(axis=0)).tolist())
-    return (*pairs, *zip((z - cols.lower[N * r:]).tolist(),
-                         (cols.upper[N * r:] - z).tolist()))
 
 
 def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
@@ -912,14 +893,14 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     nx, H0 = (N + 1) * n, lift.H0[:, :N * spec.m]
     drift = spec.dynamics._drift
     start = _lifted_w(lift.F0, controls, spec.x0, drift)
-    Z0, Jq0 = Z, Jq = _arguments(spec._bar, start), _quadratic(start, spec)
+    Z0, Jq0 = Z, Jq = cols.arguments(start), _quadratic(start, spec)
     base, v0, Zb, Jqb = start, np.zeros(N * spec.m), Z0, Jq0
     if lift.K.any():
         base = _lifted_w(lift.F, np.zeros_like(controls), spec.x0, drift)
         v0 = (controls - start[:nx - n].reshape(N, n) @ lift.K.T).ravel()
-        Zb, Jqb = _arguments(spec._bar, base), _quadratic(base, spec)
+        Zb, Jqb = cols.arguments(base), _quadratic(base, spec)
     q, v = lift.Gq @ (base - spec._w_ref), v0
-    J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
+    J = float(Jq + cols.cost(Z, t_scale, strict=True))
     history, gains = [J], None
     message = "iteration cap reached"
 
@@ -943,7 +924,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             # barrier arguments and quadratic cost of base + Fv vs
             Zs = Zb + vs @ lift.SbT
             Jqs = Jqb + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1)
-            costs = Jqs + _barrier_cost(cols, Zs, t_scale)
+            costs = Jqs + cols.cost(Zs, t_scale)
             # NaN and infeasible (NaN or inf) candidates fail this test;
             # the steps descend, so the first hit is the longest
             better = np.flatnonzero(costs < J)
@@ -954,7 +935,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 reg = max(reg / REG_GROWTH, cfg.regularization_init)
                 if t_scale < cfg.barrier_t_max:
                     t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)
-                    J = float(Jq + _barrier_cost(cols, Z, t_scale, strict=True))
+                    J = float(Jq + cols.cost(Z, t_scale, strict=True))
                 continue
             failure = "line search stalled at regularization cap"
         reg *= REG_GROWTH
@@ -964,11 +945,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
 
     # the plan, formed once and scored exactly, or the start (see above)
     w, Z, J = start, Z0, (history[0] if t_scale == cfg.barrier_t_init
-                          else float(Jq0 + _barrier_cost(cols, Z0, t_scale)))
+                          else float(Jq0 + cols.cost(Z0, t_scale)))
     if v is not v0:
         plan = base + lift.Fv @ v
-        Zp = _arguments(spec._bar, plan)
-        Jp = float(_quadratic(plan, spec) + _barrier_cost(cols, Zp, t_scale))
+        Zp = cols.arguments(plan)
+        Jp = float(_quadratic(plan, spec) + cols.cost(Zp, t_scale))
         if Jp < J:
             w, Z, J = plan, Zp, Jp
         else:
@@ -978,7 +959,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     info = SolveInfo(
         converged=message == "stationary", iterations=iterations, cost=J,
         cost_history=tuple(history), barrier_t_scale=t_scale,
-        regularization=reg, log_range_margins=_log_range_margins(spec, Z),
+        regularization=reg, log_range_margins=cols.margins(Z),
         message=message)
     if gains is not None:
         gains.flags.writeable = False

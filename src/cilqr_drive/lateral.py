@@ -32,7 +32,9 @@ from .ilqr import (
 STEER_LIMIT_RAD = math.pi / 6.0
 CLIP_MARGIN = 1e-7      # share of the steer range the warm-start clip leaves
 _WARM_STEER_MAX = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
-V_MIN = 1.0             # m/s; the model coefficients divide by v
+# m/s, the slowest model speed: below 6.96 m/s the forward-Euler a22 =
+# 1 - 2 (c_f + c_r) dt / (m v) < -1 (default vehicle, dt 0.05 s) diverges
+V_MIN = 7.0
 MODEL_SPEED_RTOL = 5e-3  # relative speed change a warm cycle's model absorbs
 
 
@@ -112,8 +114,9 @@ class LateralTuning:
 def build_lateral_dynamics(params: VehicleParams, v: float,
                            dt: float) -> AffineDynamics:
     """Discrete lateral error dynamics at fixed speed v (clamped upstream)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    for name, value in (("v", v), ("dt", dt)):
+        if not 0.0 < value < math.inf:      # NaN fails too
+            raise ValueError(f"{name} must be positive and finite")
     cf, cr = params.c_alpha_f, params.c_alpha_r
     m, iz = params.m, params.i_z
     lf, lr = params.l_f, params.l_r

@@ -138,8 +138,11 @@ def pi_cruise(pi: PiState, v: float) -> float:
 def build_longitudinal_dynamics(dt: float, v_l: float = 0.0,
                                 a_l: float = 0.0) -> AffineDynamics:
     """Gap/speed/acceleration model driven by jerk with a lead drift term."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:      # NaN fails too
+        raise ValueError("dt must be positive and finite")
+    for name, value in (("v_l", v_l), ("a_l", a_l)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     A = np.array([
         [1.0, -dt, -0.5 * dt * dt],
         [0.0, 1.0, dt],

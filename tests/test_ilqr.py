@@ -28,9 +28,8 @@ from cilqr_drive.ilqr import (
     solve,
     total_cost,
 )
-from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _arguments,
-                               _barrier_cost, _flat, _lifted_map, _lifted_w,
-                               _quadratic)
+from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _flat, _lifted_map,
+                               _lifted_w, _quadratic)
 from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
                                  build_lateral_dynamics, build_lateral_problem)
 from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
@@ -132,6 +131,22 @@ class TestRollout:
         t1 = rollout(dyn, x0, U)
         t2 = rollout(dyn, x0, U)
         assert np.array_equal(t1.states, t2.states)
+
+    def test_a_trajectory_keeps_its_own_copies(self):
+        # writing into the caller's arrays after rollout or construction
+        # leaves the trajectory as it was; the controls used to be a view
+        # (controls [5, 0, 0] against states [1, 1, 1, 1])
+        controls = np.zeros((3, 1))
+        traj = rollout(AffineDynamics(A=[[1.0]], B=[[1.0]]), [1.0], controls)
+        controls[0, 0] = 5.0
+        states, controls = np.ones((4, 1)), np.zeros((3, 1))
+        built = Trajectory(states, controls)
+        states[:], controls[:] = 7.0, 7.0
+        for t in (traj, built):
+            np.testing.assert_array_equal(t.states, np.ones((4, 1)))
+            np.testing.assert_array_equal(t.controls, np.zeros((3, 1)))
+            assert not (t.states.flags.writeable or t.controls.flags.writeable)
+        assert states.flags.writeable and controls.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +345,8 @@ def direction(traj, spec, reg, t_scale=1.0):
     w_free = _lifted_w(lift.F, np.zeros_like(traj.controls), spec.x0,
                        spec.dynamics._drift)
     q = lift.Gq @ (w_free - spec._w_ref)
-    return backward_pass(v, _arguments(spec._bar, _flat(traj)), q, spec, reg,
-                         t_scale)
+    return backward_pass(v, spec._columns.arguments(_flat(traj)), q, spec,
+                         reg, t_scale)
 
 
 def trajectory_step(spec, step):
@@ -531,10 +546,10 @@ class TestPassesAgainstReference:
             q = lift.Gq @ (w - spec._w_ref)
             step, _, _, _ = direction(nominal, spec, 1e-3, 50.0)
             vs = LINE_SEARCH_STEPS[:, None] * step
-            Zs = _arguments(spec._bar, w) + vs @ lift.SbT
+            Zs = spec._columns.arguments(w) + vs @ lift.SbT
             scores = (_quadratic(w, spec) + vs @ q
                       + 0.5 * ((vs @ lift.H0[:, :Nm]) * vs).sum(axis=1)
-                      + _barrier_cost(spec._columns, Zs, 50.0))
+                      + spec._columns.cost(Zs, 50.0))
             for v, got in zip(vs, scores):
                 moved = rollout(spec.dynamics, spec.x0, nominal.controls
                                 + v.reshape(-1, spec.m))
@@ -711,7 +726,7 @@ def _barrier_args(spec, w):
     terms = ([run[j] for j in _stacked(run)] * N
              + [term[j] for j in _stacked(term)])
     order = _stacked(terms)
-    Z = np.take(_arguments(spec._bar, w), np.argsort(order), axis=-1)
+    Z = np.take(spec._columns.arguments(w), np.argsort(order), axis=-1)
     return Z[..., :N * T].reshape(Z.shape[:-1] + (N, T)), Z[..., N * T:]
 
 
@@ -780,13 +795,13 @@ class TestBarrierOperator:
         # same to the bit only if the batch scores like one trajectory
         for spec, plan in planner_problems():
             ws = line_search_stack(spec, plan)
-            Zs = _arguments(spec._bar, ws)
+            cols = spec._columns
+            Zs = cols.arguments(ws)
             for t_scale in (1.0, 1e4):
-                costs = _quadratic(ws, spec) + _barrier_cost(
-                    spec._columns, Zs, t_scale)
+                costs = _quadratic(ws, spec) + cols.cost(Zs, t_scale)
                 assert costs.shape == (14,)
-                singles = [_quadratic(w, spec) + _barrier_cost(
-                    spec._columns, z, t_scale) for w, z in zip(ws, Zs)]
+                singles = [_quadratic(w, spec) + cols.cost(z, t_scale)
+                           for w, z in zip(ws, Zs)]
                 np.testing.assert_array_equal(costs, singles)
 
 
@@ -1054,6 +1069,32 @@ class TestSolve:
             for config in (None, WARM_CONFIG):
                 with pytest.raises(ValueError, match="warm start"):
                     solve(spec, warm_start=warm, config=config)
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 2.0, 3.0, 5.0])
+    def test_explosive_steering_model_solves_feasibly_under_the_lqr_gain(
+            self, v):
+        # below about 7 m/s the forward-Euler steering model's open loop
+        # explodes, so its lift takes the LQR gain and a start is a rollout
+        # of states up to about 1e20; a cold solve and warm solves from a
+        # repeated and a moved start must stay strictly inside the steer
+        # range, and each result must report its own plan's cost
+        tuning = LateralTuning()
+        dyn = build_lateral_dynamics(VehicleParams(), v, tuning.dt)
+        spec = build_lateral_problem(LateralState(0.5, 0.02), dyn, tuning)
+        assert spec._lift.K.any()
+        res = solve(spec)
+        moved = spec.with_start(LateralState(0.45, 0.03).as_vector())
+        for problem, cfg in ((spec, None), (spec, WARM_CONFIG),
+                             (moved, WARM_CONFIG)):
+            if cfg is not None:
+                res = solve(problem, warm_start=res.trajectory.controls,
+                            config=cfg)
+            info = res.info
+            assert np.abs(res.trajectory.controls).max() < math.pi / 6.0
+            assert min(min(pair) for pair in info.log_range_margins) > 0.0
+            assert info.cost == pytest.approx(
+                total_cost(res.trajectory, problem, info.barrier_t_scale),
+                rel=1e-12)
 
 
 class TestSolveMemo:
@@ -1347,6 +1388,28 @@ class TestSolveProperties:
             assert (np.array_equal(traj.controls, nominal.controls)
                     or info.cost < hist[0])
         _same_result(res, solve(spec, warm_start=nominal.controls, config=cfg))
+
+    @PROPERTY_SETTINGS
+    @given(seed=seeds, m=control_sizes)
+    def test_margins_are_those_of_the_reference_arguments(self, seed, m):
+        # the draws interleave all three kinds, with two running log ranges
+        # and one terminal one: the margins listed are each log-range
+        # term's smallest (z - lower, upper - z) over the returned
+        # trajectory, running terms first in list order, from arguments
+        # formed step by step and term by term
+        spec, nominal = random_barrier_problem(np.random.default_rng(seed), m)
+        res = solve(spec, warm_start=nominal.controls)
+        run, term = barrier_arguments_reference(
+            res.trajectory.states, res.trajectory.controls,
+            _plain_terms(spec.barriers), _plain_terms(spec.terminal_barriers))
+        want = [(z.min() - t.lower, t.upper - z.max())
+                for Z, terms in ((run, spec.barriers),
+                                 (term[None], spec.terminal_barriers))
+                for z, t in zip(Z.T, terms) if t.kind is BarrierKind.LOG_RANGE]
+        assert len(want) == 3
+        scale = 1.0 + max(np.abs(run).max(), np.abs(term).max())
+        np.testing.assert_allclose(res.info.log_range_margins, want, rtol=0,
+                                   atol=1e-13 * scale)
 
     @PROPERTY_SETTINGS
     @given(seed=seeds, m=control_sizes)

@@ -25,7 +25,7 @@ from cilqr_drive.lateral import (
     build_lateral_dynamics,
     build_lateral_problem,
 )
-from cilqr_drive.sim import preset_trackB_following, run_scenario
+from cilqr_drive.sim import ScenarioSpec, preset_trackB_following, run_scenario
 
 from oracles import affine_step, lqr_dp_solve, newton_step_reference
 
@@ -83,6 +83,15 @@ class TestDynamicsCoefficients:
             LateralState(delta_lat=0.0, theta=3.5)
         with pytest.raises(ValueError):
             LateralState(delta_lat=float("nan"), theta=0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -3.0, math.inf, -math.inf, math.nan])
+    def test_rejects_a_bad_speed_or_step_naming_it(self, bad):
+        # a zero speed divided by zero, and -3, inf and NaN were taken or
+        # reported as "A contains non-finite entries"
+        for name, args in (("v", (bad, DT)), ("dt", (V_76_KMH, bad))):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be positive and finite$"):
+                build_lateral_dynamics(VehicleParams(), *args)
 
 
 class TestProblemShape:
@@ -440,11 +449,11 @@ class TestLateralPlanner:
     @pytest.mark.parametrize("v", [0.5, 1.0, 2.0, 3.0, 5.0])
     def test_explosive_model_at_low_speed_plans_feasibly(self, v,
                                                          monkeypatch):
-        # below about 7 m/s the steering model's open loop explodes, so its
-        # lift takes the LQR gain and the start is a rollout of states up
-        # to about 1e20; a cold cycle, a repeated frame and a moved frame
-        # must still plan strictly inside the steer range, and each result
-        # must report its own plan's cost
+        # below about 7 m/s the steering model's open loop explodes, so the
+        # planner derives it at V_MIN; a cold cycle, a repeated frame and a
+        # moved frame must plan strictly inside the steer range, and each
+        # result must report its own plan's cost (the LQR gain that such a
+        # model takes is tested in test_ilqr.py)
         import cilqr_drive.lateral as lateral_module
         specs = []
 
@@ -458,13 +467,45 @@ class TestLateralPlanner:
                       LateralState(0.45, 0.03)):
             cmd, result = planner.plan(state, v)
             spec, info = specs[-1], result.info
-            assert spec._lift.K.any()
             assert abs(cmd.delta_rad) < STEER_LIMIT_RAD
             assert np.abs(result.trajectory.controls).max() < STEER_LIMIT_RAD
             assert min(min(pair) for pair in info.log_range_margins) > 0.0
             assert info.cost == pytest.approx(
                 total_cost(result.trajectory, spec, info.barrier_t_scale),
                 rel=1e-12)
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 3.0, 5.0, 6.0, 7.0])
+    def test_cold_plan_at_low_speed_is_stationary_and_steers(self, v):
+        # forward Euler's model diverges below 6.96 m/s: planned with such
+        # a model, this plan cost 1.7e63 at 1 m/s, and 2.4e20 at 5 m/s,
+        # where it steered 0 and still said "stationary"
+        cmd, result = LateralPlanner().plan(LateralState(0.5, 0.02), v)
+        assert result.info.message == "stationary"
+        assert result.info.cost < 1e3
+        assert cmd.steer_cmd != 0.0
+
+    def test_low_speed_closed_loop_recenters(self, monkeypatch):
+        # a straight road at 3 m/s, 0.3 m off centre, with the presets'
+        # sensor noise: every steering plan stays cheap and the car
+        # returns to the centreline (with a diverging model it planned at
+        # about 1e28 and kept a 0.14 m mean offset)
+        import cilqr_drive.lateral as lateral_module
+        costs, real_solve = [], lateral_module.solve
+
+        def spy(spec, warm_start=None, config=None):
+            result = real_solve(spec, warm_start=warm_start, config=config)
+            costs.append(result.info.cost)
+            return result
+
+        monkeypatch.setattr(lateral_module, "solve", spy)
+        noise = preset_trackB_following(0).noise
+        log = run_scenario(ScenarioSpec(track="straight", duration_s=8.0,
+                                        cruise_speed=3.0, start_delta=0.3,
+                                        noise=noise))
+        assert log.terminal_event == "time_limit"
+        assert len(costs) > 1000 and max(costs) < 1e3
+        delta = log.columns["delta_m"]
+        assert np.abs(delta[len(delta) // 2:]).max() < 0.05
 
     @staticmethod
     def _model_speed(planner, spec):
@@ -497,7 +538,7 @@ class TestLateralPlanner:
         assert (s0, s1, s2) == (20.0, 20.0, v_out)
         assert lift1 is lift0 and lift2 is not lift0
 
-    @pytest.mark.parametrize("v0", [3.0, V_76_KMH])
+    @pytest.mark.parametrize("v0", [8.0, V_76_KMH])
     def test_model_speed_does_not_creep_with_the_plant(self, v0):
         # speeds stepping 0.3 % each: the first step keeps the model of v0;
         # the second is 0.6 % from v0 and re-derives, although it is only

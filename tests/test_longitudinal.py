@@ -110,6 +110,19 @@ class TestDynamics:
         with pytest.raises(ValueError):
             build_longitudinal_dynamics(0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -3.0, math.inf, -math.inf, math.nan])
+    def test_rejects_a_bad_step_or_lead_naming_it(self, bad):
+        # a NaN lead speed was reported as "w contains non-finite entries";
+        # a lead may stand still or reverse, so only non-finite values fail
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            build_longitudinal_dynamics(bad)
+        for name in ("v_l", "a_l"):
+            if math.isfinite(bad):
+                build_longitudinal_dynamics(0.1, **{name: bad})
+                continue
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                build_longitudinal_dynamics(0.1, **{name: bad})
+
 
 class TestFollowingProblem:
     def setup_method(self):
