@@ -786,41 +786,46 @@ def _quadratic(w: np.ndarray, spec: ProblemSpec):
     return J + ((eN @ final.Q) * eN).sum(axis=-1)
 
 
-def backward_pass(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
-                  spec: ProblemSpec, regularization: float,
-                  t_scale: float = 1.0):
-    """One iteration's Newton system at the iterate w + Fv v, v in the
-    lift's parameters (see _Lift), with barrier arguments Z (the columns of
-    ProblemSpec._columns) and q the quadratic cost's gradient in v at w.  It
-    returns (step, S, grad_norm, expected_decrease): the search direction
-    dv, the stepped controls' first-order change S (N, m, n) per unit change
-    of the start state, the largest stage gradient and the expected cost
-    decrease of a full (lambda = 1) step.  Near active barriers that
-    decrease alone is a poor stationarity measure (the barrier Hessian
-    crushes the Newton step), so convergence tests pair it with grad_norm.
+def _newton_system(v: np.ndarray, Z: np.ndarray, q: np.ndarray,
+                   spec: ProblemSpec, t_scale: float):
+    """The Newton system (H, g) at the iterate w + Fv v, v in the lift's
+    parameters (see _Lift), with barrier arguments Z (the columns of
+    ProblemSpec._columns) and q the quadratic cost's gradient in v at w:
+    H, the v rows of the Hessian in [vec v; x0], is the quadratic cost's
+    fixed part plus the barrier columns' Sb' diag(g2) Sb, and the
+    gradient g = q + H0 v + Sb' g1."""
+    lift = spec._lift
+    g1, g2 = spec._columns.slopes(Z, t_scale)
+    return (lift.H0 + (lift.SbT * g2) @ lift.Sb,
+            q + lift.H0[:, :spec.horizon * spec.m] @ v + lift.SbT @ g1)
+
+
+def backward_pass(H: np.ndarray, g: np.ndarray, spec: ProblemSpec,
+                  regularization: float):
+    """One iteration's search direction from the Newton system (H, g) of
+    _newton_system, which it leaves as it is.  It returns (step, S,
+    grad_norm, expected_decrease): the search direction dv, the stepped
+    controls' first-order change S (N, m, n) per unit change of the start
+    state, the largest stage gradient and the expected cost decrease of a
+    full (lambda = 1) step.  Near active barriers that decrease alone is a
+    poor stationarity measure (the barrier Hessian crushes the Newton
+    step), so convergence tests pair it with grad_norm.
 
     With affine dynamics the iLQR step is the Newton step on the controls
-    (condensing, see _Lift): (H + reg Tv) dv = -g, H the quadratic cost's
-    fixed part plus the barrier columns' Sb' diag(g2) Sb, g = q + H0 v +
-    Sb' g1, and reg Tv is reg I on the controls.  H + reg Tv is factored
-    last stage first, the elimination order of the Riccati recursion, so
-    L_ii y_i (L y = g) is stage i's control gradient with every later
-    stage eliminated, Riccati's Q_u.  The same system gives the plan's
-    change with the start state.
+    (condensing, see _Lift): (H + reg Tv) dv = -g, and reg Tv is reg I on
+    the controls.  H + reg Tv is factored last stage first, the
+    elimination order of the Riccati recursion, so L_ii y_i (L y = g) is
+    stage i's control gradient with every later stage eliminated,
+    Riccati's Q_u.  The same system gives the plan's change with the start
+    state.
 
     Raises BackwardPassError when H + reg Tv is not positive definite; the
     caller should raise regularization and retry.
     """
     N, m, lift = spec.horizon, spec.m, spec._lift
     Nm = N * m
-    g1, g2 = spec._columns.slopes(Z, t_scale)
-    # v rows of the Hessian in [vec v; x0], then the gradient
-    H = lift.H0 + (lift.SbT * g2) @ lift.Sb
-    g = q + lift.H0[:, :Nm] @ v + lift.SbT @ g1
-
     # last stage first; Y = (H + reg Tv)^-1 [g, dg/dx0]
-    H[:, :Nm] += regularization * lift.Tv
-    H_rev = H[::-1, Nm - 1::-1]
+    H_rev = H[::-1, Nm - 1::-1] + regularization * lift.Tv[::-1, ::-1]
     try:
         L = np.linalg.cholesky(H_rev)
         Y = np.linalg.solve(H_rev, np.column_stack([g[::-1], H[::-1, Nm:]]))
@@ -849,7 +854,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     are base + Fv v, the base being the start, or with a gain K the free
     response (v = 0): a growing open loop can put the start too far off to
     step from to the last digit.  Each outer iteration takes one search
-    direction dv (backward_pass); if its expected decrease and largest
+    direction dv (backward_pass) from the iterate's Newton system, formed
+    once per iterate (_newton_system); if its expected decrease and largest
     stage gradient are within cost_tolerance and gradient_tolerance
     (relative to max(1, |J|)) the iterate is stationary and the solve has
     converged.  Otherwise it scores v + lambda dv for the whole
@@ -901,13 +907,14 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
         Zb, Jqb = cols.arguments(base), _quadratic(base, spec)
     q, v = lift.Gq @ (base - spec._w_ref), v0
     J = float(Jq + cols.cost(Z, t_scale, strict=True))
-    history, gains = [J], None
+    history, gains, system = [J], None, None
     message = "iteration cap reached"
 
     for iterations in range(1, cfg.max_outer_iterations + 1):
+        # formed once per iterate: a retry there changes only reg
+        system = system or _newton_system(v, Z, q, spec, t_scale)
         try:
-            step, gains, grad_norm, exp_dec = backward_pass(v, Z, q, spec,
-                                                            reg, t_scale)
+            step, gains, grad_norm, exp_dec = backward_pass(*system, spec, reg)
         except BackwardPassError:
             failure = "backward pass failed at regularization cap"
         else:
@@ -932,6 +939,7 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
                 k = better[0]
                 v, Z, Jq, J = vs[k], Zs[k], Jqs[k], float(costs[k])
                 history.append(J)
+                system = None
                 reg = max(reg / REG_GROWTH, cfg.regularization_init)
                 if t_scale < cfg.barrier_t_max:
                     t_scale = min(t_scale * BARRIER_T_GROWTH, cfg.barrier_t_max)

@@ -24,6 +24,7 @@ from .ilqr import (
     ProblemSpec,
     QuadraticCost,
     SolveResult,
+    SolverConfig,
     WARM_CONFIG,
     _check_count,
     solve,
@@ -36,6 +37,9 @@ _WARM_STEER_MAX = STEER_LIMIT_RAD - CLIP_MARGIN * (2.0 * STEER_LIMIT_RAD)
 # 1 - 2 (c_f + c_r) dt / (m v) < -1 (default vehicle, dt 0.05 s) diverges
 V_MIN = 7.0
 MODEL_SPEED_RTOL = 5e-3  # relative speed change a warm cycle's model absorbs
+# a cold steering start sits near the central path (the steer bound is far
+# from active), so a cold solve starts at the final barrier sharpness
+COLD_CONFIG = SolverConfig(barrier_t_init=SolverConfig.barrier_t_max)
 
 
 @dataclass
@@ -169,9 +173,10 @@ def build_lateral_problem(state: LateralState, dynamics: AffineDynamics,
 class LateralPlanner:
     """Receding-horizon wrapper owning the warm-start buffer.
 
-    The first cycle solves on the solver defaults, which walk the barrier
-    sharpness schedule; warm-started cycles solve with WARM_CONFIG, one
-    real-time iteration from the previous plan.  A repeated perception
+    A cold cycle (the first, and the first after reset) solves with
+    COLD_CONFIG, the solver defaults at the final barrier sharpness;
+    warm-started cycles solve with WARM_CONFIG, one real-time iteration
+    from the previous plan.  A repeated perception
     frame starts from the previous controls; after a solve that returned
     its own warm start, that re-poses the previous solve bit for bit, and
     solve answers it from its memo without recomputing.  A new frame
@@ -214,7 +219,7 @@ class LateralPlanner:
         # the branch rule of build_lateral_problem: offsets >= 0 are positive
         branch = state.delta_lat >= 0.0
         speed, problem = self._problems[branch]
-        prev, warm, config = self._prev, None, None
+        prev, warm, config = self._prev, None, COLD_CONFIG
         dynamics = None
         if v_eff != speed and (prev is None or abs(v_eff - speed)
                                > MODEL_SPEED_RTOL * speed):

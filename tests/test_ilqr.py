@@ -29,7 +29,7 @@ from cilqr_drive.ilqr import (
     total_cost,
 )
 from cilqr_drive.ilqr import (_OPEN_LOOP_GROWTH_MAX, _flat, _lifted_map,
-                               _lifted_w, _quadratic)
+                               _lifted_w, _newton_system, _quadratic)
 from cilqr_drive.lateral import (LateralState, LateralTuning, VehicleParams,
                                  build_lateral_dynamics, build_lateral_problem)
 from cilqr_drive.longitudinal import (LeadMeasurement, LongitudinalState,
@@ -336,17 +336,18 @@ class TestBarriers:
 # ---------------------------------------------------------------------------
 
 def direction(traj, spec, reg, t_scale=1.0):
-    """backward_pass from traj, a trajectory of spec's dynamics, given as
-    solve holds an iterate under a gain K: its lift parameters v, its
-    barrier arguments and the quadratic cost's gradient q at the free
-    response (v = 0)."""
+    """backward_pass from traj, a trajectory of spec's dynamics, on the
+    Newton system solve forms at it under a gain K: from its lift
+    parameters v, its barrier arguments and the quadratic cost's gradient
+    q at the free response (v = 0)."""
     lift = spec._lift
     v = (traj.controls - traj.states[:-1] @ lift.K.T).ravel()
     w_free = _lifted_w(lift.F, np.zeros_like(traj.controls), spec.x0,
                        spec.dynamics._drift)
     q = lift.Gq @ (w_free - spec._w_ref)
-    return backward_pass(v, spec._columns.arguments(_flat(traj)), q, spec,
-                         reg, t_scale)
+    H, g = _newton_system(v, spec._columns.arguments(_flat(traj)), q, spec,
+                          t_scale)
+    return backward_pass(H, g, spec, reg)
 
 
 def trajectory_step(spec, step):
@@ -684,6 +685,60 @@ class TestLiftedStep:
         assert not res.info.converged
         assert res.gains is None
         assert res.info.regularization == pytest.approx(1e3)
+
+    def test_newton_system_is_formed_once_per_iterate(self, monkeypatch):
+        # a retry at an iterate (after a failed search or factorization)
+        # changes only the regularization, so the iterate's Newton system
+        # is formed once, and again only after an accepted step
+        import cilqr_drive.ilqr as ilqr_module
+        real_system, real_pass = (ilqr_module._newton_system,
+                                  ilqr_module.backward_pass)
+        formed, regs = [], []
+
+        def forming(*args):
+            formed.append(real_system(*args))
+            return formed[-1]
+
+        def counting(H, g, spec, regularization):
+            # every pass reads the system formed last
+            assert H is formed[-1][0] and g is formed[-1][1]
+            regs.append(regularization)
+            return real_pass(H, g, spec, regularization)
+
+        def climbing(*args):
+            step, S, grad_norm, dec = counting(*args)
+            return -step, S, grad_norm, dec
+
+        monkeypatch.setattr(ilqr_module, "_newton_system", forming)
+        with monkeypatch.context() as patch:
+            # every search direction climbs: each pass retries the start
+            patch.setattr(ilqr_module, "backward_pass", climbing)
+            res = solve(scalar_problem())
+        assert res.info.message == "line search stalled at regularization cap"
+        assert len(formed) == 1
+        assert len(regs) == res.info.iterations >= 9
+        monkeypatch.setattr(ilqr_module, "backward_pass", counting)
+        rng = np.random.default_rng(31)
+        retries = 0
+        # tolerances below rounding stall each search near the optimum
+        tight = SolverConfig(cost_tolerance=1e-14, gradient_tolerance=1e-12)
+        for t in range(16):
+            spec, nominal = random_barrier_problem(rng, 1 + t % 2)
+            for config in (None, SolverConfig(barrier_t_init=1e4), tight):
+                formed.clear()
+                regs.clear()
+                res = solve(spec, warm_start=nominal.controls, config=config)
+                assert len(regs) == res.info.iterations
+                # a retry grows the regularization, an accepted step does
+                # not: the passes ran at len(regs) - retried iterates
+                retried = sum(b > a for a, b in zip(regs, regs[1:]))
+                assert len(formed) == len(regs) - retried
+                if res.info.message in ("stationary", "line search stalled "
+                                        "at regularization cap"):
+                    # the start and every accepted iterate ran a pass
+                    assert len(formed) == len(res.info.cost_history)
+                retries += retried
+        assert retries > 0
 
 
 _KIND_ORDER = [BarrierKind.LOG_RANGE, BarrierKind.EXP_ONE_SIDED,

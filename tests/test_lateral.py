@@ -15,6 +15,7 @@ from cilqr_drive import SolverConfig, solve
 from cilqr_drive.ilqr import ProblemSpec, WARM_CONFIG, rollout, total_cost
 from cilqr_drive.lateral import (
     CLIP_MARGIN,
+    COLD_CONFIG,
     MODEL_SPEED_RTOL,
     STEER_LIMIT_RAD,
     LateralPlanner,
@@ -279,7 +280,8 @@ class TestLateralPlanner:
 
     def test_cold_cycle_equals_fresh_solve(self):
         # the planner re-aims one validated problem per centering branch;
-        # a cold cycle must solve exactly the problem built fresh for it
+        # a cold cycle must solve exactly the problem built fresh for it,
+        # on the cold config
         planner = LateralPlanner()
         tuning = planner.tuning
         for state, v in ((LateralState(0.6, -0.02), V_76_KMH),
@@ -289,7 +291,8 @@ class TestLateralPlanner:
             cmd, result = planner.plan(state, v)
             dyn = build_lateral_dynamics(planner.params,
                                          max(v, V_MIN), tuning.dt)
-            ref = solve(build_lateral_problem(state, dyn, tuning))
+            ref = solve(build_lateral_problem(state, dyn, tuning),
+                        config=COLD_CONFIG)
             assert cmd.delta_rad == ref.trajectory.controls[0, 0]
             assert cmd.steer_cmd == cmd.delta_rad / STEER_LIMIT_RAD
             assert result.info.cost == ref.info.cost
@@ -297,15 +300,25 @@ class TestLateralPlanner:
                                           ref.trajectory.controls)
 
     def test_default_configs_unchanged(self, monkeypatch):
-        # cold cycles solve on the defaults, warm ones on the one-step budget
+        # cold cycles solve on the defaults at the final sharpness, warm
+        # ones on the one-step budget; solve's own default stays t = 1
         assert (WARM_CONFIG.barrier_t_init, WARM_CONFIG.max_outer_iterations,
                 WARM_CONFIG.gradient_tolerance) == (1.0e4, 1, 1e-3)
+        assert COLD_CONFIG == dataclasses.replace(SolverConfig(),
+                                                  barrier_t_init=1.0e4)
+        assert (COLD_CONFIG.barrier_t_init, COLD_CONFIG.barrier_t_max,
+                COLD_CONFIG.max_outer_iterations,
+                COLD_CONFIG.gradient_tolerance, COLD_CONFIG.cost_tolerance,
+                COLD_CONFIG.regularization_init) == (1.0e4, 1.0e4, 40, 1e-5,
+                                                     1e-4, 1e-6)
+        assert SolverConfig().barrier_t_init == 1.0
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         for _ in range(2):
             planner.reset()
             planner.plan(LateralState(0.5, 0.01), V_76_KMH)
-        assert [config for _, _, config, _ in seen] == [None, None]
+        assert all(config is COLD_CONFIG for _, _, config, _ in seen)
+        assert len(seen) == 2
         assert seen[0][3].info.iterations > 1
 
     @staticmethod
@@ -324,17 +337,18 @@ class TestLateralPlanner:
         return seen
 
     def test_warm_cycles_start_at_final_sharpness(self, monkeypatch):
-        # the first cycle solves cold; the next continues at the final
-        # barrier sharpness with one Newton step
+        # the first cycle solves cold, the next with one Newton step; both
+        # at the final barrier sharpness
         seen = self._spy_solve(monkeypatch)
         planner = LateralPlanner()
         state = LateralState(0.5, 0.01)
         planner.plan(state, V_76_KMH)
         _, result = planner.plan(state, V_76_KMH)
-        assert seen[0][2] is None
+        assert seen[0][2] is COLD_CONFIG
         assert seen[1][2] is WARM_CONFIG
         assert result.info.iterations <= 1
-        assert result.info.barrier_t_scale == 1e4
+        for _, _, _, solved in seen:
+            assert solved.info.barrier_t_scale == 1e4
 
     def test_warm_start_per_frame(self, monkeypatch):
         seen = self._spy_solve(monkeypatch)
@@ -484,6 +498,31 @@ class TestLateralPlanner:
         assert result.info.cost < 1e3
         assert cmd.steer_cmd != 0.0
 
+    def test_cold_plans_start_at_the_final_sharpness(self):
+        # cold_solves' steering ranges (offset +-1 m, heading +-0.05 rad,
+        # 40-110 km/h), each state also at V_MIN: starting at t = 1e4
+        # instead of walking the schedule (about 7 iterations) the plan is
+        # stationary within 4 iterations, and its cost at the final
+        # sharpness is the scheduled solve's
+        rng = np.random.default_rng(18)
+        tuning, params = LateralTuning(), VehicleParams()
+        t_max = SolverConfig.barrier_t_max
+        for d, th, v in rng.uniform([-1.0, -0.05, 40.0 / 3.6],
+                                    [1.0, 0.05, 110.0 / 3.6], size=(64, 3)):
+            state = LateralState(d, th)
+            for speed in (v, V_MIN):
+                _, result = cold_plan(state, speed)
+                assert result.info.message == "stationary"
+                assert result.info.iterations <= 4
+                assert result.info.barrier_t_scale == t_max
+                spec = build_lateral_problem(
+                    state, build_lateral_dynamics(params, speed, tuning.dt),
+                    tuning)
+                ref = solve(spec)
+                assert total_cost(result.trajectory, spec, t_max) == (
+                    pytest.approx(total_cost(ref.trajectory, spec, t_max),
+                                  rel=1e-9))
+
     def test_low_speed_closed_loop_recenters(self, monkeypatch):
         # a straight road at 3 m/s, 0.3 m off centre, with the presets'
         # sensor noise: every steering plan stays cheap and the car
@@ -563,7 +602,8 @@ class TestLateralPlanner:
         cmd, result = planner.plan(state, 20.06)
         fresh_cmd, fresh = LateralPlanner().plan(state, 20.06)
         dyn = build_lateral_dynamics(planner.params, 20.06, planner.tuning.dt)
-        ref = solve(build_lateral_problem(state, dyn, planner.tuning))
+        ref = solve(build_lateral_problem(state, dyn, planner.tuning),
+                    config=COLD_CONFIG)
         assert cmd == fresh_cmd
         assert cmd.delta_rad == ref.trajectory.controls[0, 0]
         for other in (fresh, ref):
@@ -598,7 +638,7 @@ class TestLateralPlanner:
                      longitudinal=True)
         assert len(seen) == len(calls) > 500
         (config, model, v), warm = seen[0], seen[1:]
-        assert config is None and model == v
+        assert config is COLD_CONFIG and model == v
         for config, model, v in warm:
             assert config is WARM_CONFIG
             assert abs(v - model) <= MODEL_SPEED_RTOL * model
