@@ -18,7 +18,6 @@ iterations, so converged solutions stay strictly inside their ranges.
 from __future__ import annotations
 
 import contextlib
-import copy
 import enum
 import functools
 import operator
@@ -107,11 +106,8 @@ class AffineDynamics:
         if self.C is None or w.shape != self.w.shape:
             raise ValueError("w must keep its size")
         drift = _finite(self.C @ w, "drift")
-        out = copy.copy(self)
-        for name, value in (("w", w), ("_drift", drift)):
-            value.flags.writeable = False
-            object.__setattr__(out, name, value)
-        return out
+        w.flags.writeable = drift.flags.writeable = False
+        return _replaced(self, w=w, _drift=drift)
 
     @property
     def n(self) -> int:
@@ -309,9 +305,8 @@ class ProblemSpec:
         keeps it).  A planner builds its problem once and re-aims it every
         cycle this way.
         """
-        out = copy.copy(self)
+        out = _replaced(self, x0=_state_vector(x0, self.n, "x0"))
         set_ = functools.partial(object.__setattr__, out)
-        set_("x0", _state_vector(x0, self.n, "x0"))
         if dynamics is not None:
             if not isinstance(dynamics, AffineDynamics):
                 raise ValueError("dynamics must be one AffineDynamics")
@@ -324,9 +319,7 @@ class ProblemSpec:
         if x_ref is not None:
             x_ref = _state_vector(x_ref, self.n, "x_ref")
             for name in ("cost", "terminal_cost"):
-                cost = copy.copy(getattr(self, name))
-                object.__setattr__(cost, "x_ref", x_ref)
-                set_(name, cost)
+                set_(name, _replaced(getattr(self, name), x_ref=x_ref))
             set_("_w_ref", _reference_row(out))
         return out
 
@@ -345,6 +338,14 @@ def _reference_row(spec: ProblemSpec) -> np.ndarray:
     N, m = spec.horizon, spec.m
     return np.concatenate([np.tile(spec.cost.x_ref, N),
                            spec.terminal_cost.x_ref, np.zeros(N * m)])
+
+
+def _replaced(obj, **fields):
+    """A copy of frozen obj with some fields replaced, unchecked; cheaper
+    than copy.copy, which walks the pickle protocol."""
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **fields)
+    return out
 
 
 def _state_vector(value, n: int, name: str) -> np.ndarray:
@@ -861,7 +862,8 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
     converged.  Otherwise it scores v + lambda dv for the whole
     backtracking schedule (LINE_SEARCH_STEPS) in one batch, unformed:
     arguments Zb + v SbT and quadratic costs Jqb + q'v + v'H0 v / 2 from
-    the base's.  The longest step with a strict decrease is accepted, and
+    the base's.  The longest step with a strict decrease is accepted,
+    unless it rounds back to v (then no step is a decrease), and
     the barrier sharpness grows by BARRIER_T_GROWTH up to its cap.  A
     failed pass or search grows the regularization by REG_GROWTH; the
     solve stops at a stationary iterate, above REG_MAX or at the cap.  The
@@ -933,10 +935,11 @@ def solve(spec: ProblemSpec, warm_start: np.ndarray | None = None,
             Jqs = Jqb + vs @ q + 0.5 * ((vs @ H0) * vs).sum(axis=-1)
             costs = Jqs + cols.cost(Zs, t_scale)
             # NaN and infeasible (NaN or inf) candidates fail this test;
-            # the steps descend, so the first hit is the longest
+            # the steps descend, so the first hit is the longest.  A hit
+            # that rounds back to v is no decrease, and every shorter step
+            # rounds back too
             better = np.flatnonzero(costs < J)
-            if better.size:
-                k = better[0]
+            if better.size and vs[k := better[0]].tobytes() != v.tobytes():
                 v, Z, Jq, J = vs[k], Zs[k], Jqs[k], float(costs[k])
                 history.append(J)
                 system = None

@@ -185,8 +185,9 @@ class LateralPlanner:
     That can cross the steer bound after a large jump, so it is clipped
     CLIP_MARGIN of the range inside, close enough to leave bound-riding
     optima (down to 5e-7 of the range inside) in place.  The problem for
-    each lane-centering branch is built and validated once; every cycle
-    re-aims it at the new state.  A warm cycle keeps the branch's model
+    each lane-centering branch is built and validated once; a cycle re-aims
+    it at a new state or model, and a repeated frame under the kept model
+    passes it to solve as it is.  A warm cycle keeps the branch's model
     while the speed stays within MODEL_SPEED_RTOL of the speed that model
     was derived at, and re-derives it at the exact speed beyond that; a
     cold cycle always plans with the model of its exact speed, so it stays
@@ -226,7 +227,11 @@ class LateralPlanner:
             speed = v_eff
             dynamics = build_lateral_dynamics(self.params, speed,
                                               self.tuning.dt)
-        spec = problem.with_start(state.as_vector(), dynamics=dynamics)
+        spec, x0 = problem, state.as_vector()
+        # a repeated frame under the kept model is posed already (compared
+        # as bytes, as solve's memo key is: -0.0 is not 0.0)
+        if dynamics is not None or x0.tobytes() != spec.x0.tobytes():
+            spec = problem.with_start(x0, dynamics=dynamics)
         self._problems[branch] = (speed, spec)
         if prev is not None:
             # the replan period is much shorter than the prediction step,

@@ -46,33 +46,6 @@ class PlantState:
             raise ValueError("speed must be nonnegative")
 
 
-def _derivatives(s, delta, theta, v, yaw_rate, v_lat,
-                 steer, accel, track: TrackGeometry,
-                 params: VehicleParams):
-    kappa = track.curvature(s)
-    if v >= _V_SLIP_MIN:
-        alpha_f = steer - math.atan((v_lat + params.l_f * yaw_rate) / v)
-        alpha_r = -math.atan((v_lat - params.l_r * yaw_rate) / v)
-        fyf = 2.0 * params.c_alpha_f * alpha_f
-        fyr = 2.0 * params.c_alpha_r * alpha_r
-        cos_steer = math.cos(steer)
-        dv_lat = (fyf * cos_steer + fyr) / params.m - v * yaw_rate
-        dyaw = (params.l_f * fyf * cos_steer
-                - params.l_r * fyr) / params.i_z
-    else:
-        dv_lat = -v_lat * 10.0   # crawl regime: bleed lateral motion
-        dyaw = -yaw_rate * 10.0
-    denom = 1.0 - kappa * delta
-    if abs(denom) < 1e-6:
-        denom = math.copysign(1e-6, denom)
-    ct, st = math.cos(theta), math.sin(theta)
-    ds = (v * ct - v_lat * st) / denom
-    ddelta = v * st + v_lat * ct
-    dtheta = yaw_rate - kappa * ds
-    dv = accel if v > 0.0 or accel > 0.0 else 0.0
-    return ds, ddelta, dtheta, dv, dyaw, dv_lat
-
-
 def step_plant(state: PlantState, steer_rad: float, accel_cmd: float,
                brake_cmd: float, dt: float, track: TrackGeometry,
                params: VehicleParams | None = None) -> PlantState:
@@ -88,19 +61,40 @@ def step_plant(state: PlantState, steer_rad: float, accel_cmd: float,
     params = params or VehicleParams()
     accel = (ACCEL_GAIN * min(max(accel_cmd, -1.0), 1.0)
              - BRAKE_GAIN * min(max(brake_cmd, 0.0), 1.0))
+    curvature, mass, i_z = track.curvature, params.m, params.i_z
+    l_f, l_r = params.l_f, params.l_r
+    c_f, c_r = 2.0 * params.c_alpha_f, 2.0 * params.c_alpha_r
+
+    def f(s, delta, theta, v, yaw_rate, v_lat):
+        kappa = curvature(s)
+        if v >= _V_SLIP_MIN:
+            fyf = c_f * (steer_rad - math.atan((v_lat + l_f * yaw_rate) / v))
+            fyr = c_r * -math.atan((v_lat - l_r * yaw_rate) / v)
+            cos_steer = math.cos(steer_rad)     # only here: it raises at inf
+            dv_lat = (fyf * cos_steer + fyr) / mass - v * yaw_rate
+            dyaw = (l_f * fyf * cos_steer - l_r * fyr) / i_z
+        else:
+            dv_lat = -v_lat * 10.0   # crawl regime: bleed lateral motion
+            dyaw = -yaw_rate * 10.0
+        denom = 1.0 - kappa * delta
+        if abs(denom) < 1e-6:
+            denom = math.copysign(1e-6, denom)
+        ct, st = math.cos(theta), math.sin(theta)
+        ds = (v * ct - v_lat * st) / denom
+        return (ds, v * st + v_lat * ct, yaw_rate - kappa * ds,
+                accel if v > 0.0 or accel > 0.0 else 0.0, dyaw, dv_lat)
 
     # RK4 on six floats; tests pin this order of operations to the bit
     s, d, th, v, r, vl = (state.s, state.delta, state.theta, state.v,
                           state.yaw_rate, state.v_lat)
-    rest = (steer_rad, accel, track, params)
     h = 0.5 * dt
-    k1 = _derivatives(s, d, th, v, r, vl, *rest)
-    k2 = _derivatives(s + h * k1[0], d + h * k1[1], th + h * k1[2],
-                      v + h * k1[3], r + h * k1[4], vl + h * k1[5], *rest)
-    k3 = _derivatives(s + h * k2[0], d + h * k2[1], th + h * k2[2],
-                      v + h * k2[3], r + h * k2[4], vl + h * k2[5], *rest)
-    k4 = _derivatives(s + dt * k3[0], d + dt * k3[1], th + dt * k3[2],
-                      v + dt * k3[3], r + dt * k3[4], vl + dt * k3[5], *rest)
+    k1 = f(s, d, th, v, r, vl)
+    k2 = f(s + h * k1[0], d + h * k1[1], th + h * k1[2],
+           v + h * k1[3], r + h * k1[4], vl + h * k1[5])
+    k3 = f(s + h * k2[0], d + h * k2[1], th + h * k2[2],
+           v + h * k2[3], r + h * k2[4], vl + h * k2[5])
+    k4 = f(s + dt * k3[0], d + dt * k3[1], th + dt * k3[2],
+           v + dt * k3[3], r + dt * k3[4], vl + dt * k3[5])
     h = dt / 6.0
     s += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
     d += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])

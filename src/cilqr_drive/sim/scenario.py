@@ -211,7 +211,7 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
 
     perc_queue = LatencyQueue()
     act_queue = LatencyQueue()
-    latest_frame = None
+    latest_frame = planned_frame = None
     correction = None
     applied = (0.0, 0.0, 0.0)            # steer_cmd, accel_cmd, brake_cmd
     cycle_iters = 0
@@ -250,7 +250,10 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
             while planner_due <= t_us:
                 planner_due += rates.planner_us
             t0 = time.perf_counter() if log_solver_time else 0.0
-            cmd, result = lat_planner.plan(_plan_state(latest_frame), state.v)
+            if planned_frame is not latest_frame:    # one state per frame
+                planned_frame, plan_state = latest_frame, _plan_state(
+                    latest_frame)
+            cmd, result = lat_planner.plan(plan_state, state.v)
             steer_cmd = cmd.steer_cmd
             if correction is not None:
                 steer_cmd = apply_vpc(steer_cmd, correction.delta_shift)

@@ -115,7 +115,6 @@ def perceive(state: PlantState, track: TrackGeometry, noise: NoiseConfig,
     pts = track.centerline_ahead(state.s, state.delta, state.theta,
                                  _LANE_SAMPLE_M)
     if noise.sigma_lane:
-        pts = pts.copy()
         pts[:, 1] += rng.normal(0.0, noise.sigma_lane, pts.shape[0])
     # boundary samples can land epsilon outside the range after the
     # frame rotation; snap those back instead of dropping them

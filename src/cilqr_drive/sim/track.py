@@ -52,14 +52,15 @@ class TrackGeometry:
         if self.closed and abs(self.segments[-1][2]
                                - self.segments[0][1]) > 1e-12:
             raise ValueError("closed track must have matching end curvature")
-        self._breaks = breaks
-        self._kappas = kappas
         # cumulative heading at breakpoints: trapezoid is exact for a
         # linear curvature profile
         psi = [0.0]
         for (length, k0, k1) in self.segments:
             psi.append(psi[-1] + 0.5 * (k0 + k1) * length)
-        self._psi = psi
+        self._breaks, self._kappas = breaks, kappas
+        # the vectorized lookups' array forms, built once
+        self._breaks_np, self._kappas_np, self._psi = map(
+            np.array, (breaks, kappas, psi))
         self.length = breaks[-1]
         self.max_kappa = max(max(abs(k0), abs(k1)) for k0, k1 in kappas)
         self._last = 0      # segment of the last _locate
@@ -87,10 +88,9 @@ class TrackGeometry:
     def _locate_many(self, s: np.ndarray):
         """Vectorized _locate: index, offset, length and end curvatures."""
         sm = s % self.length if self.closed else np.clip(s, 0.0, self.length)
-        b = np.asarray(self._breaks)
+        b, k = self._breaks_np, self._kappas_np
         idx = np.clip(np.searchsorted(b, sm, side="right") - 1,
                       0, len(self.segments) - 1)
-        k = np.asarray(self._kappas)
         return idx, sm - b[idx], b[idx + 1] - b[idx], k[idx, 0], k[idx, 1]
 
     def curvature_many(self, s: np.ndarray) -> np.ndarray:
@@ -104,7 +104,7 @@ class TrackGeometry:
         turns = np.floor(s / self.length) if self.closed else 0.0
         idx, ds, length, k0, k1 = self._locate_many(s)
         slope = (k1 - k0) / length
-        return (np.asarray(self._psi)[idx] + k0 * ds + 0.5 * slope * ds * ds
+        return (self._psi[idx] + k0 * ds + 0.5 * slope * ds * ds
                 + turns * self._psi[-1])
 
     # -- forward centerline samples in the ego frame ---------------------

@@ -146,6 +146,35 @@ class TestPlantStep:
             else:
                 _same_step(state, 0.0, 0.0, 0.0, track)
 
+    @pytest.mark.parametrize("steer", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("v, accel_cmd", [(0.3, 0.0), (20.0, 0.0),
+                                              (0.499, 1.0)])
+    def test_non_finite_steering(self, steer, v, accel_cmd):
+        # crawl speed never reads the steering, so the step is the
+        # reference's; in the slip regime (reached mid-step from 0.499 m/s
+        # under full throttle) cos(+-inf) raises the reference's math
+        # error, and a NaN force gives a state the finite check refuses
+        track = build_track("trackA")
+        state = PlantState(s=1300.0, delta=0.2, theta=0.02, v=v,
+                           yaw_rate=0.1, v_lat=0.05)
+        try:
+            ref = rk4_bicycle_step(
+                (state.s, state.delta, state.theta, state.v, state.yaw_rate,
+                 state.v_lat), steer, accel_cmd, 0.0, 1e-3, track.curvature,
+                VehicleParams(), ACCEL_GAIN, BRAKE_GAIN, _V_SLIP_MIN)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                step_plant(state, steer, accel_cmd, 0.0, 1e-3, track)
+            assert v >= _V_SLIP_MIN or accel_cmd > 0.0
+            return
+        if all(map(math.isfinite, ref)):
+            assert v < _V_SLIP_MIN and accel_cmd == 0.0
+            _same_step(state, steer, accel_cmd, 0.0, track)
+        else:
+            with pytest.raises(ValueError,
+                               match="^plant state must be finite$"):
+                step_plant(state, steer, accel_cmd, 0.0, 1e-3, track)
+
 
 def _log(columns, events):
     track = build_track("straight")

@@ -740,6 +740,31 @@ class TestLiftedStep:
                 retries += retried
         assert retries > 0
 
+    def test_a_step_that_rounds_back_to_the_iterate_is_no_decrease(
+            self, monkeypatch):
+        # with tolerances below rounding, this draw's batched score of a
+        # candidate equal to v bit for bit once rounded below J, the
+        # iterate's own score summed in another order, and the search took
+        # it as a decrease: the same iterate's system was formed again
+        import cilqr_drive.ilqr as ilqr_module
+        real_system = ilqr_module._newton_system
+        iterates = []
+
+        def forming(v, *args):
+            iterates.append(v.tobytes())
+            return real_system(v, *args)
+
+        rng = np.random.default_rng(31)
+        for t in range(7):
+            spec, nominal = random_barrier_problem(rng, 1 + t % 2)
+        monkeypatch.setattr(ilqr_module, "_newton_system", forming)
+        res = solve(spec, warm_start=nominal.controls, config=SolverConfig(
+            cost_tolerance=1e-14, gradient_tolerance=1e-12))
+        assert len(iterates) >= 10
+        assert len(set(iterates)) == len(iterates)
+        # every accepted step is a strict decrease at its sharpness
+        assert len(res.info.cost_history) == len(iterates)
+
 
 _KIND_ORDER = [BarrierKind.LOG_RANGE, BarrierKind.EXP_ONE_SIDED,
                BarrierKind.EXP_LANE_CENTERING]

@@ -694,6 +694,68 @@ class TestLateralPlanner:
         for frame, cmd in zip(frames, commands):
             assert planner.plan(frame, V_76_KMH)[0] == cmd
 
+    def test_repeated_frame_under_a_kept_model_re_poses_nothing(
+            self, monkeypatch):
+        # a repeated frame under the kept model hands solve the problem
+        # already posed; a new frame, an offset of 0.0 -> -0.0 (the same
+        # value, other bits) and a re-derived model each re-pose it
+        real_with_start = ProblemSpec.with_start
+        posed = []
+
+        def counting(spec, x0, dynamics=None, x_ref=None):
+            posed.append(dynamics)
+            return real_with_start(spec, x0, dynamics=dynamics, x_ref=x_ref)
+
+        monkeypatch.setattr(ProblemSpec, "with_start", counting)
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
+        v_far = 20.0 * (1.0 + 2.0 * MODEL_SPEED_RTOL)
+        cycles = [  # state, speed, re-posed, model re-derived
+            (LateralState(0.5, 0.01), 20.0, True, True),
+            (LateralState(0.5, 0.01), 20.0, False, False),
+            (LateralState(0.5, 0.01), 20.0, False, False),
+            (LateralState(0.5, 0.01), 20.01, False, False),
+            (LateralState(0.45, 0.012), 20.0, True, False),
+            (LateralState(0.0, 0.01), 20.0, True, False),
+            (LateralState(0.0, 0.01), 20.0, False, False),
+            (LateralState(-0.0, 0.01), 20.0, True, False),
+            (LateralState(-0.0, 0.01), 20.0, False, False),
+            (LateralState(-0.0, 0.01), v_far, True, True),
+            (LateralState(-0.0, 0.01), v_far, False, False),
+        ]
+        for state, v, re_posed, derived in cycles:
+            posed.clear()
+            planner.plan(state, v)
+            spec, warm, config, result = seen[-1]
+            assert len(posed) == re_posed
+            if re_posed:
+                assert (posed[0] is not None) == derived
+            else:
+                # the stored problem itself, and solve's memo answers it
+                # whenever the last solve kept its warm start
+                assert spec is seen[-2][0]
+                if np.array_equal(seen[-2][3].trajectory.controls,
+                                  seen[-2][1]):
+                    assert result is seen[-2][3]
+            assert spec.x0.tobytes() == state.as_vector().tobytes()
+            # the plan of a fresh re-pose, solved on a fresh problem (its
+            # own lift: no memo), bit for bit
+            fresh = solve(ProblemSpec(
+                dynamics=spec.dynamics, horizon=spec.horizon, cost=spec.cost,
+                terminal_cost=spec.terminal_cost, x0=state.as_vector(),
+                barriers=spec.barriers,
+                terminal_barriers=spec.terminal_barriers),
+                warm_start=warm, config=config)
+            for a, b in ((result.trajectory.states, fresh.trajectory.states),
+                         (result.trajectory.controls,
+                          fresh.trajectory.controls),
+                         (result.gains, fresh.gains)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert result.info == fresh.info
+        # the memo answered some of the repeated frames
+        assert sum(seen[k][3] is seen[k - 1][3]
+                   for k in range(1, len(seen))) >= 3
+
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)
         b, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

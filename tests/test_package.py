@@ -7,6 +7,7 @@ import importlib.util
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -118,6 +119,24 @@ def test_compare_solves_times_solves_that_compute(compare, monkeypatch):
         before = len(calls)
         compare._timed(ilqr, plain, keep)
         assert len(calls) - before >= len(plain)
+
+
+def test_compare_runs_reads_equal_against_its_own_tree():
+    """scripts/compare_runs.py with --base set to the head tree: both runs
+    of straight_smoke write the same CSV, and every comparison reads
+    "equal"."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_runs.py"),
+         "--base", str(ROOT), "--seeds", "3", "--configs", "straight_smoke"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "straight_smoke seed 3" in lines
+    compared = [line for line in lines if line.startswith("  ")]
+    # the CSV line and each metric, per seed and over the seeds
+    assert len(compared) == 11
+    assert compared[0].startswith("  csv sha256")
+    assert all(line.endswith("  equal") for line in compared)
 
 
 def _trees(*dirs: str) -> dict[Path, ast.Module]:
