@@ -200,6 +200,7 @@ class LateralPlanner:
         self.params = params or VehicleParams()
         self.tuning = tuning or LateralTuning()
         self._prev: SolveResult | None = None
+        self._solved_on: ProblemSpec | None = None   # the problem of _prev
         dynamics = build_lateral_dynamics(self.params, V_MIN, self.tuning.dt)
         # per branch: the speed its model was derived at, and that problem
         self._problems = {
@@ -235,14 +236,16 @@ class LateralPlanner:
         self._problems[branch] = (speed, spec)
         if prev is not None:
             # the replan period is much shorter than the prediction step,
-            # so the previous optimum is reused unshifted
+            # so the previous optimum is reused unshifted; on the problem it
+            # was solved on it needs no re-aim, as its first state is x0
             warm, config = prev.trajectory.controls, WARM_CONFIG
-            if (prev.gains is not None
+            if (prev.gains is not None and spec is not self._solved_on
                     and not np.array_equal(spec.x0, prev.trajectory.states[0])):
                 warm = prev.trajectory.controls + prev.gains @ (
                     spec.x0 - prev.trajectory.states[0])
                 np.clip(warm, -_WARM_STEER_MAX, _WARM_STEER_MAX, out=warm)
         self._prev = result = solve(spec, warm_start=warm, config=config)
+        self._solved_on = spec
         delta = float(result.trajectory.controls[0, 0])
         return SteerCommand(steer_cmd=delta / STEER_LIMIT_RAD,
                             delta_rad=delta), result

@@ -104,8 +104,15 @@ def step_plant(state: PlantState, steer_rad: float, accel_cmd: float,
     vl += h * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5])
 
     if v < 0.0:
-        v = 0.0
+        v = 0.0     # so the new state keeps PlantState's v >= 0
     if abs(d) >= OFF_TRACK_M:
         raise OffTrackError(f"lateral offset {d:.2f} m at s = {s:.1f} m")
-    return PlantState(s=s, delta=d, theta=th, v=v, yaw_rate=r, v_lat=vl,
-                      a=accel)
+    # PlantState's finite check (a finite sum has finite terms), then the
+    # state built without running it a second time
+    if not (math.isfinite(s + d + th + v + r + vl + accel)
+            or all(map(math.isfinite, (s, d, th, v, r, vl, accel)))):
+        raise ValueError("plant state must be finite")
+    out = object.__new__(PlantState)
+    out.__dict__ = {"s": s, "delta": d, "theta": th, "v": v, "yaw_rate": r,
+                    "v_lat": vl, "a": accel}
+    return out

@@ -9,6 +9,7 @@ fixed sequence, so a scenario is a pure function of its spec.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
@@ -149,13 +150,24 @@ class SimLog:
 
     def to_csv(self, path: str) -> None:
         """Write the documented fixed-column CSV (header mandatory)."""
-        rows = np.column_stack([self.columns[c] for c in CSV_COLUMNS[:-1]])
-        fmt = "%.10g," * (len(CSV_COLUMNS) - 1) + "%s"
+        cells = [_formatted(self.columns[c]) for c in CSV_COLUMNS[:-1]]
         lines = [",".join(CSV_COLUMNS)]
-        lines += [fmt % (*row, ev)
-                  for row, ev in zip(rows.tolist(), self.events)]
+        lines += map(",".join, zip(*cells, self.events))
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def _formatted(column: np.ndarray) -> list[str]:
+    """A column's cells as %.10g text, each run of equal bits formatted once
+    (commands and solver stats hold between cycles)."""
+    column = np.asarray(column, dtype=float)
+    bits = column.view(np.int64)    # so -0.0 and 0.0 are runs of their own
+    new = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    text = ["%.10g" % v for v in column[starts].tolist()]
+    return np.repeat(np.array(text, dtype=object),
+                     np.diff(starts, append=bits.size)).tolist()
 
 
 def _plan_state(frame) -> LateralState:
@@ -305,7 +317,9 @@ def run_scenario(spec: ScenarioSpec, controller: str = "cilqr",
     # the loop always logs t = 0, and only the last row carries an event
     terminal = terminal or "time_limit"
     events = [""] * (len(rows) - 1) + [terminal]
-    columns = dict(zip(CSV_COLUMNS, np.array(rows).T.copy()))
+    table = np.fromiter(itertools.chain.from_iterable(rows), float,
+                        len(rows) * (len(CSV_COLUMNS) - 1))
+    columns = dict(zip(CSV_COLUMNS, table.reshape(len(rows), -1).T.copy()))
     return SimLog(columns, events, track, spec, controller,
                   terminal_event=terminal, long_tuning=lon_planner.tuning)
 

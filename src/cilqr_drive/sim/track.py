@@ -57,36 +57,39 @@ class TrackGeometry:
         psi = [0.0]
         for (length, k0, k1) in self.segments:
             psi.append(psi[-1] + 0.5 * (k0 + k1) * length)
-        self._breaks, self._kappas = breaks, kappas
+        self._breaks = breaks
+        # per segment: start, end, start curvature, its change and length
+        self._pieces = [(breaks[i], breaks[i + 1], k0, k1 - k0,
+                         breaks[i + 1] - breaks[i])
+                        for i, (k0, k1) in enumerate(kappas)]
         # the vectorized lookups' array forms, built once
         self._breaks_np, self._kappas_np, self._psi = map(
             np.array, (breaks, kappas, psi))
         self.length = breaks[-1]
         self.max_kappa = max(max(abs(k0), abs(k1)) for k0, k1 in kappas)
-        self._last = 0      # segment of the last _locate
+        self._piece = self._pieces[0]      # the segment of the last lookup
 
     # -- curvature and heading ------------------------------------------
 
-    def _locate(self, s: float) -> tuple[int, float]:
-        if self.closed:
-            s = s % self.length
-        else:
-            s = min(max(s, 0.0), self.length)
-        # the last segment, when it holds s, is the one bisection gives
-        i, breaks = self._last, self._breaks
-        if not breaks[i] <= s < breaks[i + 1]:
-            i = min(bisect.bisect_right(breaks, s), len(breaks) - 1) - 1
-            self._last = i
-        return i, s - breaks[i]
-
     def curvature(self, s: float) -> float:
-        i, ds = self._locate(s)
-        k0, k1 = self._kappas[i]
-        length = self._breaks[i + 1] - self._breaks[i]
-        return k0 + (k1 - k0) * (ds / length)
+        lo, hi, k0, dk, length = self._piece
+        # strictly inside the last segment, s is its own wrapped or clamped
+        # value (and not -0.0); after wrapping, the last segment, when it
+        # holds s, is the one bisection gives
+        if not lo < s < hi:
+            if self.closed:
+                s = s % self.length
+            else:
+                s = min(max(s, 0.0), self.length)
+            if not lo <= s < hi:
+                i = min(bisect.bisect_right(self._breaks, s),
+                        len(self._breaks) - 1) - 1
+                lo, hi, k0, dk, length = self._piece = self._pieces[i]
+        return k0 + dk * ((s - lo) / length)
 
     def _locate_many(self, s: np.ndarray):
-        """Vectorized _locate: index, offset, length and end curvatures."""
+        """Segment index, offset, length and end curvatures of each s,
+        wrapped or clamped as curvature() does."""
         sm = s % self.length if self.closed else np.clip(s, 0.0, self.length)
         b, k = self._breaks_np, self._kappas_np
         idx = np.clip(np.searchsorted(b, sm, side="right") - 1,

@@ -5,6 +5,7 @@ unrolled forms in the package must equal the plain per-element forms in
 tests/oracles.py exactly, not to a tolerance.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -71,16 +72,34 @@ class TestBinMeans:
 
 def _same_step(state, steer, accel_cmd, brake_cmd, track, dt=1e-3,
                params=None):
+    # the reference reads curvature from the scalar oracle, so the step
+    # does not depend on which segment the track looked up last
     p = params or VehicleParams()
     ref = rk4_bicycle_step(
         (state.s, state.delta, state.theta, state.v, state.yaw_rate,
-         state.v_lat), steer, accel_cmd, brake_cmd, dt, track.curvature, p,
+         state.v_lat), steer, accel_cmd, brake_cmd, dt,
+        functools.partial(curvature_scalar, list(track.segments),
+                          track.closed), p,
         ACCEL_GAIN, BRAKE_GAIN, _V_SLIP_MIN)
     out = step_plant(state, steer, accel_cmd, brake_cmd, dt, track,
                      params=params)
-    assert (out.s, out.delta, out.theta, out.v, out.yaw_rate, out.v_lat,
-            out.a) == ref
+    got = (out.s, out.delta, out.theta, out.v, out.yaw_rate, out.v_lat, out.a)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    assert type(out) is PlantState and out == PlantState(*got)
     return out
+
+
+def _chain_or_preset(name):
+    if name == "open_chain":
+        return TrackGeometry(CLOTHOID_CHAIN, closed=False)
+    if name == "closed_chain":
+        return TrackGeometry(CLOTHOID_CHAIN[:3], closed=True)
+    return build_track(name)
+
+
+def _breaks(track):
+    return np.concatenate(([0.0], np.cumsum(
+        [seg[0] for seg in track.segments]))).tolist()
 
 
 class TestPlantStep:
@@ -98,6 +117,69 @@ class TestPlantStep:
         _same_step(state, rng.uniform(-0.5, 0.5), rng.uniform(-1.5, 1.5),
                    rng.uniform(-0.5, 1.5), track,
                    dt=rng.uniform(1e-4, 2e-3))
+
+    @pytest.mark.parametrize("preset", ["trackA", "trackB", "closed_chain",
+                                        "open_chain"])
+    def test_stages_straddle_a_breakpoint(self, preset):
+        # at 20 m/s a 1 ms step spans 2 cm: the stages read curvature on
+        # both sides of every breakpoint, from the first stage onwards
+        track = _chain_or_preset(preset)
+        for b in _breaks(track)[1:-1]:
+            for back in (0.0, 0.004, 0.01, 0.016, 0.02, 0.03):
+                for theta in (0.0, 0.05):
+                    _same_step(PlantState(s=b - back, delta=0.3, theta=theta,
+                                          v=20.0, yaw_rate=0.05, v_lat=0.1),
+                               0.02, 0.3, 0.0, track)
+
+    @pytest.mark.parametrize("preset", ["trackA", "circle100", "closed_chain"])
+    def test_stages_cross_the_closed_wrap(self, preset):
+        track = _chain_or_preset(preset)
+        L = track.length
+        for lap in (0.0, 1.0, 2.0, -1.0):
+            for back in (1e-9, 0.004, 0.01, 0.016, 0.02):
+                _same_step(PlantState(s=lap * L + L - back, delta=-0.4,
+                                      theta=0.02, v=20.0, yaw_rate=-0.03),
+                           -0.01, 0.0, 0.2, track)
+
+    @pytest.mark.parametrize("preset", ["trackA", "circle100", "closed_chain",
+                                        "open_chain", "straight"])
+    def test_state_at_negative_s(self, preset):
+        track = _chain_or_preset(preset)
+        for s in (-0.01, -0.004, -1e-12, -0.0, -7.5, -track.length - 0.01,
+                  -2.5 * track.length):
+            _same_step(PlantState(s=s, delta=0.2, theta=-0.03, v=20.0,
+                                  yaw_rate=0.02, v_lat=-0.1),
+                       0.01, 0.5, 0.0, track)
+
+    @pytest.mark.parametrize("preset", ["straight", "open_chain"])
+    def test_state_beyond_either_end_of_an_open_track(self, preset):
+        # curvature is clamped to the end segments' outside [0, length]
+        track = _chain_or_preset(preset)
+        L = track.length
+        for s in (-3.0, -0.01, L - 0.01, L, L + 1e-9, L + 0.01, L + 2.0):
+            _same_step(PlantState(s=s, delta=0.5, theta=0.04, v=25.0,
+                                  yaw_rate=0.03, v_lat=0.2),
+                       0.03, 0.0, 0.0, track)
+
+    @pytest.mark.parametrize("preset", ["trackA", "closed_chain",
+                                        "open_chain"])
+    def test_steps_in_any_order_equal_the_reference(self, preset):
+        # the track keeps the segment of its last lookup: a run across
+        # breakpoints and the wrap, then jumps back and forth, read the
+        # reference's curvature whatever segment was looked up before
+        track = _chain_or_preset(preset)
+        rng = np.random.default_rng(3)
+        state = PlantState(s=_breaks(track)[1] - 0.5, delta=0.2, v=30.0)
+        for _ in range(40):
+            state = _same_step(state, 0.01, 0.1, 0.0, track, dt=2e-3)
+        L = track.length
+        edges = np.concatenate([_breaks(track), np.add(_breaks(track), L)])
+        for s in np.concatenate([
+                rng.choice(edges, 60) - rng.uniform(0.0, 0.05, 60),
+                rng.uniform(-L, 2.0 * L, 60)]).tolist():
+            _same_step(PlantState(s=s, delta=-0.1, theta=0.01, v=30.0,
+                                  yaw_rate=0.01), -0.01, 0.0, 0.0, track,
+                       dt=2e-3)
 
     def test_custom_vehicle(self):
         params = VehicleParams(m=1800.0, c_alpha_f=60000.0, i_z=3100.0)
@@ -212,6 +294,26 @@ class TestCsvRows:
         _log(columns, events).to_csv(str(path))
         assert path.read_text() == csv_per_cell(
             CSV_COLUMNS, [columns[c] for c in CSV_COLUMNS[:-1]], events)
+
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 300])
+    def test_runs_of_repeated_cells(self, tmp_path, n):
+        # cells repeat in runs (commands and solver stats hold between
+        # cycles); -0.0 next to 0.0 and NaNs of either sign are runs too
+        rng = np.random.default_rng(6)
+        values = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, 1.5,
+                           1.5 + 2.0 ** -52, 1e-300, -2.5e-7])
+        columns = {c: np.repeat(rng.choice(values, n),
+                                rng.integers(1, 5, n))[:n]
+                   for c in CSV_COLUMNS[:-1]}
+        columns["time_s"] = np.arange(n) * 1e-3
+        events = [""] * max(n - 1, 0) + ["time_limit"] * (n > 0)
+        path = tmp_path / "log.csv"
+        _log(columns, events).to_csv(str(path))
+        assert path.read_text() == csv_per_cell(
+            CSV_COLUMNS, [columns[c] for c in CSV_COLUMNS[:-1]], events)
+        if n == 300:
+            assert "-0," in path.read_text() and ",0," in path.read_text()
 
 
 CLOTHOID_CHAIN = [(30.0, 0.0, 0.03), (50.0, 0.03, 0.03), (30.0, 0.03, 0.0),

@@ -756,6 +756,67 @@ class TestLateralPlanner:
         assert sum(seen[k][3] is seen[k - 1][3]
                    for k in range(1, len(seen))) >= 3
 
+    def test_warm_start_on_the_problem_last_solved_compares_nothing(
+            self, monkeypatch):
+        # the problem the last plan was solved on starts at that plan's
+        # first state, so its controls are the warm start as they are;
+        # every other problem compares its x0 with that state first
+        import cilqr_drive.lateral as lateral_module
+        compared = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def array_equal(a, b):
+                compared.append(1)
+                return np.array_equal(a, b)
+
+        monkeypatch.setattr(lateral_module, "np", Numpy())
+        seen = self._spy_solve(monkeypatch)
+        planner = LateralPlanner()
+        v_far = 20.0 * (1.0 + 2.0 * MODEL_SPEED_RTOL)
+        cycles = [  # state, speed, solved on the last plan's problem
+            (LateralState(0.5, 0.01), 20.0, False),     # cold
+            (LateralState(0.5, 0.01), 20.0, True),
+            (LateralState(0.5, 0.01), 20.01, True),
+            (LateralState(0.45, 0.012), 20.0, False),   # a new frame
+            (LateralState(0.45, 0.012), 20.0, True),
+            (LateralState(0.0, 0.01), 20.0, False),
+            (LateralState(-0.0, 0.01), 20.0, False),    # other bits
+            (LateralState(-0.0, 0.01), 20.0, True),
+            (LateralState(-0.0, 0.01), v_far, False),   # a new model
+            (LateralState(-0.2, 0.01), v_far, False),   # the other branch
+            (LateralState(-0.2, 0.01), v_far, True),
+            (LateralState(-0.0, 0.01), v_far, False),   # and back
+        ]
+        comparisons = 0
+        for k, (state, v, same) in enumerate(cycles):
+            compared.clear()
+            planner.plan(state, v)
+            spec, warm, config, result = seen[-1]
+            if k:
+                prev_spec, _, _, prev = seen[-2]
+                assert (spec is prev_spec) == same
+                assert len(compared) == (not same and prev.gains is not None)
+                comparisons += len(compared)
+                if same:
+                    assert warm is prev.trajectory.controls
+            fresh = solve(ProblemSpec(
+                dynamics=spec.dynamics, horizon=spec.horizon, cost=spec.cost,
+                terminal_cost=spec.terminal_cost, x0=state.as_vector(),
+                barriers=spec.barriers,
+                terminal_barriers=spec.terminal_barriers),
+                warm_start=warm, config=config)
+            for a, b in ((result.trajectory.states, fresh.trajectory.states),
+                         (result.trajectory.controls,
+                          fresh.trajectory.controls),
+                         (result.gains, fresh.gains)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert result.info == fresh.info
+        assert comparisons == 6
+
     def test_repeat_call_is_deterministic(self):
         a, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)
         b, _ = LateralPlanner().plan(LateralState(0.7, 0.02), V_76_KMH)

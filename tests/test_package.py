@@ -4,6 +4,7 @@ import ast
 import fnmatch
 import importlib
 import importlib.util
+import math
 import os
 import re
 import shlex
@@ -121,22 +122,85 @@ def test_compare_solves_times_solves_that_compute(compare, monkeypatch):
         assert len(calls) - before >= len(plain)
 
 
-def test_compare_runs_reads_equal_against_its_own_tree():
+@pytest.mark.parametrize("settings", [
+    [], ["vehicle.mass=1500", "vehicle.l_f=1.1"]])
+def test_compare_runs_reads_equal_against_its_own_tree(settings):
     """scripts/compare_runs.py with --base set to the head tree: both runs
     of straight_smoke write the same CSV, and every comparison reads
-    "equal"."""
+    "equal", also under --set overrides."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_runs.py"),
-         "--base", str(ROOT), "--seeds", "3", "--configs", "straight_smoke"],
+         "--base", str(ROOT), "--seeds", "3", "--configs", "straight_smoke"]
+        + [arg for s in settings for arg in ("--set", s)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    assert lines[0].endswith("".join(f", --set {s}" for s in settings))
     assert "straight_smoke seed 3" in lines
     compared = [line for line in lines if line.startswith("  ")]
     # the CSV line and each metric, per seed and over the seeds
     assert len(compared) == 11
     assert compared[0].startswith("  csv sha256")
     assert all(line.endswith("  equal") for line in compared)
+
+
+def test_compare_runs_passes_its_settings_to_both_runs():
+    """A --set that the config refuses fails both runs: the setting reached
+    each tree's `cilqr-drive run`."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_runs.py"),
+         "--base", str(ROOT), "--seeds", "0", "--configs", "straight_smoke",
+         "--set", "vehicle.mass=-1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1:3] == ["straight_smoke seed 0",
+                                             "  run failed"]
+    assert proc.stderr.count("wrote no log") == 2
+    assert proc.stderr.count("vehicle.mass") == 2
+
+
+@pytest.fixture
+def compare_runs():
+    """scripts/compare_runs.py, loaded without starting a run."""
+    path = ROOT / "scripts" / "compare_runs.py"
+    module_spec = importlib.util.spec_from_file_location("compare_runs",
+                                                         path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (1.0, 1.0, 0.0), (None, None, 0.0), (math.nan, None, 0.0),
+    (2.0, 3.0, 0.5), (-2.0, -3.0, -0.5), (0.0, 1e-300, math.inf),
+    (None, 1.0, math.inf), (1.0, None, math.inf), (math.nan, 0.0, math.inf),
+    (0.0, math.nan, math.inf), (math.inf, 1.0, math.inf),
+    (math.inf, math.inf, 0.0)])
+def test_compare_runs_change(compare_runs, a, b, want):
+    assert compare_runs._change(a, b) == want
+
+
+def test_compare_runs_reports_a_one_sided_nan_as_a_change(compare_runs):
+    """A metric that goes from NaN (JSON null) to a number, or back, reads
+    as a change in its own line and in the summary over the seeds, even
+    when another seed moved it by a finite amount first."""
+    metrics = dict.fromkeys(compare_runs.METRICS, 1.0)
+    largest = {("cfg", m): 0.0 for m in compare_runs.METRICS}
+    runs = {0: (("h", dict(metrics, d_mae_m=2.0)), ("h", metrics)),
+            1: (("h", dict(metrics, d_mae_m=None)), ("h", metrics)),
+            2: (("h", metrics), ("g", dict(metrics, gap_min_m=None)))}
+    lines = [line for seed, pair in runs.items()
+             for line in compare_runs._report("cfg", seed, pair, largest)]
+    assert [line.split()[-1] for line in lines
+            if line.startswith("  d_mae_m")] == ["-0.5", "+inf", "equal"]
+    assert [line.split()[-1] for line in lines
+            if line.startswith("  gap_min_m")] == ["equal", "equal", "+inf"]
+    assert lines.count("  csv sha256  base h…  head g…  differ") == 1
+    summary = compare_runs._summary(largest)
+    assert summary[0] == "largest relative change over the seeds"
+    verdicts = {line.split()[1]: line.split()[-1] for line in summary[1:]}
+    assert verdicts == dict.fromkeys(compare_runs.METRICS, "equal") | {
+        "d_mae_m": "+inf", "gap_min_m": "+inf"}
 
 
 def _trees(*dirs: str) -> dict[Path, ast.Module]:
