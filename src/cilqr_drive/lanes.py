@@ -149,29 +149,48 @@ def average_lane_maps(window: Sequence[LaneMap]) -> LaneMap:
 def fit_lane_polynomial(lane_map: LaneMap) -> LanePolynomial | None:
     """Least-squares quadratic fit of a lane map.
 
-    Returns None (fit unavailable) when there are fewer than 6 points
-    within the fit window, their forward span is under 5 m, or the
-    residual RMS exceeds 0.3 m; the caller then skips the correction
-    for this cycle.
+    Solves the 3x3 normal equations in closed form, on x scaled by the
+    window's far end.  Returns None (fit unavailable) when there are
+    fewer than 6 points within the fit window, their forward span is
+    under 5 m, they hold fewer than three distinct x (no unique
+    quadratic), or the residual RMS exceeds 0.3 m; the caller then skips
+    the correction for this cycle.
     """
     pts = lane_map.points
     pts = pts[pts[:, 0] <= FIT_WINDOW_M]
     if pts.shape[0] < MIN_FIT_POINTS:
         return None
     x, y = pts[:, 0], pts[:, 1]
-    span = float(x.max() - x.min())
-    if span < MIN_FIT_SPAN_M:
+    lo, hi = float(x.min()), float(x.max())
+    if hi - lo < MIN_FIT_SPAN_M or not np.count_nonzero((x > lo) & (x < hi)):
         return None
-    coeffs = np.polyfit(x, y, 2)
-    resid = y - np.polyval(coeffs, x)
-    rms = float(np.sqrt(np.mean(resid * resid)))
+    # y = p0 + p1 t + p2 t^2 on t = x / hi in [0, 1] (hi >= 5 m, as x >= 0)
+    t = x / hi
+    basis = np.column_stack((np.ones_like(t), t, t * t))
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = (basis.T @ basis).tolist()
+    r0, r1, r2 = (y @ basis).tolist()
+    # Cramer's rule: cofactors of the symmetric Gram matrix
+    c00 = g11 * g22 - g12 * g12
+    c01 = g01 * g22 - g12 * g02
+    c02 = g01 * g12 - g11 * g02
+    det = g00 * c00 - g01 * c01 + g02 * c02
+    if not det > 0.0:     # three distinct x make it positive, bar rounding
+        return None
+    p0 = (r0 * c00 - g01 * (r1 * g22 - g12 * r2)
+          + g02 * (r1 * g12 - g11 * r2)) / det
+    p1 = (g00 * (r1 * g22 - g12 * r2) - r0 * c01
+          + g02 * (g01 * r2 - r1 * g02)) / det
+    p2 = (g00 * (g11 * r2 - g12 * r1) - g01 * (g01 * r2 - r1 * g02)
+          + r0 * c02) / det
+    resid = y - basis @ (p0, p1, p2)
+    rms = math.sqrt(float(resid @ resid) / resid.size)
     if rms > MAX_FIT_RMS_M:
         return None
-    a, b, c = (float(v) for v in coeffs)
+    a, b, c = p2 / (hi * hi), p1 / hi, p0
     # the trusted range always reaches back to the ego origin: the fit is
     # near-field and the correction evaluates it at the rear query x = 0
     # even when the closest sensed point sits slightly ahead of the bumper
-    return LanePolynomial(a, b, c, (min(0.0, float(x.min())), float(x.max())), rms)
+    return LanePolynomial(a, b, c, (min(0.0, lo), hi), rms)
 
 
 def curvature_at(poly: LanePolynomial, x: float) -> float:

@@ -5,12 +5,16 @@ frozen as literals; Monte Carlo comparisons draw their own seeds.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cilqr_drive.lanes import (
     BIN_WIDTH_M,
+    FIT_WINDOW_M,
+    MIN_FIT_POINTS,
+    SENSING_RANGE_M,
     STEER_CMD_MAX,
     ExtrapolationError,
     LaneMap,
@@ -24,6 +28,7 @@ from cilqr_drive.lanes import (
     fit_lane_polynomial,
     preview_correction,
 )
+from cilqr_drive.sim import NoiseConfig, ScenarioSpec, run_scenario
 
 # 0.05 rad / (pi/6): the normalized magnitude of a 0.05 rad shift
 SHIFT_005_NORM = 0.09549296585513722
@@ -170,6 +175,100 @@ class TestFitLanePolynomial:
         assert poly is not None
         assert poly.valid_range[1] <= 15.0
         assert abs(poly.a) < 1e-12
+
+
+def _same_as_polyfit(lane_map, tol=1e-9):
+    """The fit equals np.polyfit's on the fit window to tol of its scale
+    (coefficients on x scaled by the far end), residual RMS included."""
+    pts = lane_map.points[lane_map.points[:, 0] <= FIT_WINDOW_M]
+    poly = fit_lane_polynomial(lane_map)
+    assert poly is not None
+    x, y = pts[:, 0], pts[:, 1]
+    hi = x.max()
+    ref = np.polyfit(x, y, 2)
+    resid = y - np.polyval(ref, x)
+    ref_rms = math.sqrt(np.mean(resid * resid))
+    scaled = np.array([poly.a, poly.b, poly.c]) * [hi * hi, hi, 1.0]
+    ref_scaled = ref * [hi * hi, hi, 1.0]
+    assert np.max(np.abs(scaled - ref_scaled)) <= tol * np.max(
+        np.abs(ref_scaled))
+    assert abs(poly.rms - ref_rms) <= tol * max(ref_rms, 1e-12)
+    assert poly.valid_range == (min(0.0, x.min()), hi)
+    return poly
+
+
+class TestFitAgainstPolyfit:
+    """The closed-form fit is np.polyfit's least-squares quadratic."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_noisy_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        # points beyond the fit window bend away; the fit must not see them
+        x = np.concatenate([
+            rng.uniform(0.0, 2.0, 1), rng.uniform(8.0, FIT_WINDOW_M, 1),
+            rng.uniform(0.0, FIT_WINDOW_M, int(rng.integers(4, 60))),
+            rng.uniform(FIT_WINDOW_M, SENSING_RANGE_M,
+                        int(rng.integers(0, 10)))])
+        n = x.size
+        a, b, c = (rng.normal(0.0, 0.01), rng.normal(0.0, 0.1),
+                   rng.normal(0.0, 1.0))
+        y = (a * x * x + b * x + c + rng.normal(0.0, 0.05, n)
+             + np.where(x > FIT_WINDOW_M, 5.0, 0.0))
+        _same_as_polyfit(LaneMap(np.column_stack([x, y]), 0.0))
+
+    def test_windows_of_a_closed_loop_run(self, monkeypatch):
+        # every window VPC fits on the trackA turn, with the preset noise
+        import cilqr_drive.lanes as lanes
+        windows, fit = [], lanes.fit_lane_polynomial
+
+        def recording(lane_map):
+            windows.append(lane_map)
+            return fit(lane_map)
+
+        monkeypatch.setattr(lanes, "fit_lane_polynomial", recording)
+        run_scenario(ScenarioSpec(
+            track="trackA", duration_s=3.0, start_s=1280.0,
+            noise=NoiseConfig(sigma_theta=0.005, sigma_delta=0.03,
+                              sigma_lane=0.05), seed=0),
+            controller="vpc-cilqr")
+        assert len(windows) >= 100
+        kappas = [curvature_at(_same_as_polyfit(w), 0.0) for w in windows]
+        assert max(kappas) > 0.02    # the turn's 0.03 is in view
+
+    @pytest.mark.parametrize("xs", [(0.0, 6.0), (3.0, 12.5), (0.0, 15.0)])
+    def test_two_distinct_x_unavailable_without_warning(self, xs):
+        # six and more points, a span over 5 m, but no unique quadratic
+        x = np.repeat(xs, 4)
+        y = np.arange(8.0) * 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_lane_polynomial(
+                LaneMap(np.column_stack([x, y]), 0.0)) is None
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-12, 1e-15])
+    def test_near_coincident_third_x_never_raises(self, gap):
+        # three distinct x, but the normal equations round to singular
+        # (a zero determinant in most draws): unavailable or a finite fit,
+        # never a division by zero or a warning
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = np.array([0.0] * 3 + [6.0] * 3
+                         + [6.0 + gap * rng.uniform(1.0, 10.0)])
+            y = rng.normal(0.0, 0.05, x.size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                poly = fit_lane_polynomial(
+                    LaneMap(np.column_stack([x, y]), 0.0))
+            assert poly is None or isinstance(poly, LanePolynomial)
+
+    def test_three_distinct_x_interpolate(self):
+        # repeated points at three x: the parabola through their means
+        x = np.repeat([1.0, 4.0, 9.0], 3)
+        y = 0.02 * x * x - 0.1 * x + 0.5 + np.tile([-0.01, 0.0, 0.01], 3)
+        poly = _same_as_polyfit(LaneMap(np.column_stack([x, y]), 0.0))
+        assert poly.a == pytest.approx(0.02, rel=1e-12)
+        assert poly.b == pytest.approx(-0.1, rel=1e-12)
+        assert poly.c == pytest.approx(0.5, rel=1e-12)
 
 
 class TestCurvatureAt:
