@@ -326,14 +326,9 @@ class TestCurvatureAndHeading:
                                         "circle100", "open_chain",
                                         "closed_chain"])
     def test_vector_and_scalar_forms_equal_the_reference(self, preset):
-        if preset == "open_chain":
-            track = TrackGeometry(CLOTHOID_CHAIN, closed=False)
-        elif preset == "closed_chain":
-            track = TrackGeometry(CLOTHOID_CHAIN[:3], closed=True)
-        else:
-            track = build_track(preset)
+        track = _chain_or_preset(preset)
         segs, closed = list(track.segments), track.closed
-        breaks = np.concatenate(([0.0], np.cumsum([g[0] for g in segs])))
+        breaks = np.array(_breaks(track))
         rng = np.random.default_rng(2)
         s = np.concatenate([
             breaks, np.nextafter(breaks, -np.inf),

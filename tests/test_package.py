@@ -57,17 +57,21 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert missing == []
 
 
+def _script(name):
+    """scripts/<name>.py as a module; loading it starts no run."""
+    module_spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def compare(monkeypatch):
     """scripts/compare_solves.py, loaded without starting a worker."""
-    path = ROOT / "scripts" / "compare_solves.py"
-    module_spec = importlib.util.spec_from_file_location("compare_solves",
-                                                         path)
-    module = importlib.util.module_from_spec(module_spec)
     # it pins the BLAS thread counts in os.environ when it loads
     monkeypatch.setattr(os, "environ", dict(os.environ))
-    module_spec.loader.exec_module(module)
-    return module
+    return _script("compare_solves")
 
 
 def test_compare_solves_rebuilds_a_recorded_solve_to_the_bit(compare):
@@ -161,13 +165,7 @@ def test_compare_runs_passes_its_settings_to_both_runs():
 
 @pytest.fixture
 def compare_runs():
-    """scripts/compare_runs.py, loaded without starting a run."""
-    path = ROOT / "scripts" / "compare_runs.py"
-    module_spec = importlib.util.spec_from_file_location("compare_runs",
-                                                         path)
-    module = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(module)
-    return module
+    return _script("compare_runs")
 
 
 @pytest.mark.parametrize("a, b, want", [
