@@ -58,14 +58,14 @@ def _write_metrics(metrics: dict, out_dir: Path, name: str) -> str:
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Render theta, offset, speed, and gap against distance from {csv_name}."""
+"""Render theta, offset, speed, and gap against distance from a run's CSV."""
 
 import csv
 from pathlib import Path
 
 import matplotlib.pyplot as plt
 
-path = Path(__file__).with_name("{csv_name}")
+path = Path(__file__).with_name({csv_name!r})
 rows = list(csv.DictReader(path.open()))
 s = [float(r["s_m"]) for r in rows]
 series = [
@@ -80,16 +80,18 @@ for ax, (col, label) in zip(axes, series):
     ax.set_ylabel(label)
     ax.grid(True, alpha=0.3)
 axes[-1].set_xlabel("distance along track [m]")
-fig.suptitle("{name}")
+fig.suptitle({name!r})
 fig.tight_layout()
-out = Path(__file__).with_name("{name}.png")
+out = Path(__file__).with_name({png_name!r})
 fig.savefig(out, dpi=150)
 print(f"wrote {{out}}")
 '''
 
 
 def _write_plot_script(out_dir: Path, name: str) -> None:
-    script = _PLOT_TEMPLATE.format(csv_name=f"{name}.csv", name=name)
+    # the names go in as Python literals, so any file name gives a script
+    script = _PLOT_TEMPLATE.format(csv_name=f"{name}.csv", name=name,
+                                   png_name=f"{name}.png")
     (out_dir / f"plot_{name}.py").write_text(script)
 
 

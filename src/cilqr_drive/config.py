@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .fields import KINDS
 from .lanes import VpcConfig
 from .lateral import LateralTuning, VehicleParams
 from .longitudinal import LongTuning
@@ -60,96 +61,83 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _positive(x) -> None:
-    if not x > 0:
-        raise ValueError("must be strictly positive")
-
-
-def _nonneg(x) -> None:
-    if x < 0:
-        raise ValueError("must be nonnegative")
-
-
 def _choice(*allowed: str):
-    def check(x) -> None:
-        if x not in allowed:
+    def cast(raw: str) -> str:
+        if raw not in allowed:
             raise ValueError(f"must be one of {', '.join(allowed)}")
-    return check
+        return raw
+    return cast
 
 
-def _no_check(_x) -> None:
-    return None
+def _file_name(raw: str) -> str:
+    # the run's output files are named after it, inside --out
+    if Path(raw).name != raw or raw == ".." or "\0" in raw:
+        raise ValueError(f"must be a plain file name, got {raw!r}")
+    return raw
 
 
-# key -> (section, field, cast, range check): the one place a key is
-# declared.  The field is a keyword of the section's dataclass, or
-# (keyword, index) for one entry of a tuple; a *_kph value is converted to
-# m/s.  scenario.lead has no field: it switches the lead section on.
+# key -> (section, field, cast): the one place a key is declared.  The
+# field, a keyword of the section's dataclass or (keyword, index) for one
+# entry of a tuple, declares the key's range; a *_kph value is converted
+# to m/s.  scenario.lead has no field: it switches the lead section on.
 _REGISTRY = {
-    "scenario.track": ("spec", "track", str, _choice(*TRACKS)),
-    "scenario.duration_s": ("spec", "duration_s", _as_float, _positive),
-    "scenario.laps": ("spec", "laps", _as_float, _positive),
-    "scenario.cruise_speed_kph": ("spec", "cruise_speed", _as_float,
-                                  _positive),
-    "scenario.start_s": ("spec", "start_s", _as_float, _nonneg),
-    "scenario.start_delta": ("spec", "start_delta", _as_float, _no_check),
-    "scenario.start_theta": ("spec", "start_theta", _as_float, _no_check),
-    "scenario.start_speed_kph": ("spec", "start_v", _as_float, _nonneg),
-    "scenario.seed": ("spec", "seed", _as_int, _nonneg),
-    "scenario.controller": ("run", "controller", str, _choice(*CONTROLLERS)),
-    "scenario.longitudinal": ("run", "longitudinal", _as_bool, _no_check),
-    "scenario.name": ("spec", "name", str, _no_check),
-    "scenario.metrics_t_start": ("spec", ("metrics_t_range", 0), _as_float,
-                                 _nonneg),
-    "scenario.metrics_t_end": ("spec", ("metrics_t_range", 1), _as_float,
-                               _positive),
-    "scenario.lead": ("lead", None, _as_bool, _no_check),
-    "scenario.lead_gap_m": ("lead", "initial_gap", _as_float, _positive),
-    "scenario.lead_speed_kph": ("lead", "base_speed", _as_float, _positive),
-    "scenario.lead_amplitude_kph": ("lead", "amplitude", _as_float, _nonneg),
-    "scenario.lead_period_s": ("lead", "period_s", _as_float, _positive),
-    "vehicle.mass": ("vehicle", "m", _as_float, _positive),
-    "vehicle.c_alpha_f": ("vehicle", "c_alpha_f", _as_float, _positive),
-    "vehicle.c_alpha_r": ("vehicle", "c_alpha_r", _as_float, _positive),
-    "vehicle.l_f": ("vehicle", "l_f", _as_float, _positive),
-    "vehicle.l_r": ("vehicle", "l_r", _as_float, _positive),
-    "vehicle.i_z": ("vehicle", "i_z", _as_float, _positive),
-    "lateral.horizon": ("lateral", "horizon", _as_int, _positive),
-    "lateral.dt": ("lateral", "dt", _as_float, _positive),
-    "lateral.q_delta": ("lateral", ("q_diag", 0), _as_float, _nonneg),
-    "lateral.q_delta_rate": ("lateral", ("q_diag", 1), _as_float, _nonneg),
-    "lateral.q_theta": ("lateral", ("q_diag", 2), _as_float, _nonneg),
-    "lateral.q_theta_rate": ("lateral", ("q_diag", 3), _as_float, _nonneg),
-    "lateral.r_steer": ("lateral", "r", _as_float, _positive),
-    "lateral.centering_weight": ("lateral", "centering_weight", _as_float,
-                                 _positive),
-    "lateral.centering_rate": ("lateral", "centering_rate", _as_float,
-                               _nonneg),
-    "longitudinal.horizon": ("long", "horizon", _as_int, _positive),
-    "longitudinal.dt": ("long", "dt", _as_float, _positive),
-    "longitudinal.d_ref": ("long", "d_ref", _as_float, _positive),
-    "longitudinal.q_d": ("long", ("q_diag", 0), _as_float, _nonneg),
-    "longitudinal.q_v": ("long", ("q_diag", 1), _as_float, _nonneg),
-    "longitudinal.q_a": ("long", ("q_diag", 2), _as_float, _nonneg),
-    "longitudinal.r_jerk": ("long", "r", _as_float, _positive),
-    "longitudinal.jerk_limit": ("long", "jerk_limit", _as_float, _positive),
-    "longitudinal.accel_limit": ("long", "accel_limit", _as_float, _positive),
-    "longitudinal.d_critical": ("long", "d_critical", _as_float, _positive),
-    "longitudinal.d_floor": ("long", "d_floor", _as_float, _positive),
-    "vpc.lookahead_l": ("vpc", "lookahead_L", _as_float, _positive),
-    "vpc.k_vpc": ("vpc", "k_vpc", _as_float, _positive),
-    "vpc.frame_window": ("vpc", "frame_window", _as_int, _positive),
-    "sim.plant_us": ("rates", "plant_us", _as_int, _positive),
-    "sim.perception_us": ("rates", "perception_us", _as_int, _positive),
-    "sim.vpc_us": ("rates", "vpc_us", _as_int, _positive),
-    "sim.planner_us": ("rates", "planner_us", _as_int, _positive),
-    "sim.perception_latency_us": ("rates", "perception_latency_us", _as_int,
-                                  _nonneg),
-    "sim.actuation_latency_us": ("rates", "actuation_latency_us", _as_int,
-                                 _nonneg),
-    "sim.sigma_theta": ("noise", "sigma_theta", _as_float, _nonneg),
-    "sim.sigma_delta": ("noise", "sigma_delta", _as_float, _nonneg),
-    "sim.sigma_lane": ("noise", "sigma_lane", _as_float, _nonneg),
+    "scenario.track": ("spec", "track", _choice(*TRACKS)),
+    "scenario.duration_s": ("spec", "duration_s", _as_float),
+    "scenario.laps": ("spec", "laps", _as_float),
+    "scenario.cruise_speed_kph": ("spec", "cruise_speed", _as_float),
+    "scenario.start_s": ("spec", "start_s", _as_float),
+    "scenario.start_delta": ("spec", "start_delta", _as_float),
+    "scenario.start_theta": ("spec", "start_theta", _as_float),
+    "scenario.start_speed_kph": ("spec", "start_v", _as_float),
+    "scenario.seed": ("spec", "seed", _as_int),
+    "scenario.controller": ("run", "controller", _choice(*CONTROLLERS)),
+    "scenario.longitudinal": ("run", "longitudinal", _as_bool),
+    "scenario.name": ("spec", "name", _file_name),
+    "scenario.metrics_t_start": ("spec", ("metrics_t_range", 0), _as_float),
+    "scenario.metrics_t_end": ("spec", ("metrics_t_range", 1), _as_float),
+    "scenario.lead": ("lead", None, _as_bool),
+    "scenario.lead_gap_m": ("lead", "initial_gap", _as_float),
+    "scenario.lead_speed_kph": ("lead", "base_speed", _as_float),
+    "scenario.lead_amplitude_kph": ("lead", "amplitude", _as_float),
+    "scenario.lead_period_s": ("lead", "period_s", _as_float),
+    "vehicle.mass": ("vehicle", "m", _as_float),
+    "vehicle.c_alpha_f": ("vehicle", "c_alpha_f", _as_float),
+    "vehicle.c_alpha_r": ("vehicle", "c_alpha_r", _as_float),
+    "vehicle.l_f": ("vehicle", "l_f", _as_float),
+    "vehicle.l_r": ("vehicle", "l_r", _as_float),
+    "vehicle.i_z": ("vehicle", "i_z", _as_float),
+    "lateral.horizon": ("lateral", "horizon", _as_int),
+    "lateral.dt": ("lateral", "dt", _as_float),
+    "lateral.q_delta": ("lateral", ("q_diag", 0), _as_float),
+    "lateral.q_delta_rate": ("lateral", ("q_diag", 1), _as_float),
+    "lateral.q_theta": ("lateral", ("q_diag", 2), _as_float),
+    "lateral.q_theta_rate": ("lateral", ("q_diag", 3), _as_float),
+    "lateral.r_steer": ("lateral", "r", _as_float),
+    "lateral.centering_weight": ("lateral", "centering_weight", _as_float),
+    "lateral.centering_rate": ("lateral", "centering_rate", _as_float),
+    "longitudinal.horizon": ("long", "horizon", _as_int),
+    "longitudinal.dt": ("long", "dt", _as_float),
+    "longitudinal.d_ref": ("long", "d_ref", _as_float),
+    "longitudinal.q_d": ("long", ("q_diag", 0), _as_float),
+    "longitudinal.q_v": ("long", ("q_diag", 1), _as_float),
+    "longitudinal.q_a": ("long", ("q_diag", 2), _as_float),
+    "longitudinal.r_jerk": ("long", "r", _as_float),
+    "longitudinal.jerk_limit": ("long", "jerk_limit", _as_float),
+    "longitudinal.accel_limit": ("long", "accel_limit", _as_float),
+    "longitudinal.d_critical": ("long", "d_critical", _as_float),
+    "longitudinal.d_floor": ("long", "d_floor", _as_float),
+    "vpc.lookahead_l": ("vpc", "lookahead_L", _as_float),
+    "vpc.k_vpc": ("vpc", "k_vpc", _as_float),
+    "vpc.frame_window": ("vpc", "frame_window", _as_int),
+    "sim.plant_us": ("rates", "plant_us", _as_int),
+    "sim.perception_us": ("rates", "perception_us", _as_int),
+    "sim.vpc_us": ("rates", "vpc_us", _as_int),
+    "sim.planner_us": ("rates", "planner_us", _as_int),
+    "sim.perception_latency_us": ("rates", "perception_latency_us", _as_int),
+    "sim.actuation_latency_us": ("rates", "actuation_latency_us", _as_int),
+    "sim.sigma_theta": ("noise", "sigma_theta", _as_float),
+    "sim.sigma_delta": ("noise", "sigma_delta", _as_float),
+    "sim.sigma_lane": ("noise", "sigma_lane", _as_float),
 }
 
 
@@ -186,6 +174,15 @@ _SECTIONS = {
 }
 
 
+def _kind(key: str) -> str | None:
+    """The range (fields.KINDS) declared on the field key feeds, or None."""
+    section, name = _REGISTRY[key][:2]
+    name, index = name if isinstance(name, tuple) else (name, None)
+    declared = _SECTIONS[section][0].__dataclass_fields__.get(name)
+    kind = declared and declared.metadata.get("kind")
+    return kind if index is None else kind[index]
+
+
 def _typed(key: str, raw: str, prefix: str, source: str, line: int = 0):
     """The value of key read from raw: cast and range-checked.
 
@@ -194,10 +191,13 @@ def _typed(key: str, raw: str, prefix: str, source: str, line: int = 0):
     """
     if key not in _REGISTRY:
         raise ConfigError(f"{prefix}unknown key {key!r}", source, line)
-    cast, check = _REGISTRY[key][2:]
+    kind = _kind(key)
     try:
-        value = cast(raw)
-        check(value)
+        value = _REGISTRY[key][2](raw)
+        if kind is not None and not KINDS[kind][1](value):
+            # worded against zero, as the cast already made a count an int
+            raise ValueError("must be nonnegative" if KINDS[kind][1](0)
+                             else "must be strictly positive")
     except ValueError as exc:
         raise ConfigError(f"{prefix}{key}: {exc}", source, line) from None
     return value

@@ -20,11 +20,12 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .fields import check_fields, ranged
 
 # Exponent guard for the one-sided barriers; keeps deep violations finite
 # so the line search can still rank candidate trajectories.
@@ -262,7 +263,7 @@ class ProblemSpec:
     """
 
     dynamics: AffineDynamics
-    horizon: int
+    horizon: int = ranged("count")
     cost: QuadraticCost
     terminal_cost: QuadraticCost
     x0: np.ndarray
@@ -270,7 +271,7 @@ class ProblemSpec:
     terminal_barriers: tuple[BarrierTerm, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_count(self.horizon, "horizon")
+        check_fields(self)
         if not isinstance(self.dynamics, AffineDynamics):
             raise ValueError("dynamics must be one AffineDynamics")
         n, m = self.n, self.m
@@ -365,16 +366,6 @@ def _finite(value: np.ndarray, name: str) -> np.ndarray:
     return value
 
 
-def _check_count(value, name: str) -> None:
-    """Reject a count that is not an integer >= 1 (numpy integers pass)."""
-    try:
-        ok = operator.index(value) >= 1
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= 1")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """States (N+1, n) and controls (N, m); consistent after rollout.
@@ -401,23 +392,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_outer_iterations: int = 40
-    cost_tolerance: float = 1e-4      # relative expected-decrease threshold
-    gradient_tolerance: float = 1e-5  # relative control-gradient threshold
-    regularization_init: float = 1e-6
-    barrier_t_init: float = 1.0
-    barrier_t_max: float = 1e4
+    max_outer_iterations: int = ranged("count", 40)
+    cost_tolerance: float = ranged("positive", 1e-4)  # relative decrease
+    gradient_tolerance: float = ranged("positive", 1e-5)  # relative gradient
+    regularization_init: float = ranged("positive", 1e-6)
+    barrier_t_init: float = ranged("positive", 1.0)
+    barrier_t_max: float = ranged("positive", 1e4)
 
     def __post_init__(self) -> None:
-        # stored as int and floats, so configs that compare equal solve alike
-        _check_count(self.max_outer_iterations, "max_outer_iterations")
-        object.__setattr__(self, "max_outer_iterations",
-                           operator.index(self.max_outer_iterations))
-        for name in ("cost_tolerance", "gradient_tolerance",
-                     "regularization_init", "barrier_t_init", "barrier_t_max"):
-            if not 0.0 < getattr(self, name) < np.inf:      # NaN fails too
-                raise ValueError(f"{name} must be positive and finite")
-            object.__setattr__(self, name, float(getattr(self, name)))
+        # stores an int and floats, so configs that compare equal solve alike
+        check_fields(self)
         if self.barrier_t_max < self.barrier_t_init:
             raise ValueError("barrier_t_max must be >= barrier_t_init")
 

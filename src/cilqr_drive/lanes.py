@@ -11,13 +11,13 @@ command.  Curvature is signed positive for left turns.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .fields import check_fields, ranged
 from .lateral import CLIP_MARGIN, STEER_LIMIT_RAD
 
 SENSING_RANGE_M = 30.0
@@ -101,26 +101,12 @@ class PreviewCorrection:
 
 @dataclass
 class VpcConfig:
-    lookahead_L: float = 10.0
+    lookahead_L: float = ranged("positive", 10.0)
     # steady-state kinematic steer on curvature k is atan((l_f + l_r) * k)
-    k_vpc: float = 2.64
-    frame_window: int = 8
+    k_vpc: float = ranged("positive", 2.64)
+    frame_window: int = ranged("count", 8)   # stored as an int, as deque needs
 
-    def __post_init__(self) -> None:
-        for name in ("lookahead_L", "k_vpc", "frame_window"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        try:
-            # numpy integers pass; stored as an int, which deque requires
-            self.frame_window = operator.index(self.frame_window)
-        except TypeError:
-            raise ValueError("frame_window must be an integer") from None
-        if self.lookahead_L <= 0.0:
-            raise ValueError("lookahead_L must be positive")
-        if self.frame_window < 1:
-            raise ValueError("frame_window must be >= 1")
-        if self.k_vpc <= 0.0:
-            raise ValueError("k_vpc must be positive")
+    __post_init__ = check_fields
 
 
 def average_lane_maps(window: Sequence[LaneMap]) -> LaneMap:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, ranged
 from .ilqr import (
     AffineDynamics,
     BarrierTerm,
@@ -26,7 +27,6 @@ from .ilqr import (
     SolveResult,
     SolverConfig,
     WARM_CONFIG,
-    _check_count,
     solve,
 )
 
@@ -46,20 +46,14 @@ COLD_CONFIG = SolverConfig(barrier_t_init=SolverConfig.barrier_t_max)
 class VehicleParams:
     """Single-track model parameters."""
 
-    m: float = 1150.0         # mass, kg
-    c_alpha_f: float = 80000.0  # front cornering stiffness, N/rad
-    c_alpha_r: float = 80000.0  # rear cornering stiffness, N/rad
-    l_f: float = 1.27         # CG to front axle, m
-    l_r: float = 1.37         # CG to rear axle, m
-    i_z: float = 2000.0       # yaw inertia, kg m^2
+    m: float = ranged("positive", 1150.0)  # mass, kg
+    c_alpha_f: float = ranged("positive", 8e4)  # front cornering, N/rad
+    c_alpha_r: float = ranged("positive", 8e4)  # rear cornering, N/rad
+    l_f: float = ranged("positive", 1.27)  # CG to front axle, m
+    l_r: float = ranged("positive", 1.37)  # CG to rear axle, m
+    i_z: float = ranged("positive", 2000.0)  # yaw inertia, kg m^2
 
-    def __post_init__(self) -> None:
-        for name in ("m", "c_alpha_f", "c_alpha_r", "l_f", "l_r", "i_z"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -91,28 +85,14 @@ class SteerCommand:
 
 @dataclass
 class LateralTuning:
-    horizon: int = 30
-    dt: float = 0.05               # s
-    q_diag: tuple = (20.0, 1.0, 20.0, 1.0)
-    r: float = 1.0
-    centering_weight: float = 1.0  # lane-centering exponential scale
-    centering_rate: float = 1.0    # lane-centering exponent per meter
+    horizon: int = ranged("count", 30)
+    dt: float = ranged("positive", 0.05)   # s
+    q_diag: tuple = ranged(("nonneg",) * 4, (20.0, 1.0, 20.0, 1.0))
+    r: float = ranged("positive", 1.0)
+    centering_weight: float = ranged("positive", 1.0)  # lane-centering scale
+    centering_rate: float = ranged("nonneg", 1.0)       # its exponent per m
 
-    def __post_init__(self) -> None:
-        # the lateral.* config rows' ranges, each error naming its field
-        _check_count(self.horizon, "horizon")
-        for name in ("dt", "r", "centering_weight", "centering_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("dt", "r", "centering_weight"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not all(math.isfinite(q) for q in self.q_diag):
-            raise ValueError("q_diag must be finite")
-        if self.centering_rate < 0.0:
-            raise ValueError("centering_rate must be nonnegative")
-        if len(self.q_diag) != 4 or min(self.q_diag) < 0.0:
-            raise ValueError("q_diag must hold 4 nonnegative entries")
+    __post_init__ = check_fields
 
 
 def build_lateral_dynamics(params: VehicleParams, v: float,

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, ranged
 from .ilqr import (
     AffineDynamics,
     BarrierTerm,
@@ -26,7 +27,6 @@ from .ilqr import (
     QuadraticCost,
     SolveResult,
     WARM_CONFIG,
-    _check_count,
     solve,
 )
 
@@ -76,17 +76,11 @@ class LeadMeasurement:
 class PiState:
     """Mutable PI loop state; the integral carries units of meters."""
 
-    v_r: float                    # reference speed, m/s
-    period: float                 # seconds between pi_cruise calls
-    integral: float = 0.0
+    v_r: float = ranged("finite")        # reference speed, m/s
+    period: float = ranged("positive")   # seconds between pi_cruise calls
+    integral: float = ranged("finite", 0.0)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.v_r) and math.isfinite(self.integral)):
-            raise ValueError("PI state must be finite")
-        if not math.isfinite(self.period):
-            raise ValueError("period must be finite")
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -97,29 +91,18 @@ class LongCommand:
 
 @dataclass
 class LongTuning:
-    horizon: int = 30
-    dt: float = 0.1                # prediction step, s
-    d_ref: float = 11.0            # reference gap, m
-    q_diag: tuple = (20.0, 20.0, 1.0)
-    r: float = 1.0
-    jerk_limit: float = 1.0        # m/s^3
-    accel_limit: float = 5.0       # m/s^2
-    d_critical: float = 5.5        # brake ramp starts here, m
-    d_floor: float = 2.0           # full brake at or below, m
+    horizon: int = ranged("count", 30)
+    dt: float = ranged("positive", 0.1)            # prediction step, s
+    d_ref: float = ranged("positive", 11.0)        # reference gap, m
+    q_diag: tuple = ranged(("nonneg",) * 3, (20.0, 20.0, 1.0))
+    r: float = ranged("positive", 1.0)
+    jerk_limit: float = ranged("positive", 1.0)    # m/s^3
+    accel_limit: float = ranged("positive", 5.0)   # m/s^2
+    d_critical: float = ranged("positive", 5.5)    # brake ramp starts here, m
+    d_floor: float = ranged("positive", 2.0)       # full brake at or below, m
 
     def __post_init__(self) -> None:
-        # the longitudinal.* config rows' ranges, each error naming its field
-        _check_count(self.horizon, "horizon")
-        for name in ("dt", "d_ref", "r", "jerk_limit", "accel_limit",
-                     "d_critical", "d_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not all(math.isfinite(q) for q in self.q_diag):
-            raise ValueError("q_diag must be finite")
-        if len(self.q_diag) != 3 or min(self.q_diag) < 0.0:
-            raise ValueError("q_diag must hold 3 nonnegative entries")
+        check_fields(self)
         if self.d_critical <= self.d_floor:
             raise ValueError("need 0 < d_floor < d_critical")
         if self.d_critical >= self.d_ref:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..fields import check_fields, ranged
 from ..lanes import VpcConfig, VpcEstimator, apply_vpc
 from ..lateral import (STEER_LIMIT_RAD, LateralPlanner, LateralState,
                        LateralTuning, VehicleParams)
@@ -42,21 +42,15 @@ class LeadSpec:
     integration error.
     """
 
-    initial_gap: float = 35.0
-    base_speed: float = 63.5 / 3.6
-    amplitude: float = 0.0
-    period_s: float = 20.0
+    initial_gap: float = ranged("positive", 35.0)
+    base_speed: float = ranged("positive", 63.5 / 3.6)
+    amplitude: float = ranged("nonneg", 0.0)
+    period_s: float = ranged("positive", 20.0)
 
     def __post_init__(self) -> None:
-        for name in ("initial_gap", "base_speed", "amplitude", "period_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.initial_gap <= 0.0:
-            raise ValueError("initial_gap must be positive")
-        if self.base_speed <= 0.0 or self.base_speed <= abs(self.amplitude):
+        check_fields(self)
+        if self.base_speed <= self.amplitude:
             raise ValueError("lead speed must stay positive")
-        if self.period_s <= 0.0:
-            raise ValueError("period_s must be positive")
 
     def speed(self, t: float) -> float:
         return self.base_speed + self.amplitude * math.sin(
@@ -78,47 +72,29 @@ class ScenarioSpec:
     """Complete description of one closed-loop run."""
 
     track: str = "straight"
-    duration_s: float | None = None
-    laps: float | None = None
-    cruise_speed: float = 76.0 / 3.6
-    start_s: float = 0.0
-    start_delta: float = 0.0
-    start_theta: float = 0.0
-    start_v: float | None = None
+    duration_s: float | None = ranged("positive", None)
+    laps: float | None = ranged("positive", None)
+    cruise_speed: float = ranged("positive", 76.0 / 3.6)
+    start_s: float = ranged("nonneg", 0.0)
+    start_delta: float = ranged("finite", 0.0)
+    start_theta: float = ranged("finite", 0.0)
+    start_v: float | None = ranged("nonneg", None)
     lead: LeadSpec | None = None
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     rates: SimRates = field(default_factory=SimRates)
-    seed: int = 0
-    metrics_t_range: tuple[float, float] | None = None
+    seed: int = ranged("index", 0)
+    metrics_t_range: tuple[float, float] | None = ranged(
+        ("nonneg", "positive"), None)
     name: str = ""
 
     def __post_init__(self) -> None:
         if self.track not in TRACKS:
             raise ValueError(f"unknown track preset: {self.track!r}")
-        for name in ("duration_s", "laps", "cruise_speed", "start_s",
-                     "start_delta", "start_theta", "start_v"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self)
         if (self.duration_s is None) == (self.laps is None):
             raise ValueError("set exactly one of duration_s or laps")
-        if self.duration_s is not None and self.duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
-        if self.laps is not None and self.laps <= 0.0:
-            raise ValueError("laps must be positive")
-        if self.cruise_speed <= 0.0:
-            raise ValueError("cruise_speed must be positive")
-        if self.start_v is not None and self.start_v < 0.0:
-            raise ValueError("start_v must be nonnegative")
-        try:
-            seed = operator.index(self.seed)    # numpy integers pass
-        except TypeError:
-            raise ValueError("seed must be an integer") from None
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
         window = self.metrics_t_range
-        if window is not None and not (
-                len(window) == 2 and 0.0 <= window[0] < window[1]):
+        if window is not None and not window[0] < window[1]:
             raise ValueError("metrics_t_range must be (start, end), 0 <= start < end")
         if window is not None and window[0] >= (limit := self.time_limit_s):
             raise ValueError(f"metrics_t_range must start before the run's "

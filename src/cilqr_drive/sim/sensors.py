@@ -9,13 +9,12 @@ the caller's generator so scenario runs stay reproducible.
 
 from __future__ import annotations
 
-import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..fields import check_fields, ranged
 from ..lanes import LaneMap, SENSING_RANGE_M
 from ..longitudinal import LeadMeasurement
 from .plant import PlantState
@@ -26,42 +25,26 @@ RADAR_RANGE_M = 160.0
 
 @dataclass
 class NoiseConfig:
-    sigma_theta: float = 0.0
-    sigma_delta: float = 0.0
-    sigma_lane: float = 0.0
+    sigma_theta: float = ranged("nonneg", 0.0)
+    sigma_delta: float = ranged("nonneg", 0.0)
+    sigma_lane: float = ranged("nonneg", 0.0)
 
-    def __post_init__(self) -> None:
-        for name in ("sigma_theta", "sigma_delta", "sigma_lane"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if min(self.sigma_theta, self.sigma_delta, self.sigma_lane) < 0.0:
-            raise ValueError("noise levels must be nonnegative")
+    __post_init__ = check_fields
 
 
 @dataclass
 class SimRates:
     """Periods and latencies of the multi-rate loop, in microseconds."""
 
-    plant_us: int = 1000
-    perception_us: int = 24520
-    vpc_us: int = 15560
-    planner_us: int = 6660
-    perception_latency_us: int = 24520
-    actuation_latency_us: int = 6660
+    plant_us: int = ranged("count", 1000)
+    perception_us: int = ranged("count", 24520)
+    vpc_us: int = ranged("count", 15560)
+    planner_us: int = ranged("count", 6660)
+    perception_latency_us: int = ranged("index", 24520)
+    actuation_latency_us: int = ranged("index", 6660)
 
     def __post_init__(self) -> None:
-        for name in ("plant_us", "perception_us", "vpc_us", "planner_us",
-                     "perception_latency_us", "actuation_latency_us"):
-            try:
-                operator.index(getattr(self, name))  # numpy integers pass
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
-        periods = (self.plant_us, self.perception_us, self.vpc_us,
-                   self.planner_us)
-        if min(periods) <= 0:
-            raise ValueError("periods must be positive")
-        if min(self.perception_latency_us, self.actuation_latency_us) < 0:
-            raise ValueError("latencies must be nonnegative")
+        check_fields(self)
         if self.plant_us > 2000:
             raise ValueError("plant step must be at most 2 ms")
 

@@ -1,6 +1,8 @@
 """Configuration and command-line runner tests."""
 
+import ast
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -9,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cilqr_drive.cli import (_execute, main, replay_lateral_timing,
                              replay_longitudinal_timing)
-from cilqr_drive.config import (KPH, _REGISTRY, ConfigError, _as_float,
-                                _as_int, _nonneg, _positive, load_run_config)
+from cilqr_drive.config import (KPH, _REGISTRY, _SECTIONS, ConfigError,
+                                _as_int, _kind, _typed, load_run_config)
 from cilqr_drive.lanes import VpcEstimator
 from cilqr_drive.lateral import LateralPlanner, LateralTuning
 from cilqr_drive.longitudinal import (ACCEL_TAU, LongitudinalPlanner,
@@ -118,22 +121,25 @@ def _edge_values():
     for a nonnegative key, 1 for a positive integer, 1e-3 and 1e3 for a
     positive float."""
     out = []
-    for key, (_, _, cast, check) in _REGISTRY.items():
-        if check is _nonneg:
+    for key in _REGISTRY:
+        if _kind(key) in ("nonneg", "index"):
             out.append((key, "0"))
-        elif check is _positive and cast is _as_int:
+        elif _kind(key) == "count":
             out.append((key, "1"))
-        elif check is _positive and cast is _as_float:
+        elif _kind(key) == "positive":
             out += [(key, "1e-3"), (key, "1e3")]
     return out
 
 
 EDGE_VALUES = _edge_values()
 
-# each planner tuning row with a range check
-TUNING_ROWS = [key for key, (section, _, _, check) in _REGISTRY.items()
-               if section in ("lateral", "long")
-               and check in (_positive, _nonneg)]
+# each row that reads a range off its field, and the rows without one
+RANGED_ROWS = [key for key in _REGISTRY if _kind(key) is not None]
+UNRANGED_ROWS = ["scenario.track", "scenario.controller",
+                 "scenario.longitudinal", "scenario.name", "scenario.lead"]
+# the value just outside each range, as the field takes it
+OUTSIDE = {"finite": math.inf, "positive": 0.0, "nonneg": -math.ulp(0.0),
+           "count": 0, "index": -1}
 
 
 class TestLoadRunConfig:
@@ -256,7 +262,7 @@ class TestLoadRunConfig:
                    "scenario.lead_period_s": "period_s",
                    "vpc.lookahead_l": "lookahead_L"}
         seen = set()
-        for key, (section, name, _, _) in _REGISTRY.items():
+        for key, (section, name, _) in _REGISTRY.items():
             assert (section, name) not in seen
             seen.add((section, name))
             if name is not None and not isinstance(name, tuple):
@@ -305,24 +311,32 @@ class TestLoadRunConfig:
                             tuning=cfg.long_tuning)
         VpcEstimator(cfg.vpc)
 
-    @pytest.mark.parametrize("key", TUNING_ROWS)
+    @pytest.mark.parametrize("key", RANGED_ROWS)
     def test_tuning_rejects_what_its_row_rejects_naming_the_field(self, key):
         # the boundary value the row rejects (0 for a positive key, the
         # largest negative float for a nonnegative one), passed straight to
         # the dataclass: refused there, not when a planner builds its
         # problem with an error that names an internal
-        section, name, cast, check = _REGISTRY[key]
-        cls = {"lateral": LateralTuning, "long": LongTuning}[section]
-        bad = cast("0") if check is _positive else -math.ulp(0.0)
-        with pytest.raises(ValueError):
-            check(bad)
+        section, name, _ = _REGISTRY[key]
+        cls = _SECTIONS[section][0]
+        bad = OUTSIDE[_kind(key)]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            _typed(key, repr(bad), "", "")
+        base = ({"track": "straight", "duration_s": 1.0}
+                if section == "spec" else {})
         if isinstance(name, tuple):
             name, index = name
-            entries = list(getattr(cls(), name))
+            entries = list(getattr(cls(**base), name) or (0.0, 1.0))
             entries[index] = bad
             bad = tuple(entries)
         with pytest.raises(ValueError, match=rf"\b{re.escape(name)}\b"):
-            cls(**{name: bad})
+            cls(**{**base, name: bad})
+
+    def test_every_row_with_a_field_reads_a_declared_range(self):
+        # a new key fails here until its field declares a range, or it is
+        # listed as one without
+        assert [key for key in _REGISTRY if _kind(key) is None] == (
+            UNRANGED_ROWS)
 
     @pytest.mark.parametrize("cls", [LateralTuning, LongTuning])
     def test_tuning_rejects_a_q_diag_of_another_length(self, cls):
@@ -339,6 +353,70 @@ class TestLoadRunConfig:
             load_run_config(path)
         assert err.value.line == line
         assert str(err.value) == f"{path}:{line}: {message}"
+
+
+# raw values a drawn line may give any key: valid, at the edge of a range,
+# and invalid
+RAW_VALUES = ["0", "-0", "1", "-1", "3", "2.5", "1e-3", "1e3", "1e308",
+              "5e-324", "-5e-324", "nan", "inf", "", "abc", "true", "off",
+              "straight", "trackA", "circle100", "cilqr", "vpc-cilqr",
+              "a/b", "..", 'my "run"']
+LINE_KEYS = list(_REGISTRY) + ["vehicle.masss", "scenario", "=", ""]
+
+
+def _raw_values(key: str) -> list[str]:
+    """What a drawn line may give key: three times in four its valid
+    _distinct value, else one of RAW_VALUES."""
+    if key not in _REGISTRY:
+        return RAW_VALUES
+    return [_distinct(list(_REGISTRY).index(key), key)] * 3 * len(
+        RAW_VALUES) + RAW_VALUES
+
+
+def _rebuilt(obj):
+    """A dataclass built anew from its own field values, nested dataclasses
+    rebuilt the same way."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return type(obj)(**{
+        name: _rebuilt(value) if dataclasses.is_dataclass(value) else value
+        for name, value in values.items()})
+
+
+class TestLoaderProperty:
+
+    def test_loader_raises_nothing_but_config_error(self, tmp_path):
+        # adverse text and overrides end in a defined error: a ConfigError,
+        # or a RunConfig whose sections rebuild to themselves
+        path = tmp_path / "run.cfg"
+        pairs = st.sampled_from(LINE_KEYS).flatmap(
+            lambda key: st.tuples(st.just(key),
+                                  st.sampled_from(_raw_values(key))))
+        line = pairs.map(lambda kv: f"{kv[0]} = {kv[1]}")
+        override = pairs.map(lambda kv: f"{kv[0]}={kv[1]}")
+
+        # a strategy listed n times is drawn n times as often
+        @settings(derandomize=True, max_examples=300, deadline=None,
+                  database=None)
+        @given(base=st.sampled_from([True, True, True, False]),
+               lines=st.lists(st.one_of(line, line, st.sampled_from(
+                   ["no equals sign", "# a comment", "", "  "])), max_size=6),
+               overrides=st.lists(st.one_of(
+                   override, override, override, st.just("no equals sign")),
+                   max_size=2),
+               seed=st.none() | st.integers(-1, 3),
+               controller=st.none() | st.sampled_from(
+                   ["cilqr", "vpc-cilqr", "pid"]))
+        def check(base, lines, overrides, seed, controller):
+            head = ["scenario.track = straight", "scenario.duration_s = 9"]
+            path.write_text("\n".join(head * base + lines) + "\n")
+            try:
+                cfg = load_run_config(path, tuple(overrides), seed=seed,
+                                      controller=controller)
+            except ConfigError:
+                return
+            assert _rebuilt(cfg) == cfg
+
+        check()
 
 
 class TestRunCommand:
@@ -366,6 +444,38 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "vehicle.mass" in err
         assert "positive" in err
+
+    @pytest.mark.parametrize("name", ["sub/run", "../run", ".", "..",
+                                      "a\0b"])
+    def test_name_that_is_not_a_file_name_exits_one(self, tmp_path, capsys,
+                                                    name):
+        # the name was pasted into the output paths: "sub/run" ended in a
+        # FileNotFoundError, and ".." could write outside --out
+        cfg = _write(tmp_path, SMOKE + f"scenario.name = {name}\n")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:5: scenario.name: must be a plain file name" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stem, name", [
+        ("run", 'my "best" run'), ("run", "it's a \\ run"),
+        ('quoted "stem" \'s', "")])
+    def test_plot_script_parses_for_any_name(self, tmp_path, stem, name):
+        # a quote in the run's name, or in the config file's stem when no
+        # name is set, used to write a script that was a SyntaxError
+        text = "scenario.track = straight\nscenario.duration_s = 0.01\n"
+        cfg = _write(tmp_path, text + f"scenario.name = {name}\n" * bool(name),
+                     f"{stem}.cfg")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        title = name or stem
+        tree = ast.parse((out / f"plot_{title}.py").read_text())
+        literals = {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)}
+        assert {title, f"{title}.csv", f"{title}.png"} <= literals
+        assert (out / f"{title}.csv").is_file()
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = _write(tmp_path, SMOKE + "sim.sigma_tehta = 0.01\n")

@@ -422,11 +422,12 @@ class TestRunScenario:
                         (20.0, 1.0, -math.inf)):
                 with pytest.raises(ValueError, match="q_diag must be finite"):
                     cls(q_diag=bad)
-        # the loop's clock counts whole microseconds
+        # the loop's clock counts whole microseconds; a non-finite value
+        # reads as every other field's does
         for name in rates:
             for bad in (math.nan, math.inf, -math.inf, 2.5):
-                with pytest.raises(ValueError,
-                                   match=f"{name} must be an integer"):
+                with pytest.raises(ValueError, match=f"{name} must be "
+                                   f"{'an integer' if bad == 2.5 else 'finite'}"):
                     SimRates(**{name: bad})
 
     def test_unknown_track_rejected_at_construction(self):
